@@ -20,17 +20,16 @@ primary tools.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .el import neg2_log_ratio
+from . import el as _el
 from .errors import DegenerateSampleError, PwmInputError
 from .estimators import _as_sample, _check_order
 from .inference import (
     ConfidenceInterval,
     TestResult,
-    _beta_scale,
-    _hull_bounds,
     _interval_from_ratio,
     _ratio_test,
 )
@@ -105,15 +104,8 @@ def plugin_el_ci(sample, r: int, level: float = 0.95, method: str = "DNEL") -> C
     """EL interval on the summands, centered at their mean."""
     sv = _summands(sample, r, method)
     z = _checked_values(sv)
-    lo_start, hi_start, _ = _hull_bounds(z)
-    point = sv.estimate
-    return _interval_from_ratio(
-        lambda b: neg2_log_ratio(z, b),
-        point, level, method,
-        lo_start, hi_start,
-        expand=False,
-        beta_scale=_beta_scale(z, point),
-    )
+    return _interval_from_ratio(partial(_el.neg2_log_ratio_and_slope, z),
+                                z, sv.estimate, level, method)
 
 
 def plugin_el_test(sample, r: int, beta0: float, alpha: float = 0.05,
@@ -124,4 +116,4 @@ def plugin_el_test(sample, r: int, beta0: float, alpha: float = 0.05,
         raise PwmInputError("hypothesized value must be finite")
     sv = _summands(sample, r, method)
     z = _checked_values(sv)
-    return _ratio_test(neg2_log_ratio(z, beta0), beta0, alpha, method)
+    return _ratio_test(_el.neg2_log_ratio(z, beta0), beta0, alpha, method)

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.special import ndtr, ndtri
+from scipy.special import erfinv, ndtr, ndtri
 
-from .errors import ConvergenceError, NumericError, PwmInputError
+from .errors import NumericError, PwmInputError
 
 __all__ = [
     "EXPONENTIAL",
@@ -181,39 +181,15 @@ def chi2_1_cdf(x: float) -> float:
     return math.erf(math.sqrt(0.5 * x))
 
 
-def _chi2_1_pdf(x: float) -> float:
-    return math.exp(-0.5 * x) / math.sqrt(2.0 * math.pi * x)
-
-
-def chi2_1_quantile(p: float, tol: float = 1e-13, max_iter: int = 100) -> float:
+def chi2_1_quantile(p: float) -> float:
     """Inverse of :func:`chi2_1_cdf` on the open interval (0, 1).
 
-    Newton iteration seeded by the square of the standard-normal quantile,
-    safeguarded with a bisection bracket.  The returned x satisfies
-    ``|chi2_1_cdf(x) - p| <= 1e-13`` or a bit better.
+    Closed form: ``chi2_1_cdf(x) = erf(sqrt(x / 2))``, so the quantile is
+    ``2 * erfinv(p)**2``.
     """
     if not 0.0 < p < 1.0:
         raise PwmInputError(f"quantile level must be in (0, 1), got {p}")
-    lo, hi = 0.0, 1.0
-    while chi2_1_cdf(hi) < p:
-        hi *= 2.0
-        if hi > 1e8:
-            raise ConvergenceError(f"quantile bracket failed for p = {p}")
-    x = max(float(ndtri(0.5 * (1.0 + p))) ** 2, 1e-300)
-    for _ in range(max_iter):
-        err = chi2_1_cdf(x) - p
-        if abs(err) <= tol:
-            return x
-        if err > 0.0:
-            hi = x
-        else:
-            lo = x
-        step = x - err / _chi2_1_pdf(x)
-        x = step if lo < step < hi else 0.5 * (lo + hi)
-    err = chi2_1_cdf(x) - p
-    if abs(err) <= 1e-10:
-        return x
-    raise ConvergenceError(f"chi-square quantile stalled at p = {p}", best=x)
+    return 2.0 * float(erfinv(p)) ** 2
 
 
 def _conditional_max_mean(dist: DistSpec, r: int):

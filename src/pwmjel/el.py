@@ -21,7 +21,13 @@ import numpy as np
 
 from .errors import ConvergenceError, HullError, PwmInputError
 
-__all__ = ["ELSolution", "hull_contains", "solve_lambda", "neg2_log_ratio"]
+__all__ = [
+    "ELSolution",
+    "hull_contains",
+    "solve_lambda",
+    "neg2_log_ratio",
+    "neg2_log_ratio_and_slope",
+]
 
 # Relative shrink applied to the feasibility endpoints before bracketing.
 _EDGE_MARGIN = 1e-12
@@ -61,10 +67,12 @@ def _scale(z, mu):
     return max(1.0, abs(mu), float(np.max(np.abs(z - mu))))
 
 
-def solve_lambda(z, mu, tol: float = 1e-10, max_iter: int = 100) -> ELSolution:
+def solve_lambda(z, mu, tol: float = 1e-10, max_iter: int = 100,
+                 lam0: float = 0.0) -> ELSolution:
     """Solve the EL score equation for the multiplier.
 
-    Newton iteration started at lam = 0, safeguarded by bisection against
+    Newton iteration started at ``lam0`` (at 0 when ``lam0`` is not strictly
+    feasible for this mu), safeguarded by bisection against
     the feasibility bracket, which keeps every iterate on the side where
     all weights stay positive.  Convergence means the score magnitude fell
     below ``tol`` times ``max(1, |mu|, max|z - mu|)``.
@@ -97,7 +105,7 @@ def solve_lambda(z, mu, tol: float = 1e-10, max_iter: int = 100) -> ELSolution:
         gp = -float(np.mean((d / w) ** 2))
         return g, gp
 
-    lam = 0.0
+    lam = float(lam0) if lo < lam0 < hi else 0.0
     a, b = lo, hi  # invariant: score(a) > 0 > score(b)
     g, gp = score_and_slope(lam)
     iterations = 0
@@ -139,8 +147,20 @@ def neg2_log_ratio(z, mu, tol: float = 1e-10, max_iter: int = 100) -> float:
     the natural limit of the statistic and lets interval searches treat the
     hull boundary as an infinitely rejected point.
     """
+    return neg2_log_ratio_and_slope(z, mu, tol=tol, max_iter=max_iter)[0]
+
+
+def neg2_log_ratio_and_slope(z, mu, lam0: float = 0.0, tol: float = 1e-10,
+                             max_iter: int = 100) -> tuple[float, float, float]:
+    """:func:`neg2_log_ratio` with its derivative in mu and the multiplier.
+
+    By the envelope theorem the derivative of ``-2 log R`` in mu is
+    ``-2 * m * lam`` at the solved multiplier (Owen 1988), so the slope
+    costs nothing beyond the solve.  ``lam0`` warm-starts the solve.
+    Outside the open hull of z the result is ``(inf, nan, lam0)``.
+    """
     z, mu = _validate_points(z, mu)
     if not (z.min() < mu < z.max()):
-        return math.inf
-    sol = solve_lambda(z, mu, tol=tol, max_iter=max_iter)
-    return max(0.0, -2.0 * sol.log_ratio)
+        return math.inf, math.nan, lam0
+    sol = solve_lambda(z, mu, tol=tol, max_iter=max_iter, lam0=lam0)
+    return max(0.0, -2.0 * sol.log_ratio), -2.0 * z.size * sol.lam, sol.lam

@@ -87,6 +87,11 @@ _FAMILY_ALIASES = {
 }
 
 
+# _cell_id packs (r, n) as r * _MAX_N + n, so sample sizes stay below _MAX_N
+# for each cell to own its seed stream.
+_MAX_N = 1_000_000
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
@@ -112,6 +117,8 @@ class ExperimentConfig:
             for n in self.n_values
         ):
             raise PwmInputError("every n must be at least max(r) + 2")
+        if max(self.n_values) >= _MAX_N:
+            raise PwmInputError(f"every n must be below {_MAX_N:_}")
         if self.replications < 1:
             raise PwmInputError("replications must be positive")
         if not (0.0 < self.level < 1.0 and 0.0 < self.alpha < 1.0):
@@ -173,7 +180,7 @@ def seed_for_rep(base_seed: int, cell_id: int, rep_index: int) -> int:
 
 
 def _cell_id(r: int, n: int) -> int:
-    return int(r) * 1_000_000 + int(n)
+    return int(r) * _MAX_N + int(n)
 
 
 @dataclass(frozen=True)

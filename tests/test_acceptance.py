@@ -18,10 +18,12 @@ import os
 import subprocess
 import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pwmjel
 from pwmjel import (
     DistSpec,
     ExperimentConfig,
@@ -345,6 +347,11 @@ def test_a11_simulate_deterministic_across_threads(verdict, tmp_path):
         "kind = coverage_length\nfamily = exp\nparam = 1\n"
         "r = 1\nn_list = 25\nreps = 60\nmethods = JEL, AJEL\nseed = 9\n"
     )
+    # the child runs in tmp_path, so a relative PYTHONPATH would not resolve
+    src = str(Path(pwmjel.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     blobs = []
     for threads in (1, 4, 8):
         out_dir = tmp_path / f"t{threads}"
@@ -352,7 +359,7 @@ def test_a11_simulate_deterministic_across_threads(verdict, tmp_path):
             [sys.executable, "-m", "pwmjel.cli", "simulate",
              "--config", str(cfg), "--out", str(out_dir),
              "--threads", str(threads)],
-            check=True, capture_output=True, cwd=tmp_path,
+            check=True, capture_output=True, cwd=tmp_path, env=env,
         )
         csvs = sorted(out_dir.glob("*.csv"))
         assert csvs, f"no report written for --threads {threads}"

@@ -11,6 +11,7 @@ from pwmjel import (
     neg2_log_ratio,
     solve_lambda,
 )
+from pwmjel.el import neg2_log_ratio_and_slope
 
 # frozen from an independent bisection-only solve of the score equation
 GOLD_Z = [1.0, 2.0, 3.0]
@@ -121,3 +122,27 @@ def test_convergence_error_carries_best_iterate():
 def test_iterations_reported():
     sol = solve_lambda(GOLD_Z, GOLD_MU)
     assert 1 <= sol.iterations <= 100
+
+
+def test_warm_start_reaches_the_same_root_in_fewer_steps():
+    z = np.random.default_rng(8).exponential(1.0, 200)
+    mu = float(np.quantile(z, 0.7))
+    cold = solve_lambda(z, mu)
+    warm = solve_lambda(z, mu, lam0=0.95 * cold.lam)
+    assert warm.lam == pytest.approx(cold.lam, rel=1e-8)
+    assert warm.iterations < cold.iterations
+    # an infeasible start falls back to lam = 0
+    assert solve_lambda(z, mu, lam0=1e6).lam == pytest.approx(cold.lam, rel=1e-8)
+
+
+def test_slope_is_the_envelope_derivative():
+    z = np.random.default_rng(9).lognormal(0.0, 1.0, 80)
+    for q in (0.1, 0.3, 0.45, 0.6, 0.9):
+        mu = float(np.quantile(z, q))
+        ratio, slope, lam = neg2_log_ratio_and_slope(z, mu)
+        h = 1e-6 * z.std()
+        fd = (neg2_log_ratio(z, mu + h) - neg2_log_ratio(z, mu - h)) / (2.0 * h)
+        assert ratio == neg2_log_ratio(z, mu)
+        assert slope == pytest.approx(-2.0 * z.size * lam, rel=1e-15)
+        assert slope == pytest.approx(fd, rel=1e-5, abs=1e-6)
+    assert neg2_log_ratio_and_slope(z, z.max() + 1.0, lam0=0.25)[0] == math.inf

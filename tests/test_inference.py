@@ -23,6 +23,7 @@ from pwmjel import (
     sample,
     ustat_estimate,
 )
+from pwmjel.inference import _centered_ratio_and_slope
 
 X4 = [1.0, 2.0, 3.0, 4.0]
 Q95 = 3.841458820694124
@@ -73,6 +74,20 @@ def test_ajel_dominated_by_jel():
         jel = jel_neg2_ratio(x, 1, b)
         aj = ajel_neg2_ratio(x, 1, b)
         assert aj <= jel + 1e-9
+
+
+def test_centered_slope_is_the_envelope_derivative():
+    x = sample(DistSpec("exponential", 1.0), 50, make_rng(45))
+    pv = jackknife_pseudo_values(x, 1)
+    lo, hi = pv.values.min(), pv.values.max()
+    # inside and beyond the pseudo-value hull, with the default and a set a_n
+    for b, a_n in ((0.6, None), (0.9, None), (lo - 0.5, None), (hi + 2.0, 3.0)):
+        ratio, slope, _ = _centered_ratio_and_slope(pv, b, a_n)
+        h = 1e-6
+        fd = (ajel_neg2_ratio(pv, 1, b + h, a_n=a_n)
+              - ajel_neg2_ratio(pv, 1, b - h, a_n=a_n)) / (2.0 * h)
+        assert ratio == pytest.approx(ajel_neg2_ratio(pv, 1, b, a_n=a_n), rel=1e-12)
+        assert slope == pytest.approx(fd, rel=1e-5)
 
 
 def test_ajel_rules_differ_away_from_estimate():

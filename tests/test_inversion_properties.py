@@ -1,0 +1,167 @@
+"""Property tests for the interval inversion.
+
+Every interval kind (JEL, AJEL under the centered and the literal rule,
+DNEL and VXL) is inverted by a safeguarded Newton search.  On random
+samples, n in [5, 400], exponential, lognormal or normal data scaled by a
+factor in [1e-3, 1e3], and levels in [0.5, 0.99], each endpoint must
+
+* carry a ratio within 1e-6 of the chi-square threshold, recomputed with
+  the public ratio functions;
+* have the ratio below the threshold just inside it;
+* match a plain bisection kept in this file to 1e-7 * beta_scale.
+
+The centered AJEL interval must also contain the JEL interval.
+
+Out of scope: data scales of 1e-9 and below, where absolute tolerance
+floors in the EL kernel and the endpoint search change the results.  That
+is a known defect of its own and is not exercised here.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pwmjel import (
+    ConvergenceError,
+    DistSpec,
+    adjustment_constant,
+    ajel_confidence_interval,
+    ajel_neg2_ratio,
+    chi2_1_quantile,
+    dnel_summands,
+    jackknife_pseudo_values,
+    jel_confidence_interval,
+    jel_neg2_ratio,
+    make_rng,
+    neg2_log_ratio,
+    plugin_el_ci,
+    sample,
+    vxl_summands,
+)
+
+KINDS = ("JEL", "AJEL-centered", "AJEL-literal", "DNEL", "VXL")
+RESIDUAL_TOL = 1e-6
+MATCH_TOL = 1e-7
+INSIDE = 1e-4  # fraction of the length by which "just inside" steps in
+
+PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
+                             database=None)
+
+
+@st.composite
+def cases(draw):
+    n = draw(st.integers(5, 400))
+    family = draw(st.sampled_from(("exponential", "lognormal", "normal")))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    r = draw(st.integers(1, 3))
+    level = draw(st.floats(0.5, 0.99))
+    x = scale * sample(DistSpec(family, 1.0), n, make_rng(seed))
+    return x, r, level
+
+
+def _setup(kind, x, r, level):
+    """The interval and, independently of it, what the reference needs:
+    the ratio as a function of beta, where it bottoms out, the point set
+    whose hull bounds it (None where the ratio stays finite), and the
+    tolerance scale ``max(1, |estimate|, max |points - estimate|)``."""
+    pv = jackknife_pseudo_values(x, r)
+    point = pv.ustat_estimate
+    if kind == "JEL":
+        ci = jel_confidence_interval(pv, r, level)
+        ratio, points, seed, hull = (lambda b: jel_neg2_ratio(pv, r, b),
+                                     pv.values, point, pv.values)
+    elif kind == "AJEL-centered":
+        ci = ajel_confidence_interval(pv, r, level)
+        ratio, points, seed, hull = (lambda b: ajel_neg2_ratio(pv, r, b),
+                                     pv.values, point, None)
+    elif kind == "AJEL-literal":
+        ci = ajel_confidence_interval(pv, r, level, rule="literal")
+        # the literal set does not move with beta: its mean is the minimum
+        aug = np.append(pv.values, -(adjustment_constant(pv.n) / pv.n) * pv.values.sum())
+        ratio, points, seed, hull = (lambda b: ajel_neg2_ratio(pv, r, b, rule="literal"),
+                                     aug, float(aug.mean()), aug)
+    else:
+        z = (dnel_summands if kind == "DNEL" else vxl_summands)(x, r).values
+        ci = plugin_el_ci(x, r, level, method=kind)
+        point = float(z.mean())
+        ratio, points, seed, hull = (lambda b: neg2_log_ratio(z, b), z, point, z)
+    beta_scale = max(1.0, abs(point), float(np.max(np.abs(points - point))))
+    return ci, ratio, seed, hull, beta_scale
+
+
+def _bisect(ratio, inside, outside, threshold, tol):
+    """Plain bisection: ratio(inside) < threshold <= ratio(outside)."""
+    while abs(outside - inside) > tol:
+        mid = 0.5 * (inside + outside)
+        if mid in (inside, outside):
+            break
+        if ratio(mid) < threshold:
+            inside = mid
+        else:
+            outside = mid
+    return 0.5 * (inside + outside)
+
+
+def _reference(ratio, seed, hull, threshold, direction, beta_scale):
+    if hull is not None:
+        # the ratio is infinite at and beyond the hull edge
+        outside = float(hull.min() if direction < 0 else hull.max())
+    else:
+        reach = beta_scale
+        for _ in range(200):
+            outside = seed + direction * reach
+            if ratio(outside) >= threshold:
+                break
+            reach *= 2.0
+    return _bisect(ratio, seed, outside, threshold, 1e-10 * beta_scale)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@PROPERTY_SETTINGS
+@given(case=cases())
+def test_endpoints_solve_the_threshold_and_match_bisection(kind, case):
+    x, r, level = case
+    threshold = chi2_1_quantile(level)
+    try:
+        ci, ratio, seed, hull, beta_scale = _setup(kind, x, r, level)
+    except ConvergenceError:
+        # only the centered rule may fail to close: its ratio is finite
+        # everywhere and plateaus below high thresholds at small n
+        assert kind == "AJEL-centered"
+        pv = jackknife_pseudo_values(x, r)
+        far = 1e8 * max(1.0, float(np.ptp(pv.values)))
+        assert min(ajel_neg2_ratio(pv, r, pv.ustat_estimate + d * far)
+                   for d in (-1.0, 1.0)) < threshold
+        return
+    assert type(ci.lower) is float and type(ci.upper) is float
+    assert ci.lower < seed < ci.upper
+    for endpoint, direction in ((ci.lower, -1.0), (ci.upper, 1.0)):
+        assert abs(ratio(endpoint) - threshold) <= RESIDUAL_TOL
+        assert ratio(endpoint - direction * INSIDE * ci.length) < threshold
+        ref = _reference(ratio, seed, hull, threshold, direction, beta_scale)
+        assert abs(endpoint - ref) <= MATCH_TOL * beta_scale
+
+
+@PROPERTY_SETTINGS
+@given(case=cases())
+def test_centered_ajel_contains_jel(case):
+    x, r, level = case
+    jel = jel_confidence_interval(x, r, level)
+    try:
+        ajel = ajel_confidence_interval(x, r, level)
+    except ConvergenceError:
+        return  # no finite adjusted interval; checked in the test above
+    pv = jackknife_pseudo_values(x, r)
+    slack = MATCH_TOL * max(1.0, abs(jel.point_estimate),
+                            float(np.max(np.abs(pv.values - jel.point_estimate))))
+    assert ajel.lower <= jel.lower + slack
+    assert ajel.upper >= jel.upper - slack
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_newton_search_step_count(kind):
+    # bisection took ~51 ratio evaluations per interval on this cell
+    x = sample(DistSpec("exponential", 1.0), 300, make_rng(20240))
+    assert _setup(kind, x, 1, 0.95)[0].endpoint_iterations <= 20

@@ -71,6 +71,16 @@ def test_config_validation():
         small_config(kind="power")  # power needs null_dist
 
 
+def test_config_rejects_sample_sizes_that_share_seed_streams():
+    # the packed cell id collides once n reaches a million
+    assert _cell_id(1, 1_000_005) == _cell_id(2, 5)
+    with pytest.raises(PwmInputError, match="below 1_000_000"):
+        small_config(n_values=(25, 1_000_000))
+    with pytest.raises(PwmInputError):
+        small_config(r_values=(1, 2), n_values=(1_000_005,))
+    assert small_config(n_values=(999_999,)).n_values == (999_999,)
+
+
 def test_coverage_rows_shape():
     rep = run_coverage_experiment(small_config())
     assert rep.config.kind == "coverage_length"
