@@ -7,7 +7,6 @@ variant that never loses the hypothesis outside the convex hull.  A seeded
 Monte Carlo harness and a CSV-driven CLI (``pwm``) sit on top.
 """
 
-from .comparison import SummandVector, dnel_summands, plugin_el_ci, plugin_el_test, vxl_summands
 from .data import AnalysisRow, ColumnDataset, TestRow, analyze_column, load_csv_column, test_column
 from .distributions import (
     CONSTANT,
@@ -37,26 +36,33 @@ from .errors import (
 from .estimators import (
     PseudoValues,
     SortedSample,
+    SummandVector,
     dn_estimate,
+    dnel_summands,
     jackknife_pseudo_values,
     ustat_brute_force,
     ustat_estimate,
     variance_s,
     vexler_estimate,
+    vxl_summands,
 )
 from .inference import (
+    CI_METHODS,
     ConfidenceInterval,
     TestResult,
     adjustment_constant,
     ajel_confidence_interval,
     ajel_neg2_ratio,
     ajel_test,
+    confidence_interval,
     jel_confidence_interval,
     jel_neg2_ratio,
     jel_test,
+    plugin_el_ci,
+    plugin_el_test,
+    ratio_test,
 )
 from .simulate import (
-    CI_METHODS,
     ESTIMATOR_METHODS,
     KINDS,
     ExperimentConfig,

@@ -7,16 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comparison import plugin_el_ci, plugin_el_test
 from .errors import MissingColumnError, PwmError, PwmInputError
 from .estimators import SortedSample
-from .inference import (
-    ajel_confidence_interval,
-    ajel_test,
-    jel_confidence_interval,
-    jel_test,
-)
-from .simulate import CI_METHODS
+from .inference import check_methods, confidence_interval, ratio_test
 
 __all__ = [
     "ColumnDataset",
@@ -104,16 +97,6 @@ def load_csv_column(path, column: str) -> ColumnDataset:
     return ColumnDataset(name=column, values=np.asarray(values), skipped=skipped)
 
 
-def _check_methods(methods) -> tuple[str, ...]:
-    out = tuple(str(m).upper() for m in methods)
-    bad = [m for m in out if m not in CI_METHODS]
-    if bad:
-        raise PwmInputError(f"unknown methods {bad}; expected subset of {CI_METHODS}")
-    if not out:
-        raise PwmInputError("at least one method is required")
-    return out
-
-
 def analyze_column(data: ColumnDataset, r: int, level: float, methods,
                    ajel_rule: str = "centered", a_n=None) -> list[AnalysisRow]:
     """Point estimate and confidence interval per method.
@@ -122,17 +105,12 @@ def analyze_column(data: ColumnDataset, r: int, level: float, methods,
     small for the jackknife) are reported inline on their row so the
     remaining methods still produce results.
     """
-    methods = _check_methods(methods)
+    methods = check_methods(str(m).upper() for m in methods)
     sample = SortedSample.from_data(data.values)
     rows: list[AnalysisRow] = []
     for method in methods:
         try:
-            if method == "JEL":
-                ci = jel_confidence_interval(sample, r, level)
-            elif method == "AJEL":
-                ci = ajel_confidence_interval(sample, r, level, rule=ajel_rule, a_n=a_n)
-            else:
-                ci = plugin_el_ci(sample, r, level, method)
+            ci = confidence_interval(sample, r, level, method, ajel_rule, a_n)
             rows.append(AnalysisRow(data.name, method, r, ci.point_estimate,
                                     ci.lower, ci.upper, ci.length, None))
         except PwmError as exc:
@@ -143,17 +121,12 @@ def analyze_column(data: ColumnDataset, r: int, level: float, methods,
 def test_column(data: ColumnDataset, r: int, beta0: float, alpha: float, methods,
                 ajel_rule: str = "centered", a_n=None) -> list[TestRow]:
     """Hypothesis test of ``beta_r = beta0`` per method, failures inline."""
-    methods = _check_methods(methods)
+    methods = check_methods(str(m).upper() for m in methods)
     sample = SortedSample.from_data(data.values)
     rows: list[TestRow] = []
     for method in methods:
         try:
-            if method == "JEL":
-                res = jel_test(sample, r, beta0, alpha)
-            elif method == "AJEL":
-                res = ajel_test(sample, r, beta0, alpha, rule=ajel_rule, a_n=a_n)
-            else:
-                res = plugin_el_test(sample, r, beta0, alpha, method)
+            res = ratio_test(sample, r, beta0, alpha, method, ajel_rule, a_n)
             rows.append(TestRow(data.name, method, r, res.statistic, res.threshold,
                                 res.p_value, res.reject, None))
         except PwmError as exc:

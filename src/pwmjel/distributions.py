@@ -9,8 +9,6 @@ Parameterization conventions, fixed and documented here once:
 * constant: point mass at ``param1``; a sampling hook for degenerate-input
   tests, with no defined moment target.
 
-``param2`` is reserved for a future location shift and must stay zero.
-
 Draws go through inverse transforms of open-interval uniforms from a seeded
 PCG64 generator, so replication streams are reproducible and independent of
 library version quirks in the convenience samplers.
@@ -60,7 +58,6 @@ class DistSpec:
 
     family: str
     param1: float
-    param2: float = 0.0
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
@@ -71,8 +68,6 @@ class DistSpec:
             raise PwmInputError("param1 must be finite")
         if self.family != CONSTANT and self.param1 <= 0:
             raise PwmInputError(f"{self.family} requires param1 > 0")
-        if self.param2 != 0.0:
-            raise PwmInputError("param2 is reserved and must be 0")
 
     @property
     def label(self) -> str:

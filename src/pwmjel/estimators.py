@@ -17,6 +17,20 @@ which is what ``ustat_estimate`` evaluates; ``ustat_brute_force`` enumerates
 subsets directly and exists to cross-check it on small inputs.  Jackknife
 pseudo-values of the U-statistic feed the empirical likelihood machinery in
 :mod:`pwmjel.inference`.
+
+The two plug-in estimators are also plain means of n summands, which the
+DNEL and VXL baselines run empirical likelihood on:
+
+* ``dnel_summands``: ``(i/n)**r * x_(i)`` (mean equals ``dn_estimate``),
+* ``vxl_summands``:  ``n/(r+1) * x_(i) * ((i/n)**(r+1) - ((i-1)/n)**(r+1))``
+  (mean equals ``vexler_estimate``).
+
+Caveat, stated as loudly as a docstring allows: the summands are functions
+of order statistics, hence strongly dependent, while the EL calibration
+treats them as i.i.d.  Their cross-sectional scatter does not match the
+sampling variance of the estimator, so these intervals tend to run wide
+and conservative.  They are included as benchmarks, not as recommended
+procedures; the pseudo-value methods are the primary tools.
 """
 
 from __future__ import annotations
@@ -33,8 +47,11 @@ from .errors import InsufficientSampleError, PwmInputError
 __all__ = [
     "SortedSample",
     "PseudoValues",
+    "SummandVector",
     "dn_estimate",
     "vexler_estimate",
+    "dnel_summands",
+    "vxl_summands",
     "ustat_estimate",
     "ustat_brute_force",
     "jackknife_pseudo_values",
@@ -88,6 +105,19 @@ class PseudoValues:
     n: int
 
 
+@dataclass(frozen=True)
+class SummandVector:
+    """Ordered-sample summands whose mean is the point estimate."""
+
+    values: np.ndarray
+    method: str
+    r: int
+
+    @property
+    def estimate(self) -> float:
+        return float(np.mean(self.values))
+
+
 def _as_sample(sample) -> SortedSample:
     if isinstance(sample, SortedSample):
         return sample
@@ -120,9 +150,7 @@ def dn_estimate(sample, r: int) -> float:
     """
     r = _check_order(r)
     s = _as_sample(sample)
-    n = s.n
-    w = (np.arange(1, n + 1, dtype=float) / n) ** r
-    return float(np.mean(w * s.values))
+    return float(np.mean(_dn_weights(s.n, r) * s.values))
 
 
 def vexler_estimate(sample, r: int) -> float:
@@ -140,6 +168,41 @@ def vexler_estimate(sample, r: int) -> float:
     return float(np.sum(w * s.values) / (r + 1))
 
 
+def _dn_weights(n: int, r: int) -> np.ndarray:
+    return (np.arange(1, n + 1, dtype=float) / n) ** r
+
+
+def _vxl_weights(n: int, r: int) -> np.ndarray:
+    if r == 0:
+        # keep the telescoped weights exactly 1 (the i/n grid rounds)
+        return np.ones(n)
+    grid = np.arange(0, n + 1, dtype=float) / n
+    return np.diff(grid ** (r + 1)) * (n / (r + 1.0))
+
+
+def _summands(sample, r: int, method: str, weights) -> SummandVector:
+    r = _check_order(r)
+    s = _as_sample(sample)
+    if s.n < 2:
+        raise PwmInputError("summand construction needs at least two observations")
+    z = weights(s.n, r) * s.values
+    z.flags.writeable = False
+    return SummandVector(values=z, method=method, r=r)
+
+
+def dnel_summands(sample, r: int) -> SummandVector:
+    """Summands of the empirical-CDF plug-in estimator."""
+    return _summands(sample, r, "DNEL", _dn_weights)
+
+
+def vxl_summands(sample, r: int) -> SummandVector:
+    """Summands of the differenced-power estimator.
+
+    At r = 0 the weights telescope and the summands reduce to the data.
+    """
+    return _summands(sample, r, "VXL", _vxl_weights)
+
+
 def _log_binom(top, k: int) -> np.ndarray:
     """log C(top, k) elementwise; -inf where top < k."""
     top = np.asarray(top, dtype=float)
@@ -150,16 +213,17 @@ def _log_binom(top, k: int) -> np.ndarray:
     return out
 
 
-def _ustat_weights(n: int, r: int) -> np.ndarray:
-    """Normalized order-statistic weights ``C(i-1, r) / C(n, r+1)``, i=1..n.
+def _ustat_weights(n: int, r: int, lag: int = 1) -> np.ndarray:
+    """Normalized order-statistic weights ``C(i-lag, r) / C(n, r+1)``, i=1..n.
 
-    Evaluated in log space; raw factorials would overflow long before the
-    supported sample sizes are reached.
+    ``lag = 1`` gives the U-statistic weights; ``lag = 2`` gives them for a
+    rank one lower, as after deleting an observation below.  Evaluated in
+    log space; raw factorials would overflow long before the supported
+    sample sizes are reached.
     """
     i = np.arange(1, n + 1, dtype=float)
     log_d = float(gammaln(n + 1.0) - gammaln(n - r) - gammaln(r + 2.0))
-    logs = _log_binom(i - 1.0, r) - log_d
-    return np.exp(logs)
+    return np.exp(_log_binom(i - lag, r) - log_d)
 
 
 def ustat_estimate(sample, r: int) -> float:
@@ -238,10 +302,8 @@ def jackknife_pseudo_values(sample, r: int) -> PseudoValues:
             f"need at least r+2 = {r + 2} observations for the jackknife, got {n}"
         )
     x = s.values
-    i = np.arange(1, n + 1, dtype=float)
-    log_d = float(gammaln(n + 1.0) - gammaln(n - r) - gammaln(r + 2.0))
-    w_keep = np.exp(_log_binom(i - 1.0, r) - log_d)   # rank unchanged (below k)
-    w_shift = np.exp(_log_binom(i - 2.0, r) - log_d)  # rank drops by one (above k)
+    w_keep = _ustat_weights(n, r)  # rank unchanged (below k)
+    w_shift = _ustat_weights(n, r, lag=2)  # rank drops by one (above k)
 
     beta_full = float(np.sum(w_keep * x) / (r + 1))
 

@@ -17,6 +17,16 @@ augmentation rules are supported:
   the hypothesized mean directly on the enlarged set.  The synthetic point
   sits far below the data whenever the estimate is positive, which shifts
   and widens intervals; kept for compatibility with that convention.
+
+DNEL and VXL, the comparison baselines, run the same EL directly on the
+summands of the two plug-in estimators (see :mod:`pwmjel.estimators` for
+why they run wide).
+
+All four methods share one pipeline: a point set and a hypothesized mean
+give an EL ratio, which is either tested against chi-square(1) or inverted
+for an interval.  ``_METHODS`` maps each method name to the ratio problem
+it builds from a sample; :func:`confidence_interval` and
+:func:`ratio_test` check their options once and run that problem.
 """
 
 from __future__ import annotations
@@ -24,25 +34,31 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from . import el as _el
 from .distributions import chi2_1_cdf, chi2_1_quantile
-from .el import neg2_log_ratio
 from .errors import ConvergenceError, DegenerateSampleError, PwmInputError
-from .estimators import PseudoValues, jackknife_pseudo_values
+from .estimators import PseudoValues, dnel_summands, jackknife_pseudo_values, vxl_summands
 
 __all__ = [
+    "CI_METHODS",
     "ConfidenceInterval",
     "TestResult",
     "adjustment_constant",
+    "check_methods",
+    "confidence_interval",
+    "ratio_test",
     "jel_neg2_ratio",
     "ajel_neg2_ratio",
     "jel_confidence_interval",
     "ajel_confidence_interval",
     "jel_test",
     "ajel_test",
+    "plugin_el_ci",
+    "plugin_el_test",
 ]
 
 _RULES = ("centered", "literal")
@@ -92,6 +108,31 @@ def adjustment_constant(n: int) -> float:
     return max(1.0, math.log(n / 2.0))
 
 
+@dataclass(frozen=True)
+class _RatioProblem:
+    """One method's EL ratio in beta, with what its inversion needs.
+
+    ``ratio(beta, lam0)`` returns minus twice the log EL ratio at beta, its
+    derivative in beta and the solved multiplier (``lam0`` warm-starts the
+    solve).  ``points`` is the EL point set (before centering under the
+    centered rule); ``seed`` is where the ratio bottoms out, which differs
+    from ``estimate`` only under the literal adjustment rule; ``bounded``
+    says whether the hull of ``points`` bounds the interval search.
+    """
+
+    ratio: Callable[[float, float], tuple[float, float, float]]
+    points: np.ndarray
+    estimate: float
+    seed: float
+    bounded: bool = True
+
+
+def _el_problem(points: np.ndarray, estimate: float, seed=None) -> _RatioProblem:
+    """Plain EL on ``points``: infinite ratio outside their open hull."""
+    return _RatioProblem(partial(_el.neg2_log_ratio_and_slope, points), points, estimate,
+                         estimate if seed is None else seed)
+
+
 def _pseudo_values_for(sample, r) -> PseudoValues:
     if isinstance(sample, PseudoValues):
         pv = sample
@@ -112,72 +153,129 @@ def _pseudo_values_for(sample, r) -> PseudoValues:
     return pv
 
 
-def _check_beta0(beta0) -> float:
-    beta0 = float(beta0)
-    if not np.isfinite(beta0):
-        raise PwmInputError("hypothesized value must be finite")
-    return beta0
-
-
-def jel_neg2_ratio(sample, r: int, beta0: float) -> float:
-    """Minus twice the log EL ratio of the pseudo-values at ``beta0``.
-
-    Infinite when beta0 lies outside the open hull of the pseudo-values.
-    """
-    beta0 = _check_beta0(beta0)
-    pv = _pseudo_values_for(sample, r)
-    return neg2_log_ratio(pv.values, beta0)
-
-
-def _adjustment(pv: PseudoValues, a_n) -> float:
-    a = adjustment_constant(pv.n) if a_n is None else float(a_n)
-    if not np.isfinite(a) or a <= 0:
-        raise PwmInputError(f"adjustment constant must be positive, got {a_n!r}")
-    return a
-
-
-def _ajel_points(pv: PseudoValues, beta0: float, rule: str, a_n) -> tuple[np.ndarray, float]:
-    """Augmented point set and the mean to test on it."""
-    if rule not in _RULES:
-        raise PwmInputError(f"unknown adjustment rule {rule!r}; expected {_RULES}")
-    a = _adjustment(pv, a_n)
-    v = pv.values
-    if rule == "centered":
-        g = v - beta0
-        aug = np.append(g, -(a / pv.n) * g.sum())
-        return aug, 0.0
-    aug = np.append(v, -(a / pv.n) * v.sum())
-    return aug, beta0
-
-
 def _centered_ratio_and_slope(pv: PseudoValues, beta: float, a_n,
                               lam0: float = 0.0) -> tuple[float, float, float]:
     """Centered-rule ratio at beta, its derivative in beta, and the multiplier.
 
-    The appended point moves with beta at rate ``a``, the others at rate
-    -1, so by the envelope theorem the derivative of ``-2 log R`` is
-    ``-2 m lam (1 - (1 + a) p_last)``, with ``p_last`` the EL weight of the
-    appended point.
+    The pseudo-values are centered at beta and ``-(a/n)`` times their sum is
+    appended; the ratio tests mean zero on that set.  The appended point
+    moves with beta at rate ``a``, the others at rate -1, so by the envelope
+    theorem the derivative of ``-2 log R`` is ``-2 m lam (1 - (1 + a)
+    p_last)``, with ``p_last`` the EL weight of the appended point.
     """
-    points, mu = _ajel_points(pv, beta, "centered", a_n)
-    sol = _el.solve_lambda(points, mu, lam0=lam0)
+    a = adjustment_constant(pv.n) if a_n is None else float(a_n)
+    g = pv.values - beta
+    points = np.append(g, -(a / pv.n) * g.sum())
+    sol = _el.solve_lambda(points, 0.0, lam0=lam0)
     p_last = float(sol.weights[-1])
-    slope = -2.0 * points.size * sol.lam * (1.0 - (1.0 + _adjustment(pv, a_n)) * p_last)
+    slope = -2.0 * points.size * sol.lam * (1.0 - (1.0 + a) * p_last)
     return max(0.0, -2.0 * sol.log_ratio), slope, sol.lam
 
 
-def ajel_neg2_ratio(sample, r: int, beta0: float, rule: str = "centered", a_n=None) -> float:
-    """Adjusted version of :func:`jel_neg2_ratio`.
-
-    Under the default centered rule the result is finite for every finite
-    beta0 and bounded above by the unadjusted ratio.  Under the literal
-    rule the hull constraint applies to the augmented point set, so the
-    infinite marker can still occur.
-    """
-    beta0 = _check_beta0(beta0)
+def _jel_problem(sample, r, rule, a_n) -> _RatioProblem:
     pv = _pseudo_values_for(sample, r)
-    points, mu = _ajel_points(pv, beta0, rule, a_n)
-    return neg2_log_ratio(points, mu)
+    return _el_problem(pv.values, pv.ustat_estimate)
+
+
+def _ajel_problem(sample, r, rule, a_n) -> _RatioProblem:
+    pv = _pseudo_values_for(sample, r)
+    a = adjustment_constant(pv.n) if a_n is None else float(a_n)
+    if rule == "centered":
+        return _RatioProblem(lambda beta, lam0: _centered_ratio_and_slope(pv, beta, a, lam0),
+                             pv.values, pv.ustat_estimate, pv.ustat_estimate, bounded=False)
+    # the augmented set does not depend on the tested value, so the ratio
+    # bottoms out at the augmented mean rather than at the point estimate
+    aug = np.append(pv.values, -(a / pv.n) * pv.values.sum())
+    return _el_problem(aug, pv.ustat_estimate, seed=float(aug.mean()))
+
+
+def _plugin_problem(summands):
+    def problem(sample, r, rule, a_n) -> _RatioProblem:
+        sv = summands(sample, r)
+        if np.ptp(sv.values) == 0.0:
+            raise DegenerateSampleError(
+                f"{sv.method} summands are all identical; no likelihood spread"
+            )
+        return _el_problem(sv.values, sv.estimate)
+    return problem
+
+
+# The method table: each entry turns (sample, r, rule, a_n) into the ratio
+# problem that both the test and the interval run on.  ``rule`` and ``a_n``
+# only shape AJEL.
+_METHODS = {
+    "DNEL": _plugin_problem(dnel_summands),
+    "VXL": _plugin_problem(vxl_summands),
+    "JEL": _jel_problem,
+    "AJEL": _ajel_problem,
+}
+CI_METHODS = tuple(_METHODS)
+
+
+def check_methods(methods) -> tuple[str, ...]:
+    """A non-empty tuple of names from :data:`CI_METHODS`, else PwmInputError."""
+    methods = tuple(methods)
+    bad = [m for m in methods if m not in _METHODS]
+    if bad:
+        raise PwmInputError(f"unknown methods {bad}; expected subset of {CI_METHODS}")
+    if not methods:
+        raise PwmInputError("at least one method is required")
+    return methods
+
+
+def _problem(sample, r, method: str, rule: str, a_n) -> _RatioProblem:
+    """Check the method options, then build the ratio problem."""
+    check_methods((method,))
+    if rule not in _RULES:
+        raise PwmInputError(f"unknown adjustment rule {rule!r}; expected {_RULES}")
+    if a_n is not None:
+        a = float(a_n)
+        if not np.isfinite(a) or a <= 0:
+            raise PwmInputError(f"adjustment constant must be positive, got {a_n!r}")
+    return _METHODS[method](sample, r, rule, a_n)
+
+
+def _neg2_ratio(sample, r, beta0, method: str, rule: str = "centered", a_n=None) -> float:
+    beta0 = float(beta0)
+    if not np.isfinite(beta0):
+        raise PwmInputError("hypothesized value must be finite")
+    return _problem(sample, r, method, rule, a_n).ratio(beta0, 0.0)[0]
+
+
+def confidence_interval(sample, r: int, level: float, method: str,
+                        rule: str = "centered", a_n=None) -> ConfidenceInterval:
+    """Interval for ``beta_r`` from inverting ``method``'s EL ratio.
+
+    ``method`` is one of :data:`CI_METHODS`; ``rule`` and ``a_n`` apply to
+    AJEL only but are checked for every method.  Endpoints solve
+    ``ratio(beta) = chi-square quantile`` on each side of the ratio's
+    minimum by a safeguarded Newton search that stops at ratio residual
+    <= 1e-6 with a Newton step <= 1e-8 * beta_scale, where ``beta_scale``
+    is the larger of 1, the estimate's magnitude and the EL points' spread
+    around it.
+    """
+    if not 0.0 < level < 1.0:
+        raise PwmInputError(f"confidence level must be in (0, 1), got {level}")
+    return _interval_from_ratio(_problem(sample, r, method, rule, a_n), level, method)
+
+
+def ratio_test(sample, r: int, beta0: float, alpha: float, method: str,
+               rule: str = "centered", a_n=None) -> TestResult:
+    """Chi-square calibrated test of ``beta_r = beta0`` on ``method``'s ratio."""
+    if not 0.0 < alpha < 1.0:
+        raise PwmInputError(f"test size must be in (0, 1), got {alpha}")
+    statistic = _neg2_ratio(sample, r, beta0, method, rule, a_n)
+    p_value = 1.0 - chi2_1_cdf(statistic) if math.isfinite(statistic) else 0.0
+    threshold = chi2_1_quantile(1.0 - alpha)
+    return TestResult(
+        statistic=statistic,
+        threshold=threshold,
+        p_value=p_value,
+        reject=bool(statistic > threshold),
+        method=method,
+        null_value=beta0,
+        alpha=alpha,
+    )
 
 
 def _between(x: float, a: float, b: float) -> bool:
@@ -256,34 +354,28 @@ def _newton_endpoint(ratio_fn, seed: float, start: float, bound, threshold: floa
     )
 
 
-def _interval_from_ratio(ratio_fn, points: np.ndarray, point: float, level: float,
-                         method: str, bounded: bool = True, seed=None) -> ConfidenceInterval:
+def _interval_from_ratio(problem: _RatioProblem, level: float,
+                         method: str) -> ConfidenceInterval:
     """Invert ``ratio(beta) = chi-square quantile`` on each side of the seed.
 
-    ``ratio_fn(beta, lam0)`` returns minus twice the log EL ratio at beta,
-    its derivative in beta and the solved multiplier, which warm-starts the
-    next solve.  ``points`` is the EL point set (before centering under the
-    centered rule): its spread sets the first Newton step,
+    The spread of the problem's points sets the first Newton step,
     ``sqrt(threshold) * std(points) / sqrt(m)`` from the seed, and the
-    tolerance scale ``beta_scale``, and when ``bounded`` its shrunk hull
-    bounds the search.  Each endpoint is a safeguarded Newton search that
-    stops at ratio residual <= 1e-6 with a Newton step <= 1e-8 * beta_scale.
+    tolerance scale ``beta_scale``; when the problem is bounded their
+    shrunk hull bounds the search.  Each endpoint is a safeguarded Newton
+    search that stops at ratio residual <= 1e-6 with a Newton step
+    <= 1e-8 * beta_scale.
     """
-    # seed is where the ratio is known to bottom out; it differs from the
-    # reported point estimate only under the literal adjustment rule
-    if not 0.0 < level < 1.0:
-        raise PwmInputError(f"confidence level must be in (0, 1), got {level}")
     threshold = chi2_1_quantile(level)
-    seed = point if seed is None else float(seed)
+    ratio_fn, points, seed = problem.ratio, problem.points, problem.seed
     at_seed, _, lam = ratio_fn(seed, 0.0)
     if not at_seed < threshold:
         raise ConvergenceError(
             f"ratio at the point estimate ({at_seed:.4g}) already exceeds "
             f"the chi-square threshold ({threshold:.4g}); no interval exists"
         )
-    beta_tol = _BETA_TOL * _beta_scale(points, point)
+    beta_tol = _BETA_TOL * _beta_scale(points, problem.estimate)
     step = math.sqrt(threshold) * float(np.std(points)) / math.sqrt(points.size)
-    lo_bound, hi_bound = _hull_bounds(points) if bounded else (None, None)
+    lo_bound, hi_bound = _hull_bounds(points) if problem.bounded else (None, None)
     lower, it_lo = _newton_endpoint(ratio_fn, seed, seed - step, lo_bound,
                                     threshold, beta_tol, lam)
     upper, it_hi = _newton_endpoint(ratio_fn, seed, seed + step, hi_bound,
@@ -293,7 +385,7 @@ def _interval_from_ratio(ratio_fn, points: np.ndarray, point: float, level: floa
         upper=upper,
         level=level,
         method=method,
-        point_estimate=point,
+        point_estimate=problem.estimate,
         endpoint_iterations=it_lo + it_hi,
     )
 
@@ -308,72 +400,70 @@ def _beta_scale(values: np.ndarray, point: float) -> float:
     return max(1.0, abs(point), float(np.max(np.abs(values - point))))
 
 
+def jel_neg2_ratio(sample, r: int, beta0: float) -> float:
+    """Minus twice the log EL ratio of the pseudo-values at ``beta0``.
+
+    Infinite when beta0 lies outside the open hull of the pseudo-values.
+    """
+    return _neg2_ratio(sample, r, beta0, "JEL")
+
+
+def ajel_neg2_ratio(sample, r: int, beta0: float, rule: str = "centered", a_n=None) -> float:
+    """Adjusted version of :func:`jel_neg2_ratio`.
+
+    Under the default centered rule the result is finite for every finite
+    beta0 and bounded above by the unadjusted ratio.  Under the literal
+    rule the hull constraint applies to the augmented point set, so the
+    infinite marker can still occur.
+    """
+    return _neg2_ratio(sample, r, beta0, "AJEL", rule, a_n)
+
+
 def jel_confidence_interval(sample, r: int, level: float = 0.95) -> ConfidenceInterval:
     """Confidence interval from inverting the pseudo-value EL ratio.
 
-    Endpoints solve ``ratio(beta) = chi-square quantile`` by a safeguarded
-    Newton search on each side of the point estimate, inside the open hull
-    of the pseudo-values where the ratio is finite and grows without bound.
-    Each search stops at ratio residual <= 1e-6 with a Newton step
-    <= 1e-8 * beta_scale, where ``beta_scale`` is the larger of 1, the
-    estimate's magnitude and the pseudo-values' spread around it.
+    The search stays inside the open hull of the pseudo-values, where the
+    ratio is finite and grows without bound; see :func:`confidence_interval`
+    for the stopping rule.
     """
-    pv = _pseudo_values_for(sample, r)
-    return _interval_from_ratio(partial(_el.neg2_log_ratio_and_slope, pv.values),
-                                pv.values, pv.ustat_estimate, level, "JEL")
+    return confidence_interval(sample, r, level, "JEL")
 
 
 def ajel_confidence_interval(sample, r: int, level: float = 0.95,
                              rule: str = "centered", a_n=None) -> ConfidenceInterval:
     """Adjusted-ratio confidence interval.
 
-    Endpoints come from the same safeguarded Newton search as
-    :func:`jel_confidence_interval`, with the same stopping rule (ratio
-    residual <= 1e-6, Newton step <= 1e-8 * beta_scale).  With the centered
-    rule the ratio is finite everywhere, so the search may leave the
-    pseudo-value hull, doubling its reach until the threshold is crossed;
-    the result always contains the unadjusted interval.  With the literal
-    rule the search stays inside the hull of the augmented point set.
+    With the centered rule the ratio is finite everywhere, so the search may
+    leave the pseudo-value hull, doubling its reach until the threshold is
+    crossed; the result always contains the unadjusted interval.  With the
+    literal rule the search stays inside the hull of the augmented point set.
     """
-    pv = _pseudo_values_for(sample, r)
-    point = pv.ustat_estimate
-    if rule == "centered":
-        return _interval_from_ratio(
-            lambda beta, lam0: _centered_ratio_and_slope(pv, beta, a_n, lam0),
-            pv.values, point, level, "AJEL", bounded=False,
-        )
-    if rule != "literal":
-        raise PwmInputError(f"unknown adjustment rule {rule!r}; expected {_RULES}")
-    # the augmented set does not depend on the tested value, so the ratio
-    # bottoms out at the augmented mean rather than at the point estimate
-    aug, _ = _ajel_points(pv, 0.0, "literal", a_n)
-    return _interval_from_ratio(partial(_el.neg2_log_ratio_and_slope, aug),
-                                aug, point, level, "AJEL", seed=float(aug.mean()))
-
-
-def _ratio_test(statistic: float, beta0: float, alpha: float, method: str) -> TestResult:
-    if not 0.0 < alpha < 1.0:
-        raise PwmInputError(f"test size must be in (0, 1), got {alpha}")
-    threshold = chi2_1_quantile(1.0 - alpha)
-    p_value = 1.0 - chi2_1_cdf(statistic) if math.isfinite(statistic) else 0.0
-    return TestResult(
-        statistic=statistic,
-        threshold=threshold,
-        p_value=p_value,
-        reject=bool(statistic > threshold),
-        method=method,
-        null_value=beta0,
-        alpha=alpha,
-    )
+    return confidence_interval(sample, r, level, "AJEL", rule, a_n)
 
 
 def jel_test(sample, r: int, beta0: float, alpha: float = 0.05) -> TestResult:
     """Chi-square calibrated test of ``beta_r = beta0``."""
-    return _ratio_test(jel_neg2_ratio(sample, r, beta0), beta0, alpha, "JEL")
+    return ratio_test(sample, r, beta0, alpha, "JEL")
 
 
 def ajel_test(sample, r: int, beta0: float, alpha: float = 0.05,
               rule: str = "centered", a_n=None) -> TestResult:
     """Adjusted-ratio test of ``beta_r = beta0``."""
-    stat = ajel_neg2_ratio(sample, r, beta0, rule=rule, a_n=a_n)
-    return _ratio_test(stat, beta0, alpha, "AJEL")
+    return ratio_test(sample, r, beta0, alpha, "AJEL", rule, a_n)
+
+
+def _plugin_method(method: str) -> str:
+    if method not in ("DNEL", "VXL"):
+        raise PwmInputError(f"unknown comparison method {method!r}; expected ('DNEL', 'VXL')")
+    return method
+
+
+def plugin_el_ci(sample, r: int, level: float = 0.95, method: str = "DNEL") -> ConfidenceInterval:
+    """EL interval on the DNEL or VXL summands, centered at their mean."""
+    return confidence_interval(sample, r, level, _plugin_method(method))
+
+
+def plugin_el_test(sample, r: int, beta0: float, alpha: float = 0.05,
+                   method: str = "DNEL") -> TestResult:
+    """EL test of ``mean(summands) = beta0``; infinite ratio outside the hull."""
+    return ratio_test(sample, r, beta0, alpha, _plugin_method(method))

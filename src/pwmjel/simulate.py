@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .comparison import plugin_el_ci, plugin_el_test
 from .distributions import DistSpec, make_rng, sample, true_beta
 from .errors import NumericError, PwmError, PwmInputError
 from .estimators import (
@@ -38,16 +37,15 @@ from .estimators import (
     vexler_estimate,
 )
 from .inference import (
+    CI_METHODS,
     adjustment_constant,
-    ajel_confidence_interval,
-    ajel_test,
-    jel_confidence_interval,
-    jel_test,
+    check_methods,
+    confidence_interval,
+    ratio_test,
 )
 
 __all__ = [
     "KINDS",
-    "CI_METHODS",
     "ESTIMATOR_METHODS",
     "ExperimentConfig",
     "ReportRow",
@@ -65,7 +63,6 @@ __all__ = [
 ]
 
 KINDS = ("variance", "coverage_length", "size", "power", "estimator_boxdata")
-CI_METHODS = ("DNEL", "VXL", "JEL", "AJEL")
 ESTIMATOR_METHODS = ("DN", "VEXLER", "JACKKNIFE", "ADJ_JACKKNIFE")
 
 CSV_HEADER = "dist,r,n,method,metric,value,stderr"
@@ -123,11 +120,7 @@ class ExperimentConfig:
             raise PwmInputError("replications must be positive")
         if not (0.0 < self.level < 1.0 and 0.0 < self.alpha < 1.0):
             raise PwmInputError("level and alpha must lie in (0, 1)")
-        bad = [m for m in self.methods if m not in CI_METHODS]
-        if bad:
-            raise PwmInputError(f"unknown methods {bad}; expected subset of {CI_METHODS}")
-        if not self.methods:
-            raise PwmInputError("at least one method is required")
+        check_methods(self.methods)
         if self.kind == "power" and self.null_dist is None:
             raise PwmInputError("power experiments need a null distribution")
 
@@ -215,12 +208,7 @@ def _ci_record(x: np.ndarray, task: _CellTask, beta_true: float) -> tuple:
     out = []
     for method in task.methods:
         try:
-            if method == "JEL":
-                ci = jel_confidence_interval(s, task.r, task.level)
-            elif method == "AJEL":
-                ci = ajel_confidence_interval(s, task.r, task.level)
-            else:
-                ci = plugin_el_ci(s, task.r, task.level, method)
+            ci = confidence_interval(s, task.r, task.level, method)
             out.extend((1.0 if ci.contains(beta_true) else 0.0, ci.length, 0.0))
         except PwmError:
             out.extend((0.0, math.nan, 1.0))
@@ -232,12 +220,7 @@ def _test_record(x: np.ndarray, task: _CellTask) -> tuple:
     out = []
     for method in task.methods:
         try:
-            if method == "JEL":
-                res = jel_test(s, task.r, task.beta0, task.alpha)
-            elif method == "AJEL":
-                res = ajel_test(s, task.r, task.beta0, task.alpha)
-            else:
-                res = plugin_el_test(s, task.r, task.beta0, task.alpha, method)
+            res = ratio_test(s, task.r, task.beta0, task.alpha, method)
             out.extend((1.0 if res.reject else 0.0, 0.0))
         except PwmError:
             out.extend((0.0, 1.0))

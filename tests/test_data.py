@@ -1,12 +1,23 @@
 import pytest
 
 from pwmjel import (
+    CI_METHODS,
+    AnalysisRow,
+    ColumnDataset,
+    DistSpec,
     MissingColumnError,
     PwmInputError,
+    TestRow as ResultRow,
+    ajel_confidence_interval,
+    ajel_test,
     analyze_column,
     jel_confidence_interval,
     jel_test,
     load_csv_column,
+    make_rng,
+    plugin_el_ci,
+    plugin_el_test,
+    sample,
     test_column as run_test_column,
     ustat_estimate,
 )
@@ -119,3 +130,30 @@ def test_test_column_inline_errors(tmp_path):
     by_method = {row.method: row for row in rows}
     assert by_method["JEL"].error is not None
     assert by_method["VXL"].error is None
+
+
+@pytest.mark.parametrize("rule", ("centered", "literal"))
+@pytest.mark.parametrize("a_n", (None, 2.0))
+def test_rows_equal_the_per_method_functions(rule, a_n):
+    x = sample(DistSpec("exponential", 1.0), 60, make_rng(71))
+    data = ColumnDataset("x", x, 0)
+    level, beta0, alpha = 0.90, 0.8, 0.10
+    per_method = {
+        "JEL": (lambda: jel_confidence_interval(x, 1, level),
+                lambda: jel_test(x, 1, beta0, alpha)),
+        "AJEL": (lambda: ajel_confidence_interval(x, 1, level, rule=rule, a_n=a_n),
+                 lambda: ajel_test(x, 1, beta0, alpha, rule=rule, a_n=a_n)),
+        **{m: (lambda m=m: plugin_el_ci(x, 1, level, m),
+               lambda m=m: plugin_el_test(x, 1, beta0, alpha, m))
+           for m in ("DNEL", "VXL")},
+    }
+    ci_rows = analyze_column(data, 1, level, CI_METHODS, ajel_rule=rule, a_n=a_n)
+    test_rows = run_test_column(data, 1, beta0, alpha, CI_METHODS, ajel_rule=rule, a_n=a_n)
+    assert [row.method for row in ci_rows] == [row.method for row in test_rows] == list(CI_METHODS)
+    for ci_row, test_row in zip(ci_rows, test_rows):
+        interval, test = per_method[ci_row.method]
+        ci, res = interval(), test()
+        assert ci_row == AnalysisRow("x", ci.method, 1, ci.point_estimate, ci.lower,
+                                     ci.upper, ci.length, None)
+        assert test_row == ResultRow("x", res.method, 1, res.statistic, res.threshold,
+                                     res.p_value, res.reject, None)

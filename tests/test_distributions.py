@@ -27,7 +27,7 @@ def test_dist_spec_validation():
         DistSpec("exponential", -1.0)
     with pytest.raises(PwmInputError):
         DistSpec("weibull", 1.0)
-    with pytest.raises(PwmInputError):
+    with pytest.raises(TypeError):
         DistSpec("exponential", 1.0, param2=2.0)
     assert DistSpec("constant", 0.0).label == "constant(0)"
     assert EXP1.label == "exponential(1)"

@@ -20,6 +20,7 @@ from pwmjel import (
     jel_neg2_ratio,
     jel_test,
     make_rng,
+    plugin_el_ci,
     sample,
     ustat_estimate,
 )
@@ -172,6 +173,20 @@ def test_degenerate_sample_errors():
         jel_confidence_interval(const, 1, 0.95)
     with pytest.raises(DegenerateSampleError):
         ajel_test(const, 1, 0.75)
+
+
+def test_option_errors_come_before_the_data_checks():
+    # level, alpha, rule, method and a_n are checked before any point set is
+    # built, so a bad option on degenerate data is an input error
+    const = [3.0] * 12
+    with pytest.raises(PwmInputError):
+        jel_confidence_interval(const, 1, 1.5)
+    with pytest.raises(PwmInputError):
+        jel_test(const, 1, 0.5, alpha=2.0)
+    with pytest.raises(PwmInputError):
+        ajel_confidence_interval(const, 1, 0.95, rule="nope")
+    with pytest.raises(PwmInputError):
+        plugin_el_ci([2.0] * 10, 0, 2.0, "DNEL")
 
 
 def test_jel_test_fields_and_duality():

@@ -12,6 +12,13 @@ factor in [1e-3, 1e3], and levels in [0.5, 0.99], each endpoint must
 
 The centered AJEL interval must also contain the JEL interval.
 
+Equivariance: scaling the data by a in [1e-3, 1e3] scales every interval
+kind's endpoints by a.  Shifting the data by b moves beta_r by b/(r+1);
+JEL and centered-AJEL endpoints move with it and their test statistics at
+correspondingly shifted hypotheses do not change.  Literal AJEL, DNEL and
+VXL are not shift-equivariant (the appended point and the summand weights
+do not shift by a constant), so only their scaling is tested.
+
 Out of scope: data scales of 1e-9 and below, where absolute tolerance
 floors in the EL kernel and the endpoint search change the results.  That
 is a known defect of its own and is not exercised here.
@@ -29,6 +36,7 @@ from pwmjel import (
     ajel_confidence_interval,
     ajel_neg2_ratio,
     chi2_1_quantile,
+    confidence_interval,
     dnel_summands,
     jackknife_pseudo_values,
     jel_confidence_interval,
@@ -36,11 +44,17 @@ from pwmjel import (
     make_rng,
     neg2_log_ratio,
     plugin_el_ci,
+    ratio_test,
     sample,
     vxl_summands,
 )
 
 KINDS = ("JEL", "AJEL-centered", "AJEL-literal", "DNEL", "VXL")
+# (method, rule) of each interval kind
+METHOD_RULE = {"JEL": ("JEL", "centered"), "AJEL-centered": ("AJEL", "centered"),
+               "AJEL-literal": ("AJEL", "literal"), "DNEL": ("DNEL", "centered"),
+               "VXL": ("VXL", "centered")}
+EQUIVARIANCE_TOL = 1e-6  # fraction of the interval length
 RESIDUAL_TOL = 1e-6
 MATCH_TOL = 1e-7
 INSIDE = 1e-4  # fraction of the length by which "just inside" steps in
@@ -165,3 +179,52 @@ def test_newton_search_step_count(kind):
     # bisection took ~51 ratio evaluations per interval on this cell
     x = sample(DistSpec("exponential", 1.0), 300, make_rng(20240))
     assert _setup(kind, x, 1, 0.95)[0].endpoint_iterations <= 20
+
+
+@st.composite
+def affine_cases(draw):
+    # n >= 30 keeps the centered adjusted ratio above the 0.99 threshold
+    # far from the estimate, so every interval closes
+    n = draw(st.integers(30, 400))
+    family = draw(st.sampled_from(("exponential", "lognormal", "normal")))
+    x = sample(DistSpec(family, 1.0), n, make_rng(draw(st.integers(0, 2**32 - 1))))
+    return (x, draw(st.integers(1, 3)), draw(st.floats(0.5, 0.99)),
+            10.0 ** draw(st.floats(-3.0, 3.0)), draw(st.floats(-10.0, 10.0)),
+            draw(st.floats(-0.9, 0.9)))
+
+
+def _kind_interval(kind, x, r, level):
+    method, rule = METHOD_RULE[kind]
+    return confidence_interval(x, r, level, method, rule)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@PROPERTY_SETTINGS
+@given(case=affine_cases())
+def test_endpoints_scale_with_the_data(kind, case):
+    x, r, level, a, _, _ = case
+    ci = _kind_interval(kind, x, r, level)
+    scaled = _kind_interval(kind, a * x, r, level)
+    tol = EQUIVARIANCE_TOL * scaled.length
+    assert abs(scaled.lower - a * ci.lower) <= tol
+    assert abs(scaled.upper - a * ci.upper) <= tol
+
+
+@pytest.mark.parametrize("kind", ("JEL", "AJEL-centered"))
+@PROPERTY_SETTINGS
+@given(case=affine_cases())
+def test_shift_moves_endpoints_and_keeps_statistics(kind, case):
+    x, r, level, _, b, u = case
+    method, rule = METHOD_RULE[kind]
+    ci = _kind_interval(kind, x, r, level)
+    shifted = _kind_interval(kind, x + b, r, level)
+    move = b / (r + 1)
+    tol = EQUIVARIANCE_TOL * ci.length
+    assert abs(shifted.lower - (ci.lower + move)) <= tol
+    assert abs(shifted.upper - (ci.upper + move)) <= tol
+    # a hypothesis inside the interval, where the statistic is finite
+    side = ci.upper if u > 0 else ci.lower
+    beta0 = ci.point_estimate + abs(u) * (side - ci.point_estimate)
+    stat = ratio_test(x, r, beta0, 0.05, method, rule).statistic
+    moved = ratio_test(x + b, r, beta0 + move, 0.05, method, rule).statistic
+    assert moved == pytest.approx(stat, abs=RESIDUAL_TOL)
