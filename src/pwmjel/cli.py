@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
 
@@ -76,23 +75,6 @@ def _methods_arg(text: str) -> list[str]:
     return [tok.strip().upper() for tok in text.split(",") if tok.strip()]
 
 
-def _check_flags(args) -> None:
-    # bad flag values are input errors (exit 2), not per-method failures;
-    # checked here because the analysis loop reports method errors inline
-    level = getattr(args, "level", None)
-    if level is not None and not 0.0 < level < 1.0:
-        raise PwmInputError(f"confidence level must be in (0, 1), got {level}")
-    alpha = getattr(args, "alpha", None)
-    if alpha is not None and not 0.0 < alpha < 1.0:
-        raise PwmInputError(f"test size must be in (0, 1), got {alpha}")
-    null = getattr(args, "null", None)
-    if null is not None and not math.isfinite(null):
-        raise PwmInputError("hypothesized value must be finite")
-    an = getattr(args, "an", None)
-    if an is not None and not an > 0.0:
-        raise PwmInputError(f"adjustment constant must be positive, got {an!r}")
-
-
 def _cmd_estimate(args) -> int:
     data = _load(args)
     sample = SortedSample.from_data(data.values)
@@ -110,7 +92,6 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_ci(args) -> int:
-    _check_flags(args)
     data = _load(args)
     rows = analyze_column(data, args.r, args.level, _methods_arg(args.methods),
                           ajel_rule=args.ajel_rule, a_n=args.an)
@@ -134,7 +115,6 @@ def _cmd_ci(args) -> int:
 
 
 def _cmd_test(args) -> int:
-    _check_flags(args)
     data = _load(args)
     rows = test_column(data, args.r, args.null, args.alpha, _methods_arg(args.methods),
                        ajel_rule=args.ajel_rule, a_n=args.an)

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MissingColumnError, PwmError, PwmInputError
 from .estimators import SortedSample
-from .inference import check_methods, confidence_interval, ratio_test
+from .inference import check_options, confidence_interval, ratio_test
 
 __all__ = [
     "ColumnDataset",
@@ -66,20 +67,24 @@ def load_csv_column(path, column: str) -> ColumnDataset:
     values: list[float] = []
     skipped = 0
     with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise PwmInputError(f"{path} has no header row")
-        fields = [f.strip() for f in reader.fieldnames]
+        fields = [f.strip() for f in header]
         if column not in fields:
             raise MissingColumnError(
                 f"column {column!r} not found in {path}; available: {fields}"
             )
+        # a duplicated name reads its last column, as csv.DictReader does
+        index = len(fields) - 1 - fields[::-1].index(column)
         for row in reader:
-            cell = row.get(column)
-            if cell is None:
+            if not row:  # blank line
+                continue
+            if index >= len(row):
                 skipped += 1
                 continue
-            cell = cell.strip()
+            cell = row[index].strip()
             if cell.lower() in _NA_TOKENS:
                 skipped += 1
                 continue
@@ -88,7 +93,7 @@ def load_csv_column(path, column: str) -> ColumnDataset:
             except ValueError:
                 skipped += 1
                 continue
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 skipped += 1
                 continue
             values.append(value)
@@ -101,11 +106,12 @@ def analyze_column(data: ColumnDataset, r: int, level: float, methods,
                    ajel_rule: str = "centered", a_n=None) -> list[AnalysisRow]:
     """Point estimate and confidence interval per method.
 
+    Bad options raise :class:`PwmInputError` before any method runs.
     Method-level failures (degenerate data, solver breakdown, sample too
     small for the jackknife) are reported inline on their row so the
     remaining methods still produce results.
     """
-    methods = check_methods(str(m).upper() for m in methods)
+    methods = check_options((str(m).upper() for m in methods), ajel_rule, a_n, level=level)
     sample = SortedSample.from_data(data.values)
     rows: list[AnalysisRow] = []
     for method in methods:
@@ -120,8 +126,13 @@ def analyze_column(data: ColumnDataset, r: int, level: float, methods,
 
 def test_column(data: ColumnDataset, r: int, beta0: float, alpha: float, methods,
                 ajel_rule: str = "centered", a_n=None) -> list[TestRow]:
-    """Hypothesis test of ``beta_r = beta0`` per method, failures inline."""
-    methods = check_methods(str(m).upper() for m in methods)
+    """Hypothesis test of ``beta_r = beta0`` per method.
+
+    Bad options raise :class:`PwmInputError` before any method runs;
+    method-level failures are reported inline, as in :func:`analyze_column`.
+    """
+    methods = check_options((str(m).upper() for m in methods), ajel_rule, a_n,
+                            alpha=alpha, beta0=beta0)
     sample = SortedSample.from_data(data.values)
     rows: list[TestRow] = []
     for method in methods:

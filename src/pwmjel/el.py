@@ -50,7 +50,7 @@ def _validate_points(z, mu):
         raise PwmInputError("EL points must be one-dimensional")
     if z.size < 2:
         raise PwmInputError("EL needs at least two points")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise PwmInputError("EL points contain non-finite values")
     if not np.isfinite(mu):
         raise PwmInputError("hypothesized mean must be finite")
@@ -61,10 +61,6 @@ def hull_contains(z, mu) -> bool:
     """True when mu lies strictly between min(z) and max(z)."""
     z, mu = _validate_points(z, mu)
     return bool(z.min() < mu < z.max())
-
-
-def _scale(z, mu):
-    return max(1.0, abs(mu), float(np.max(np.abs(z - mu))))
 
 
 def solve_lambda(z, mu, tol: float = 1e-10, max_iter: int = 100,
@@ -93,17 +89,22 @@ def solve_lambda(z, mu, tol: float = 1e-10, max_iter: int = 100,
             f"mean {mu} is not interior to the sample hull [{z.min()}, {z.max()}]"
         )
     m = z.size
-    scale = _scale(z, mu)
-    gtol = tol * scale
+    gtol = tol * max(1.0, abs(mu), -dmin, dmax)
 
     lo = (-1.0 / dmax) * (1.0 - _EDGE_MARGIN)
     hi = (-1.0 / dmin) * (1.0 - _EDGE_MARGIN)
+    u = np.empty_like(d)
 
     def score_and_slope(lam):
-        w = 1.0 + lam * d
-        g = float(np.mean(d / w))
-        gp = -float(np.mean((d / w) ** 2))
-        return g, gp
+        # u = d / (1 + lam*d) in one buffer; add.reduce(u) / m is the sum
+        # np.mean takes, without its wrapper (np.dot would sum in another
+        # order and move the last bits)
+        np.multiply(d, lam, out=u)
+        np.add(u, 1.0, out=u)
+        np.divide(d, u, out=u)
+        g = float(np.add.reduce(u)) / m
+        np.multiply(u, u, out=u)
+        return g, -float(np.add.reduce(u)) / m
 
     lam = float(lam0) if lo < lam0 < hi else 0.0
     a, b = lo, hi  # invariant: score(a) > 0 > score(b)
@@ -159,8 +160,8 @@ def neg2_log_ratio_and_slope(z, mu, lam0: float = 0.0, tol: float = 1e-10,
     costs nothing beyond the solve.  ``lam0`` warm-starts the solve.
     Outside the open hull of z the result is ``(inf, nan, lam0)``.
     """
-    z, mu = _validate_points(z, mu)
-    if not (z.min() < mu < z.max()):
+    try:
+        sol = solve_lambda(z, mu, tol=tol, max_iter=max_iter, lam0=lam0)
+    except HullError:
         return math.inf, math.nan, lam0
-    sol = solve_lambda(z, mu, tol=tol, max_iter=max_iter, lam0=lam0)
-    return max(0.0, -2.0 * sol.log_ratio), -2.0 * z.size * sol.lam, sol.lam
+    return max(0.0, -2.0 * sol.log_ratio), -2.0 * sol.weights.size * sol.lam, sol.lam

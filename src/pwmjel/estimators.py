@@ -35,6 +35,7 @@ procedures; the pseudo-value methods are the primary tools.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -60,6 +61,10 @@ __all__ = [
 
 # Subset enumeration cap for the brute-force cross-check.
 _BRUTE_FORCE_LIMIT = 10**6
+
+# Cached weight vectors per helper; a Monte Carlo cell asks for the same few
+# (n, r) over all its replications, and each entry holds n floats.
+_WEIGHT_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -168,10 +173,26 @@ def vexler_estimate(sample, r: int) -> float:
     return float(np.sum(w * s.values) / (r + 1))
 
 
+def _cached_weights(fn):
+    """Cache a rank-weight helper on its arguments; the arrays it hands out
+    are shared between callers, so they are read-only."""
+
+    @functools.lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
+    @functools.wraps(fn)
+    def cached(*args, **kwargs) -> np.ndarray:
+        w = fn(*args, **kwargs)
+        w.flags.writeable = False
+        return w
+
+    return cached
+
+
+@_cached_weights
 def _dn_weights(n: int, r: int) -> np.ndarray:
     return (np.arange(1, n + 1, dtype=float) / n) ** r
 
 
+@_cached_weights
 def _vxl_weights(n: int, r: int) -> np.ndarray:
     if r == 0:
         # keep the telescoped weights exactly 1 (the i/n grid rounds)
@@ -213,6 +234,7 @@ def _log_binom(top, k: int) -> np.ndarray:
     return out
 
 
+@_cached_weights
 def _ustat_weights(n: int, r: int, lag: int = 1) -> np.ndarray:
     """Normalized order-statistic weights ``C(i-lag, r) / C(n, r+1)``, i=1..n.
 

@@ -49,6 +49,7 @@ __all__ = [
     "TestResult",
     "adjustment_constant",
     "check_methods",
+    "check_options",
     "confidence_interval",
     "ratio_test",
     "jel_neg2_ratio",
@@ -223,23 +224,42 @@ def check_methods(methods) -> tuple[str, ...]:
     return methods
 
 
-def _problem(sample, r, method: str, rule: str, a_n) -> _RatioProblem:
-    """Check the method options, then build the ratio problem."""
-    check_methods((method,))
+def check_options(methods, rule: str = "centered", a_n=None, *, level=None,
+                  alpha=None, beta0=None) -> tuple[str, ...]:
+    """Check the options of an interval or test, before any numeric work.
+
+    ``level`` and ``alpha`` must lie in (0, 1) and ``beta0`` must be finite
+    (each is checked unless None); ``methods`` must pass
+    :func:`check_methods`, ``rule`` must be ``centered`` or ``literal``, and
+    ``a_n``, unless None, must be positive and finite.  Raises
+    :class:`PwmInputError`; returns the methods as a tuple.
+    """
+    if level is not None and not 0.0 < level < 1.0:
+        raise PwmInputError(f"confidence level must be in (0, 1), got {level}")
+    if alpha is not None and not 0.0 < alpha < 1.0:
+        raise PwmInputError(f"test size must be in (0, 1), got {alpha}")
+    if beta0 is not None and not math.isfinite(float(beta0)):
+        raise PwmInputError("hypothesized value must be finite")
+    methods = check_methods(methods)
     if rule not in _RULES:
         raise PwmInputError(f"unknown adjustment rule {rule!r}; expected {_RULES}")
     if a_n is not None:
         a = float(a_n)
         if not np.isfinite(a) or a <= 0:
             raise PwmInputError(f"adjustment constant must be positive, got {a_n!r}")
+    return methods
+
+
+def _problem(sample, r, method: str, rule: str, a_n, **options) -> _RatioProblem:
+    """Check the options, then build the ratio problem."""
+    check_options((method,), rule, a_n, **options)
     return _METHODS[method](sample, r, rule, a_n)
 
 
-def _neg2_ratio(sample, r, beta0, method: str, rule: str = "centered", a_n=None) -> float:
-    beta0 = float(beta0)
-    if not np.isfinite(beta0):
-        raise PwmInputError("hypothesized value must be finite")
-    return _problem(sample, r, method, rule, a_n).ratio(beta0, 0.0)[0]
+def _neg2_ratio(sample, r, beta0, method: str, rule: str = "centered", a_n=None,
+                **options) -> float:
+    problem = _problem(sample, r, method, rule, a_n, beta0=beta0, **options)
+    return problem.ratio(float(beta0), 0.0)[0]
 
 
 def confidence_interval(sample, r: int, level: float, method: str,
@@ -254,17 +274,14 @@ def confidence_interval(sample, r: int, level: float, method: str,
     is the larger of 1, the estimate's magnitude and the EL points' spread
     around it.
     """
-    if not 0.0 < level < 1.0:
-        raise PwmInputError(f"confidence level must be in (0, 1), got {level}")
-    return _interval_from_ratio(_problem(sample, r, method, rule, a_n), level, method)
+    problem = _problem(sample, r, method, rule, a_n, level=level)
+    return _interval_from_ratio(problem, level, method)
 
 
 def ratio_test(sample, r: int, beta0: float, alpha: float, method: str,
                rule: str = "centered", a_n=None) -> TestResult:
     """Chi-square calibrated test of ``beta_r = beta0`` on ``method``'s ratio."""
-    if not 0.0 < alpha < 1.0:
-        raise PwmInputError(f"test size must be in (0, 1), got {alpha}")
-    statistic = _neg2_ratio(sample, r, beta0, method, rule, a_n)
+    statistic = _neg2_ratio(sample, r, beta0, method, rule, a_n, alpha=alpha)
     p_value = 1.0 - chi2_1_cdf(statistic) if math.isfinite(statistic) else 0.0
     threshold = chi2_1_quantile(1.0 - alpha)
     return TestResult(

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,7 +40,7 @@ from .estimators import (
 from .inference import (
     CI_METHODS,
     adjustment_constant,
-    check_methods,
+    check_options,
     confidence_interval,
     ratio_test,
 )
@@ -118,9 +119,7 @@ class ExperimentConfig:
             raise PwmInputError(f"every n must be below {_MAX_N:_}")
         if self.replications < 1:
             raise PwmInputError("replications must be positive")
-        if not (0.0 < self.level < 1.0 and 0.0 < self.alpha < 1.0):
-            raise PwmInputError("level and alpha must lie in (0, 1)")
-        check_methods(self.methods)
+        check_options(self.methods, level=self.level, alpha=self.alpha)
         if self.kind == "power" and self.null_dist is None:
             raise PwmInputError("power experiments need a null distribution")
 
@@ -241,20 +240,26 @@ def _run_chunk(task: _CellTask) -> list[tuple]:
     return [_one_record(task, i) for i in range(task.rep_lo, task.rep_hi)]
 
 
-def _cell_records(task: _CellTask, reps: int, threads: int) -> list[tuple]:
-    """All per-replication records for one cell, in replication order."""
+@contextmanager
+def _cell_runner(threads: int, reps: int):
+    """Yield ``records(task)``: all per-replication records of one cell, in
+    replication order.
+
+    With ``threads > 1`` and at least 8 replications per cell, every cell of
+    the run goes to one process pool, opened here and closed with the run;
+    each cell is cut into about ``4 * threads`` chunks.
+    """
     if threads <= 1 or reps < 8:
-        return _run_chunk(replace(task, rep_lo=0, rep_hi=reps))
+        yield lambda task: _run_chunk(replace(task, rep_lo=0, rep_hi=reps))
+        return
     chunk = max(1, math.ceil(reps / (threads * 4)))
-    tasks = [
-        replace(task, rep_lo=lo, rep_hi=min(lo + chunk, reps))
-        for lo in range(0, reps, chunk)
-    ]
-    records: list[tuple] = []
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        for part in pool.map(_run_chunk, tasks):
-            records.extend(part)
-    return records
+        def records(task: _CellTask) -> list[tuple]:
+            tasks = [replace(task, rep_lo=lo, rep_hi=min(lo + chunk, reps))
+                     for lo in range(0, reps, chunk)]
+            return [rec for part in pool.map(_run_chunk, tasks) for rec in part]
+
+        yield records
 
 
 def _proportion_stderr(p: float, reps: int) -> float:
@@ -301,26 +306,27 @@ def _estimator_rows(config: ExperimentConfig, threads: int, per_rep: bool) -> li
     label = config.dist.label
     reps = config.replications
     rows: list[ReportRow] = []
-    for r in config.r_values:
-        for n in config.n_values:
-            task = _CellTask(config.kind, config.dist, r, n, config.level,
-                             config.alpha, config.methods, None,
-                             config.base_seed, _cell_id(r, n), 0, 0)
-            records = np.asarray(_cell_records(task, reps, threads))
-            for j, method in enumerate(ESTIMATOR_METHODS):
-                col = records[:, j]
+    with _cell_runner(threads, reps) as cell_records:
+        for r in config.r_values:
+            for n in config.n_values:
+                task = _CellTask(config.kind, config.dist, r, n, config.level,
+                                 config.alpha, config.methods, None,
+                                 config.base_seed, _cell_id(r, n), 0, 0)
+                records = np.asarray(cell_records(task))
+                for j, method in enumerate(ESTIMATOR_METHODS):
+                    col = records[:, j]
+                    if per_rep:
+                        rows.extend(
+                            ReportRow(label, r, n, method, "estimate", float(v), None)
+                            for v in col
+                        )
+                    else:
+                        value = n * float(np.var(col, ddof=1)) if reps > 1 else 0.0
+                        se = n * _variance_stderr(col) if reps > 1 else 0.0
+                        rows.append(ReportRow(label, r, n, method, "n_var", value, se))
                 if per_rep:
-                    rows.extend(
-                        ReportRow(label, r, n, method, "estimate", float(v), None)
-                        for v in col
-                    )
-                else:
-                    value = n * float(np.var(col, ddof=1)) if reps > 1 else 0.0
-                    se = n * _variance_stderr(col) if reps > 1 else 0.0
-                    rows.append(ReportRow(label, r, n, method, "n_var", value, se))
-            if per_rep:
-                ref = true_beta(config.dist, r)
-                rows.append(ReportRow(label, r, n, "REFERENCE", "true_beta", ref, None))
+                    ref = true_beta(config.dist, r)
+                    rows.append(ReportRow(label, r, n, "REFERENCE", "true_beta", ref, None))
     return rows
 
 
@@ -351,27 +357,28 @@ def run_coverage_experiment(config: ExperimentConfig, threads: int = 1) -> Exper
     label = config.dist.label
     reps = config.replications
     rows: list[ReportRow] = []
-    for r in config.r_values:
-        beta_true = true_beta(config.dist, r)
-        for n in config.n_values:
-            task = _CellTask(config.kind, config.dist, r, n, config.level,
-                             config.alpha, config.methods, beta_true,
-                             config.base_seed, _cell_id(r, n), 0, 0)
-            records = np.asarray(_cell_records(task, reps, threads))
-            for j, method in enumerate(config.methods):
-                covered = records[:, 3 * j]
-                lengths = records[:, 3 * j + 1]
-                failed = records[:, 3 * j + 2]
-                n_fail = int(failed.sum())
-                _check_failures(config.kind, label, r, n, method, n_fail, reps)
-                p = float(covered.mean())
-                rows.append(ReportRow(label, r, n, method, "coverage", p,
-                                      _proportion_stderr(p, reps)))
-                ok = lengths[failed == 0.0]
-                mean_len = float(ok.mean())
-                se_len = float(np.std(ok, ddof=1) / math.sqrt(ok.size)) if ok.size > 1 else 0.0
-                rows.append(ReportRow(label, r, n, method, "length", mean_len, se_len))
-                rows.append(ReportRow(label, r, n, method, "failures", float(n_fail), None))
+    with _cell_runner(threads, reps) as cell_records:
+        for r in config.r_values:
+            beta_true = true_beta(config.dist, r)
+            for n in config.n_values:
+                task = _CellTask(config.kind, config.dist, r, n, config.level,
+                                 config.alpha, config.methods, beta_true,
+                                 config.base_seed, _cell_id(r, n), 0, 0)
+                records = np.asarray(cell_records(task))
+                for j, method in enumerate(config.methods):
+                    covered = records[:, 3 * j]
+                    lengths = records[:, 3 * j + 1]
+                    failed = records[:, 3 * j + 2]
+                    n_fail = int(failed.sum())
+                    _check_failures(config.kind, label, r, n, method, n_fail, reps)
+                    p = float(covered.mean())
+                    rows.append(ReportRow(label, r, n, method, "coverage", p,
+                                          _proportion_stderr(p, reps)))
+                    ok = lengths[failed == 0.0]
+                    mean_len = float(ok.mean())
+                    se_len = float(np.std(ok, ddof=1) / math.sqrt(ok.size)) if ok.size > 1 else 0.0
+                    rows.append(ReportRow(label, r, n, method, "length", mean_len, se_len))
+                    rows.append(ReportRow(label, r, n, method, "failures", float(n_fail), None))
     return ExperimentReport(rows, config, time.perf_counter() - t0)
 
 
@@ -382,22 +389,23 @@ def _rejection_experiment(config: ExperimentConfig, threads: int, kind: str) -> 
     reps = config.replications
     null_dist = config.null_dist if config.null_dist is not None else config.dist
     rows: list[ReportRow] = []
-    for r in config.r_values:
-        beta0 = true_beta(null_dist, r)
-        for n in config.n_values:
-            task = _CellTask(config.kind, config.dist, r, n, config.level,
-                             config.alpha, config.methods, beta0,
-                             config.base_seed, _cell_id(r, n), 0, 0)
-            records = np.asarray(_cell_records(task, reps, threads))
-            for j, method in enumerate(config.methods):
-                rejected = records[:, 2 * j]
-                failed = records[:, 2 * j + 1]
-                n_fail = int(failed.sum())
-                _check_failures(kind, label, r, n, method, n_fail, reps)
-                p = float(rejected.mean())
-                rows.append(ReportRow(label, r, n, method, "rejection_rate", p,
-                                      _proportion_stderr(p, reps)))
-                rows.append(ReportRow(label, r, n, method, "failures", float(n_fail), None))
+    with _cell_runner(threads, reps) as cell_records:
+        for r in config.r_values:
+            beta0 = true_beta(null_dist, r)
+            for n in config.n_values:
+                task = _CellTask(config.kind, config.dist, r, n, config.level,
+                                 config.alpha, config.methods, beta0,
+                                 config.base_seed, _cell_id(r, n), 0, 0)
+                records = np.asarray(cell_records(task))
+                for j, method in enumerate(config.methods):
+                    rejected = records[:, 2 * j]
+                    failed = records[:, 2 * j + 1]
+                    n_fail = int(failed.sum())
+                    _check_failures(kind, label, r, n, method, n_fail, reps)
+                    p = float(rejected.mean())
+                    rows.append(ReportRow(label, r, n, method, "rejection_rate", p,
+                                          _proportion_stderr(p, reps)))
+                    rows.append(ReportRow(label, r, n, method, "failures", float(n_fail), None))
     return ExperimentReport(rows, config, time.perf_counter() - t0)
 
 

@@ -157,3 +157,37 @@ def test_rows_equal_the_per_method_functions(rule, a_n):
                                      ci.upper, ci.length, None)
         assert test_row == ResultRow("x", res.method, 1, res.statistic, res.threshold,
                                      res.p_value, res.reject, None)
+
+
+def test_load_reads_columns_under_padded_header_names(tmp_path):
+    p = tmp_path / "padded.csv"
+    p.write_text("a, b , c\n1, 2, 3\n4,5,6\n")
+    assert list(load_csv_column(p, "b").values) == [2.0, 5.0]
+    assert list(load_csv_column(p, "c").values) == [3.0, 6.0]
+
+
+def test_load_row_rules(tmp_path):
+    p = tmp_path / "rules.csv"
+    # blank lines are ignored, short rows and non-finite cells are skipped,
+    # and a duplicated name reads its last column
+    p.write_text("x,y,y\n1,2,3\n\n4\n5,6,inf\n7,8,-Infinity\n9,10,11\n")
+    assert list(load_csv_column(p, "x").values) == [1.0, 4.0, 5.0, 7.0, 9.0]
+    y = load_csv_column(p, "y")
+    assert list(y.values) == [3.0, 11.0] and y.skipped == 3
+
+
+def test_bad_options_raise_before_any_method_runs():
+    # at least one method would answer each call: the options alone fail it
+    data = ColumnDataset("x", sample(DistSpec("exponential", 1.0), 40, make_rng(3)), 0)
+    inf = float("inf")
+    calls = (
+        lambda: analyze_column(data, 1, 1.5, CI_METHODS),
+        lambda: analyze_column(data, 1, 0.95, CI_METHODS, ajel_rule="nope"),
+        lambda: analyze_column(data, 1, 0.95, CI_METHODS, a_n=inf),
+        lambda: run_test_column(data, 1, 0.8, 0.0, CI_METHODS),
+        lambda: run_test_column(data, 1, inf, 0.05, CI_METHODS),
+        lambda: run_test_column(data, 1, 0.8, 0.05, CI_METHODS, a_n=-1.0),
+    )
+    for call in calls:
+        with pytest.raises(PwmInputError):
+            call()

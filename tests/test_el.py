@@ -7,6 +7,7 @@ from pwmjel import (
     ConvergenceError,
     HullError,
     PwmInputError,
+    el,
     hull_contains,
     neg2_log_ratio,
     solve_lambda,
@@ -146,3 +147,88 @@ def test_slope_is_the_envelope_derivative():
         assert slope == pytest.approx(-2.0 * z.size * lam, rel=1e-15)
         assert slope == pytest.approx(fd, rel=1e-5, abs=1e-6)
     assert neg2_log_ratio_and_slope(z, z.max() + 1.0, lam0=0.25)[0] == math.inf
+
+
+def _two_mean_newton(z, mu, tol=1e-10, max_iter=100, lam0=0.0):
+    """Reference kernel: the Newton solve with one ``np.mean`` per score and
+    per slope, which the fused single-buffer step must match bit for bit."""
+    z = np.asarray(z, dtype=float)
+    d = z - mu
+    dmin, dmax = float(d.min()), float(d.max())
+    gtol = tol * max(1.0, abs(mu), float(np.max(np.abs(z - mu))))
+    lo = (-1.0 / dmax) * (1.0 - 1e-12)
+    hi = (-1.0 / dmin) * (1.0 - 1e-12)
+
+    def score_and_slope(lam):
+        w = 1.0 + lam * d
+        return float(np.mean(d / w)), -float(np.mean((d / w) ** 2))
+
+    lam = float(lam0) if lo < lam0 < hi else 0.0
+    a, b = lo, hi
+    g, gp = score_and_slope(lam)
+    iterations = 0
+    while abs(g) > gtol and iterations < max_iter:
+        if g > 0.0:
+            a = lam
+        else:
+            b = lam
+        step = lam - g / gp
+        lam = step if a < step < b else 0.5 * (a + b)
+        g, gp = score_and_slope(lam)
+        iterations += 1
+    weights = 1.0 / (z.size * (1.0 + lam * d))
+    log_ratio = min(0.0, -float(np.sum(np.log1p(lam * d))))
+    return lam, log_ratio, iterations, weights
+
+
+def test_fused_newton_step_is_bit_identical_to_the_two_mean_reference():
+    rng = np.random.default_rng(2024)
+    draws = (
+        lambda n: rng.exponential(1.0, n),
+        lambda n: rng.lognormal(0.0, 1.5, n),
+        lambda n: rng.normal(3.0, 2.0, n),
+    )
+    checked = 0
+    for k in range(50):
+        n = int(rng.choice([5, 17, 130, 300, 1025, 3000]))
+        z = draws[k % 3](n) * 10.0 ** rng.integers(-3, 4)
+        # quantiles close to the hull edges need the bisection fallback
+        mu = float(np.quantile(z, rng.choice([0.002, 0.1, 0.4, 0.6, 0.97])))
+        if not hull_contains(z, mu):
+            continue
+        cold = solve_lambda(z, mu)
+        starts = (0.0, cold.lam * rng.uniform(0.5, 1.5), -cold.lam, 1e6)
+        for lam0 in starts:
+            sol = solve_lambda(z, mu, lam0=lam0)
+            lam, log_ratio, iterations, weights = _two_mean_newton(z, mu, lam0=lam0)
+            assert (sol.lam, sol.log_ratio, sol.iterations) == (lam, log_ratio, iterations)
+            assert np.array_equal(sol.weights, weights)
+            checked += 1
+    assert checked >= 150
+
+
+def test_ratio_and_slope_solves_through_the_module_attribute(monkeypatch):
+    calls = []
+    original = el.solve_lambda
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(el, "solve_lambda", counting)
+    z = np.random.default_rng(4).exponential(1.0, 60)
+    for q in (0.2, 0.5, 0.8):
+        mu = float(np.quantile(z, q))
+        ratio, slope, lam = neg2_log_ratio_and_slope(z, mu, lam0=0.1)
+        sol = original(z, mu, lam0=0.1)
+        assert (ratio, slope, lam) == (-2.0 * sol.log_ratio, -2.0 * z.size * sol.lam, sol.lam)
+    assert calls == [float(np.quantile(z, q)) for q in (0.2, 0.5, 0.8)]
+    # outside the open hull: infinite ratio, no slope, the start multiplier back
+    for mu in (z.max() + 1.0, z.min(), z.max()):
+        ratio, slope, lam = neg2_log_ratio_and_slope(z, mu, lam0=0.25)
+        assert ratio == math.inf and math.isnan(slope) and lam == 0.25
+    for bad in ([1.0, np.nan, 3.0], [1.0, np.inf, 3.0]):
+        with pytest.raises(PwmInputError):
+            neg2_log_ratio_and_slope(bad, 2.0)
+    with pytest.raises(PwmInputError):
+        neg2_log_ratio_and_slope(z, math.nan)

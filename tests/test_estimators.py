@@ -7,6 +7,7 @@ from pwmjel import (
     PwmInputError,
     SortedSample,
     dn_estimate,
+    estimators,
     jackknife_pseudo_values,
     ustat_brute_force,
     ustat_estimate,
@@ -142,3 +143,22 @@ def test_big_n_weights_stay_finite():
     pv = jackknife_pseudo_values(x, 4)
     assert np.all(np.isfinite(pv.values))
     assert pv.values.mean() == pytest.approx(est, rel=1e-9)
+
+
+@pytest.mark.parametrize("helper, args", [
+    ("_dn_weights", (40, 2)),
+    ("_vxl_weights", (40, 0)),
+    ("_vxl_weights", (40, 3)),
+    ("_ustat_weights", (40, 2)),
+    ("_ustat_weights", (40, 2, 2)),
+])
+def test_cached_weights_are_shared_read_only_and_fresh(helper, args):
+    fn = getattr(estimators, helper)
+    w = fn(*args)
+    assert fn(*args) is w  # served from the cache
+    assert fn.cache_info().maxsize is not None  # bounded
+    with pytest.raises(ValueError):
+        w[0] = 1.0
+    fn.cache_clear()
+    fresh = fn(*args)
+    assert fresh is not w and np.array_equal(fresh, w)

@@ -18,6 +18,7 @@ from pwmjel import (
     run_size_experiment,
     run_variance_experiment,
     seed_for_rep,
+    simulate,
     true_beta,
     write_report_csv,
     write_report_markdown,
@@ -280,3 +281,21 @@ def test_family_aliases(tmp_path):
         p = tmp_path / "a.cfg"
         p.write_text(f"kind = size\nfamily = {alias}\nparam = 2\n")
         assert parse_config_file(p).dist.family == "exponential"
+
+
+@pytest.mark.parametrize("kind, reps, pools", [
+    ("size", 8, 1), ("coverage_length", 8, 1), ("variance", 8, 1), ("size", 7, 0),
+])
+def test_one_worker_pool_per_run(monkeypatch, kind, reps, pools):
+    opened = []
+
+    class CountingPool(simulate.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
+    cfg = small_config(kind=kind, r_values=(1, 2), n_values=(20, 30), replications=reps)
+    rows = run_experiment(cfg, threads=2).rows
+    assert opened == [2] * pools
+    assert rows == run_experiment(cfg, threads=1).rows
