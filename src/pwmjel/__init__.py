@@ -69,12 +69,7 @@ from .simulate import (
     ExperimentReport,
     ReportRow,
     parse_config_file,
-    run_coverage_experiment,
-    run_estimator_boxdata,
     run_experiment,
-    run_power_experiment,
-    run_size_experiment,
-    run_variance_experiment,
     seed_for_rep,
     write_report_csv,
     write_report_markdown,

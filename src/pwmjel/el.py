@@ -70,8 +70,8 @@ def solve_lambda(z, mu, tol: float = 1e-10, max_iter: int = 100,
     Newton iteration started at ``lam0`` (at 0 when ``lam0`` is not strictly
     feasible for this mu), safeguarded by bisection against
     the feasibility bracket, which keeps every iterate on the side where
-    all weights stay positive.  Convergence means the score magnitude fell
-    below ``tol`` times ``max(1, |mu|, max|z - mu|)``.
+    all weights stay positive (also after a slope underflow).  Convergence
+    means |score| <= ``tol * max(|mu|, max|z - mu|)``, a scale-free test.
 
     Raises
     ------
@@ -89,7 +89,7 @@ def solve_lambda(z, mu, tol: float = 1e-10, max_iter: int = 100,
             f"mean {mu} is not interior to the sample hull [{z.min()}, {z.max()}]"
         )
     m = z.size
-    gtol = tol * max(1.0, abs(mu), -dmin, dmax)
+    gtol = tol * max(abs(mu), -dmin, dmax)
 
     lo = (-1.0 / dmax) * (1.0 - _EDGE_MARGIN)
     hi = (-1.0 / dmin) * (1.0 - _EDGE_MARGIN)
@@ -116,7 +116,7 @@ def solve_lambda(z, mu, tol: float = 1e-10, max_iter: int = 100,
             a = lam
         else:
             b = lam
-        step = lam - g / gp
+        step = lam - g / gp if gp else math.nan
         lam = step if a < step < b else 0.5 * (a + b)
         g, gp = score_and_slope(lam)
         iterations += 1
@@ -141,18 +141,17 @@ def solve_lambda(z, mu, tol: float = 1e-10, max_iter: int = 100,
     return solution
 
 
-def neg2_log_ratio(z, mu, tol: float = 1e-10, max_iter: int = 100) -> float:
+def neg2_log_ratio(z, mu) -> float:
     """Minus twice the log empirical likelihood ratio for mean mu.
 
     Returns ``math.inf`` when mu falls outside the open hull of z, which is
     the natural limit of the statistic and lets interval searches treat the
     hull boundary as an infinitely rejected point.
     """
-    return neg2_log_ratio_and_slope(z, mu, tol=tol, max_iter=max_iter)[0]
+    return neg2_log_ratio_and_slope(z, mu)[0]
 
 
-def neg2_log_ratio_and_slope(z, mu, lam0: float = 0.0, tol: float = 1e-10,
-                             max_iter: int = 100) -> tuple[float, float, float]:
+def neg2_log_ratio_and_slope(z, mu, lam0: float = 0.0) -> tuple[float, float, float]:
     """:func:`neg2_log_ratio` with its derivative in mu and the multiplier.
 
     By the envelope theorem the derivative of ``-2 log R`` in mu is
@@ -161,7 +160,7 @@ def neg2_log_ratio_and_slope(z, mu, lam0: float = 0.0, tol: float = 1e-10,
     Outside the open hull of z the result is ``(inf, nan, lam0)``.
     """
     try:
-        sol = solve_lambda(z, mu, tol=tol, max_iter=max_iter, lam0=lam0)
+        sol = solve_lambda(z, mu, lam0=lam0)
     except HullError:
         return math.inf, math.nan, lam0
     return max(0.0, -2.0 * sol.log_ratio), -2.0 * sol.weights.size * sol.lam, sol.lam

@@ -167,10 +167,7 @@ def vexler_estimate(sample, r: int) -> float:
     """
     r = _check_order(r)
     s = _as_sample(sample)
-    n = s.n
-    grid = np.arange(0, n + 1, dtype=float) / n
-    w = np.diff(grid ** (r + 1))
-    return float(np.sum(w * s.values) / (r + 1))
+    return float(np.sum(_cdf_power_steps(s.n, r) * s.values) / (r + 1))
 
 
 def _cached_weights(fn):
@@ -193,12 +190,18 @@ def _dn_weights(n: int, r: int) -> np.ndarray:
 
 
 @_cached_weights
+def _cdf_power_steps(n: int, r: int) -> np.ndarray:
+    """``(i/n)**(r+1) - ((i-1)/n)**(r+1)``, i=1..n."""
+    grid = np.arange(0, n + 1, dtype=float) / n
+    return np.diff(grid ** (r + 1))
+
+
+@_cached_weights
 def _vxl_weights(n: int, r: int) -> np.ndarray:
     if r == 0:
         # keep the telescoped weights exactly 1 (the i/n grid rounds)
         return np.ones(n)
-    grid = np.arange(0, n + 1, dtype=float) / n
-    return np.diff(grid ** (r + 1)) * (n / (r + 1.0))
+    return _cdf_power_steps(n, r) * (n / (r + 1.0))
 
 
 def _summands(sample, r: int, method: str, weights) -> SummandVector:

@@ -143,9 +143,9 @@ def _pseudo_values_for(sample, r) -> PseudoValues:
             )
     else:
         pv = jackknife_pseudo_values(sample, r)
-    # constant input leaves rounding noise of a few n*eps in the
+    # constant input leaves rounding noise of a few n*eps relative to the
     # pseudo-values, so the spread is compared against that floor
-    scale = max(1.0, float(np.max(np.abs(pv.values))))
+    scale = float(np.max(np.abs(pv.values)))
     if np.ptp(pv.values) <= 64.0 * pv.n * np.finfo(float).eps * scale:
         raise DegenerateSampleError(
             "all jackknife pseudo-values are identical; the likelihood "
@@ -271,7 +271,7 @@ def confidence_interval(sample, r: int, level: float, method: str,
     ``ratio(beta) = chi-square quantile`` on each side of the ratio's
     minimum by a safeguarded Newton search that stops at ratio residual
     <= 1e-6 with a Newton step <= 1e-8 * beta_scale, where ``beta_scale``
-    is the larger of 1, the estimate's magnitude and the EL points' spread
+    is the larger of the estimate's magnitude and the EL points' spread
     around it.
     """
     problem = _problem(sample, r, method, rule, a_n, level=level)
@@ -414,7 +414,7 @@ def _hull_bounds(values: np.ndarray) -> tuple[float, float]:
 
 
 def _beta_scale(values: np.ndarray, point: float) -> float:
-    return max(1.0, abs(point), float(np.max(np.abs(values - point))))
+    return max(abs(point), float(np.max(np.abs(values - point))))
 
 
 def jel_neg2_ratio(sample, r: int, beta0: float) -> float:

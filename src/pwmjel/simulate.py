@@ -8,6 +8,10 @@ Five experiment kinds over a grid of moment orders and sample sizes:
 * ``power``             -- rejection rate under an alternative,
 * ``estimator_boxdata`` -- per-replication estimates for external box plots.
 
+Each kind is one entry of the kind table ``_KINDS``: the record every
+replication yields and the report rows a cell's records fold into.
+:func:`run_experiment` runs any kind through one loop over the cells.
+
 Determinism contract: every replication derives its own generator from
 ``seed_for_rep(base_seed, cell_id, rep_index)``, per-replication results
 are stored by replication index, and aggregation runs in index order.
@@ -26,6 +30,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -53,17 +58,11 @@ __all__ = [
     "ExperimentReport",
     "seed_for_rep",
     "run_experiment",
-    "run_variance_experiment",
-    "run_coverage_experiment",
-    "run_size_experiment",
-    "run_power_experiment",
-    "run_estimator_boxdata",
     "parse_config_file",
     "write_report_csv",
     "write_report_markdown",
 ]
 
-KINDS = ("variance", "coverage_length", "size", "power", "estimator_boxdata")
 ESTIMATOR_METHODS = ("DN", "VEXLER", "JACKKNIFE", "ADJ_JACKKNIFE")
 
 CSV_HEADER = "dist,r,n,method,metric,value,stderr"
@@ -176,90 +175,54 @@ def _cell_id(r: int, n: int) -> int:
 
 
 @dataclass(frozen=True)
-class _CellTask:
-    """Self-contained description of a chunk of replications (picklable)."""
+class _Cell:
+    """One design cell, or a chunk ``[rep_lo, rep_hi)`` of its replications
+    (picklable).  ``beta`` is the true moment its kind needs, else None."""
 
-    kind: str
-    dist: DistSpec
+    config: ExperimentConfig
     r: int
     n: int
-    level: float
-    alpha: float
-    methods: tuple[str, ...]
-    beta0: float | None
-    base_seed: int
-    cell_id: int
+    beta: float | None
     rep_lo: int
     rep_hi: int
 
+    def row(self, method: str, metric: str, value: float,
+            stderr: float | None = None) -> ReportRow:
+        return ReportRow(self.config.dist.label, self.r, self.n, method, metric,
+                         value, stderr)
 
-def _estimates_record(x: np.ndarray, r: int, n: int) -> tuple:
+
+def _estimates_record(cell: _Cell, x: np.ndarray) -> tuple:
     s = SortedSample.from_data(x)
-    pv = jackknife_pseudo_values(s, r)
+    pv = jackknife_pseudo_values(s, cell.r)
     jack = float(np.mean(pv.values))
-    a = adjustment_constant(n)
-    adj = jack * (n - a) / (n + 1.0)  # mean of the literally augmented set
-    return (dn_estimate(s, r), vexler_estimate(s, r), jack, adj)
+    a = adjustment_constant(cell.n)
+    adj = jack * (cell.n - a) / (cell.n + 1.0)  # mean of the literally augmented set
+    return (dn_estimate(s, cell.r), vexler_estimate(s, cell.r), jack, adj)
 
 
-def _ci_record(x: np.ndarray, task: _CellTask, beta_true: float) -> tuple:
+def _ci_record(cell: _Cell, x: np.ndarray) -> tuple:
     s = SortedSample.from_data(x)
     out = []
-    for method in task.methods:
+    for method in cell.config.methods:
         try:
-            ci = confidence_interval(s, task.r, task.level, method)
-            out.extend((1.0 if ci.contains(beta_true) else 0.0, ci.length, 0.0))
+            ci = confidence_interval(s, cell.r, cell.config.level, method)
+            out.extend((1.0 if ci.contains(cell.beta) else 0.0, ci.length, 0.0))
         except PwmError:
             out.extend((0.0, math.nan, 1.0))
     return tuple(out)
 
 
-def _test_record(x: np.ndarray, task: _CellTask) -> tuple:
+def _test_record(cell: _Cell, x: np.ndarray) -> tuple:
     s = SortedSample.from_data(x)
     out = []
-    for method in task.methods:
+    for method in cell.config.methods:
         try:
-            res = ratio_test(s, task.r, task.beta0, task.alpha, method)
+            res = ratio_test(s, cell.r, cell.beta, cell.config.alpha, method)
             out.extend((1.0 if res.reject else 0.0, 0.0))
         except PwmError:
             out.extend((0.0, 1.0))
     return tuple(out)
-
-
-def _one_record(task: _CellTask, rep_index: int) -> tuple:
-    rng = make_rng(seed_for_rep(task.base_seed, task.cell_id, rep_index))
-    x = sample(task.dist, task.n, rng)
-    if task.kind in ("variance", "estimator_boxdata"):
-        return _estimates_record(x, task.r, task.n)
-    if task.kind == "coverage_length":
-        return _ci_record(x, task, task.beta0)
-    return _test_record(x, task)
-
-
-def _run_chunk(task: _CellTask) -> list[tuple]:
-    return [_one_record(task, i) for i in range(task.rep_lo, task.rep_hi)]
-
-
-@contextmanager
-def _cell_runner(threads: int, reps: int):
-    """Yield ``records(task)``: all per-replication records of one cell, in
-    replication order.
-
-    With ``threads > 1`` and at least 8 replications per cell, every cell of
-    the run goes to one process pool, opened here and closed with the run;
-    each cell is cut into about ``4 * threads`` chunks.
-    """
-    if threads <= 1 or reps < 8:
-        yield lambda task: _run_chunk(replace(task, rep_lo=0, rep_hi=reps))
-        return
-    chunk = max(1, math.ceil(reps / (threads * 4)))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        def records(task: _CellTask) -> list[tuple]:
-            tasks = [replace(task, rep_lo=lo, rep_hi=min(lo + chunk, reps))
-                     for lo in range(0, reps, chunk)]
-            return [rec for part in pool.map(_run_chunk, tasks) for rec in part]
-
-        yield records
 
 
 def _proportion_stderr(p: float, reps: int) -> float:
@@ -275,150 +238,139 @@ def _variance_stderr(values: np.ndarray) -> float:
     return math.sqrt(max(inner, 0.0) / k)
 
 
-def _check_failures(kind: str, label: str, r: int, n: int, method: str,
-                    failures: int, reps: int) -> None:
-    if failures > _MAX_FAILURE_RATE * reps:
+def _failures(cell: _Cell, method: str, failed: np.ndarray) -> int:
+    """Number of failed replications; aborts the run above the budget."""
+    n_fail = int(failed.sum())
+    reps = cell.config.replications
+    if n_fail > _MAX_FAILURE_RATE * reps:
         raise NumericError(
-            f"{kind} cell dist={label} r={r} n={n} method={method}: "
-            f"{failures}/{reps} replications failed, above the "
-            f"{_MAX_FAILURE_RATE:.0%} abort threshold"
+            f"{cell.config.kind} cell dist={cell.config.dist.label} r={cell.r} "
+            f"n={cell.n} method={method}: {n_fail}/{reps} replications failed, "
+            f"above the {_MAX_FAILURE_RATE:.0%} abort threshold"
         )
+    return n_fail
 
 
-def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
-    """Dispatch on ``config.kind``; see the per-kind functions."""
-    runner = {
-        "variance": run_variance_experiment,
-        "coverage_length": run_coverage_experiment,
-        "size": run_size_experiment,
-        "power": run_power_experiment,
-        "estimator_boxdata": run_estimator_boxdata,
-    }[config.kind]
-    return runner(config, threads=threads)
-
-
-def _require_kind(config: ExperimentConfig, kind: str) -> None:
-    if config.kind != kind:
-        raise PwmInputError(f"config kind is {config.kind!r}, expected {kind!r}")
-
-
-def _estimator_rows(config: ExperimentConfig, threads: int, per_rep: bool) -> list[ReportRow]:
-    label = config.dist.label
-    reps = config.replications
-    rows: list[ReportRow] = []
-    with _cell_runner(threads, reps) as cell_records:
-        for r in config.r_values:
-            for n in config.n_values:
-                task = _CellTask(config.kind, config.dist, r, n, config.level,
-                                 config.alpha, config.methods, None,
-                                 config.base_seed, _cell_id(r, n), 0, 0)
-                records = np.asarray(cell_records(task))
-                for j, method in enumerate(ESTIMATOR_METHODS):
-                    col = records[:, j]
-                    if per_rep:
-                        rows.extend(
-                            ReportRow(label, r, n, method, "estimate", float(v), None)
-                            for v in col
-                        )
-                    else:
-                        value = n * float(np.var(col, ddof=1)) if reps > 1 else 0.0
-                        se = n * _variance_stderr(col) if reps > 1 else 0.0
-                        rows.append(ReportRow(label, r, n, method, "n_var", value, se))
-                if per_rep:
-                    ref = true_beta(config.dist, r)
-                    rows.append(ReportRow(label, r, n, "REFERENCE", "true_beta", ref, None))
+def _variance_rows(cell: _Cell, records: np.ndarray) -> list[ReportRow]:
+    """n * Var over replications of each of the fixed ESTIMATOR_METHODS (the
+    configured method list does not apply)."""
+    reps = cell.config.replications
+    rows = []
+    for j, method in enumerate(ESTIMATOR_METHODS):
+        col = records[:, j]
+        value = cell.n * float(np.var(col, ddof=1)) if reps > 1 else 0.0
+        se = cell.n * _variance_stderr(col) if reps > 1 else 0.0
+        rows.append(cell.row(method, "n_var", value, se))
     return rows
 
 
-def run_variance_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
-    """n * Var over replications of each point estimator.
-
-    Estimators are fixed (DN, VEXLER, JACKKNIFE, ADJ_JACKKNIFE); the
-    configured method list does not apply here.
-    """
-    _require_kind(config, "variance")
-    t0 = time.perf_counter()
-    rows = _estimator_rows(config, threads, per_rep=False)
-    return ExperimentReport(rows, config, time.perf_counter() - t0)
+def _boxdata_rows(cell: _Cell, records: np.ndarray) -> list[ReportRow]:
+    """Every replication's estimate per estimator, then the true moment."""
+    rows = [cell.row(method, "estimate", float(v))
+            for j, method in enumerate(ESTIMATOR_METHODS) for v in records[:, j]]
+    rows.append(cell.row("REFERENCE", "true_beta", cell.beta))
+    return rows
 
 
-def run_estimator_boxdata(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
-    """Per-replication estimates of the four estimators plus the true value."""
-    _require_kind(config, "estimator_boxdata")
-    t0 = time.perf_counter()
-    rows = _estimator_rows(config, threads, per_rep=True)
-    return ExperimentReport(rows, config, time.perf_counter() - t0)
-
-
-def run_coverage_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
+def _coverage_rows(cell: _Cell, records: np.ndarray) -> list[ReportRow]:
     """Coverage of the true moment and mean interval length per method."""
-    _require_kind(config, "coverage_length")
+    reps = cell.config.replications
+    rows = []
+    for j, method in enumerate(cell.config.methods):
+        covered, lengths, failed = records[:, 3 * j], records[:, 3 * j + 1], records[:, 3 * j + 2]
+        n_fail = _failures(cell, method, failed)
+        p = float(covered.mean())
+        ok = lengths[failed == 0.0]
+        se_len = float(np.std(ok, ddof=1) / math.sqrt(ok.size)) if ok.size > 1 else 0.0
+        rows += [cell.row(method, "coverage", p, _proportion_stderr(p, reps)),
+                 cell.row(method, "length", float(ok.mean()), se_len),
+                 cell.row(method, "failures", float(n_fail))]
+    return rows
+
+
+def _rejection_rows(cell: _Cell, records: np.ndarray) -> list[ReportRow]:
+    """Rejection rate per method of the test of ``beta_r = cell.beta``."""
+    reps = cell.config.replications
+    rows = []
+    for j, method in enumerate(cell.config.methods):
+        n_fail = _failures(cell, method, records[:, 2 * j + 1])
+        p = float(records[:, 2 * j].mean())
+        rows += [cell.row(method, "rejection_rate", p, _proportion_stderr(p, reps)),
+                 cell.row(method, "failures", float(n_fail))]
+    return rows
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """An experiment kind: the record each replication yields, the report
+    rows a cell's records fold into, and the distribution whose
+    ``true_beta(., r)`` the cell needs (None when it needs none)."""
+
+    record: Callable[[_Cell, np.ndarray], tuple]
+    rows: Callable[[_Cell, np.ndarray], list[ReportRow]]
+    beta_dist: Callable[[ExperimentConfig], DistSpec | None]
+
+
+# Size and power both test the moment of null_dist, or of the sampling
+# distribution itself when there is none (power configs must name one).
+_TESTS = _Kind(_test_record, _rejection_rows, lambda config: config.null_dist or config.dist)
+
+# The kind table, in the order of KINDS.
+_KINDS = {
+    "variance": _Kind(_estimates_record, _variance_rows, lambda config: None),
+    "coverage_length": _Kind(_ci_record, _coverage_rows, lambda config: config.dist),
+    "size": _TESTS,
+    "power": _TESTS,
+    "estimator_boxdata": _Kind(_estimates_record, _boxdata_rows, lambda config: config.dist),
+}
+KINDS = tuple(_KINDS)
+
+
+def _run_chunk(cell: _Cell) -> list[tuple]:
+    config = cell.config
+    record = _KINDS[config.kind].record
+    cell_id = _cell_id(cell.r, cell.n)
+    return [record(cell, sample(config.dist, cell.n,
+                                make_rng(seed_for_rep(config.base_seed, cell_id, i))))
+            for i in range(cell.rep_lo, cell.rep_hi)]
+
+
+@contextmanager
+def _cell_runner(threads: int, reps: int):
+    """Yield ``records(cell)``: all per-replication records of one cell, in
+    replication order.
+
+    With ``threads > 1`` and at least 8 replications per cell, every cell of
+    the run goes to one process pool, opened here and closed with the run;
+    each cell is cut into about ``4 * threads`` chunks.
+    """
+    if threads <= 1 or reps < 8:
+        yield lambda cell: _run_chunk(replace(cell, rep_lo=0, rep_hi=reps))
+        return
+    chunk = max(1, math.ceil(reps / (threads * 4)))
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        def records(cell: _Cell) -> list[tuple]:
+            chunks = [replace(cell, rep_lo=lo, rep_hi=min(lo + chunk, reps))
+                      for lo in range(0, reps, chunk)]
+            return [rec for part in pool.map(_run_chunk, chunks) for rec in part]
+
+        yield records
+
+
+def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
+    """Run every (r, n) cell of ``config`` and fold each into report rows,
+    r-major, as ``config.kind`` says (see the module docstring)."""
     t0 = time.perf_counter()
-    label = config.dist.label
-    reps = config.replications
+    kind = _KINDS[config.kind]
+    beta_dist = kind.beta_dist(config)
     rows: list[ReportRow] = []
-    with _cell_runner(threads, reps) as cell_records:
+    with _cell_runner(threads, config.replications) as cell_records:
         for r in config.r_values:
-            beta_true = true_beta(config.dist, r)
+            beta = None if beta_dist is None else true_beta(beta_dist, r)
             for n in config.n_values:
-                task = _CellTask(config.kind, config.dist, r, n, config.level,
-                                 config.alpha, config.methods, beta_true,
-                                 config.base_seed, _cell_id(r, n), 0, 0)
-                records = np.asarray(cell_records(task))
-                for j, method in enumerate(config.methods):
-                    covered = records[:, 3 * j]
-                    lengths = records[:, 3 * j + 1]
-                    failed = records[:, 3 * j + 2]
-                    n_fail = int(failed.sum())
-                    _check_failures(config.kind, label, r, n, method, n_fail, reps)
-                    p = float(covered.mean())
-                    rows.append(ReportRow(label, r, n, method, "coverage", p,
-                                          _proportion_stderr(p, reps)))
-                    ok = lengths[failed == 0.0]
-                    mean_len = float(ok.mean())
-                    se_len = float(np.std(ok, ddof=1) / math.sqrt(ok.size)) if ok.size > 1 else 0.0
-                    rows.append(ReportRow(label, r, n, method, "length", mean_len, se_len))
-                    rows.append(ReportRow(label, r, n, method, "failures", float(n_fail), None))
+                cell = _Cell(config, r, n, beta, 0, 0)
+                rows.extend(kind.rows(cell, np.asarray(cell_records(cell))))
     return ExperimentReport(rows, config, time.perf_counter() - t0)
-
-
-def _rejection_experiment(config: ExperimentConfig, threads: int, kind: str) -> ExperimentReport:
-    _require_kind(config, kind)
-    t0 = time.perf_counter()
-    label = config.dist.label
-    reps = config.replications
-    null_dist = config.null_dist if config.null_dist is not None else config.dist
-    rows: list[ReportRow] = []
-    with _cell_runner(threads, reps) as cell_records:
-        for r in config.r_values:
-            beta0 = true_beta(null_dist, r)
-            for n in config.n_values:
-                task = _CellTask(config.kind, config.dist, r, n, config.level,
-                                 config.alpha, config.methods, beta0,
-                                 config.base_seed, _cell_id(r, n), 0, 0)
-                records = np.asarray(cell_records(task))
-                for j, method in enumerate(config.methods):
-                    rejected = records[:, 2 * j]
-                    failed = records[:, 2 * j + 1]
-                    n_fail = int(failed.sum())
-                    _check_failures(kind, label, r, n, method, n_fail, reps)
-                    p = float(rejected.mean())
-                    rows.append(ReportRow(label, r, n, method, "rejection_rate", p,
-                                          _proportion_stderr(p, reps)))
-                    rows.append(ReportRow(label, r, n, method, "failures", float(n_fail), None))
-    return ExperimentReport(rows, config, time.perf_counter() - t0)
-
-
-def run_size_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
-    """Rejection rate with the null value taken from the sampling
-    distribution itself (or an explicit null_dist when provided)."""
-    return _rejection_experiment(config, threads, "size")
-
-
-def run_power_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
-    """Rejection rate when data come from the alternative and the null
-    value comes from ``null_dist``."""
-    return _rejection_experiment(config, threads, "power")
 
 
 # ---------------------------------------------------------------------------

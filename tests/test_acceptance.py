@@ -36,8 +36,7 @@ from pwmjel import (
     load_csv_column,
     make_rng,
     neg2_log_ratio,
-    run_coverage_experiment,
-    run_power_experiment,
+    run_experiment,
     sample,
     seed_for_rep,
     solve_lambda,
@@ -197,7 +196,7 @@ def test_a08_test_size(ratio_cell, verdict):
 
 @pytest.fixture(scope="module")
 def coverage_cell():
-    report = run_coverage_experiment(ExperimentConfig(
+    report = run_experiment(ExperimentConfig(
         kind="coverage_length",
         dist=EXP1,
         r_values=(1,),
@@ -271,7 +270,7 @@ def test_a07c_ajel_mean_length_default_rule(coverage_cell, verdict):
 
 
 def _power_run(data_mean: float, null_mean: float) -> dict[str, float]:
-    report = run_power_experiment(ExperimentConfig(
+    report = run_experiment(ExperimentConfig(
         kind="power",
         dist=DistSpec("exponential", data_mean),
         r_values=(1,),

@@ -155,7 +155,7 @@ def _two_mean_newton(z, mu, tol=1e-10, max_iter=100, lam0=0.0):
     z = np.asarray(z, dtype=float)
     d = z - mu
     dmin, dmax = float(d.min()), float(d.max())
-    gtol = tol * max(1.0, abs(mu), float(np.max(np.abs(z - mu))))
+    gtol = tol * max(abs(mu), float(np.max(np.abs(z - mu))))
     lo = (-1.0 / dmax) * (1.0 - 1e-12)
     hi = (-1.0 / dmin) * (1.0 - 1e-12)
 

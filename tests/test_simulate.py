@@ -6,17 +6,13 @@ import pytest
 
 from pwmjel import (
     CI_METHODS,
+    KINDS,
     DistSpec,
     ExperimentConfig,
     NumericError,
     PwmInputError,
     parse_config_file,
-    run_coverage_experiment,
-    run_estimator_boxdata,
     run_experiment,
-    run_power_experiment,
-    run_size_experiment,
-    run_variance_experiment,
     seed_for_rep,
     simulate,
     true_beta,
@@ -83,7 +79,7 @@ def test_config_rejects_sample_sizes_that_share_seed_streams():
 
 
 def test_coverage_rows_shape():
-    rep = run_coverage_experiment(small_config())
+    rep = run_experiment(small_config())
     assert rep.config.kind == "coverage_length"
     keys = {(row.method, row.metric) for row in rep.rows}
     assert keys == {
@@ -99,8 +95,8 @@ def test_coverage_rows_shape():
 
 def test_runs_are_reproducible_and_thread_invariant():
     cfg = small_config(replications=30)
-    r1 = run_coverage_experiment(cfg, threads=1)
-    r2 = run_coverage_experiment(cfg, threads=3)
+    r1 = run_experiment(cfg, threads=1)
+    r2 = run_experiment(cfg, threads=3)
     vals1 = [(w.method, w.metric, w.value, w.stderr) for w in r1.rows]
     vals2 = [(w.method, w.metric, w.value, w.stderr) for w in r2.rows]
     assert vals1 == vals2  # exact equality, not approx
@@ -108,15 +104,15 @@ def test_runs_are_reproducible_and_thread_invariant():
 
 def test_size_experiment_rows():
     cfg = small_config(kind="size", replications=30, methods=("JEL",), n_values=(30,))
-    rep = run_size_experiment(cfg)
+    rep = run_experiment(cfg)
     (rate,) = [w.value for w in rep.rows if w.metric == "rejection_rate"]
     assert 0.0 <= rate <= 1.0
 
 
 def test_power_equals_size_when_null_matches_dist():
     kw = dict(replications=40, methods=("JEL",), n_values=(40,), base_seed=9)
-    size_rep = run_size_experiment(small_config(kind="size", **kw))
-    power_rep = run_power_experiment(
+    size_rep = run_experiment(small_config(kind="size", **kw))
+    power_rep = run_experiment(
         small_config(kind="power", null_dist=EXP1, **kw)
     )
     srate = [w.value for w in size_rep.rows if w.metric == "rejection_rate"]
@@ -133,7 +129,7 @@ def test_power_detects_a_shifted_null():
         methods=("JEL",),
         n_values=(60,),
     )
-    rep = run_power_experiment(cfg)
+    rep = run_experiment(cfg)
     (rate,) = [w.value for w in rep.rows if w.metric == "rejection_rate"]
     assert rate > 0.8
 
@@ -143,7 +139,7 @@ def test_variance_experiment_tracks_oracle():
     cfg = small_config(
         kind="variance", replications=300, n_values=(150,), methods=CI_METHODS
     )
-    rep = run_variance_experiment(cfg)
+    rep = run_experiment(cfg)
     jack = [
         w for w in rep.rows if w.method == "JACKKNIFE" and w.metric == "n_var"
     ]
@@ -155,7 +151,7 @@ def test_variance_experiment_tracks_oracle():
 
 def test_boxdata_emits_per_rep_rows_and_reference():
     cfg = small_config(kind="estimator_boxdata", replications=12, n_values=(20,))
-    rep = run_estimator_boxdata(cfg)
+    rep = run_experiment(cfg)
     est = [w for w in rep.rows if w.metric == "estimate"]
     assert len(est) == 12 * 4  # one row per replication per estimator
     ref = [w for w in rep.rows if w.method == "REFERENCE"]
@@ -168,10 +164,19 @@ def test_boxdata_emits_per_rep_rows_and_reference():
 
 
 def test_run_experiment_dispatch():
-    rep = run_experiment(small_config(replications=10))
-    assert rep.rows and rep.elapsed >= 0.0
-    with pytest.raises(PwmInputError):
-        run_variance_experiment(small_config(replications=10))  # wrong kind
+    metrics = {
+        "variance": {"n_var"},
+        "coverage_length": {"coverage", "length", "failures"},
+        "size": {"rejection_rate", "failures"},
+        "power": {"rejection_rate", "failures"},
+        "estimator_boxdata": {"estimate", "true_beta"},
+    }
+    assert KINDS == tuple(simulate._KINDS) == tuple(metrics)
+    for kind in KINDS:
+        cfg = small_config(kind=kind, replications=10, null_dist=EXP1)
+        rep = run_experiment(cfg)
+        assert rep.config is cfg and rep.elapsed >= 0.0
+        assert {row.metric for row in rep.rows} == metrics[kind]
 
 
 def test_cell_abort_on_mass_failures():
@@ -185,13 +190,13 @@ def test_cell_abort_on_mass_failures():
         methods=("JEL",),
     )
     with pytest.raises(NumericError) as err:
-        run_coverage_experiment(cfg)
+        run_experiment(cfg)
     msg = str(err.value)
     assert "constant(2)" in msg and "n=25" in msg
 
 
 def test_csv_writer_roundtrip(tmp_path):
-    rep = run_coverage_experiment(small_config(replications=10))
+    rep = run_experiment(small_config(replications=10))
     out = tmp_path / "report.csv"
     write_report_csv(rep, out)
     text = out.read_text()
@@ -211,7 +216,7 @@ def test_csv_writer_roundtrip(tmp_path):
 
 
 def test_markdown_writer(tmp_path):
-    rep = run_coverage_experiment(small_config(replications=10))
+    rep = run_experiment(small_config(replications=10))
     out = tmp_path / "report.md"
     write_report_markdown(rep, out)
     text = out.read_text()
@@ -285,6 +290,7 @@ def test_family_aliases(tmp_path):
 
 @pytest.mark.parametrize("kind, reps, pools", [
     ("size", 8, 1), ("coverage_length", 8, 1), ("variance", 8, 1), ("size", 7, 0),
+    ("power", 8, 1), ("estimator_boxdata", 8, 1),
 ])
 def test_one_worker_pool_per_run(monkeypatch, kind, reps, pools):
     opened = []
@@ -295,7 +301,8 @@ def test_one_worker_pool_per_run(monkeypatch, kind, reps, pools):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
-    cfg = small_config(kind=kind, r_values=(1, 2), n_values=(20, 30), replications=reps)
+    cfg = small_config(kind=kind, r_values=(1, 2), n_values=(20, 30), replications=reps,
+                       null_dist=DistSpec("exponential", 0.6) if kind == "power" else None)
     rows = run_experiment(cfg, threads=2).rows
     assert opened == [2] * pools
     assert rows == run_experiment(cfg, threads=1).rows
