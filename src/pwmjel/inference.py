@@ -33,15 +33,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable
 
 import numpy as np
 
 from . import el as _el
 from .distributions import chi2_1_cdf, chi2_1_quantile
-from .errors import ConvergenceError, DegenerateSampleError, PwmInputError
-from .estimators import PseudoValues, dnel_summands, jackknife_pseudo_values, vxl_summands
+from .errors import ConvergenceError, DegenerateSampleError, PwmError, PwmInputError
+from .estimators import (
+    PseudoValues,
+    SortedSample,
+    dnel_summands,
+    jackknife_pseudo_values,
+    vxl_summands,
+)
 
 __all__ = [
     "CI_METHODS",
@@ -51,7 +55,9 @@ __all__ = [
     "check_methods",
     "check_options",
     "confidence_interval",
+    "confidence_intervals",
     "ratio_test",
+    "ratio_tests",
     "jel_neg2_ratio",
     "ajel_neg2_ratio",
     "jel_confidence_interval",
@@ -113,25 +119,34 @@ def adjustment_constant(n: int) -> float:
 class _RatioProblem:
     """One method's EL ratio in beta, with what its inversion needs.
 
-    ``ratio(beta, lam0)`` returns minus twice the log EL ratio at beta, its
-    derivative in beta and the solved multiplier (``lam0`` warm-starts the
-    solve).  ``points`` is the EL point set (before centering under the
-    centered rule); ``seed`` is where the ratio bottoms out, which differs
-    from ``estimate`` only under the literal adjustment rule; ``bounded``
-    says whether the hull of ``points`` bounds the interval search.
+    ``points`` is the EL point set, tested for mean beta; under the centered
+    adjustment (``adjust`` set to its ``a``) it is the pseudo-values, which
+    are centered at beta and augmented before the EL test of mean zero.
+    ``seed`` is where the ratio bottoms out, which differs from ``estimate``
+    only under the literal adjustment rule; the hull of ``points`` bounds
+    the interval search unless the problem is centered.
     """
 
-    ratio: Callable[[float, float], tuple[float, float, float]]
     points: np.ndarray
     estimate: float
     seed: float
-    bounded: bool = True
+    adjust: float | None = None
+
+    @property
+    def bounded(self) -> bool:
+        return self.adjust is None
+
+    def ratio(self, beta: float, lam0: float) -> tuple[float, float, float]:
+        """Minus twice the log EL ratio at beta, its derivative in beta and
+        the solved multiplier; ``lam0`` warm-starts the solve."""
+        if self.adjust is None:
+            return _el.neg2_log_ratio_and_slope(self.points, beta, lam0)
+        return _centered_ratio_and_slope(self.points, beta, self.adjust, lam0)
 
 
 def _el_problem(points: np.ndarray, estimate: float, seed=None) -> _RatioProblem:
     """Plain EL on ``points``: infinite ratio outside their open hull."""
-    return _RatioProblem(partial(_el.neg2_log_ratio_and_slope, points), points, estimate,
-                         estimate if seed is None else seed)
+    return _RatioProblem(points, estimate, estimate if seed is None else seed)
 
 
 def _pseudo_values_for(sample, r) -> PseudoValues:
@@ -154,7 +169,7 @@ def _pseudo_values_for(sample, r) -> PseudoValues:
     return pv
 
 
-def _centered_ratio_and_slope(pv: PseudoValues, beta: float, a_n,
+def _centered_ratio_and_slope(values: np.ndarray, beta: float, a: float,
                               lam0: float = 0.0) -> tuple[float, float, float]:
     """Centered-rule ratio at beta, its derivative in beta, and the multiplier.
 
@@ -164,13 +179,55 @@ def _centered_ratio_and_slope(pv: PseudoValues, beta: float, a_n,
     theorem the derivative of ``-2 log R`` is ``-2 m lam (1 - (1 + a)
     p_last)``, with ``p_last`` the EL weight of the appended point.
     """
-    a = adjustment_constant(pv.n) if a_n is None else float(a_n)
-    g = pv.values - beta
-    points = np.append(g, -(a / pv.n) * g.sum())
+    g = values - beta
+    points = np.append(g, -(a / values.size) * g.sum())
     sol = _el.solve_lambda(points, 0.0, lam0=lam0)
     p_last = float(sol.weights[-1])
     slope = -2.0 * points.size * sol.lam * (1.0 - (1.0 + a) * p_last)
     return max(0.0, -2.0 * sol.log_ratio), slope, sol.lam
+
+
+class _StackedRatio:
+    """The ratio problems of one method on samples of one size, stacked so
+    that one :func:`el.solve_rows` call evaluates the ratio of any subset.
+
+    Each row's ratio, slope and multiplier are bit for bit what the
+    problem's scalar ``ratio`` gives.
+    """
+
+    def __init__(self, problems: list[_RatioProblem]):
+        self.points = np.stack([p.points for p in problems])
+        self.adjust = (None if problems[0].adjust is None
+                       else np.array([p.adjust for p in problems]))
+
+    def __call__(self, rows, beta, lam0):
+        """Ratio, slope and multiplier of problem ``rows[j]`` at ``beta[j]``
+        from ``lam0[j]``, as lists, and ``{j: error}`` for the rows whose
+        scalar ratio raises."""
+        beta = np.asarray(beta, dtype=float)
+        points = self.points[rows]
+        if self.adjust is None:
+            sol = _el.solve_rows(points, beta, lam0)
+            slope = (-2.0 * points.shape[1]) * sol.lam
+            # outside the hull the scalar ratio is (inf, nan, lam0): solve_rows
+            # leaves such rows at log ratio -inf and their lam0
+            outside = sol.status == _el.ROW_OUTSIDE_HULL
+            slope[outside] = math.nan
+            raises = (sol.status != _el.ROW_OK) & ~outside
+        else:
+            a = self.adjust[rows]
+            g = points - beta[:, None]
+            n = g.shape[1]
+            z = np.empty((g.shape[0], n + 1))
+            z[:, :n] = g
+            z[:, n] = -(a / n) * np.add.reduce(g, axis=1)
+            sol = _el.solve_rows(z, np.zeros(beta.size), lam0)
+            slope = (-2.0 * (n + 1)) * sol.lam * (1.0 - (1.0 + a) * sol.last_weight)
+            raises = sol.status != _el.ROW_OK
+        ratio = -2.0 * sol.log_ratio
+        ratio = np.where(ratio > 0.0, ratio, 0.0)
+        return (ratio.tolist(), slope.tolist(), sol.lam.tolist(),
+                {int(j): sol.error(j) for j in np.flatnonzero(raises)})
 
 
 def _jel_problem(sample, r, rule, a_n) -> _RatioProblem:
@@ -182,8 +239,7 @@ def _ajel_problem(sample, r, rule, a_n) -> _RatioProblem:
     pv = _pseudo_values_for(sample, r)
     a = adjustment_constant(pv.n) if a_n is None else float(a_n)
     if rule == "centered":
-        return _RatioProblem(lambda beta, lam0: _centered_ratio_and_slope(pv, beta, a, lam0),
-                             pv.values, pv.ustat_estimate, pv.ustat_estimate, bounded=False)
+        return _RatioProblem(pv.values, pv.ustat_estimate, pv.ustat_estimate, adjust=a)
     # the augmented set does not depend on the tested value, so the ratio
     # bottoms out at the augmented mean rather than at the point estimate
     aug = np.append(pv.values, -(a / pv.n) * pv.values.sum())
@@ -211,6 +267,9 @@ _METHODS = {
     "AJEL": _ajel_problem,
 }
 CI_METHODS = tuple(_METHODS)
+
+# The methods whose problems are built from the jackknife pseudo-values.
+_ON_PSEUDO_VALUES = frozenset({"JEL", "AJEL"})
 
 
 def check_methods(methods) -> tuple[str, ...]:
@@ -282,6 +341,10 @@ def ratio_test(sample, r: int, beta0: float, alpha: float, method: str,
                rule: str = "centered", a_n=None) -> TestResult:
     """Chi-square calibrated test of ``beta_r = beta0`` on ``method``'s ratio."""
     statistic = _neg2_ratio(sample, r, beta0, method, rule, a_n, alpha=alpha)
+    return _test_result(statistic, beta0, alpha, method)
+
+
+def _test_result(statistic: float, beta0: float, alpha: float, method: str) -> TestResult:
     p_value = 1.0 - chi2_1_cdf(statistic) if math.isfinite(statistic) else 0.0
     threshold = chi2_1_quantile(1.0 - alpha)
     return TestResult(
@@ -295,24 +358,99 @@ def ratio_test(sample, r: int, beta0: float, alpha: float, method: str,
     )
 
 
+def confidence_intervals(samples, r: int, level: float, methods,
+                         rule: str = "centered", a_n=None) -> list[tuple]:
+    """:func:`confidence_interval` for every sample and method, in lockstep.
+
+    ``samples`` must share one size.  Each method's searches for all
+    samples advance together, one batched EL solve per search step, with
+    the endpoints and step counts of the one-sample call.  Returns one
+    tuple per sample, in the order of ``methods``, holding the interval or
+    the :class:`PwmError` the one-sample call raises for that sample.
+    """
+    methods = check_options(methods, rule, a_n, level=level)
+    columns = [_lockstep_intervals(problems, level, method)
+               for method, problems in _method_problems(samples, r, methods, rule, a_n)]
+    return list(zip(*columns))
+
+
+def ratio_tests(samples, r: int, beta0: float, alpha: float, methods,
+                rule: str = "centered", a_n=None) -> list[tuple]:
+    """:func:`ratio_test` for every sample and method, one batched EL solve
+    per method; returned as :func:`confidence_intervals` returns intervals."""
+    methods = check_options(methods, rule, a_n, alpha=alpha, beta0=beta0)
+    columns = [_lockstep_tests(problems, beta0, alpha, method)
+               for method, problems in _method_problems(samples, r, methods, rule, a_n)]
+    return list(zip(*columns))
+
+
+def _method_problems(samples, r: int, methods, rule: str, a_n):
+    """Yield each method with its ratio problem for every sample, or the
+    PwmError building it raises.  The pseudo-value methods share one build
+    of each sample's pseudo-values."""
+    sorted_samples = [s if isinstance(s, SortedSample) else SortedSample.from_data(s)
+                      for s in samples]
+    if len({s.n for s in sorted_samples}) > 1:
+        raise PwmInputError("batched inference needs samples of one size")
+    pseudo = None
+    for method in methods:
+        inputs = sorted_samples
+        if method in _ON_PSEUDO_VALUES:
+            if pseudo is None:
+                pseudo = [_shared_pseudo_values(s, r) for s in sorted_samples]
+            inputs = pseudo
+        problems = []
+        for sample in inputs:
+            try:
+                problems.append(_METHODS[method](sample, r, rule, a_n))
+            except PwmError as exc:
+                problems.append(exc)
+        yield method, problems
+
+
+def _shared_pseudo_values(sample: SortedSample, r: int):
+    """The pseudo-values of ``sample``, or the sample itself when they
+    cannot be built, so that each method's own build raises the error."""
+    try:
+        return jackknife_pseudo_values(sample, r)
+    except PwmError:
+        return sample
+
+
+def _lockstep_tests(problems: list, beta0: float, alpha: float, method: str) -> list:
+    """:func:`ratio_test` on every problem (or pass-through PwmError) of one
+    method: the one-evaluation case of :func:`_lockstep_intervals`."""
+    out = [p if isinstance(p, PwmError) else None for p in problems]
+    live = [i for i, p in enumerate(problems) if out[i] is None]
+    if live:
+        k = len(live)
+        stats, _, _, errors = _StackedRatio([problems[i] for i in live])(
+            np.arange(k), np.full(k, float(beta0)), np.zeros(k))
+        for j, i in enumerate(live):
+            out[i] = errors.get(j) or _test_result(stats[j], beta0, alpha, method)
+    return out
+
+
 def _between(x: float, a: float, b: float) -> bool:
     return min(a, b) < x < max(a, b)
 
 
-def _newton_endpoint(ratio_fn, seed: float, start: float, bound, threshold: float,
-                     beta_tol: float, lam: float) -> tuple[float, int]:
+def _newton_endpoint(seed: float, start: float, bound, threshold: float,
+                     beta_tol: float, lam: float):
     """Locate the ratio = threshold crossing on the side of ``start``.
 
-    Safeguarded Newton on ``sqrt(ratio) - sqrt(threshold)``, which is
-    nearly linear in beta.  The bracket runs from ``inside`` (ratio below
-    the threshold, the seed at first) to ``outside`` (at or above it).  A
-    finite ``bound`` (the hull bound on this side) enters as the outside end
-    unevaluated and is probed only when a Newton step reaches it; ``None``
-    means the ratio stays finite on this side, so the search doubles its
-    distance from the seed until it crosses.  Steps that leave the bracket
-    become midpoints.  Stops at a point whose ratio residual is at most
-    ``_RESIDUAL_TOL`` and whose next Newton step is at most ``beta_tol``.
-    Returns the endpoint and the number of ratio evaluations.
+    A generator: it yields each ``(beta, lam0)`` to evaluate and receives
+    the ratio, its slope and the solved multiplier there; it returns the
+    endpoint and the number of ratio evaluations.  Safeguarded Newton on
+    ``sqrt(ratio) - sqrt(threshold)``, which is nearly linear in beta.  The
+    bracket runs from ``inside`` (ratio below the threshold, the seed at
+    first) to ``outside`` (at or above it).  A finite ``bound`` (the hull
+    bound on this side) enters as the outside end unevaluated and is probed
+    only when a Newton step reaches it; ``None`` means the ratio stays
+    finite on this side, so the search doubles its distance from the seed
+    until it crosses.  Steps that leave the bracket become midpoints.
+    Stops at a point whose ratio residual is at most ``_RESIDUAL_TOL`` and
+    whose next Newton step is at most ``beta_tol``.
     """
     root_threshold = math.sqrt(threshold)
     inside, outside = seed, bound
@@ -323,7 +461,7 @@ def _newton_endpoint(ratio_fn, seed: float, start: float, bound, threshold: floa
         x = 0.5 * (inside + outside)
     evals = 0
     while evals < _MAX_STEPS:
-        ratio, slope, lam = ratio_fn(x, lam)
+        ratio, slope, lam = yield x, lam
         evals += 1
         resid = ratio - threshold
         if abs(resid) < best_resid:
@@ -351,7 +489,7 @@ def _newton_endpoint(ratio_fn, seed: float, start: float, bound, threshold: floa
             x = newton
         elif not bound_probed and outside == bound and (newton - bound) * (bound - seed) >= 0.0:
             # the Newton step reaches the hull bound: check it really is outside
-            at_bound, _, lam = ratio_fn(bound, lam)
+            at_bound, _, lam = yield bound, lam
             evals += 1
             bound_probed = True
             if at_bound < threshold:
@@ -371,40 +509,118 @@ def _newton_endpoint(ratio_fn, seed: float, start: float, bound, threshold: floa
     )
 
 
-def _interval_from_ratio(problem: _RatioProblem, level: float,
-                         method: str) -> ConfidenceInterval:
-    """Invert ``ratio(beta) = chi-square quantile`` on each side of the seed.
+def _seed_error(at_seed: float, threshold: float) -> ConvergenceError | None:
+    if at_seed < threshold:
+        return None
+    return ConvergenceError(
+        f"ratio at the point estimate ({at_seed:.4g}) already exceeds "
+        f"the chi-square threshold ({threshold:.4g}); no interval exists"
+    )
+
+
+def _endpoint_searches(problem: _RatioProblem, threshold: float, lam: float):
+    """The lower and upper endpoint searches, warm-started from ``lam``.
 
     The spread of the problem's points sets the first Newton step,
     ``sqrt(threshold) * std(points) / sqrt(m)`` from the seed, and the
     tolerance scale ``beta_scale``; when the problem is bounded their
-    shrunk hull bounds the search.  Each endpoint is a safeguarded Newton
-    search that stops at ratio residual <= 1e-6 with a Newton step
-    <= 1e-8 * beta_scale.
+    shrunk hull bounds the search.
     """
-    threshold = chi2_1_quantile(level)
-    ratio_fn, points, seed = problem.ratio, problem.points, problem.seed
-    at_seed, _, lam = ratio_fn(seed, 0.0)
-    if not at_seed < threshold:
-        raise ConvergenceError(
-            f"ratio at the point estimate ({at_seed:.4g}) already exceeds "
-            f"the chi-square threshold ({threshold:.4g}); no interval exists"
-        )
+    points, seed = problem.points, problem.seed
     beta_tol = _BETA_TOL * _beta_scale(points, problem.estimate)
     step = math.sqrt(threshold) * float(np.std(points)) / math.sqrt(points.size)
     lo_bound, hi_bound = _hull_bounds(points) if problem.bounded else (None, None)
-    lower, it_lo = _newton_endpoint(ratio_fn, seed, seed - step, lo_bound,
-                                    threshold, beta_tol, lam)
-    upper, it_hi = _newton_endpoint(ratio_fn, seed, seed + step, hi_bound,
-                                    threshold, beta_tol, lam)
+    return (_newton_endpoint(seed, seed - step, lo_bound, threshold, beta_tol, lam),
+            _newton_endpoint(seed, seed + step, hi_bound, threshold, beta_tol, lam))
+
+
+def _interval(problem: _RatioProblem, level: float, method: str, lower, upper):
+    """The interval from the ``(endpoint, evaluations)`` of both searches."""
     return ConfidenceInterval(
-        lower=lower,
-        upper=upper,
+        lower=lower[0],
+        upper=upper[0],
         level=level,
         method=method,
         point_estimate=problem.estimate,
-        endpoint_iterations=it_lo + it_hi,
+        endpoint_iterations=lower[1] + upper[1],
     )
+
+
+def _drive(search, ratio):
+    """Run one endpoint search on a scalar ratio function."""
+    try:
+        beta, lam = next(search)
+        while True:
+            beta, lam = search.send(ratio(beta, lam))
+    except StopIteration as done:
+        return done.value
+
+
+def _interval_from_ratio(problem: _RatioProblem, level: float,
+                         method: str) -> ConfidenceInterval:
+    """Invert ``ratio(beta) = chi-square quantile`` on each side of the seed,
+    one endpoint after the other."""
+    threshold = chi2_1_quantile(level)
+    at_seed, _, lam = problem.ratio(problem.seed, 0.0)
+    error = _seed_error(at_seed, threshold)
+    if error is not None:
+        raise error
+    lower, upper = (_drive(search, problem.ratio)
+                    for search in _endpoint_searches(problem, threshold, lam))
+    return _interval(problem, level, method, lower, upper)
+
+
+def _lockstep_intervals(problems: list, level: float, method: str) -> list:
+    """:func:`_interval_from_ratio` on every problem (or pass-through
+    PwmError) of one method, all searches advancing together.
+
+    Each round gathers the pending ``(beta, lam0)`` of every search and
+    evaluates them in one batched solve.  A failure ends its own problem
+    only, with the error the one-problem call raises: a lower-endpoint
+    failure wins and stops the upper search, which that call never starts.
+    """
+    threshold = chi2_1_quantile(level)
+    out = [p if isinstance(p, PwmError) else None for p in problems]
+    live = [i for i, p in enumerate(problems) if out[i] is None]
+    if not live:
+        return out
+    ratio = _StackedRatio([problems[i] for i in live])
+    at_seed, _, lam, errors = ratio(np.arange(len(live)), [problems[i].seed for i in live],
+                                    np.zeros(len(live)))
+    searches = {}  # (row, side) -> endpoint search; side 0 is the lower end
+    for j, i in enumerate(live):
+        out[i] = errors.get(j) or _seed_error(at_seed[j], threshold)
+        if out[i] is None:
+            lower, upper = _endpoint_searches(problems[i], threshold, lam[j])
+            searches[j, 0], searches[j, 1] = lower, upper
+    pending = {key: next(search) for key, search in searches.items()}
+    ends = {}  # (row, side) -> (endpoint, evaluations) or PwmError
+    while pending:
+        keys = list(pending)
+        values, slopes, lams, errors = ratio([j for j, _ in keys],
+                                             [pending[key][0] for key in keys],
+                                             [pending[key][1] for key in keys])
+        pending = {}
+        for t, key in enumerate(keys):
+            j, side = key
+            if side == 1 and isinstance(ends.get((j, 0)), PwmError):
+                continue
+            if t in errors:
+                ends[key] = errors[t]
+                continue
+            try:
+                pending[key] = searches[key].send((values[t], slopes[t], lams[t]))
+            except StopIteration as done:
+                ends[key] = done.value
+            except PwmError as exc:
+                ends[key] = exc
+    for j, i in enumerate(live):
+        if out[i] is None:
+            lower, upper = ends[j, 0], ends.get((j, 1))
+            failed = [end for end in (lower, upper) if isinstance(end, PwmError)]
+            out[i] = failed[0] if failed else _interval(problems[i], level, method,
+                                                         lower, upper)
+    return out
 
 
 def _hull_bounds(values: np.ndarray) -> tuple[float, float]:

@@ -46,8 +46,8 @@ from .inference import (
     CI_METHODS,
     adjustment_constant,
     check_options,
-    confidence_interval,
-    ratio_test,
+    confidence_intervals,
+    ratio_tests,
 )
 
 __all__ = [
@@ -69,6 +69,10 @@ CSV_HEADER = "dist,r,n,method,metric,value,stderr"
 
 # A cell aborts once failures exceed this fraction of its replications.
 _MAX_FAILURE_RATE = 0.01
+
+# Replications whose inference runs in lockstep, one batched EL solve per
+# search step; it bounds a block's working memory to O(_BLOCK * n).
+_BLOCK = 64
 
 _FAMILY_ALIASES = {
     "exp": "exponential",
@@ -201,28 +205,34 @@ def _estimates_record(cell: _Cell, x: np.ndarray) -> tuple:
     return (dn_estimate(s, cell.r), vexler_estimate(s, cell.r), jack, adj)
 
 
-def _ci_record(cell: _Cell, x: np.ndarray) -> tuple:
-    s = SortedSample.from_data(x)
-    out = []
-    for method in cell.config.methods:
-        try:
-            ci = confidence_interval(s, cell.r, cell.config.level, method)
-            out.extend((1.0 if ci.contains(cell.beta) else 0.0, ci.length, 0.0))
-        except PwmError:
-            out.extend((0.0, math.nan, 1.0))
-    return tuple(out)
+def _estimates_records(cell: _Cell, samples: list[np.ndarray]) -> list[tuple]:
+    return [_estimates_record(cell, x) for x in samples]
 
 
-def _test_record(cell: _Cell, x: np.ndarray) -> tuple:
-    s = SortedSample.from_data(x)
-    out = []
-    for method in cell.config.methods:
-        try:
-            res = ratio_test(s, cell.r, cell.beta, cell.config.alpha, method)
-            out.extend((1.0 if res.reject else 0.0, 0.0))
-        except PwmError:
-            out.extend((0.0, 1.0))
-    return tuple(out)
+def _ci_records(cell: _Cell, samples: list[np.ndarray]) -> list[tuple]:
+    config = cell.config
+    rows = confidence_intervals(samples, cell.r, config.level, config.methods)
+    return [tuple(v for ci in row for v in _ci_fields(ci, cell.beta)) for row in rows]
+
+
+def _ci_fields(ci, beta: float) -> tuple:
+    """Covered, length, failed; a failed interval neither covers nor has a length."""
+    if isinstance(ci, PwmError):
+        return (0.0, math.nan, 1.0)
+    return (1.0 if ci.contains(beta) else 0.0, ci.length, 0.0)
+
+
+def _test_records(cell: _Cell, samples: list[np.ndarray]) -> list[tuple]:
+    config = cell.config
+    rows = ratio_tests(samples, cell.r, cell.beta, config.alpha, config.methods)
+    return [tuple(v for res in row for v in _test_fields(res)) for row in rows]
+
+
+def _test_fields(res) -> tuple:
+    """Rejected, failed."""
+    if isinstance(res, PwmError):
+        return (0.0, 1.0)
+    return (1.0 if res.reject else 0.0, 0.0)
 
 
 def _proportion_stderr(p: float, reps: int) -> float:
@@ -302,37 +312,44 @@ def _rejection_rows(cell: _Cell, records: np.ndarray) -> list[ReportRow]:
 
 @dataclass(frozen=True)
 class _Kind:
-    """An experiment kind: the record each replication yields, the report
-    rows a cell's records fold into, and the distribution whose
-    ``true_beta(., r)`` the cell needs (None when it needs none)."""
+    """An experiment kind: the records a block of replications' samples
+    yield, one per replication, the report rows a cell's records fold into,
+    and the distribution whose ``true_beta(., r)`` the cell needs (None when
+    it needs none)."""
 
-    record: Callable[[_Cell, np.ndarray], tuple]
+    records: Callable[[_Cell, list[np.ndarray]], list[tuple]]
     rows: Callable[[_Cell, np.ndarray], list[ReportRow]]
     beta_dist: Callable[[ExperimentConfig], DistSpec | None]
 
 
 # Size and power both test the moment of null_dist, or of the sampling
 # distribution itself when there is none (power configs must name one).
-_TESTS = _Kind(_test_record, _rejection_rows, lambda config: config.null_dist or config.dist)
+_TESTS = _Kind(_test_records, _rejection_rows, lambda config: config.null_dist or config.dist)
 
 # The kind table, in the order of KINDS.
 _KINDS = {
-    "variance": _Kind(_estimates_record, _variance_rows, lambda config: None),
-    "coverage_length": _Kind(_ci_record, _coverage_rows, lambda config: config.dist),
+    "variance": _Kind(_estimates_records, _variance_rows, lambda config: None),
+    "coverage_length": _Kind(_ci_records, _coverage_rows, lambda config: config.dist),
     "size": _TESTS,
     "power": _TESTS,
-    "estimator_boxdata": _Kind(_estimates_record, _boxdata_rows, lambda config: config.dist),
+    "estimator_boxdata": _Kind(_estimates_records, _boxdata_rows, lambda config: config.dist),
 }
 KINDS = tuple(_KINDS)
 
 
 def _run_chunk(cell: _Cell) -> list[tuple]:
+    """The records of replications ``[rep_lo, rep_hi)``, in order, computed
+    in blocks of at most ``_BLOCK`` replications."""
     config = cell.config
-    record = _KINDS[config.kind].record
+    records = _KINDS[config.kind].records
     cell_id = _cell_id(cell.r, cell.n)
-    return [record(cell, sample(config.dist, cell.n,
-                                make_rng(seed_for_rep(config.base_seed, cell_id, i))))
-            for i in range(cell.rep_lo, cell.rep_hi)]
+    out = []
+    for lo in range(cell.rep_lo, cell.rep_hi, _BLOCK):
+        samples = [sample(config.dist, cell.n,
+                          make_rng(seed_for_rep(config.base_seed, cell_id, i)))
+                   for i in range(lo, min(lo + _BLOCK, cell.rep_hi))]
+        out.extend(records(cell, samples))
+    return out
 
 
 @contextmanager
@@ -503,7 +520,8 @@ def write_report_markdown(report: ExperimentReport, path) -> None:
         f"- seed: {cfg.base_seed}",
         f"- level: {cfg.level:g}, alpha: {cfg.alpha:g}",
     ]
-    if cfg.null_dist is not None:
+    if cfg.null_dist is not None and _KINDS[cfg.kind] is _TESTS:
+        # the other kinds ignore null_dist
         lines.insert(3, f"- null distribution: {cfg.null_dist.label}")
 
     metrics = []

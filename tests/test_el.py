@@ -232,3 +232,64 @@ def test_ratio_and_slope_solves_through_the_module_attribute(monkeypatch):
             neg2_log_ratio_and_slope(bad, 2.0)
     with pytest.raises(PwmInputError):
         neg2_log_ratio_and_slope(z, math.nan)
+
+
+def _row_reference(z, mu, lam0, max_iter):
+    """solve_lambda on one row: its status code and solution (the best
+    iterate where it raises ConvergenceError, None where it raises else)."""
+    try:
+        return el.ROW_OK, solve_lambda(z, mu, lam0=lam0, max_iter=max_iter)
+    except HullError:
+        return el.ROW_OUTSIDE_HULL, None
+    except PwmInputError:
+        return el.ROW_INVALID, None
+    except ConvergenceError as err:
+        return el.ROW_NOT_CONVERGED, err.best
+
+
+def test_solve_rows_is_bit_identical_to_solve_lambda_per_row():
+    rng = np.random.default_rng(77)
+    draws = (
+        lambda shape: rng.exponential(1.0, shape),
+        lambda shape: rng.lognormal(0.0, 1.5, shape),
+        lambda shape: rng.normal(3.0, 2.0, shape),
+    )
+    seen = dict.fromkeys(range(4), 0)
+    staggered = 0
+    for k in range(50):
+        n = int(rng.choice([5, 17, 130, 300, 1025, 3000]))
+        scale = 10.0 ** float(rng.integers(-12, 13))
+        z = draws[k % 3]((12, n)) * scale
+        # quantiles near the hull edges converge late, central ones early
+        mu = np.array([np.quantile(row, q) for row, q in
+                       zip(z, rng.choice([0.002, 0.1, 0.4, 0.6, 0.97], 12))])
+        mu[0] = 2.0 * z[0].max() + scale  # outside the hull
+        mu[1] = z[1].min()  # on the hull boundary
+        if k % 10 == 0:
+            z[2, n // 2] = np.inf
+        cold = np.array([solve_lambda(row, m).lam for row, m in zip(z[3:], mu[3:])])
+        # rows 3-5 warm, 6-8 cold, 9-10 from the mirrored root, 11 infeasible
+        lam0 = np.zeros(12)
+        lam0[3:6] = cold[:3] * rng.uniform(0.5, 1.5, 3)
+        lam0[9:11] = -cold[6:8]
+        lam0[11] = 1e6 / scale
+        for max_iter in (100, 2):  # a budget of 2 stops some rows short
+            got = el.solve_rows(z, mu, lam0, max_iter=max_iter)
+            staggered += len(set(got.iterations[got.status == el.ROW_OK].tolist())) > 1
+            for i in range(12):
+                status, ref = _row_reference(z[i], mu[i], lam0[i], max_iter)
+                assert got.status[i] == status
+                seen[status] += 1
+                if ref is None:
+                    assert type(got.error(i)) is {el.ROW_OUTSIDE_HULL: HullError,
+                                                  el.ROW_INVALID: PwmInputError}[status]
+                    continue
+                assert (got.lam[i], got.log_ratio[i], got.iterations[i]) == \
+                    (ref.lam, ref.log_ratio, ref.iterations)
+                assert got.last_weight[i] == ref.weights[-1]
+                if status == el.ROW_OK:
+                    assert got.error(i) is None
+                else:
+                    assert type(got.error(i)) is ConvergenceError
+    assert min(seen.values()) > 0 and seen[el.ROW_OK] > 500
+    assert staggered >= 40  # rows of one stack converged at different steps

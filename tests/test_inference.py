@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from pwmjel import (
+    CI_METHODS,
     ConfidenceInterval,
     ConvergenceError,
     DegenerateSampleError,
     DistSpec,
+    PwmError,
     PwmInputError,
     adjustment_constant,
     ajel_confidence_interval,
@@ -15,16 +17,18 @@ from pwmjel import (
     ajel_test,
     chi2_1_cdf,
     chi2_1_quantile,
+    confidence_interval,
     jackknife_pseudo_values,
     jel_confidence_interval,
     jel_neg2_ratio,
     jel_test,
     make_rng,
     plugin_el_ci,
+    ratio_test,
     sample,
     ustat_estimate,
 )
-from pwmjel.inference import _centered_ratio_and_slope
+from pwmjel.inference import _centered_ratio_and_slope, confidence_intervals, ratio_tests
 
 X4 = [1.0, 2.0, 3.0, 4.0]
 Q95 = 3.841458820694124
@@ -83,7 +87,8 @@ def test_centered_slope_is_the_envelope_derivative():
     lo, hi = pv.values.min(), pv.values.max()
     # inside and beyond the pseudo-value hull, with the default and a set a_n
     for b, a_n in ((0.6, None), (0.9, None), (lo - 0.5, None), (hi + 2.0, 3.0)):
-        ratio, slope, _ = _centered_ratio_and_slope(pv, b, a_n)
+        a = adjustment_constant(pv.n) if a_n is None else a_n
+        ratio, slope, _ = _centered_ratio_and_slope(pv.values, b, a)
         h = 1e-6
         fd = (ajel_neg2_ratio(pv, 1, b + h, a_n=a_n)
               - ajel_neg2_ratio(pv, 1, b - h, a_n=a_n)) / (2.0 * h)
@@ -223,3 +228,31 @@ def test_alpha_validation():
         jel_test(X4, 1, 2.0, alpha=0.0)
     with pytest.raises(PwmInputError):
         ajel_test(X4, 1, 2.0, alpha=1.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # subnormal data overflow numpy
+@pytest.mark.parametrize("n", [4, 25])
+@pytest.mark.parametrize("rule, a_n", [("centered", None), ("literal", None), ("centered", 3.0)])
+def test_batched_calls_equal_one_sample_calls(n, rule, a_n):
+    samples = [sample(DistSpec("lognormal", 1.0), n, make_rng(60 + k)) for k in range(8)]
+    samples[2] = np.full(n, 3.0)  # constant pseudo-values
+    # subnormal data: both endpoint searches fail, and the lower one's error
+    # is the one a single call raises
+    samples[5] = samples[5] * 1e-310
+    intervals = confidence_intervals(samples, 1, 0.9, CI_METHODS, rule, a_n)
+    tests = ratio_tests(samples, 1, 1.0, 0.1, CI_METHODS, rule, a_n)
+    failures = set()
+    for x, ci_row, test_row in zip(samples, intervals, tests):
+        for method, ci, res in zip(CI_METHODS, ci_row, test_row):
+            for got, call in ((ci, lambda: confidence_interval(x, 1, 0.9, method, rule, a_n)),
+                              (res, lambda: ratio_test(x, 1, 1.0, 0.1, method, rule, a_n))):
+                try:
+                    want = call()
+                except PwmError as exc:
+                    assert (type(got), str(got)) == (type(exc), str(exc))
+                    failures.add(type(exc))
+                else:
+                    assert got == want
+    assert failures == {DegenerateSampleError, ConvergenceError}
+    with pytest.raises(PwmInputError):
+        confidence_intervals([X4, X4 + [5.0]], 1, 0.9, CI_METHODS)

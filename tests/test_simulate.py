@@ -1,5 +1,7 @@
 import csv
 import io
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,16 +12,21 @@ from pwmjel import (
     DistSpec,
     ExperimentConfig,
     NumericError,
+    PwmError,
     PwmInputError,
+    confidence_interval,
+    make_rng,
     parse_config_file,
+    ratio_test,
     run_experiment,
+    sample,
     seed_for_rep,
     simulate,
     true_beta,
     write_report_csv,
     write_report_markdown,
 )
-from pwmjel.simulate import CSV_HEADER, _cell_id
+from pwmjel.simulate import CSV_HEADER, _Cell, _cell_id, _run_chunk
 
 EXP1 = DistSpec("exponential", 1.0)
 
@@ -195,6 +202,58 @@ def test_cell_abort_on_mass_failures():
     assert "constant(2)" in msg and "n=25" in msg
 
 
+def _one_at_a_time(cell, samples):
+    """Coverage and test records from one confidence_interval / ratio_test
+    call per replication and method, a failure as the failure tuple."""
+    cis, tests = [], []
+    for x in samples:
+        ci_row, test_row = [], []
+        for method in cell.config.methods:
+            try:
+                ci = confidence_interval(x, cell.r, cell.config.level, method)
+                ci_row += [1.0 if ci.contains(cell.beta) else 0.0, ci.length, 0.0]
+            except PwmError:
+                ci_row += [0.0, math.nan, 1.0]
+            try:
+                res = ratio_test(x, cell.r, cell.beta, cell.config.alpha, method)
+                test_row += [1.0 if res.reject else 0.0, 0.0]
+            except PwmError:
+                test_row += [0.0, 1.0]
+        cis.append(ci_row)
+        tests.append(test_row)
+    return np.array(cis), np.array(tests)
+
+
+def test_lockstep_records_equal_one_call_per_replication():
+    cfg = small_config(methods=CI_METHODS, n_values=(30,))
+    cell = _Cell(cfg, 1, 30, true_beta(EXP1, 1), 0, 0)
+    samples = [sample(EXP1, 30, make_rng(seed_for_rep(5, _cell_id(1, 30), i)))
+               for i in range(12)]
+    samples[4] = np.full(30, 2.0)  # constant pseudo-values: JEL and AJEL fail
+    ci_records = np.array(simulate._ci_records(cell, samples))
+    test_records = np.array(simulate._test_records(cell, samples))
+    want_ci, want_test = _one_at_a_time(cell, samples)
+    assert np.array_equal(ci_records, want_ci, equal_nan=True)
+    assert np.array_equal(test_records, want_test)
+    failed = [float(m in ("JEL", "AJEL")) for m in CI_METHODS]
+    assert ci_records[4, 2::3].tolist() == test_records[4, 1::2].tolist() == failed
+    assert not ci_records[np.arange(12) != 4, 2::3].any()
+
+
+@pytest.mark.parametrize("kind", ["coverage_length", "size"])
+def test_chunk_records_do_not_depend_on_chunking(kind):
+    cfg = small_config(kind=kind, methods=CI_METHODS, n_values=(20,))
+    cell = _Cell(cfg, 1, 20, true_beta(EXP1, 1), 0, 0)
+    whole = _run_chunk(replace(cell, rep_lo=0, rep_hi=37))
+    parts = [rec for lo, hi in ((0, 1), (1, 6), (6, 37))
+             for rec in _run_chunk(replace(cell, rep_lo=lo, rep_hi=hi))]
+    assert len(whole) == 37
+    assert np.array_equal(np.array(whole), np.array(parts), equal_nan=True)
+    # more replications than one lockstep block
+    longer = _run_chunk(replace(cell, rep_lo=0, rep_hi=simulate._BLOCK + 9))
+    assert np.array_equal(np.array(longer[:37]), np.array(whole), equal_nan=True)
+
+
 def test_csv_writer_roundtrip(tmp_path):
     rep = run_experiment(small_config(replications=10))
     out = tmp_path / "report.csv"
@@ -223,6 +282,15 @@ def test_markdown_writer(tmp_path):
     assert "## coverage" in text and "## length" in text
     assert "exponential(1)" in text
     assert "seed: 5" in text
+
+
+def test_markdown_names_the_null_only_where_it_is_used(tmp_path):
+    null = DistSpec("exponential", 0.6)
+    for kind, shown in (("coverage_length", False), ("variance", False), ("power", True)):
+        rep = run_experiment(small_config(kind=kind, replications=4, null_dist=null))
+        write_report_markdown(rep, tmp_path / "report.md")
+        text = (tmp_path / "report.md").read_text()
+        assert ("- null distribution: exponential(0.6)" in text) == shown
 
 
 def test_parse_config_file_full(tmp_path):
