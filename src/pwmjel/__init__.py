@@ -18,11 +18,9 @@ from .distributions import (
     chi2_1_quantile,
     make_rng,
     sample,
-    sigma_sq_oracle,
     true_beta,
-    true_beta_quadrature,
 )
-from .el import ELSolution, hull_contains, neg2_log_ratio, solve_lambda
+from .el import ELSolution, neg2_log_ratio, solve_lambda
 from .errors import (
     ConvergenceError,
     DegenerateSampleError,
@@ -40,9 +38,7 @@ from .estimators import (
     dn_estimate,
     dnel_summands,
     jackknife_pseudo_values,
-    ustat_brute_force,
     ustat_estimate,
-    variance_s,
     vexler_estimate,
     vxl_summands,
 )

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import erfinv, ndtr, ndtri
 
 from .errors import NumericError, PwmInputError
@@ -34,10 +33,8 @@ __all__ = [
     "make_rng",
     "sample",
     "true_beta",
-    "true_beta_quadrature",
     "chi2_1_cdf",
     "chi2_1_quantile",
-    "sigma_sq_oracle",
 ]
 
 EXPONENTIAL = "exponential"
@@ -111,6 +108,9 @@ def _check_r(r: int) -> int:
 
 
 def _quad(fn, lo, hi) -> float:
+    # imported here so that importing pwmjel does not load scipy.integrate
+    from scipy import integrate
+
     value, abserr = integrate.quad(fn, lo, hi, epsabs=1e-12, epsrel=1e-12, limit=300)
     if abserr > 1e-7 * max(1.0, abs(value)):
         raise NumericError(
@@ -145,27 +145,6 @@ def true_beta(dist: DistSpec, r: int) -> float:
     raise PwmInputError(f"no population moment defined for family {dist.family!r}")
 
 
-def true_beta_quadrature(dist: DistSpec, r: int) -> float:
-    """Direct quadrature of ``E[X * F(X)**r]`` for every continuous family.
-
-    For the exponential this duplicates the closed form in
-    :func:`true_beta` through an entirely different route, which makes it a
-    useful consistency oracle.
-    """
-    r = _check_r(r)
-    if dist.family == EXPONENTIAL:
-        theta = dist.param1
-
-        def f(x):
-            u = -math.expm1(-x / theta)  # CDF, stable near zero
-            return x * u**r * math.exp(-x / theta) / theta
-
-        return _quad(f, 0.0, np.inf)
-    if dist.family in (NORMAL, LOGNORMAL):
-        return true_beta(dist, r)
-    raise PwmInputError(f"no population moment defined for family {dist.family!r}")
-
-
 def chi2_1_cdf(x: float) -> float:
     """CDF of the chi-square distribution with one degree of freedom."""
     if not (np.isscalar(x) or isinstance(x, np.generic)):
@@ -185,70 +164,3 @@ def chi2_1_quantile(p: float) -> float:
     if not 0.0 < p < 1.0:
         raise PwmInputError(f"quantile level must be in (0, 1), got {p}")
     return 2.0 * float(erfinv(p)) ** 2
-
-
-def _conditional_max_mean(dist: DistSpec, r: int):
-    """Return g(x) = E[max of r+1 draws | one draw pinned at x], per family.
-
-    The function is expressed in the natural integration variable of each
-    family (x itself for exponential, standard-normal z otherwise).
-    """
-    if dist.family == EXPONENTIAL:
-        theta = dist.param1
-
-        def cdf(y):
-            return -math.expm1(-y / theta)
-
-        def pdf(y):
-            return math.exp(-y / theta) / theta
-
-        def g(x):
-            tail = _quad(lambda y: y * cdf(y) ** (r - 1) * pdf(y), x, np.inf)
-            return x * cdf(x) ** r + r * tail
-
-        return g
-
-    if dist.family == NORMAL:
-        s = dist.param1
-
-        def g(z):
-            tail = _quad(lambda t: s * t * _phi(t) * ndtr(t) ** (r - 1), z, _Z_LIM)
-            return s * z * ndtr(z) ** r + r * tail
-
-        return g
-
-    if dist.family == LOGNORMAL:
-        s = dist.param1
-
-        def g(z):
-            tail = _quad(
-                lambda t: math.exp(s * t) * _phi(t) * ndtr(t) ** (r - 1), z, _Z_LIM
-            )
-            return math.exp(s * z) * ndtr(z) ** r + r * tail
-
-        return g
-
-    raise PwmInputError(f"no variance functional for family {dist.family!r}")
-
-
-def sigma_sq_oracle(dist: DistSpec, r: int) -> float:
-    """Asymptotic variance of ``sqrt(n) * (beta_hat_r - beta_r)``.
-
-    Equals the variance of the conditional mean of the max kernel given one
-    coordinate, computed by nested quadrature.  Slow but independent of the
-    estimator code, which is the point: simulation output is checked
-    against this number, not against itself.
-    """
-    r = _check_r(r)
-    if r < 1:
-        raise PwmInputError("variance functional requires r >= 1")
-    g = _conditional_max_mean(dist, r)
-    if dist.family == EXPONENTIAL:
-        theta = dist.param1
-        pdf = lambda x: math.exp(-x / theta) / theta
-        m1 = _quad(lambda x: g(x) * pdf(x), 0.0, np.inf)
-        m2 = _quad(lambda x: g(x) ** 2 * pdf(x), 0.0, np.inf)
-    else:
-        m1 = _quad(lambda z: g(z) * _phi(z), -_Z_LIM, _Z_LIM)
-        m2 = _quad(lambda z: g(z) ** 2 * _phi(z), -_Z_LIM, _Z_LIM)
-    return m2 - m1 * m1

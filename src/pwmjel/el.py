@@ -35,7 +35,6 @@ __all__ = [
     "ROW_OUTSIDE_HULL",
     "ROW_NOT_CONVERGED",
     "ROW_INVALID",
-    "hull_contains",
     "solve_lambda",
     "solve_rows",
     "neg2_log_ratio",
@@ -68,12 +67,6 @@ def _validate_points(z, mu):
     if not np.isfinite(mu):
         raise PwmInputError("hypothesized mean must be finite")
     return z, float(mu)
-
-
-def hull_contains(z, mu) -> bool:
-    """True when mu lies strictly between min(z) and max(z)."""
-    z, mu = _validate_points(z, mu)
-    return bool(z.min() < mu < z.max())
 
 
 def solve_lambda(z, mu, tol: float = 1e-10, max_iter: int = 100,

@@ -13,10 +13,8 @@ The U-statistic form admits an exact order-statistic representation
 
     beta_r = sum_{i=r+1..n} C(i-1, r) * x_(i) / ((r+1) * C(n, r+1)),
 
-which is what ``ustat_estimate`` evaluates; ``ustat_brute_force`` enumerates
-subsets directly and exists to cross-check it on small inputs.  Jackknife
-pseudo-values of the U-statistic feed the empirical likelihood machinery in
-:mod:`pwmjel.inference`.
+which is what ``ustat_estimate`` evaluates.  Jackknife pseudo-values of the
+U-statistic feed the empirical likelihood machinery in :mod:`pwmjel.inference`.
 
 The two plug-in estimators are also plain means of n summands, which the
 DNEL and VXL baselines run empirical likelihood on:
@@ -36,8 +34,6 @@ procedures; the pseudo-value methods are the primary tools.
 from __future__ import annotations
 
 import functools
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,13 +50,8 @@ __all__ = [
     "dnel_summands",
     "vxl_summands",
     "ustat_estimate",
-    "ustat_brute_force",
     "jackknife_pseudo_values",
-    "variance_s",
 ]
-
-# Subset enumeration cap for the brute-force cross-check.
-_BRUTE_FORCE_LIMIT = 10**6
 
 # Cached weight vectors per helper; a Monte Carlo cell asks for the same few
 # (n, r) over all its replications, and each entry holds n floats.
@@ -279,31 +270,6 @@ def ustat_estimate(sample, r: int) -> float:
     return float(np.sum(w * s.values) / (r + 1))
 
 
-def ustat_brute_force(sample, r: int) -> float:
-    """Subset-enumeration version of :func:`ustat_estimate`.
-
-    Exponentially slow by design; guarded so it refuses workloads past
-    ``C(n, r+1) = 10**6`` subsets.  Kept as an independent cross-check.
-    """
-    r = _check_order(r)
-    s = _as_sample(sample)
-    n = s.n
-    if n < r + 1:
-        raise InsufficientSampleError(
-            f"need at least r+1 = {r + 1} observations, got {n}"
-        )
-    n_subsets = math.comb(n, r + 1)
-    if n_subsets > _BRUTE_FORCE_LIMIT:
-        raise PwmInputError(
-            f"brute force refused: C({n}, {r + 1}) = {n_subsets} subsets "
-            f"exceeds the {_BRUTE_FORCE_LIMIT} cap"
-        )
-    total = 0.0
-    for subset in itertools.combinations(s.values, r + 1):
-        total += max(subset)
-    return total / (n_subsets * (r + 1))
-
-
 def jackknife_pseudo_values(sample, r: int) -> PseudoValues:
     """Leave-one-out pseudo-values of the U-statistic estimator.
 
@@ -340,16 +306,3 @@ def jackknife_pseudo_values(sample, r: int) -> PseudoValues:
     v = n * beta_full - (n - 1) * beta_del
     v.flags.writeable = False
     return PseudoValues(values=v, ustat_estimate=beta_full, r=r, n=n)
-
-
-def variance_s(pseudo_values: PseudoValues, beta: float) -> float:
-    """Mean squared deviation of the pseudo-values about ``beta``.
-
-    ``S = (1/n) * sum_k (v_k - beta)**2``, the scale that standardizes the
-    log likelihood ratio.  Centered at the hypothesized value, not at the
-    pseudo-value mean.
-    """
-    if not np.isfinite(beta):
-        raise PwmInputError("beta must be finite")
-    d = pseudo_values.values - beta
-    return float(np.mean(d * d))

@@ -52,7 +52,6 @@ __all__ = [
     "ConfidenceInterval",
     "TestResult",
     "adjustment_constant",
-    "check_methods",
     "check_options",
     "confidence_interval",
     "confidence_intervals",
@@ -272,25 +271,14 @@ CI_METHODS = tuple(_METHODS)
 _ON_PSEUDO_VALUES = frozenset({"JEL", "AJEL"})
 
 
-def check_methods(methods) -> tuple[str, ...]:
-    """A non-empty tuple of names from :data:`CI_METHODS`, else PwmInputError."""
-    methods = tuple(methods)
-    bad = [m for m in methods if m not in _METHODS]
-    if bad:
-        raise PwmInputError(f"unknown methods {bad}; expected subset of {CI_METHODS}")
-    if not methods:
-        raise PwmInputError("at least one method is required")
-    return methods
-
-
 def check_options(methods, rule: str = "centered", a_n=None, *, level=None,
                   alpha=None, beta0=None) -> tuple[str, ...]:
     """Check the options of an interval or test, before any numeric work.
 
     ``level`` and ``alpha`` must lie in (0, 1) and ``beta0`` must be finite
-    (each is checked unless None); ``methods`` must pass
-    :func:`check_methods`, ``rule`` must be ``centered`` or ``literal``, and
-    ``a_n``, unless None, must be positive and finite.  Raises
+    (each is checked unless None); ``methods`` must be a non-empty sequence of
+    names from :data:`CI_METHODS`, ``rule`` must be ``centered`` or
+    ``literal``, and ``a_n``, unless None, must be positive and finite.  Raises
     :class:`PwmInputError`; returns the methods as a tuple.
     """
     if level is not None and not 0.0 < level < 1.0:
@@ -299,7 +287,12 @@ def check_options(methods, rule: str = "centered", a_n=None, *, level=None,
         raise PwmInputError(f"test size must be in (0, 1), got {alpha}")
     if beta0 is not None and not math.isfinite(float(beta0)):
         raise PwmInputError("hypothesized value must be finite")
-    methods = check_methods(methods)
+    methods = tuple(methods)
+    bad = [m for m in methods if m not in _METHODS]
+    if bad:
+        raise PwmInputError(f"unknown methods {bad}; expected subset of {CI_METHODS}")
+    if not methods:
+        raise PwmInputError("at least one method is required")
     if rule not in _RULES:
         raise PwmInputError(f"unknown adjustment rule {rule!r}; expected {_RULES}")
     if a_n is not None:

@@ -93,6 +93,11 @@ _FAMILY_ALIASES = {
 _MAX_N = 1_000_000
 
 
+def _is_int(value) -> bool:
+    """True for Python and NumPy integers; False for bools, which are ints too."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
@@ -109,19 +114,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise PwmInputError(f"unknown experiment kind {self.kind!r}; expected {KINDS}")
-        if not self.r_values or any(
-            (not isinstance(r, (int, np.integer))) or r < 1 for r in self.r_values
-        ):
+        if not self.r_values or any(not _is_int(r) or r < 1 for r in self.r_values):
             raise PwmInputError("r_values must be integers >= 1")
         if not self.n_values or any(
-            (not isinstance(n, (int, np.integer))) or n < max(self.r_values) + 2
-            for n in self.n_values
+            not _is_int(n) or n < max(self.r_values) + 2 for n in self.n_values
         ):
             raise PwmInputError("every n must be at least max(r) + 2")
         if max(self.n_values) >= _MAX_N:
             raise PwmInputError(f"every n must be below {_MAX_N:_}")
-        if self.replications < 1:
-            raise PwmInputError("replications must be positive")
+        if not _is_int(self.replications) or self.replications < 1:
+            raise PwmInputError("replications must be a positive integer")
         check_options(self.methods, level=self.level, alpha=self.alpha)
         if self.kind == "power" and self.null_dist is None:
             raise PwmInputError("power experiments need a null distribution")

@@ -1,7 +1,10 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.stats
 
 from pwmjel import (
@@ -12,9 +15,7 @@ from pwmjel import (
     chi2_1_quantile,
     make_rng,
     sample,
-    sigma_sq_oracle,
     true_beta,
-    true_beta_quadrature,
 )
 
 EXP1 = DistSpec("exponential", 1.0)
@@ -63,9 +64,24 @@ def test_true_beta_quadrature_agrees_with_closed_form():
     for theta in (0.8, 1.0, 2.5):
         d = DistSpec("exponential", theta)
         for r in (1, 2, 3):
-            assert true_beta_quadrature(d, r) == pytest.approx(
-                true_beta(d, r), rel=1e-8
-            )
+            def integrand(x):
+                u = -math.expm1(-x / theta)  # CDF, stable near zero
+                return x * u**r * math.exp(-x / theta) / theta
+
+            direct, _ = scipy.integrate.quad(integrand, 0.0, math.inf,
+                                             epsabs=1e-12, epsrel=1e-12, limit=300)
+            assert direct == pytest.approx(true_beta(d, r), rel=1e-8)
+
+
+def test_import_leaves_quadrature_unloaded():
+    # scipy.integrate loads on the first quadrature, not with the package
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, pwmjel; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_true_beta_constant_family():
@@ -152,28 +168,17 @@ def test_sample_size_validation():
         sample(EXP1, 0, make_rng(0))
 
 
-def test_sigma_sq_oracle_exponential():
-    # exact values: 7/12 at r=1, 37/90 at r=2
-    assert sigma_sq_oracle(EXP1, 1) == pytest.approx(7.0 / 12.0, rel=1e-7)
-    assert sigma_sq_oracle(EXP1, 2) == pytest.approx(37.0 / 90.0, rel=1e-7)
-
-
-def test_sigma_sq_oracle_requires_positive_order():
-    with pytest.raises(PwmInputError):
-        sigma_sq_oracle(EXP1, 0)
-
-
 def test_sigma_sq_matches_pseudo_value_spread():
     # n * Var(jackknife mean) -> sigma^2; check the Monte Carlo average of
-    # the plug-in spread S against the quadrature oracle at n = 400
-    from pwmjel import jackknife_pseudo_values, variance_s
+    # the plug-in spread S against the exact 7/12 at n = 400
+    from pwmjel import jackknife_pseudo_values
 
     rng = make_rng(31)
     vals = []
     for _ in range(200):
         x = sample(EXP1, 400, rng)
         pv = jackknife_pseudo_values(x, 1)
-        vals.append(variance_s(pv, pv.values.mean()))
+        vals.append(pv.values.var())
     got = float(np.mean(vals))
     want = 7.0 / 12.0
     # 200 reps of a ~chi^2-shaped statistic: generous 5% band

@@ -8,7 +8,6 @@ from pwmjel import (
     HullError,
     PwmInputError,
     el,
-    hull_contains,
     neg2_log_ratio,
     solve_lambda,
 )
@@ -42,7 +41,7 @@ def test_weights_are_a_distribution():
     for _ in range(25):
         z = rng.standard_normal(int(rng.integers(5, 40)))
         mu = float(np.quantile(z, rng.uniform(0.15, 0.85)))
-        if not hull_contains(z, mu):
+        if not z.min() < mu < z.max():
             continue
         sol = solve_lambda(z, mu)
         # sum(p) - 1 = -lam * score(lam), so the slack inherits the score
@@ -87,7 +86,6 @@ def test_outside_hull():
 def test_constant_points_fail_even_at_their_value():
     with pytest.raises(HullError):
         solve_lambda([2.0, 2.0, 2.0], 2.0)
-    assert not hull_contains([2.0, 2.0, 2.0], 2.0)
 
 
 def test_near_boundary_mu_still_solves():
@@ -194,7 +192,7 @@ def test_fused_newton_step_is_bit_identical_to_the_two_mean_reference():
         z = draws[k % 3](n) * 10.0 ** rng.integers(-3, 4)
         # quantiles close to the hull edges need the bisection fallback
         mu = float(np.quantile(z, rng.choice([0.002, 0.1, 0.4, 0.6, 0.97])))
-        if not hull_contains(z, mu):
+        if not z.min() < mu < z.max():
             continue
         cold = solve_lambda(z, mu)
         starts = (0.0, cold.lam * rng.uniform(0.5, 1.5), -cold.lam, 1e6)
