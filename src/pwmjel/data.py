@@ -9,8 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingColumnError, PwmError, PwmInputError
-from .estimators import SortedSample
-from .inference import check_options, confidence_interval, ratio_test
+from .inference import confidence_intervals, ratio_tests
 
 __all__ = [
     "ColumnDataset",
@@ -111,17 +110,13 @@ def analyze_column(data: ColumnDataset, r: int, level: float, methods,
     small for the jackknife) are reported inline on their row so the
     remaining methods still produce results.
     """
-    methods = check_options((str(m).upper() for m in methods), ajel_rule, a_n, level=level)
-    sample = SortedSample.from_data(data.values)
-    rows: list[AnalysisRow] = []
-    for method in methods:
-        try:
-            ci = confidence_interval(sample, r, level, method, ajel_rule, a_n)
-            rows.append(AnalysisRow(data.name, method, r, ci.point_estimate,
-                                    ci.lower, ci.upper, ci.length, None))
-        except PwmError as exc:
-            rows.append(AnalysisRow(data.name, method, r, None, None, None, None, str(exc)))
-    return rows
+    methods = tuple(str(m).upper() for m in methods)
+    (results,) = confidence_intervals([data.values], r, level, methods, ajel_rule, a_n)
+    return [AnalysisRow(data.name, method, r, None, None, None, None, str(ci))
+            if isinstance(ci, PwmError) else
+            AnalysisRow(data.name, method, r, ci.point_estimate, ci.lower, ci.upper,
+                        ci.length, None)
+            for method, ci in zip(methods, results)]
 
 
 def test_column(data: ColumnDataset, r: int, beta0: float, alpha: float, methods,
@@ -131,15 +126,10 @@ def test_column(data: ColumnDataset, r: int, beta0: float, alpha: float, methods
     Bad options raise :class:`PwmInputError` before any method runs;
     method-level failures are reported inline, as in :func:`analyze_column`.
     """
-    methods = check_options((str(m).upper() for m in methods), ajel_rule, a_n,
-                            alpha=alpha, beta0=beta0)
-    sample = SortedSample.from_data(data.values)
-    rows: list[TestRow] = []
-    for method in methods:
-        try:
-            res = ratio_test(sample, r, beta0, alpha, method, ajel_rule, a_n)
-            rows.append(TestRow(data.name, method, r, res.statistic, res.threshold,
-                                res.p_value, res.reject, None))
-        except PwmError as exc:
-            rows.append(TestRow(data.name, method, r, None, None, None, None, str(exc)))
-    return rows
+    methods = tuple(str(m).upper() for m in methods)
+    (results,) = ratio_tests([data.values], r, beta0, alpha, methods, ajel_rule, a_n)
+    return [TestRow(data.name, method, r, None, None, None, None, str(res))
+            if isinstance(res, PwmError) else
+            TestRow(data.name, method, r, res.statistic, res.threshold, res.p_value,
+                    res.reject, None)
+            for method, res in zip(methods, results)]

@@ -11,12 +11,15 @@ lies strictly inside the hull of the points (Owen 1988).  The log ratio
 ``l = -sum_k log(1 + lam * (z_k - mu))`` is never positive and ``-2 l`` is
 the usual chi-square calibrated statistic.
 
-Two kernels solve it.  :func:`solve_lambda` takes one point set;
-:func:`solve_rows` takes a stack of equal-size point sets, one per row, and
-runs the same iteration on every row at once, so many independent problems
-cost one pass of array operations per Newton step.  A row's result is bit
-for bit what :func:`solve_lambda` returns on that row: the row sums reduce
-each contiguous row in the pairwise order of the one-dimensional sum.
+:func:`solve_lambda` solves one point set.  :func:`solve_rows` solves a
+stack of equal-size point sets, one per row, and is what every interval
+and test runs on.  A stack of at least ``_VECTOR_ROWS`` rows runs the same
+iteration on every row at once, so many independent problems cost one pass
+of array operations per Newton step; a shorter one, such as the two
+endpoint searches of one interval, is solved row by row with
+:func:`solve_lambda`, whose setup is cheaper.  Either way a row's result is
+bit for bit what :func:`solve_lambda` returns on that row: the row sums
+reduce each contiguous row in the pairwise order of the one-dimensional sum.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ __all__ = [
     "solve_lambda",
     "solve_rows",
     "neg2_log_ratio",
-    "neg2_log_ratio_and_slope",
 ]
 
 # Relative shrink applied to the feasibility endpoints before bracketing.
@@ -147,6 +149,11 @@ def solve_lambda(z, mu, tol: float = 1e-10, max_iter: int = 100,
     return solution
 
 
+# solve_rows hands stacks of fewer rows than this to solve_lambda one row at
+# a time: below it the vectorised loop's array setup costs more than the
+# Newton steps it shares (crossover measured at n = 50, 300 and 3000).
+_VECTOR_ROWS = 4
+
 # Row status codes of solve_rows: solved, mu not strictly inside the row's
 # hull (solve_lambda raises HullError), budget exhausted (ConvergenceError),
 # non-finite points or mu (PwmInputError).
@@ -183,22 +190,44 @@ class RowSolutions:
         return None
 
 
+def _solve_row(z, mu, lam0, tol, max_iter) -> tuple:
+    """One row of :func:`solve_rows` by :func:`solve_lambda`, as the row's
+    ``(lam, log_ratio, iterations, last_weight, status)``."""
+    try:
+        # looked up as a module global, so that tracers see each solve
+        sol = solve_lambda(z, mu, tol, max_iter, lam0)
+    except HullError:
+        return lam0, -math.inf, 0, math.nan, ROW_OUTSIDE_HULL
+    except PwmInputError:
+        return lam0, -math.inf, 0, math.nan, ROW_INVALID
+    except ConvergenceError as exc:
+        sol, status = exc.best, ROW_NOT_CONVERGED
+    else:
+        status = ROW_OK
+    return sol.lam, sol.log_ratio, sol.iterations, sol.weights[-1], status
+
+
 def solve_rows(z: np.ndarray, mu: np.ndarray, lam0: np.ndarray, tol: float = 1e-10,
                max_iter: int = 100) -> RowSolutions:
     """:func:`solve_lambda` on every row of a C-contiguous ``(k, m)`` array.
 
     Row i solves for mean ``mu[i]`` from ``lam0[i]``, with the same
-    safeguarded Newton step, feasibility bracket and score tolerance.  All
-    rows start together and a row leaves the active set at the step where
-    it converges, so one shared step counter gives each row's iteration
-    count.  Failures are flagged in ``status``, never raised, so one bad row
-    leaves the others untouched.
+    safeguarded Newton step, feasibility bracket and score tolerance.
+    Failures are flagged in ``status``, never raised, so one bad row leaves
+    the others untouched.  A stack of fewer than ``_VECTOR_ROWS`` rows is
+    solved one row at a time by :func:`solve_lambda`; a taller one runs the
+    vectorised loop, where all rows start together and a row leaves the
+    active set at the step where it converges, so one shared step counter
+    gives each row's iteration count.
     """
     if z.ndim != 2 or z.shape[1] < 2:
         raise PwmInputError("EL rows must be a (k, m) array with m >= 2")
     k, m = z.shape
     mu = np.asarray(mu, dtype=float)
     lam0 = np.asarray(lam0, dtype=float)
+    if 0 < k < _VECTOR_ROWS:
+        rows = [_solve_row(z[i], mu[i], lam0[i], tol, max_iter) for i in range(k)]
+        return RowSolutions(*(np.array(field) for field in zip(*rows)))
     status = np.full(k, ROW_OK)
     lam_out = lam0.copy()
     log_ratio = np.full(k, -math.inf)
@@ -273,22 +302,10 @@ def neg2_log_ratio(z, mu) -> float:
     """Minus twice the log empirical likelihood ratio for mean mu.
 
     Returns ``math.inf`` when mu falls outside the open hull of z, which is
-    the natural limit of the statistic and lets interval searches treat the
-    hull boundary as an infinitely rejected point.
-    """
-    return neg2_log_ratio_and_slope(z, mu)[0]
-
-
-def neg2_log_ratio_and_slope(z, mu, lam0: float = 0.0) -> tuple[float, float, float]:
-    """:func:`neg2_log_ratio` with its derivative in mu and the multiplier.
-
-    By the envelope theorem the derivative of ``-2 log R`` in mu is
-    ``-2 * m * lam`` at the solved multiplier (Owen 1988), so the slope
-    costs nothing beyond the solve.  ``lam0`` warm-starts the solve.
-    Outside the open hull of z the result is ``(inf, nan, lam0)``.
+    the natural limit of the statistic.
     """
     try:
-        sol = solve_lambda(z, mu, lam0=lam0)
+        sol = solve_lambda(z, mu)
     except HullError:
-        return math.inf, math.nan, lam0
-    return max(0.0, -2.0 * sol.log_ratio), -2.0 * sol.weights.size * sol.lam, sol.lam
+        return math.inf
+    return max(0.0, -2.0 * sol.log_ratio)

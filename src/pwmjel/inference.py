@@ -25,8 +25,11 @@ why they run wide).
 All four methods share one pipeline: a point set and a hypothesized mean
 give an EL ratio, which is either tested against chi-square(1) or inverted
 for an interval.  ``_METHODS`` maps each method name to the ratio problem
-it builds from a sample; :func:`confidence_interval` and
-:func:`ratio_test` check their options once and run that problem.
+it builds from a sample.  One engine evaluates and inverts the ratios of
+many problems of one method together, one batched EL solve per search
+step: :func:`confidence_intervals` and :func:`ratio_tests` run it on many
+samples, and :func:`confidence_interval` and :func:`ratio_test` are its
+one-sample case.
 """
 
 from __future__ import annotations
@@ -135,13 +138,6 @@ class _RatioProblem:
     def bounded(self) -> bool:
         return self.adjust is None
 
-    def ratio(self, beta: float, lam0: float) -> tuple[float, float, float]:
-        """Minus twice the log EL ratio at beta, its derivative in beta and
-        the solved multiplier; ``lam0`` warm-starts the solve."""
-        if self.adjust is None:
-            return _el.neg2_log_ratio_and_slope(self.points, beta, lam0)
-        return _centered_ratio_and_slope(self.points, beta, self.adjust, lam0)
-
 
 def _el_problem(points: np.ndarray, estimate: float, seed=None) -> _RatioProblem:
     """Plain EL on ``points``: infinite ratio outside their open hull."""
@@ -168,30 +164,16 @@ def _pseudo_values_for(sample, r) -> PseudoValues:
     return pv
 
 
-def _centered_ratio_and_slope(values: np.ndarray, beta: float, a: float,
-                              lam0: float = 0.0) -> tuple[float, float, float]:
-    """Centered-rule ratio at beta, its derivative in beta, and the multiplier.
-
-    The pseudo-values are centered at beta and ``-(a/n)`` times their sum is
-    appended; the ratio tests mean zero on that set.  The appended point
-    moves with beta at rate ``a``, the others at rate -1, so by the envelope
-    theorem the derivative of ``-2 log R`` is ``-2 m lam (1 - (1 + a)
-    p_last)``, with ``p_last`` the EL weight of the appended point.
-    """
-    g = values - beta
-    points = np.append(g, -(a / values.size) * g.sum())
-    sol = _el.solve_lambda(points, 0.0, lam0=lam0)
-    p_last = float(sol.weights[-1])
-    slope = -2.0 * points.size * sol.lam * (1.0 - (1.0 + a) * p_last)
-    return max(0.0, -2.0 * sol.log_ratio), slope, sol.lam
-
-
 class _StackedRatio:
     """The ratio problems of one method on samples of one size, stacked so
     that one :func:`el.solve_rows` call evaluates the ratio of any subset.
 
-    Each row's ratio, slope and multiplier are bit for bit what the
-    problem's scalar ``ratio`` gives.
+    The slope is the ratio's derivative in beta, which by the envelope
+    theorem comes free with the solved multiplier (Owen 1988): ``-2 m lam``
+    for plain EL on m points.  Under the centered adjustment the appended
+    point ``-(a/n) * sum(values - beta)`` moves with beta at rate ``a`` and
+    the others at rate -1, which makes it ``-2 m lam (1 - (1 + a) p_last)``,
+    with ``p_last`` the EL weight of the appended point.
     """
 
     def __init__(self, problems: list[_RatioProblem]):
@@ -202,17 +184,13 @@ class _StackedRatio:
     def __call__(self, rows, beta, lam0):
         """Ratio, slope and multiplier of problem ``rows[j]`` at ``beta[j]``
         from ``lam0[j]``, as lists, and ``{j: error}`` for the rows whose
-        scalar ratio raises."""
+        solve fails.  Outside the hull of a plain problem the ratio is
+        infinite, the slope nan and the multiplier ``lam0[j]``."""
         beta = np.asarray(beta, dtype=float)
         points = self.points[rows]
         if self.adjust is None:
             sol = _el.solve_rows(points, beta, lam0)
             slope = (-2.0 * points.shape[1]) * sol.lam
-            # outside the hull the scalar ratio is (inf, nan, lam0): solve_rows
-            # leaves such rows at log ratio -inf and their lam0
-            outside = sol.status == _el.ROW_OUTSIDE_HULL
-            slope[outside] = math.nan
-            raises = (sol.status != _el.ROW_OK) & ~outside
         else:
             a = self.adjust[rows]
             g = points - beta[:, None]
@@ -222,11 +200,16 @@ class _StackedRatio:
             z[:, n] = -(a / n) * np.add.reduce(g, axis=1)
             sol = _el.solve_rows(z, np.zeros(beta.size), lam0)
             slope = (-2.0 * (n + 1)) * sol.lam * (1.0 - (1.0 + a) * sol.last_weight)
-            raises = sol.status != _el.ROW_OK
-        ratio = -2.0 * sol.log_ratio
-        ratio = np.where(ratio > 0.0, ratio, 0.0)
-        return (ratio.tolist(), slope.tolist(), sol.lam.tolist(),
-                {int(j): sol.error(j) for j in np.flatnonzero(raises)})
+        slope = slope.tolist()
+        errors = {}
+        for j, status in enumerate(sol.status.tolist()):
+            if status == _el.ROW_OUTSIDE_HULL and self.adjust is None:
+                # solve_rows leaves the row at log ratio -inf and its lam0
+                slope[j] = math.nan
+            elif status != _el.ROW_OK:
+                errors[j] = sol.error(j)
+        ratio = [max(0.0, -2.0 * v) for v in sol.log_ratio.tolist()]
+        return ratio, slope, sol.lam.tolist(), errors
 
 
 def _jel_problem(sample, r, rule, a_n) -> _RatioProblem:
@@ -311,7 +294,14 @@ def _problem(sample, r, method: str, rule: str, a_n, **options) -> _RatioProblem
 def _neg2_ratio(sample, r, beta0, method: str, rule: str = "centered", a_n=None,
                 **options) -> float:
     problem = _problem(sample, r, method, rule, a_n, beta0=beta0, **options)
-    return problem.ratio(float(beta0), 0.0)[0]
+    return _raised(_statistics([problem], beta0)[0])
+
+
+def _raised(result):
+    """``result`` of a one-problem lockstep call, raised if it is an error."""
+    if isinstance(result, PwmError):
+        raise result
+    return result
 
 
 def confidence_interval(sample, r: int, level: float, method: str,
@@ -327,7 +317,7 @@ def confidence_interval(sample, r: int, level: float, method: str,
     around it.
     """
     problem = _problem(sample, r, method, rule, a_n, level=level)
-    return _interval_from_ratio(problem, level, method)
+    return _raised(_lockstep_intervals([problem], level, method)[0])
 
 
 def ratio_test(sample, r: int, beta0: float, alpha: float, method: str,
@@ -356,10 +346,10 @@ def confidence_intervals(samples, r: int, level: float, methods,
     """:func:`confidence_interval` for every sample and method, in lockstep.
 
     ``samples`` must share one size.  Each method's searches for all
-    samples advance together, one batched EL solve per search step, with
-    the endpoints and step counts of the one-sample call.  Returns one
-    tuple per sample, in the order of ``methods``, holding the interval or
-    the :class:`PwmError` the one-sample call raises for that sample.
+    samples advance together, one batched EL solve per search step.
+    Returns one tuple per sample, in the order of ``methods``, holding the
+    interval or the :class:`PwmError` that :func:`confidence_interval`
+    raises for that sample alone.
     """
     methods = check_options(methods, rule, a_n, level=level)
     columns = [_lockstep_intervals(problems, level, method)
@@ -372,7 +362,8 @@ def ratio_tests(samples, r: int, beta0: float, alpha: float, methods,
     """:func:`ratio_test` for every sample and method, one batched EL solve
     per method; returned as :func:`confidence_intervals` returns intervals."""
     methods = check_options(methods, rule, a_n, alpha=alpha, beta0=beta0)
-    columns = [_lockstep_tests(problems, beta0, alpha, method)
+    columns = [[s if isinstance(s, PwmError) else _test_result(s, beta0, alpha, method)
+                for s in _statistics(problems, beta0)]
                for method, problems in _method_problems(samples, r, methods, rule, a_n)]
     return list(zip(*columns))
 
@@ -410,17 +401,17 @@ def _shared_pseudo_values(sample: SortedSample, r: int):
         return sample
 
 
-def _lockstep_tests(problems: list, beta0: float, alpha: float, method: str) -> list:
-    """:func:`ratio_test` on every problem (or pass-through PwmError) of one
-    method: the one-evaluation case of :func:`_lockstep_intervals`."""
+def _statistics(problems: list, beta0: float) -> list:
+    """The ratio statistic of every problem (or pass-through PwmError) at
+    ``beta0``, or the error its solve fails with, from one batched solve."""
     out = [p if isinstance(p, PwmError) else None for p in problems]
     live = [i for i, p in enumerate(problems) if out[i] is None]
     if live:
         k = len(live)
         stats, _, _, errors = _StackedRatio([problems[i] for i in live])(
-            np.arange(k), np.full(k, float(beta0)), np.zeros(k))
+            list(range(k)), [float(beta0)] * k, [0.0] * k)
         for j, i in enumerate(live):
-            out[i] = errors.get(j) or _test_result(stats[j], beta0, alpha, method)
+            out[i] = errors.get(j, stats[j])
     return out
 
 
@@ -539,38 +530,16 @@ def _interval(problem: _RatioProblem, level: float, method: str, lower, upper):
     )
 
 
-def _drive(search, ratio):
-    """Run one endpoint search on a scalar ratio function."""
-    try:
-        beta, lam = next(search)
-        while True:
-            beta, lam = search.send(ratio(beta, lam))
-    except StopIteration as done:
-        return done.value
-
-
-def _interval_from_ratio(problem: _RatioProblem, level: float,
-                         method: str) -> ConfidenceInterval:
-    """Invert ``ratio(beta) = chi-square quantile`` on each side of the seed,
-    one endpoint after the other."""
-    threshold = chi2_1_quantile(level)
-    at_seed, _, lam = problem.ratio(problem.seed, 0.0)
-    error = _seed_error(at_seed, threshold)
-    if error is not None:
-        raise error
-    lower, upper = (_drive(search, problem.ratio)
-                    for search in _endpoint_searches(problem, threshold, lam))
-    return _interval(problem, level, method, lower, upper)
-
-
 def _lockstep_intervals(problems: list, level: float, method: str) -> list:
-    """:func:`_interval_from_ratio` on every problem (or pass-through
-    PwmError) of one method, all searches advancing together.
+    """The interval of every problem (or pass-through PwmError) of one
+    method, or the error that ends it.
 
-    Each round gathers the pending ``(beta, lam0)`` of every search and
-    evaluates them in one batched solve.  A failure ends its own problem
-    only, with the error the one-problem call raises: a lower-endpoint
-    failure wins and stops the upper search, which that call never starts.
+    Each problem's ratio is inverted on both sides of its seed, and all
+    searches advance together: each round gathers the pending ``(beta,
+    lam0)`` of every search and evaluates them in one batched solve.  A
+    failure ends its own problem only.  A lower-endpoint failure wins and
+    stops the upper search, so a problem's result does not depend on the
+    others in the batch.
     """
     threshold = chi2_1_quantile(level)
     out = [p if isinstance(p, PwmError) else None for p in problems]
@@ -578,8 +547,8 @@ def _lockstep_intervals(problems: list, level: float, method: str) -> list:
     if not live:
         return out
     ratio = _StackedRatio([problems[i] for i in live])
-    at_seed, _, lam, errors = ratio(np.arange(len(live)), [problems[i].seed for i in live],
-                                    np.zeros(len(live)))
+    at_seed, _, lam, errors = ratio(list(range(len(live))), [problems[i].seed for i in live],
+                                    [0.0] * len(live))
     searches = {}  # (row, side) -> endpoint search; side 0 is the lower end
     for j, i in enumerate(live):
         out[i] = errors.get(j) or _seed_error(at_seed[j], threshold)

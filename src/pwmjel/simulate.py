@@ -98,6 +98,15 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _ints_at_least(values, least: int) -> bool:
+    """True for a non-empty sequence of integers >= ``least``."""
+    try:
+        values = tuple(values)
+    except TypeError:  # a scalar
+        return False
+    return bool(values) and all(_is_int(v) and v >= least for v in values)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
@@ -114,11 +123,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise PwmInputError(f"unknown experiment kind {self.kind!r}; expected {KINDS}")
-        if not self.r_values or any(not _is_int(r) or r < 1 for r in self.r_values):
+        if not _ints_at_least(self.r_values, 1):
             raise PwmInputError("r_values must be integers >= 1")
-        if not self.n_values or any(
-            not _is_int(n) or n < max(self.r_values) + 2 for n in self.n_values
-        ):
+        if not _ints_at_least(self.n_values, max(self.r_values) + 2):
             raise PwmInputError("every n must be at least max(r) + 2")
         if max(self.n_values) >= _MAX_N:
             raise PwmInputError(f"every n must be below {_MAX_N:_}")

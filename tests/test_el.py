@@ -11,7 +11,7 @@ from pwmjel import (
     neg2_log_ratio,
     solve_lambda,
 )
-from pwmjel.el import neg2_log_ratio_and_slope
+from pwmjel.inference import _el_problem, _StackedRatio
 
 # frozen from an independent bisection-only solve of the score equation
 GOLD_Z = [1.0, 2.0, 3.0]
@@ -135,16 +135,17 @@ def test_warm_start_reaches_the_same_root_in_fewer_steps():
 
 
 def test_slope_is_the_envelope_derivative():
+    # d(-2 log R)/d mu is -2 m lam at the solved multiplier (Owen 1988)
     z = np.random.default_rng(9).lognormal(0.0, 1.0, 80)
-    for q in (0.1, 0.3, 0.45, 0.6, 0.9):
-        mu = float(np.quantile(z, q))
-        ratio, slope, lam = neg2_log_ratio_and_slope(z, mu)
-        h = 1e-6 * z.std()
-        fd = (neg2_log_ratio(z, mu + h) - neg2_log_ratio(z, mu - h)) / (2.0 * h)
-        assert ratio == neg2_log_ratio(z, mu)
-        assert slope == pytest.approx(-2.0 * z.size * lam, rel=1e-15)
-        assert slope == pytest.approx(fd, rel=1e-5, abs=1e-6)
-    assert neg2_log_ratio_and_slope(z, z.max() + 1.0, lam0=0.25)[0] == math.inf
+    mu = np.quantile(z, [0.1, 0.3, 0.45, 0.6, 0.9])
+    h = 1e-6 * z.std()
+    for rows in ([0], [1, 2], [0, 1, 2, 3, 4]):  # one row at a time, then vectorised
+        sol = el.solve_rows(np.stack([z] * len(rows)), mu[rows], np.zeros(len(rows)))
+        for j, i in enumerate(rows):
+            fd = (neg2_log_ratio(z, mu[i] + h) - neg2_log_ratio(z, mu[i] - h)) / (2.0 * h)
+            assert -2.0 * sol.log_ratio[j] == neg2_log_ratio(z, mu[i])
+            assert -2.0 * z.size * sol.lam[j] == pytest.approx(fd, rel=1e-5, abs=1e-6)
+    assert neg2_log_ratio(z, z.max() + 1.0) == math.inf
 
 
 def _two_mean_newton(z, mu, tol=1e-10, max_iter=100, lam0=0.0):
@@ -210,26 +211,42 @@ def test_ratio_and_slope_solves_through_the_module_attribute(monkeypatch):
     original = el.solve_lambda
 
     def counting(*args, **kwargs):
-        calls.append(args[1])
+        calls.append(float(args[1]))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(el, "solve_lambda", counting)
     z = np.random.default_rng(4).exponential(1.0, 60)
-    for q in (0.2, 0.5, 0.8):
-        mu = float(np.quantile(z, q))
-        ratio, slope, lam = neg2_log_ratio_and_slope(z, mu, lam0=0.1)
-        sol = original(z, mu, lam0=0.1)
-        assert (ratio, slope, lam) == (-2.0 * sol.log_ratio, -2.0 * z.size * sol.lam, sol.lam)
-    assert calls == [float(np.quantile(z, q)) for q in (0.2, 0.5, 0.8)]
+    mu = [float(np.quantile(z, q)) for q in (0.2, 0.5, 0.8)]
+    ratio = _StackedRatio([_el_problem(z, float(z.mean()))] * el._VECTOR_ROWS)
+    # below the vectorised row count each row is one solve_lambda call
+    for k in range(1, el._VECTOR_ROWS):
+        calls.clear()
+        got = ratio(np.arange(k), mu[:k], np.full(k, 0.1))
+        assert calls == mu[:k]
+        for j in range(k):
+            sol = original(z, mu[j], lam0=0.1)
+            assert (got[0][j], got[1][j], got[2][j]) == \
+                (-2.0 * sol.log_ratio, -2.0 * z.size * sol.lam, sol.lam)
+        assert got[3] == {}
+    calls.clear()
+    ratio(np.arange(el._VECTOR_ROWS), np.full(el._VECTOR_ROWS, mu[1]), np.zeros(el._VECTOR_ROWS))
+    assert calls == []
+    assert neg2_log_ratio(z, mu[0]) == -2.0 * original(z, mu[0]).log_ratio
+    assert calls == [mu[0]]
     # outside the open hull: infinite ratio, no slope, the start multiplier back
-    for mu in (z.max() + 1.0, z.min(), z.max()):
-        ratio, slope, lam = neg2_log_ratio_and_slope(z, mu, lam0=0.25)
-        assert ratio == math.inf and math.isnan(slope) and lam == 0.25
+    for k in (1, el._VECTOR_ROWS):
+        outside = [z.max() + 1.0, z.min(), z.max()] * k
+        values, slopes, lams, errors = ratio(np.zeros(k, dtype=int), outside[:k],
+                                             np.full(k, 0.25))
+        assert values == [math.inf] * k and all(map(math.isnan, slopes))
+        assert lams == [0.25] * k and errors == {}
+    for mu_out in (z.max() + 1.0, z.min(), z.max()):
+        assert neg2_log_ratio(z, mu_out) == math.inf
     for bad in ([1.0, np.nan, 3.0], [1.0, np.inf, 3.0]):
         with pytest.raises(PwmInputError):
-            neg2_log_ratio_and_slope(bad, 2.0)
+            neg2_log_ratio(bad, 2.0)
     with pytest.raises(PwmInputError):
-        neg2_log_ratio_and_slope(z, math.nan)
+        neg2_log_ratio(z, math.nan)
 
 
 def _row_reference(z, mu, lam0, max_iter):
@@ -252,7 +269,7 @@ def test_solve_rows_is_bit_identical_to_solve_lambda_per_row():
         lambda shape: rng.lognormal(0.0, 1.5, shape),
         lambda shape: rng.normal(3.0, 2.0, shape),
     )
-    seen = dict.fromkeys(range(4), 0)
+    seen = {vectorised: dict.fromkeys(range(4), 0) for vectorised in (False, True)}
     staggered = 0
     for k in range(50):
         n = int(rng.choice([5, 17, 130, 300, 1025, 3000]))
@@ -266,28 +283,42 @@ def test_solve_rows_is_bit_identical_to_solve_lambda_per_row():
         if k % 10 == 0:
             z[2, n // 2] = np.inf
         cold = np.array([solve_lambda(row, m).lam for row, m in zip(z[3:], mu[3:])])
-        # rows 3-5 warm, 6-8 cold, 9-10 from the mirrored root, 11 infeasible
+        # rows 3-5 warm, 6-8 cold, 9-10 from the mirrored root, 11 infeasible;
+        # the unsolved rows 0-2 must keep their start
         lam0 = np.zeros(12)
+        lam0[:3] = 0.5 / scale
         lam0[3:6] = cold[:3] * rng.uniform(0.5, 1.5, 3)
         lam0[9:11] = -cold[6:8]
         lam0[11] = 1e6 / scale
         for max_iter in (100, 2):  # a budget of 2 stops some rows short
-            got = el.solve_rows(z, mu, lam0, max_iter=max_iter)
-            staggered += len(set(got.iterations[got.status == el.ROW_OK].tolist())) > 1
-            for i in range(12):
-                status, ref = _row_reference(z[i], mu[i], lam0[i], max_iter)
-                assert got.status[i] == status
-                seen[status] += 1
-                if ref is None:
-                    assert type(got.error(i)) is {el.ROW_OUTSIDE_HULL: HullError,
-                                                  el.ROW_INVALID: PwmInputError}[status]
-                    continue
-                assert (got.lam[i], got.log_ratio[i], got.iterations[i]) == \
-                    (ref.lam, ref.log_ratio, ref.iterations)
-                assert got.last_weight[i] == ref.weights[-1]
-                if status == el.ROW_OK:
-                    assert got.error(i) is None
-                else:
-                    assert type(got.error(i)) is ConvergenceError
-    assert min(seen.values()) > 0 and seen[el.ROW_OK] > 500
+            refs = [_row_reference(z[i], mu[i], lam0[i], max_iter) for i in range(12)]
+            # consecutive groups of rows: single rows, stacks just below and
+            # at the vectorised row count, and taller ones
+            for size in sorted({1, el._VECTOR_ROWS - 1, el._VECTOR_ROWS,
+                                el._VECTOR_ROWS + 1, 12}):
+                for first in range(0, 12, size):
+                    rows = slice(first, first + size)
+                    got = el.solve_rows(z[rows], mu[rows], lam0[rows], max_iter=max_iter)
+                    vectorised = got.status.size >= el._VECTOR_ROWS
+                    if got.status.size == 12:
+                        staggered += len(set(got.iterations[got.status == el.ROW_OK].tolist())) > 1
+                    for j, (status, ref) in enumerate(refs[rows]):
+                        assert got.status[j] == status
+                        seen[vectorised][status] += 1
+                        if ref is None:
+                            assert (got.lam[j], got.log_ratio[j], got.iterations[j]) == \
+                                (lam0[rows][j], -math.inf, 0)
+                            assert math.isnan(got.last_weight[j])
+                            assert type(got.error(j)) is {el.ROW_OUTSIDE_HULL: HullError,
+                                                          el.ROW_INVALID: PwmInputError}[status]
+                            continue
+                        assert (got.lam[j], got.log_ratio[j], got.iterations[j]) == \
+                            (ref.lam, ref.log_ratio, ref.iterations)
+                        assert got.last_weight[j] == ref.weights[-1]
+                        if status == el.ROW_OK:
+                            assert got.error(j) is None
+                        else:
+                            assert type(got.error(j)) is ConvergenceError
+    for counts in seen.values():  # every status on both sides of the row count
+        assert min(counts.values()) > 0 and counts[el.ROW_OK] > 500
     assert staggered >= 40  # rows of one stack converged at different steps

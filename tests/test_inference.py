@@ -28,7 +28,7 @@ from pwmjel import (
     sample,
     ustat_estimate,
 )
-from pwmjel.inference import _centered_ratio_and_slope, confidence_intervals, ratio_tests
+from pwmjel.inference import _problem, _StackedRatio, confidence_intervals, ratio_tests
 
 X4 = [1.0, 2.0, 3.0, 4.0]
 Q95 = 3.841458820694124
@@ -86,13 +86,20 @@ def test_centered_slope_is_the_envelope_derivative():
     pv = jackknife_pseudo_values(x, 1)
     lo, hi = pv.values.min(), pv.values.max()
     # inside and beyond the pseudo-value hull, with the default and a set a_n
-    for b, a_n in ((0.6, None), (0.9, None), (lo - 0.5, None), (hi + 2.0, 3.0)):
-        a = adjustment_constant(pv.n) if a_n is None else a_n
-        ratio, slope, _ = _centered_ratio_and_slope(pv.values, b, a)
-        h = 1e-6
+    cases = ((0.6, None), (0.9, None), (lo - 0.5, None), (hi + 2.0, 3.0))
+    ratio = _StackedRatio([_problem(pv, 1, "AJEL", "centered", a_n) for _, a_n in cases])
+    beta = [b for b, _ in cases]
+    stacked = ratio(np.arange(len(cases)), beta, np.zeros(len(cases)))
+    assert stacked[3] == {}
+    h = 1e-6
+    for j, (b, a_n) in enumerate(cases):
+        # a row alone is solved by solve_lambda, the stack by the vectorised loop
+        (value,), (slope,), (lam,), errors = ratio([j], [b], [0.0])
+        assert (value, slope, lam) == (stacked[0][j], stacked[1][j], stacked[2][j])
+        assert errors == {}
         fd = (ajel_neg2_ratio(pv, 1, b + h, a_n=a_n)
               - ajel_neg2_ratio(pv, 1, b - h, a_n=a_n)) / (2.0 * h)
-        assert ratio == pytest.approx(ajel_neg2_ratio(pv, 1, b, a_n=a_n), rel=1e-12)
+        assert value == ajel_neg2_ratio(pv, 1, b, a_n=a_n)
         assert slope == pytest.approx(fd, rel=1e-5)
 
 

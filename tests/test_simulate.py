@@ -69,9 +69,10 @@ def test_config_validation():
         small_config(r_values=(3,), n_values=(4,))  # needs n >= r + 2
     with pytest.raises(PwmInputError):
         small_config(replications=0)
-    # counts must be integers, and a bool is not a count
+    # counts must be integers, and a bool is not a count; r and n take sequences
     for bad in (dict(replications=2.5), dict(replications=True), dict(r_values=(True,)),
-                dict(r_values=(1.0,)), dict(n_values=(30.0,)), dict(n_values=(True,))):
+                dict(r_values=(1.0,)), dict(n_values=(30.0,)), dict(n_values=(True,)),
+                dict(r_values=1), dict(n_values=30)):
         with pytest.raises(PwmInputError):
             small_config(**bad)
     with pytest.raises(PwmInputError):
