@@ -37,7 +37,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import InsufficientSampleError, PwmInputError
 
@@ -218,28 +217,24 @@ def vxl_summands(sample, r: int) -> SummandVector:
     return _summands(sample, r, "VXL", _vxl_weights)
 
 
-def _log_binom(top, k: int) -> np.ndarray:
-    """log C(top, k) elementwise; -inf where top < k."""
-    top = np.asarray(top, dtype=float)
-    out = np.full(top.shape, -np.inf)
-    ok = top >= k
-    t = top[ok]
-    out[ok] = gammaln(t + 1.0) - gammaln(t - k + 1.0) - gammaln(k + 1.0)
-    return out
-
-
 @_cached_weights
 def _ustat_weights(n: int, r: int, lag: int = 1) -> np.ndarray:
     """Normalized order-statistic weights ``C(i-lag, r) / C(n, r+1)``, i=1..n.
 
     ``lag = 1`` gives the U-statistic weights; ``lag = 2`` gives them for a
-    rank one lower, as after deleting an observation below.  Evaluated in
-    log space; raw factorials would overflow long before the supported
-    sample sizes are reached.
+    rank one lower, as after deleting an observation below.  With ``m =
+    i - lag`` the closed form is ``(r+1)/(n-r) * prod_{j<r} (m-j)/(n-j)``,
+    zero where ``m < r``.  Taking the factors in pairs keeps each pair's
+    integer products exact, so each weight is within 1e-15 of the exact
+    rational.
     """
-    i = np.arange(1, n + 1, dtype=float)
-    log_d = float(gammaln(n + 1.0) - gammaln(n - r) - gammaln(r + 2.0))
-    return np.exp(_log_binom(i - lag, r) - log_d)
+    m = np.arange(r, n + 1 - lag, dtype=float)  # the ranks with nonzero weight
+    w = np.full(m.shape, (r + 1.0) / (n - r))
+    for j in range(0, r - 1, 2):
+        w *= (m - j) * (m - j - 1) / ((n - j) * (n - j - 1.0))
+    if r % 2:
+        w *= (m - r + 1) / (n - r + 1.0)
+    return np.concatenate((np.zeros(n - m.size), w))
 
 
 def ustat_estimate(sample, r: int) -> float:

@@ -448,21 +448,14 @@ def parse_config_file(path) -> ExperimentConfig:
             raise PwmInputError(f"config key {key!r}: unknown family {name!r}")
         return fam
 
-    def as_float(key, default=None):
+    def as_number(key, kind, default):
         if key not in entries:
             return default
         try:
-            return float(entries[key])
+            return kind(entries[key])
         except ValueError:
-            raise PwmInputError(f"config key {key!r} needs a real number, got {entries[key]!r}")
-
-    def as_int(key, default=None):
-        if key not in entries:
-            return default
-        try:
-            return int(entries[key])
-        except ValueError:
-            raise PwmInputError(f"config key {key!r} needs an integer, got {entries[key]!r}")
+            noun = "an integer" if kind is int else "a real number"
+            raise PwmInputError(f"config key {key!r} needs {noun}, got {entries[key]!r}")
 
     dist = DistSpec(family_of(need("family"), "family"), float(need("param")))
     null_dist = None
@@ -481,11 +474,11 @@ def parse_config_file(path) -> ExperimentConfig:
         r_values=_parse_int_list(entries["r"], "r") if "r" in entries else (1,),
         n_values=_parse_int_list(entries["n_list"], "n_list")
         if "n_list" in entries else (25, 50, 100, 200, 300),
-        replications=as_int("reps", 2000),
-        level=as_float("level", 0.95),
-        alpha=as_float("alpha", 0.05),
+        replications=as_number("reps", int, 2000),
+        level=as_number("level", float, 0.95),
+        alpha=as_number("alpha", float, 0.05),
         methods=methods,
-        base_seed=as_int("seed", 0),
+        base_seed=as_number("seed", int, 0),
         null_dist=null_dist,
     )
 
@@ -533,18 +526,10 @@ def write_report_markdown(report: ExperimentReport, path) -> None:
         # the other kinds ignore null_dist
         lines.insert(3, f"- null distribution: {cfg.null_dist.label}")
 
-    metrics = []
-    for row in report.rows:
-        if row.metric not in metrics:
-            metrics.append(row.metric)
-
-    for metric in metrics:
+    for metric in dict.fromkeys(row.metric for row in report.rows):
         rows = [r for r in report.rows if r.metric == metric]
         lines.extend(["", f"## {metric}", ""])
-        methods = []
-        for r in rows:
-            if r.method not in methods:
-                methods.append(r.method)
+        methods = list(dict.fromkeys(r.method for r in rows))
         multi = len(rows) > len({(r.dist, r.r, r.n, r.method) for r in rows})
         if multi:
             # per-replication metric: summarize instead of dumping every row
@@ -568,13 +553,8 @@ def write_report_markdown(report: ExperimentReport, path) -> None:
         else:
             header = ["dist", "r", "n"] + list(methods)
             body = []
-            keys = []
-            for r in rows:
-                k = (r.dist, r.r, r.n)
-                if k not in keys:
-                    keys.append(k)
             cell = {(r.dist, r.r, r.n, r.method): r for r in rows}
-            for (d, rr, nn) in keys:
+            for (d, rr, nn) in dict.fromkeys((r.dist, r.r, r.n) for r in rows):
                 line = [d, str(rr), str(nn)]
                 for method in methods:
                     row = cell.get((d, rr, nn, method))

@@ -136,6 +136,15 @@ def test_missing_column_exits_2(capsys, data_csv):
     assert code == 2 and "snow" in err
 
 
+@pytest.mark.parametrize("body", [b"x\n1.0\n\xff\n", b"x\n" + b"9" * 131_073 + b"\n"],
+                         ids=["not-utf8", "oversized-field"])
+def test_unparseable_csv_exits_2(capsys, tmp_path, body):
+    p = tmp_path / "bad.csv"
+    p.write_bytes(body)
+    code, _, err = run_main(capsys, "ci", "--input", str(p), "--column", "x", "--r", "1")
+    assert code == 2 and "bad.csv" in err
+
+
 def test_bad_flag_exits_2(data_csv):
     with pytest.raises(SystemExit) as exc:
         main(["estimate", "--input", data_csv, "--column", "flow",

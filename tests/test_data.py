@@ -72,6 +72,17 @@ def test_load_handles_bom(tmp_path):
     assert list(load_csv_column(p, "rain").values) == [1.0, 2.0]
 
 
+@pytest.mark.parametrize("body", [
+    b"rain\n1.0\n\xff\n2.0\n",  # not UTF-8
+    b"rain\n1.0\n" + b"9" * 131_073 + b"\n",  # over csv.field_size_limit()
+], ids=["not-utf8", "oversized-field"])
+def test_load_unparseable_file_is_an_input_error(tmp_path, body):
+    p = tmp_path / "bad.csv"
+    p.write_bytes(body)
+    with pytest.raises(PwmInputError, match="bad.csv"):
+        load_csv_column(p, "rain")
+
+
 def test_analyze_column_matches_library(tmp_path):
     p = tmp_path / "x.csv"
     vals = [0.4, 1.7, 0.9, 2.8, 0.2, 1.1, 3.4, 0.7, 1.9, 0.5, 2.2, 1.4]

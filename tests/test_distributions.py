@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 import scipy.stats
 
 from pwmjel import (
@@ -73,15 +74,66 @@ def test_true_beta_quadrature_agrees_with_closed_form():
             assert direct == pytest.approx(true_beta(d, r), rel=1e-8)
 
 
-def test_import_leaves_quadrature_unloaded():
-    # scipy.integrate loads on the first quadrature, not with the package
+# Runs in a fresh interpreter: imports pwmjel, then one `pwm ci` and one
+# `pwm test` call on an exponential CSV column, then a one-rep exponential
+# coverage_length run, and prints which scipy modules are loaded after each.
+_SCIPY_PROBE = """
+import contextlib, io, sys
+def loaded():
+    return sorted(m for m in ('scipy.special', 'scipy.integrate') if m in sys.modules)
+import pwmjel
+from pwmjel import DistSpec, ExperimentConfig, cli, make_rng, sample, simulate
+print('import', loaded())
+path = sys.argv[1]
+with open(path, 'w') as fh:
+    fh.write('x\\n' + '\\n'.join(map(repr, sample(DistSpec('exponential', 1.0), 60, make_rng(5)).tolist())))
+for argv in (['ci', '--input', path, '--column', 'x', '--r', '1'],
+             ['test', '--input', path, '--column', 'x', '--r', '1', '--null', '0.75']):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    print(argv[0], loaded())
+config = ExperimentConfig('coverage_length', DistSpec('exponential', 1.0), (1,), (40,), 1)
+simulate.run_experiment(config)
+print('coverage_length', loaded())
+"""
+
+
+def test_import_leaves_quadrature_unloaded(tmp_path):
+    # scipy loads only for normal and lognormal draws and their quadrature;
+    # exponential and CSV work never imports it
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, pwmjel; print('scipy.integrate' in sys.modules)"],
+        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path / "x.csv")],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines() == [
+        "import []", "ci []", "test []", "coverage_length []",
+    ]
+
+
+# Records, in a fresh interpreter, whether scipy.special is loaded when a
+# simulation opens its worker pool (the workers fork after this point).
+_FORK_PROBE = """
+import sys
+from pwmjel import DistSpec, ExperimentConfig, simulate
+class Pool(simulate.ProcessPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        print('scipy.special' in sys.modules)
+        super().__init__(*args, **kwargs)
+simulate.ProcessPoolExecutor = Pool
+config = ExperimentConfig('variance', DistSpec(sys.argv[1], 1.0), (1,), (20,), 8)
+simulate.run_experiment(config, threads=2)
+"""
+
+
+@pytest.mark.parametrize("family", ["normal", "lognormal"])
+def test_normal_draws_load_scipy_before_the_pool_forks(family):
+    # otherwise every worker imports scipy.special again on its first draw
+    proc = subprocess.run(
+        [sys.executable, "-c", _FORK_PROBE, family], capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
 
 
 def test_true_beta_constant_family():
@@ -100,6 +152,17 @@ def test_chi2_quantile_frozen_goldens():
     assert chi2_1_quantile(0.90) == pytest.approx(2.705543454095404, rel=1e-12)
     assert chi2_1_quantile(0.95) == pytest.approx(3.841458820694124, rel=1e-12)
     assert chi2_1_quantile(0.99) == pytest.approx(6.6348966010212145, rel=1e-12)
+
+
+def test_chi2_quantile_matches_erfinv_closed_form():
+    # the stdlib route equals 2 * erfinv(p)**2 bit for bit at p = 0.90 and
+    # 0.95, and to rtol 1e-14 from 1e-12 to 1 - 1e-9
+    for p in (0.90, 0.95):
+        assert chi2_1_quantile(p) == 2.0 * float(scipy.special.erfinv(p)) ** 2
+    ps = np.concatenate((np.geomspace(1e-12, 1e-2, 200), np.linspace(0.01, 0.99, 400),
+                         1.0 - np.geomspace(1e-2, 1e-9, 200)))
+    ours = np.array([chi2_1_quantile(p) for p in ps])
+    np.testing.assert_allclose(ours, 2.0 * scipy.special.erfinv(ps) ** 2, rtol=1e-14, atol=0)
 
 
 def test_chi2_against_scipy_grid():

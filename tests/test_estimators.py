@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -132,7 +133,7 @@ def test_pseudo_values_order_limits():
 
 
 def test_big_n_weights_stay_finite():
-    # log-space binomials: n = 4000, r = 4 would overflow naive comb products
+    # n = 4000, r = 4 would overflow naive comb products
     rng = np.random.default_rng(12)
     x = rng.exponential(1.0, 4000)
     est = ustat_estimate(x, 4)
@@ -159,3 +160,23 @@ def test_cached_weights_are_shared_read_only_and_fresh(helper, args):
     fn.cache_clear()
     fresh = fn(*args)
     assert fresh is not w and np.array_equal(fresh, w)
+
+
+@pytest.mark.parametrize("n", [5, 30, 3000, 999_999])
+def test_ustat_weights_match_exact_rationals(n):
+    # C(i-lag, r) / C(n, r+1) exactly, zero weights included; at n = 999 999
+    # every rank near either end and every 499th rank between
+    ranks = (range(1, n + 1) if n <= 3000 else
+             sorted({*range(1, 40), *range(1, n + 1, 499), *range(n - 40, n + 1)}))
+    for r in (1, 2, 3, 10):
+        if n < r + 1:  # no subset of size r+1: the weights are undefined
+            continue
+        denom = math.comb(n, r + 1)
+        for lag in (1, 2):
+            w = estimators._ustat_weights(n, r, lag)
+            for i in ranks:
+                exact = Fraction(math.comb(max(i - lag, 0), r), denom)
+                if exact == 0:
+                    assert w[i - 1] == 0.0, (n, r, lag, i)
+                else:
+                    assert abs(Fraction(w[i - 1]) / exact - 1) <= 1e-15, (n, r, lag, i)
