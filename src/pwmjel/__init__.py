@@ -7,7 +7,7 @@ variant that never loses the hypothesis outside the convex hull.  A seeded
 Monte Carlo harness and a CSV-driven CLI (``pwm``) sit on top.
 """
 
-from .data import AnalysisRow, ColumnDataset, TestRow, analyze_column, load_csv_column, test_column
+from .data import ColumnDataset, load_csv_column
 from .distributions import (
     CONSTANT,
     EXPONENTIAL,

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .data import analyze_column, load_csv_column, test_column
+from .data import load_csv_column
 from .errors import PwmError, PwmInputError
 from .estimators import (
     SortedSample,
@@ -23,6 +23,7 @@ from .estimators import (
     ustat_estimate,
     vexler_estimate,
 )
+from .inference import confidence_intervals, ratio_tests
 from .simulate import (
     parse_config_file,
     run_experiment,
@@ -91,40 +92,53 @@ def _cmd_estimate(args) -> int:
     return _EXIT_OK
 
 
+def _cells(result, *fields) -> list:
+    """The named fields of a per-method result and an empty error cell, or
+    empty fields and the message when the method failed."""
+    if isinstance(result, PwmError):
+        return [None] * len(fields) + [str(result)]
+    return [getattr(result, field) for field in fields] + [""]
+
+
+def _exit_code(results) -> int:
+    return _EXIT_NUMERIC if all(isinstance(res, PwmError) for res in results) else _EXIT_OK
+
+
 def _cmd_ci(args) -> int:
     data = _load(args)
-    rows = analyze_column(data, args.r, args.level, _methods_arg(args.methods),
-                          ajel_rule=args.ajel_rule, a_n=args.an)
+    methods = _methods_arg(args.methods)
+    (results,) = confidence_intervals([data.values], args.r, args.level, methods,
+                                      args.ajel_rule, args.an)
     if args.format == "csv":
         _emit_table(
             ["column", "method", "r", "estimate", "lower", "upper", "length", "error"],
-            [[r.column, r.method, r.r, r.estimate, r.lower, r.upper, r.length,
-              r.error or ""] for r in rows],
+            [[data.name, method, args.r,
+              *_cells(ci, "point_estimate", "lower", "upper", "length")]
+             for method, ci in zip(methods, results)],
             args.format,
         )
     else:
-        header = ["column"] + [r.method for r in rows]
-        line = [data.name]
-        for r in rows:
-            if r.error is not None:
-                line.append(f"error: {r.error}")
-            else:
-                line.append(f"({r.lower:.4f}, {r.upper:.4f}) length {r.length:.4f}")
-        _emit_table(header, [line], "md")
-    return _EXIT_OK if any(r.error is None for r in rows) else _EXIT_NUMERIC
+        line = [data.name] + [
+            f"error: {ci}" if isinstance(ci, PwmError)
+            else f"({ci.lower:.4f}, {ci.upper:.4f}) length {ci.length:.4f}"
+            for ci in results]
+        _emit_table(["column", *methods], [line], "md")
+    return _exit_code(results)
 
 
 def _cmd_test(args) -> int:
     data = _load(args)
-    rows = test_column(data, args.r, args.null, args.alpha, _methods_arg(args.methods),
-                       ajel_rule=args.ajel_rule, a_n=args.an)
+    methods = _methods_arg(args.methods)
+    (results,) = ratio_tests([data.values], args.r, args.null, args.alpha, methods,
+                             args.ajel_rule, args.an)
     _emit_table(
         ["column", "method", "r", "statistic", "threshold", "p_value", "reject", "error"],
-        [[r.column, r.method, r.r, r.statistic, r.threshold, r.p_value,
-          "" if r.reject is None else r.reject, r.error or ""] for r in rows],
+        [[data.name, method, args.r,
+          *_cells(res, "statistic", "threshold", "p_value", "reject")]
+         for method, res in zip(methods, results)],
         args.format,
     )
-    return _EXIT_OK if any(r.error is None for r in rows) else _EXIT_NUMERIC
+    return _exit_code(results)
 
 
 def _cmd_simulate(args) -> int:

@@ -1,4 +1,4 @@
-"""Delimited-file ingestion and per-column analysis."""
+"""Delimited-file ingestion: one numeric column of a CSV file."""
 
 from __future__ import annotations
 
@@ -8,17 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingColumnError, PwmError, PwmInputError
-from .inference import confidence_intervals, ratio_tests
+from .errors import MissingColumnError, PwmInputError
 
-__all__ = [
-    "ColumnDataset",
-    "AnalysisRow",
-    "TestRow",
-    "load_csv_column",
-    "analyze_column",
-    "test_column",
-]
+__all__ = ["ColumnDataset", "load_csv_column"]
 
 _NA_TOKENS = {"", "na", "n/a", "nan", "null", "none"}
 
@@ -30,30 +22,6 @@ class ColumnDataset:
     name: str
     values: np.ndarray
     skipped: int
-
-
-@dataclass(frozen=True)
-class AnalysisRow:
-    column: str
-    method: str
-    r: int
-    estimate: float | None
-    lower: float | None
-    upper: float | None
-    length: float | None
-    error: str | None
-
-
-@dataclass(frozen=True)
-class TestRow:
-    column: str
-    method: str
-    r: int
-    statistic: float | None
-    threshold: float | None
-    p_value: float | None
-    reject: bool | None
-    error: str | None
 
 
 def load_csv_column(path, column: str) -> ColumnDataset:
@@ -103,37 +71,3 @@ def load_csv_column(path, column: str) -> ColumnDataset:
     if not values:
         raise PwmInputError(f"column {column!r} in {path} has no numeric data")
     return ColumnDataset(name=column, values=np.asarray(values), skipped=skipped)
-
-
-def analyze_column(data: ColumnDataset, r: int, level: float, methods,
-                   ajel_rule: str = "centered", a_n=None) -> list[AnalysisRow]:
-    """Point estimate and confidence interval per method.
-
-    Bad options raise :class:`PwmInputError` before any method runs.
-    Method-level failures (degenerate data, solver breakdown, sample too
-    small for the jackknife) are reported inline on their row so the
-    remaining methods still produce results.
-    """
-    methods = tuple(str(m).upper() for m in methods)
-    (results,) = confidence_intervals([data.values], r, level, methods, ajel_rule, a_n)
-    return [AnalysisRow(data.name, method, r, None, None, None, None, str(ci))
-            if isinstance(ci, PwmError) else
-            AnalysisRow(data.name, method, r, ci.point_estimate, ci.lower, ci.upper,
-                        ci.length, None)
-            for method, ci in zip(methods, results)]
-
-
-def test_column(data: ColumnDataset, r: int, beta0: float, alpha: float, methods,
-                ajel_rule: str = "centered", a_n=None) -> list[TestRow]:
-    """Hypothesis test of ``beta_r = beta0`` per method.
-
-    Bad options raise :class:`PwmInputError` before any method runs;
-    method-level failures are reported inline, as in :func:`analyze_column`.
-    """
-    methods = tuple(str(m).upper() for m in methods)
-    (results,) = ratio_tests([data.values], r, beta0, alpha, methods, ajel_rule, a_n)
-    return [TestRow(data.name, method, r, None, None, None, None, str(res))
-            if isinstance(res, PwmError) else
-            TestRow(data.name, method, r, res.statistic, res.threshold, res.p_value,
-                    res.reject, None)
-            for method, res in zip(methods, results)]

@@ -20,6 +20,8 @@ endpoint searches of one interval, is solved row by row with
 :func:`solve_lambda`, whose setup is cheaper.  Either way a row's result is
 bit for bit what :func:`solve_lambda` returns on that row: the row sums
 reduce each contiguous row in the pairwise order of the one-dimensional sum.
+A row that fails carries the exception :func:`solve_lambda` raises on it,
+with the same type and message.
 """
 
 from __future__ import annotations
@@ -34,10 +36,6 @@ from .errors import ConvergenceError, HullError, PwmError, PwmInputError
 __all__ = [
     "ELSolution",
     "RowSolutions",
-    "ROW_OK",
-    "ROW_OUTSIDE_HULL",
-    "ROW_NOT_CONVERGED",
-    "ROW_INVALID",
     "solve_lambda",
     "solve_rows",
     "neg2_log_ratio",
@@ -59,6 +57,9 @@ class ELSolution:
 
 
 def _validate_points(z, mu):
+    """``z`` as a float array, float ``mu``, the offsets ``d = z - mu`` and
+    their extremes; raises what :func:`solve_lambda` raises before its
+    first step."""
     z = np.asarray(z, dtype=float)
     if z.ndim != 1:
         raise PwmInputError("EL points must be one-dimensional")
@@ -68,7 +69,22 @@ def _validate_points(z, mu):
         raise PwmInputError("EL points contain non-finite values")
     if not np.isfinite(mu):
         raise PwmInputError("hypothesized mean must be finite")
-    return z, float(mu)
+    mu = float(mu)
+    d = z - mu
+    dmin, dmax = float(d.min()), float(d.max())
+    if not (dmin < 0.0 < dmax):
+        raise HullError(
+            f"mean {mu} is not interior to the sample hull [{z.min()}, {z.max()}]"
+        )
+    return z, mu, d, dmin, dmax
+
+
+def _not_converged(max_iter: int, g: float, gtol: float, best) -> ConvergenceError:
+    return ConvergenceError(
+        f"EL multiplier did not converge in {max_iter} iterations "
+        f"(|score| = {abs(g):.3e}, tol = {gtol:.3e})",
+        best=best,
+    )
 
 
 def solve_lambda(z, mu, tol: float = 1e-10, max_iter: int = 100,
@@ -89,13 +105,7 @@ def solve_lambda(z, mu, tol: float = 1e-10, max_iter: int = 100,
     ConvergenceError
         If the budget runs out; the best iterate rides along as ``best``.
     """
-    z, mu = _validate_points(z, mu)
-    d = z - mu
-    dmin, dmax = float(d.min()), float(d.max())
-    if not (dmin < 0.0 < dmax):
-        raise HullError(
-            f"mean {mu} is not interior to the sample hull [{z.min()}, {z.max()}]"
-        )
+    z, mu, d, dmin, dmax = _validate_points(z, mu)
     m = z.size
     gtol = tol * max(abs(mu), -dmin, dmax)
 
@@ -141,11 +151,7 @@ def solve_lambda(z, mu, tol: float = 1e-10, max_iter: int = 100,
         converged=converged,
     )
     if not converged:
-        raise ConvergenceError(
-            f"EL multiplier did not converge in {max_iter} iterations "
-            f"(|score| = {abs(g):.3e}, tol = {gtol:.3e})",
-            best=solution,
-        )
+        raise _not_converged(max_iter, g, gtol, solution)
     return solution
 
 
@@ -154,57 +160,38 @@ def solve_lambda(z, mu, tol: float = 1e-10, max_iter: int = 100,
 # Newton steps it shares (crossover measured at n = 50, 300 and 3000).
 _VECTOR_ROWS = 4
 
-# Row status codes of solve_rows: solved, mu not strictly inside the row's
-# hull (solve_lambda raises HullError), budget exhausted (ConvergenceError),
-# non-finite points or mu (PwmInputError).
-ROW_OK, ROW_OUTSIDE_HULL, ROW_NOT_CONVERGED, ROW_INVALID = range(4)
-
 
 @dataclass(frozen=True)
 class RowSolutions:
     """Per-row results of :func:`solve_rows`.
 
     ``lam``, ``log_ratio`` and ``iterations`` are what :func:`solve_lambda`
-    returns on the row (its best iterate where it would raise
-    ConvergenceError); ``last_weight`` is the EL weight of the row's last
-    point.  Rows with ``status`` ROW_OUTSIDE_HULL or ROW_INVALID were not
-    solved: they keep their ``lam0``, a log ratio of -inf and no iterations.
+    returns on the row (its best iterate where it raises ConvergenceError);
+    ``last_weight`` is the EL weight of the row's last point.  ``errors``
+    maps each failed row to the exception :func:`solve_lambda` raises on it.
+    Rows that fail before the first step (mu outside the hull, non-finite
+    input) keep their ``lam0``, a log ratio of -inf and no iterations.
     """
 
     lam: np.ndarray
     log_ratio: np.ndarray
     iterations: np.ndarray
     last_weight: np.ndarray
-    status: np.ndarray
-
-    def error(self, row: int) -> PwmError | None:
-        """The exception :func:`solve_lambda` raises on ``row``, or None."""
-        status = self.status[row]
-        if status == ROW_OUTSIDE_HULL:
-            return HullError("mean is not interior to the sample hull")
-        if status == ROW_NOT_CONVERGED:
-            return ConvergenceError(
-                f"EL multiplier did not converge in {self.iterations[row]} iterations")
-        if status == ROW_INVALID:
-            return PwmInputError("EL points or hypothesized mean contain non-finite values")
-        return None
+    errors: dict[int, PwmError]
 
 
 def _solve_row(z, mu, lam0, tol, max_iter) -> tuple:
     """One row of :func:`solve_rows` by :func:`solve_lambda`, as the row's
-    ``(lam, log_ratio, iterations, last_weight, status)``."""
+    ``(lam, log_ratio, iterations, last_weight)`` and its error or None."""
     try:
         # looked up as a module global, so that tracers see each solve
         sol = solve_lambda(z, mu, tol, max_iter, lam0)
-    except HullError:
-        return lam0, -math.inf, 0, math.nan, ROW_OUTSIDE_HULL
-    except PwmInputError:
-        return lam0, -math.inf, 0, math.nan, ROW_INVALID
     except ConvergenceError as exc:
-        sol, status = exc.best, ROW_NOT_CONVERGED
-    else:
-        status = ROW_OK
-    return sol.lam, sol.log_ratio, sol.iterations, sol.weights[-1], status
+        return (exc.best.lam, exc.best.log_ratio, exc.best.iterations,
+                exc.best.weights[-1]), exc
+    except PwmError as exc:
+        return (lam0, -math.inf, 0, math.nan), exc
+    return (sol.lam, sol.log_ratio, sol.iterations, sol.weights[-1]), None
 
 
 def solve_rows(z: np.ndarray, mu: np.ndarray, lam0: np.ndarray, tol: float = 1e-10,
@@ -213,12 +200,12 @@ def solve_rows(z: np.ndarray, mu: np.ndarray, lam0: np.ndarray, tol: float = 1e-
 
     Row i solves for mean ``mu[i]`` from ``lam0[i]``, with the same
     safeguarded Newton step, feasibility bracket and score tolerance.
-    Failures are flagged in ``status``, never raised, so one bad row leaves
-    the others untouched.  A stack of fewer than ``_VECTOR_ROWS`` rows is
-    solved one row at a time by :func:`solve_lambda`; a taller one runs the
-    vectorised loop, where all rows start together and a row leaves the
-    active set at the step where it converges, so one shared step counter
-    gives each row's iteration count.
+    Failures are collected in ``errors``, never raised, so one bad row
+    leaves the others untouched.  A stack of fewer than ``_VECTOR_ROWS``
+    rows is solved one row at a time by :func:`solve_lambda`; a taller one
+    runs the vectorised loop, where all rows start together and a row
+    leaves the active set at the step where it converges, so one shared
+    step counter gives each row's iteration count.
     """
     if z.ndim != 2 or z.shape[1] < 2:
         raise PwmInputError("EL rows must be a (k, m) array with m >= 2")
@@ -226,21 +213,25 @@ def solve_rows(z: np.ndarray, mu: np.ndarray, lam0: np.ndarray, tol: float = 1e-
     mu = np.asarray(mu, dtype=float)
     lam0 = np.asarray(lam0, dtype=float)
     if 0 < k < _VECTOR_ROWS:
-        rows = [_solve_row(z[i], mu[i], lam0[i], tol, max_iter) for i in range(k)]
-        return RowSolutions(*(np.array(field) for field in zip(*rows)))
-    status = np.full(k, ROW_OK)
+        rows, errors = zip(*(_solve_row(z[i], mu[i], lam0[i], tol, max_iter)
+                             for i in range(k)))
+        return RowSolutions(*(np.array(field) for field in zip(*rows)),
+                            {i: exc for i, exc in enumerate(errors) if exc is not None})
     lam_out = lam0.copy()
     log_ratio = np.full(k, -math.inf)
     iterations = np.zeros(k, dtype=int)
     last_weight = np.full(k, math.nan)
+    errors = {}
 
-    valid = np.isfinite(z).all(axis=1) & np.isfinite(mu)
-    status[~valid] = ROW_INVALID
     with np.errstate(invalid="ignore"):
         d_all = z - mu[:, None]
     dmin, dmax = d_all.min(axis=1), d_all.max(axis=1)
-    inside = valid & (dmin < 0.0) & (dmax > 0.0)
-    status[valid & ~inside] = ROW_OUTSIDE_HULL
+    inside = np.isfinite(z).all(axis=1) & np.isfinite(mu) & (dmin < 0.0) & (dmax > 0.0)
+    for i in np.flatnonzero(~inside).tolist():
+        try:
+            _validate_points(z[i], mu[i])
+        except PwmError as exc:
+            errors[i] = exc
 
     solved = np.flatnonzero(inside)
     d_solved = d_all[solved]
@@ -265,12 +256,13 @@ def solve_rows(z: np.ndarray, mu: np.ndarray, lam0: np.ndarray, tol: float = 1e-
 
     g, gp = score_and_slope(d, lam)
     step_count = 0
+    stalled = []  # (row, score, tolerance) of the rows that ran out of budget
     while rows.size:
         converged = np.abs(g) <= gtol
         if step_count == max_iter:
             lam_out[rows] = lam
             iterations[rows] = step_count
-            status[rows[~converged]] = ROW_NOT_CONVERGED
+            stalled = zip(*(v[~converged].tolist() for v in (rows, g, gtol)))
             break
         if converged.any():
             lam_out[rows[converged]] = lam[converged]
@@ -295,7 +287,11 @@ def solve_rows(z: np.ndarray, mu: np.ndarray, lam0: np.ndarray, tol: float = 1e-
     s = -np.add.reduce(np.log1p(d_solved * lam[:, None]), axis=1)
     # rounding can push the ratio epsilon-positive at lam ~ 0
     log_ratio[solved] = np.where(s < 0.0, s, 0.0)
-    return RowSolutions(lam_out, log_ratio, iterations, last_weight, status)
+    for i, g_i, gtol_i in stalled:
+        best = ELSolution(float(lam_out[i]), 1.0 / (m * (1.0 + lam_out[i] * d_all[i])),
+                          float(log_ratio[i]), max_iter, False)
+        errors[i] = _not_converged(max_iter, g_i, gtol_i, best)
+    return RowSolutions(lam_out, log_ratio, iterations, last_weight, errors)
 
 
 def neg2_log_ratio(z, mu) -> float:

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import el as _el
 from .distributions import chi2_1_cdf, chi2_1_quantile
-from .errors import ConvergenceError, DegenerateSampleError, PwmError, PwmInputError
+from .errors import ConvergenceError, DegenerateSampleError, HullError, PwmError, PwmInputError
 from .estimators import (
     PseudoValues,
     SortedSample,
@@ -202,12 +202,12 @@ class _StackedRatio:
             slope = (-2.0 * (n + 1)) * sol.lam * (1.0 - (1.0 + a) * sol.last_weight)
         slope = slope.tolist()
         errors = {}
-        for j, status in enumerate(sol.status.tolist()):
-            if status == _el.ROW_OUTSIDE_HULL and self.adjust is None:
+        for j, exc in sol.errors.items():
+            if isinstance(exc, HullError) and self.adjust is None:
                 # solve_rows leaves the row at log ratio -inf and its lam0
                 slope[j] = math.nan
-            elif status != _el.ROW_OK:
-                errors[j] = sol.error(j)
+            else:
+                errors[j] = exc
         ratio = [max(0.0, -2.0 * v) for v in sol.log_ratio.tolist()]
         return ratio, slope, sol.lam.tolist(), errors
 

@@ -448,20 +448,22 @@ def parse_config_file(path) -> ExperimentConfig:
             raise PwmInputError(f"config key {key!r}: unknown family {name!r}")
         return fam
 
-    def as_number(key, kind, default):
-        if key not in entries:
+    def as_number(key, kind, default=None):
+        """The key's number; a key without a default is required."""
+        if key not in entries and default is not None:
             return default
+        text = need(key)
         try:
-            return kind(entries[key])
+            return kind(text)
         except ValueError:
             noun = "an integer" if kind is int else "a real number"
-            raise PwmInputError(f"config key {key!r} needs {noun}, got {entries[key]!r}")
+            raise PwmInputError(f"config key {key!r} needs {noun}, got {text!r}")
 
-    dist = DistSpec(family_of(need("family"), "family"), float(need("param")))
+    dist = DistSpec(family_of(need("family"), "family"), as_number("param", float))
     null_dist = None
     if "null_family" in entries or "null_param" in entries:
         null_dist = DistSpec(
-            family_of(need("null_family"), "null_family"), float(need("null_param"))
+            family_of(need("null_family"), "null_family"), as_number("null_param", float)
         )
 
     methods = CI_METHODS

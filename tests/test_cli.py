@@ -253,6 +253,11 @@ def test_simulate_bad_config_exits_2(capsys, tmp_path):
         capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "o"),
     )
     assert code == 2 and "weibull" in err
+    cfg.write_text("kind = size\nfamily = exp\nparam = abc\n")
+    code, _, err = run_main(
+        capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "o"),
+    )
+    assert code == 2 and "'param' needs a real number, got 'abc'" in err
 
 
 def test_console_script_entry_point(data_csv):

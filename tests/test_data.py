@@ -1,16 +1,15 @@
+import csv
+import io
+
 import pytest
 
 from pwmjel import (
     CI_METHODS,
-    AnalysisRow,
-    ColumnDataset,
     DistSpec,
     MissingColumnError,
     PwmInputError,
-    TestRow as ResultRow,
     ajel_confidence_interval,
     ajel_test,
-    analyze_column,
     jel_confidence_interval,
     jel_test,
     load_csv_column,
@@ -18,9 +17,10 @@ from pwmjel import (
     plugin_el_ci,
     plugin_el_test,
     sample,
-    test_column as run_test_column,
     ustat_estimate,
 )
+from pwmjel.cli import main
+from pwmjel.inference import confidence_intervals, ratio_tests
 
 SAMPLE = """month,rain,flag
 jan,11.2,a
@@ -83,71 +83,48 @@ def test_load_unparseable_file_is_an_input_error(tmp_path, body):
         load_csv_column(p, "rain")
 
 
-def test_analyze_column_matches_library(tmp_path):
-    p = tmp_path / "x.csv"
-    vals = [0.4, 1.7, 0.9, 2.8, 0.2, 1.1, 3.4, 0.7, 1.9, 0.5, 2.2, 1.4]
-    p.write_text("x\n" + "\n".join(str(v) for v in vals) + "\n")
-    data = load_csv_column(p, "x")
-    rows = analyze_column(data, 1, 0.90, ("JEL", "DNEL"))
-    by_method = {row.method: row for row in rows}
-    ci = jel_confidence_interval(vals, 1, 0.90)
-    jel = by_method["JEL"]
-    assert jel.error is None
-    assert (jel.lower, jel.upper) == (ci.lower, ci.upper)
-    assert jel.estimate == pytest.approx(ustat_estimate(vals, 1), rel=1e-12)
-    assert jel.length == pytest.approx(ci.length, rel=1e-12)
-    assert by_method["DNEL"].error is None
+def _column_csv(tmp_path, name, values):
+    """A one-column CSV file that loads back to exactly ``values``."""
+    p = tmp_path / f"{name}.csv"
+    p.write_text(name + "\n" + "".join(f"{float(v)!r}\n" for v in values))
+    return str(p)
 
 
-def test_analyze_column_constant_errors_inline(tmp_path):
-    p = tmp_path / "c.csv"
-    p.write_text("c\n" + "2.0\n" * 10)
-    data = load_csv_column(p, "c")
-    rows = analyze_column(data, 1, 0.95, ("JEL", "AJEL", "DNEL"))
-    by_method = {row.method: row for row in rows}
+def _cli_rows(capsys, *argv):
+    """Exit code and the ``--format csv`` rows of one CLI call, by method."""
+    code = main([*argv, "--format", "csv", "--quiet"])
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    return code, {row["method"]: row for row in rows}
+
+
+def test_analyze_column_constant_errors_inline(capsys, tmp_path):
+    path = _column_csv(tmp_path, "c", [2.0] * 10)
+    code, rows = _cli_rows(capsys, "ci", "--input", path, "--column", "c", "--r", "1",
+                           "--methods", "JEL,AJEL,DNEL")
     # degenerate data kills the jackknife methods but DNEL still answers
-    assert by_method["JEL"].error is not None
-    assert by_method["AJEL"].error is not None
-    assert by_method["DNEL"].error is None
-    assert by_method["JEL"].lower is None
+    assert code == 0
+    for method in ("JEL", "AJEL"):
+        assert "identical" in rows[method]["error"]
+        assert [rows[method][f] for f in ("estimate", "lower", "upper", "length")] == [""] * 4
+    assert rows["DNEL"]["error"] == "" and rows["DNEL"]["lower"] != ""
 
 
-def test_analyze_bad_method_name(rain_csv):
-    data = load_csv_column(rain_csv, "rain")
-    with pytest.raises(PwmInputError):
-        analyze_column(data, 1, 0.95, ("JEL", "WALD"))
-
-
-def test_test_column_matches_library(tmp_path):
-    p = tmp_path / "x.csv"
-    vals = [0.4, 1.7, 0.9, 2.8, 0.2, 1.1, 3.4, 0.7, 1.9, 0.5, 2.2, 1.4]
-    p.write_text("x\n" + "\n".join(str(v) for v in vals) + "\n")
-    data = load_csv_column(p, "x")
-    rows = run_test_column(data, 1, 0.8, 0.05, ("JEL",))
-    (row,) = rows
-    ref = jel_test(vals, 1, 0.8, alpha=0.05)
-    assert row.statistic == pytest.approx(ref.statistic, rel=1e-12)
-    assert row.p_value == pytest.approx(ref.p_value, rel=1e-12)
-    assert row.reject == ref.reject
-    assert row.threshold == pytest.approx(ref.threshold, rel=1e-12)
-    assert row.error is None
-
-
-def test_test_column_inline_errors(tmp_path):
-    p = tmp_path / "c.csv"
-    p.write_text("c\n" + "2.0\n" * 10)
-    data = load_csv_column(p, "c")
-    rows = run_test_column(data, 1, 0.9, 0.05, ("JEL", "VXL"))
-    by_method = {row.method: row for row in rows}
-    assert by_method["JEL"].error is not None
-    assert by_method["VXL"].error is None
+def test_test_column_inline_errors(capsys, tmp_path):
+    path = _column_csv(tmp_path, "c", [2.0] * 10)
+    code, rows = _cli_rows(capsys, "test", "--input", path, "--column", "c", "--r", "1",
+                           "--null", "0.9", "--methods", "JEL,VXL")
+    assert code == 0
+    assert "identical" in rows["JEL"]["error"]
+    assert [rows["JEL"][f] for f in ("statistic", "threshold", "p_value", "reject")] == [""] * 4
+    assert rows["VXL"]["error"] == "" and rows["VXL"]["reject"] in ("true", "false")
 
 
 @pytest.mark.parametrize("rule", ("centered", "literal"))
 @pytest.mark.parametrize("a_n", (None, 2.0))
-def test_rows_equal_the_per_method_functions(rule, a_n):
+def test_rows_equal_the_per_method_functions(capsys, tmp_path, rule, a_n):
+    # every field of the CLI's csv rows is the repr of the per-method result
     x = sample(DistSpec("exponential", 1.0), 60, make_rng(71))
-    data = ColumnDataset("x", x, 0)
+    path = _column_csv(tmp_path, "x", x)
     level, beta0, alpha = 0.90, 0.8, 0.10
     per_method = {
         "JEL": (lambda: jel_confidence_interval(x, 1, level),
@@ -158,16 +135,26 @@ def test_rows_equal_the_per_method_functions(rule, a_n):
                lambda m=m: plugin_el_test(x, 1, beta0, alpha, m))
            for m in ("DNEL", "VXL")},
     }
-    ci_rows = analyze_column(data, 1, level, CI_METHODS, ajel_rule=rule, a_n=a_n)
-    test_rows = run_test_column(data, 1, beta0, alpha, CI_METHODS, ajel_rule=rule, a_n=a_n)
-    assert [row.method for row in ci_rows] == [row.method for row in test_rows] == list(CI_METHODS)
-    for ci_row, test_row in zip(ci_rows, test_rows):
-        interval, test = per_method[ci_row.method]
+    options = ["--input", path, "--column", "x", "--r", "1", "--ajel-rule", rule,
+               *([] if a_n is None else ["--an", repr(a_n)])]
+    ci_code, ci_rows = _cli_rows(capsys, "ci", *options, "--level", repr(level))
+    test_code, test_rows = _cli_rows(capsys, "test", *options, "--null", repr(beta0),
+                                     "--alpha", repr(alpha))
+    assert ci_code == test_code == 0
+    assert list(ci_rows) == list(test_rows) == list(CI_METHODS)
+    for method, (interval, test) in per_method.items():
         ci, res = interval(), test()
-        assert ci_row == AnalysisRow("x", ci.method, 1, ci.point_estimate, ci.lower,
-                                     ci.upper, ci.length, None)
-        assert test_row == ResultRow("x", res.method, 1, res.statistic, res.threshold,
-                                     res.p_value, res.reject, None)
+        assert ci_rows[method] == {
+            "column": "x", "method": ci.method, "r": "1",
+            "estimate": repr(ci.point_estimate), "lower": repr(ci.lower),
+            "upper": repr(ci.upper), "length": repr(ci.length), "error": ""}
+        assert test_rows[method] == {
+            "column": "x", "method": res.method, "r": "1",
+            "statistic": repr(res.statistic), "threshold": repr(res.threshold),
+            "p_value": repr(res.p_value), "reject": str(res.reject).lower(), "error": ""}
+    for method in ("JEL", "AJEL"):
+        assert float(ci_rows[method]["estimate"]) == pytest.approx(ustat_estimate(x, 1),
+                                                                   rel=1e-12)
 
 
 def test_load_reads_columns_under_padded_header_names(tmp_path):
@@ -189,15 +176,18 @@ def test_load_row_rules(tmp_path):
 
 def test_bad_options_raise_before_any_method_runs():
     # at least one method would answer each call: the options alone fail it
-    data = ColumnDataset("x", sample(DistSpec("exponential", 1.0), 40, make_rng(3)), 0)
+    values = [sample(DistSpec("exponential", 1.0), 40, make_rng(3))]
     inf = float("inf")
     calls = (
-        lambda: analyze_column(data, 1, 1.5, CI_METHODS),
-        lambda: analyze_column(data, 1, 0.95, CI_METHODS, ajel_rule="nope"),
-        lambda: analyze_column(data, 1, 0.95, CI_METHODS, a_n=inf),
-        lambda: run_test_column(data, 1, 0.8, 0.0, CI_METHODS),
-        lambda: run_test_column(data, 1, inf, 0.05, CI_METHODS),
-        lambda: run_test_column(data, 1, 0.8, 0.05, CI_METHODS, a_n=-1.0),
+        lambda: confidence_intervals(values, 1, 1.5, CI_METHODS),
+        lambda: confidence_intervals(values, 1, 0.95, ("JEL", "WALD")),
+        lambda: confidence_intervals(values, 1, 0.95, ()),
+        lambda: confidence_intervals(values, 1, 0.95, CI_METHODS, rule="nope"),
+        lambda: confidence_intervals(values, 1, 0.95, CI_METHODS, a_n=inf),
+        lambda: ratio_tests(values, 1, 0.8, 0.0, CI_METHODS),
+        lambda: ratio_tests(values, 1, inf, 0.05, CI_METHODS),
+        lambda: ratio_tests(values, 1, 0.8, 0.05, ("VXL", "WALD")),
+        lambda: ratio_tests(values, 1, 0.8, 0.05, CI_METHODS, a_n=-1.0),
     )
     for call in calls:
         with pytest.raises(PwmInputError):

@@ -6,6 +6,7 @@ import pytest
 from pwmjel import (
     ConvergenceError,
     HullError,
+    PwmError,
     PwmInputError,
     el,
     neg2_log_ratio,
@@ -250,16 +251,14 @@ def test_ratio_and_slope_solves_through_the_module_attribute(monkeypatch):
 
 
 def _row_reference(z, mu, lam0, max_iter):
-    """solve_lambda on one row: its status code and solution (the best
-    iterate where it raises ConvergenceError, None where it raises else)."""
+    """solve_lambda on one row: its solution (the best iterate where it
+    raises ConvergenceError, None where it raises else) and its error."""
     try:
-        return el.ROW_OK, solve_lambda(z, mu, lam0=lam0, max_iter=max_iter)
-    except HullError:
-        return el.ROW_OUTSIDE_HULL, None
-    except PwmInputError:
-        return el.ROW_INVALID, None
+        return solve_lambda(z, mu, lam0=lam0, max_iter=max_iter), None
     except ConvergenceError as err:
-        return el.ROW_NOT_CONVERGED, err.best
+        return err.best, err
+    except PwmError as err:
+        return None, err
 
 
 def test_solve_rows_is_bit_identical_to_solve_lambda_per_row():
@@ -269,7 +268,8 @@ def test_solve_rows_is_bit_identical_to_solve_lambda_per_row():
         lambda shape: rng.lognormal(0.0, 1.5, shape),
         lambda shape: rng.normal(3.0, 2.0, shape),
     )
-    seen = {vectorised: dict.fromkeys(range(4), 0) for vectorised in (False, True)}
+    kinds = (None, HullError, PwmInputError, ConvergenceError)
+    seen = {vectorised: dict.fromkeys(kinds, 0) for vectorised in (False, True)}
     staggered = 0
     for k in range(50):
         n = int(rng.choice([5, 17, 130, 300, 1025, 3000]))
@@ -299,26 +299,32 @@ def test_solve_rows_is_bit_identical_to_solve_lambda_per_row():
                 for first in range(0, 12, size):
                     rows = slice(first, first + size)
                     got = el.solve_rows(z[rows], mu[rows], lam0[rows], max_iter=max_iter)
-                    vectorised = got.status.size >= el._VECTOR_ROWS
-                    if got.status.size == 12:
-                        staggered += len(set(got.iterations[got.status == el.ROW_OK].tolist())) > 1
-                    for j, (status, ref) in enumerate(refs[rows]):
-                        assert got.status[j] == status
-                        seen[vectorised][status] += 1
+                    vectorised = got.lam.size >= el._VECTOR_ROWS
+                    if got.lam.size == 12:
+                        ok = [j for j in range(12) if j not in got.errors]
+                        staggered += len(set(got.iterations[ok].tolist())) > 1
+                    assert set(got.errors) == {j for j, (_, err) in enumerate(refs[rows])
+                                               if err is not None}
+                    for j, (ref, err) in enumerate(refs[rows]):
+                        seen[vectorised][type(err) if err else None] += 1
+                        if err is not None:
+                            # the same failure as the row alone, whatever the stack
+                            assert type(got.errors[j]) is type(err)
+                            assert str(got.errors[j]) == str(err)
                         if ref is None:
                             assert (got.lam[j], got.log_ratio[j], got.iterations[j]) == \
                                 (lam0[rows][j], -math.inf, 0)
                             assert math.isnan(got.last_weight[j])
-                            assert type(got.error(j)) is {el.ROW_OUTSIDE_HULL: HullError,
-                                                          el.ROW_INVALID: PwmInputError}[status]
                             continue
                         assert (got.lam[j], got.log_ratio[j], got.iterations[j]) == \
                             (ref.lam, ref.log_ratio, ref.iterations)
                         assert got.last_weight[j] == ref.weights[-1]
-                        if status == el.ROW_OK:
-                            assert got.error(j) is None
-                        else:
-                            assert type(got.error(j)) is ConvergenceError
-    for counts in seen.values():  # every status on both sides of the row count
-        assert min(counts.values()) > 0 and counts[el.ROW_OK] > 500
+                        if err is not None:  # the best iterate rides along
+                            best = got.errors[j].best
+                            assert (best.lam, best.log_ratio, best.iterations) == \
+                                (ref.lam, ref.log_ratio, ref.iterations)
+                            assert np.array_equal(best.weights, ref.weights)
+                            assert not best.converged
+    for counts in seen.values():  # every failure kind on both sides of the row count
+        assert min(counts.values()) > 0 and counts[None] > 500
     assert staggered >= 40  # rows of one stack converged at different steps

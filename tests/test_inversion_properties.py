@@ -10,7 +10,10 @@ factor in [1e-3, 1e3], and levels in [0.5, 0.99], each endpoint must
 * have the ratio below the threshold just inside it;
 * match a plain bisection kept in this file to 1e-7 * beta_scale.
 
-The centered AJEL interval must also contain the JEL interval.
+The centered AJEL interval must also contain the JEL interval, and on a
+few seeded samples every kind's ratio must not decrease anywhere along the
+way from its minimum out to the hull edge (past the pseudo-values for
+centered AJEL), the shape the one-crossing endpoint search relies on.
 
 Equivariance: scaling the data by a in [1e-12, 1e12] scales every
 interval kind's endpoints by a and keeps its test statistic at a scaled
@@ -20,6 +23,8 @@ correspondingly shifted hypotheses do not change.  Literal AJEL, DNEL and
 VXL are not shift-equivariant (the appended point and the summand weights
 do not shift by a constant), so only their scaling is tested.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -176,6 +181,32 @@ def test_newton_search_step_count(kind):
     # bisection took ~51 ratio evaluations per interval on this cell
     x = sample(DistSpec("exponential", 1.0), 300, make_rng(20240))
     assert _setup(kind, x, 1, 0.95)[0].endpoint_iterations <= 20
+
+
+# t in (0, 1) along the way from where the ratio bottoms out to the far end
+# of its search range, crowding toward the far end
+_TOWARD_EDGE = np.sort(np.concatenate([np.linspace(0.0, 1.0, 33)[1:-1],
+                                       1.0 - 2.0 ** -np.arange(6.0, 40.0, 3.0)]))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("family, n, r, seed", [
+    ("exponential", 30, 1, 1), ("lognormal", 80, 2, 2), ("normal", 200, 3, 3),
+])
+def test_ratio_is_monotone_on_each_side_of_its_minimum(kind, family, n, r, seed):
+    # the endpoint search brackets one crossing per side, which needs this
+    x = sample(DistSpec(family, 1.0), n, make_rng(seed))
+    _, ratio, seed_beta, hull, _ = _setup(kind, x, r, 0.95)
+    reach = 4.0 * float(np.ptp(jackknife_pseudo_values(x, r).values))
+    for direction in (-1.0, 1.0):
+        if hull is None:  # finite everywhere: go well past the pseudo-values
+            edge = seed_beta + direction * reach
+        else:  # infinite from the hull edge on
+            edge = float(hull.min() if direction < 0 else hull.max())
+        values = [ratio(seed_beta + t * (edge - seed_beta)) for t in _TOWARD_EDGE]
+        assert values[0] < values[-1] and math.isfinite(values[-1])
+        for nearer, farther in zip(values, values[1:]):
+            assert farther >= nearer * (1.0 - 1e-12)
 
 
 @st.composite

@@ -344,6 +344,10 @@ def test_parse_config_errors(tmp_path):
         ("kind = size\nfamily = exp\nparam = 1\nparam = 2\n", "duplicate"),
         ("kind = size\nfamily = weibull\nparam = 1\n", "unknown family"),
         ("kind = size\nfamily = exp\nparam = 1\nreps = ten\n", "integer"),
+        ("kind = size\nfamily = exp\nparam = abc\n", "'param' needs a real number"),
+        ("kind = power\nfamily = exp\nparam = 1\nnull_family = exp\nnull_param = x\n",
+         "'null_param' needs a real number"),
+        ("kind = power\nfamily = exp\nparam = 1\nnull_family = exp\n", "'null_param'.*required"),
         ("kind size\n", "key = value"),
     ]
     for body, needle in cases:
