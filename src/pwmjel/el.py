@@ -22,6 +22,14 @@ bit for bit what :func:`solve_lambda` returns on that row: the row sums
 reduce each contiguous row in the pairwise order of the one-dimensional sum.
 A row that fails carries the exception :func:`solve_lambda` raises on it,
 with the same type and message.
+
+Both kernels also return the score ``g`` and its Newton slope ``g'`` at the
+returned multiplier, which the last Newton step computed anyway.  With
+``u_k = d_k / (1 + lam d_k)`` they are ``mean(u)`` and ``-mean(u^2)``, and
+since ``1 / (1 + lam d) = 1 - lam u`` they give the sums behind the
+multiplier's derivative in mu and the ratio's curvature (see
+:class:`pwmjel.inference._StackedRatio`) without another pass over the
+points.
 """
 
 from __future__ import annotations
@@ -47,13 +55,16 @@ _EDGE_MARGIN = 1e-12
 
 @dataclass(frozen=True)
 class ELSolution:
-    """Solved multiplier with its weights and log likelihood ratio."""
+    """Solved multiplier with its weights and log likelihood ratio, and
+    the score and its slope in the multiplier at it."""
 
     lam: float
     weights: np.ndarray
     log_ratio: float
     iterations: int
     converged: bool
+    score: float
+    score_slope: float
 
 
 def _validate_points(z, mu):
@@ -149,6 +160,8 @@ def solve_lambda(z, mu, tol: float = 1e-10, max_iter: int = 100,
         log_ratio=log_ratio,
         iterations=iterations,
         converged=converged,
+        score=g,
+        score_slope=gp,
     )
     if not converged:
         raise _not_converged(max_iter, g, gtol, solution)
@@ -165,33 +178,38 @@ _VECTOR_ROWS = 4
 class RowSolutions:
     """Per-row results of :func:`solve_rows`.
 
-    ``lam``, ``log_ratio`` and ``iterations`` are what :func:`solve_lambda`
-    returns on the row (its best iterate where it raises ConvergenceError);
-    ``last_weight`` is the EL weight of the row's last point.  ``errors``
-    maps each failed row to the exception :func:`solve_lambda` raises on it.
-    Rows that fail before the first step (mu outside the hull, non-finite
-    input) keep their ``lam0``, a log ratio of -inf and no iterations.
+    ``lam``, ``log_ratio``, ``iterations``, ``score`` and ``score_slope``
+    are what :func:`solve_lambda` returns on the row (its best iterate where
+    it raises ConvergenceError); ``last_weight`` is the EL weight of the
+    row's last point.  ``errors`` maps each failed row to the exception
+    :func:`solve_lambda` raises on it.  Rows that fail before the first step
+    (mu outside the hull, non-finite input) keep their ``lam0``, a log ratio
+    of -inf, no iterations and a nan score, score slope and last weight.
     """
 
     lam: np.ndarray
     log_ratio: np.ndarray
     iterations: np.ndarray
     last_weight: np.ndarray
+    score: np.ndarray
+    score_slope: np.ndarray
     errors: dict[int, PwmError]
 
 
 def _solve_row(z, mu, lam0, tol, max_iter) -> tuple:
     """One row of :func:`solve_rows` by :func:`solve_lambda`, as the row's
-    ``(lam, log_ratio, iterations, last_weight)`` and its error or None."""
+    ``(lam, log_ratio, iterations, last_weight, score, score_slope)`` and its
+    error or None."""
+    error = None
     try:
         # looked up as a module global, so that tracers see each solve
         sol = solve_lambda(z, mu, tol, max_iter, lam0)
     except ConvergenceError as exc:
-        return (exc.best.lam, exc.best.log_ratio, exc.best.iterations,
-                exc.best.weights[-1]), exc
+        sol, error = exc.best, exc
     except PwmError as exc:
-        return (lam0, -math.inf, 0, math.nan), exc
-    return (sol.lam, sol.log_ratio, sol.iterations, sol.weights[-1]), None
+        return (lam0, -math.inf, 0, math.nan, math.nan, math.nan), exc
+    return (sol.lam, sol.log_ratio, sol.iterations, sol.weights[-1], sol.score,
+            sol.score_slope), error
 
 
 def solve_rows(z: np.ndarray, mu: np.ndarray, lam0: np.ndarray, tol: float = 1e-10,
@@ -221,6 +239,8 @@ def solve_rows(z: np.ndarray, mu: np.ndarray, lam0: np.ndarray, tol: float = 1e-
     log_ratio = np.full(k, -math.inf)
     iterations = np.zeros(k, dtype=int)
     last_weight = np.full(k, math.nan)
+    score_out = np.full(k, math.nan)
+    slope_out = np.full(k, math.nan)
     errors = {}
 
     with np.errstate(invalid="ignore"):
@@ -262,11 +282,14 @@ def solve_rows(z: np.ndarray, mu: np.ndarray, lam0: np.ndarray, tol: float = 1e-
         if step_count == max_iter:
             lam_out[rows] = lam
             iterations[rows] = step_count
+            score_out[rows], slope_out[rows] = g, gp
             stalled = zip(*(v[~converged].tolist() for v in (rows, g, gtol)))
             break
         if converged.any():
-            lam_out[rows[converged]] = lam[converged]
-            iterations[rows[converged]] = step_count
+            done = rows[converged]
+            lam_out[done] = lam[converged]
+            iterations[done] = step_count
+            score_out[done], slope_out[done] = g[converged], gp[converged]
             keep = ~converged
             rows, d, gtol, lam, a, b, g, gp = (
                 v[keep] for v in (rows, d, gtol, lam, a, b, g, gp))
@@ -289,9 +312,10 @@ def solve_rows(z: np.ndarray, mu: np.ndarray, lam0: np.ndarray, tol: float = 1e-
     log_ratio[solved] = np.where(s < 0.0, s, 0.0)
     for i, g_i, gtol_i in stalled:
         best = ELSolution(float(lam_out[i]), 1.0 / (m * (1.0 + lam_out[i] * d_all[i])),
-                          float(log_ratio[i]), max_iter, False)
+                          float(log_ratio[i]), max_iter, False, g_i, float(slope_out[i]))
         errors[i] = _not_converged(max_iter, g_i, gtol_i, best)
-    return RowSolutions(lam_out, log_ratio, iterations, last_weight, errors)
+    return RowSolutions(lam_out, log_ratio, iterations, last_weight, score_out, slope_out,
+                        errors)
 
 
 def neg2_log_ratio(z, mu) -> float:

@@ -168,38 +168,78 @@ class _StackedRatio:
     """The ratio problems of one method on samples of one size, stacked so
     that one :func:`el.solve_rows` call evaluates the ratio of any subset.
 
+    Each row runs in its own coordinates, ``beta * 2**-exponent[i]``, with
+    the power of two that brings the row's largest point magnitude into
+    [1/2, 1); ``points`` holds the scaled rows, and beta, the multiplier and
+    the derivatives are in these coordinates.  Scaling by a power of two is
+    exact, so the EL solves and the endpoint searches see the same numbers
+    at every data scale, and the multiplier's derivatives, which scale with
+    the inverse square of the data, neither over- nor underflow.
+
     The slope is the ratio's derivative in beta, which by the envelope
     theorem comes free with the solved multiplier (Owen 1988): ``-2 m lam``
     for plain EL on m points.  Under the centered adjustment the appended
     point ``-(a/n) * sum(values - beta)`` moves with beta at rate ``a`` and
     the others at rate -1, which makes it ``-2 m lam (1 - (1 + a) p_last)``,
     with ``p_last`` the EL weight of the appended point.
+
+    The curvature needs the multiplier's derivative ``lam'`` in beta, from
+    the implicit-function theorem on the score equation (Hall and La Scala
+    1990).  With ``w_k = 1 / (1 + lam z_k)`` it takes ``sum w^2`` and
+    ``sum z^2 w^2``, and since ``w = 1 - lam u`` with ``u = z w`` both follow
+    from the score ``g`` and its slope ``g'`` at the solved multiplier:
+    ``sum w^2 = m (1 - 2 lam g - lam^2 g')`` and ``sum z^2 w^2 = -m g'``.
+    Plain EL has ``lam' = -sum w^2 / sum z^2 w^2`` and curvature
+    ``-2 m lam'``.  Under the centered adjustment, with ``w_last = m p_last``,
+    ``lam' = ((1 + a) w_last^2 - sum w^2) / sum z^2 w^2`` and the curvature
+    is ``-2 m (lam' (1 - (1 + a) p_last) - lam (1 + a) p_last')``, where
+    ``p_last' = -w_last^2 (lam' z_last + lam a) / m``.
     """
 
     def __init__(self, problems: list[_RatioProblem]):
-        self.points = np.stack([p.points for p in problems])
+        points = np.stack([p.points for p in problems])
+        # frexp's int32 exponents keep ldexp on its fast loop
+        exponent = np.frexp(np.maximum(points.max(axis=1), -points.min(axis=1)))[1]
+        self.points = np.ldexp(points, -exponent[:, None], out=points)
+        self.exponent = exponent.tolist()
         self.adjust = (None if problems[0].adjust is None
                        else np.array([p.adjust for p in problems]))
 
     def __call__(self, rows, beta, lam0):
-        """Ratio, slope and multiplier of problem ``rows[j]`` at ``beta[j]``
-        from ``lam0[j]``, as lists, and ``{j: error}`` for the rows whose
-        solve fails.  Outside the hull of a plain problem the ratio is
-        infinite, the slope nan and the multiplier ``lam0[j]``."""
+        """Ratio, slope, multiplier, the multiplier's derivative and the
+        ratio's curvature of problem ``rows[j]`` at ``beta[j]`` from
+        ``lam0[j]``, as lists, and ``{j: error}`` for the rows whose solve
+        fails.  Outside the hull of a plain problem the ratio is infinite,
+        the slope, derivative and curvature nan and the multiplier
+        ``lam0[j]``."""
         beta = np.asarray(beta, dtype=float)
         points = self.points[rows]
         if self.adjust is None:
             sol = _el.solve_rows(points, beta, lam0)
-            slope = (-2.0 * points.shape[1]) * sol.lam
+            m = points.shape[1]
+            slope = (-2.0 * m) * sol.lam
         else:
             a = self.adjust[rows]
-            g = points - beta[:, None]
-            n = g.shape[1]
-            z = np.empty((g.shape[0], n + 1))
-            z[:, :n] = g
-            z[:, n] = -(a / n) * np.add.reduce(g, axis=1)
+            c = points - beta[:, None]
+            n = c.shape[1]
+            z = np.empty((c.shape[0], n + 1))
+            z[:, :n] = c
+            z[:, n] = -(a / n) * np.add.reduce(c, axis=1)
             sol = _el.solve_rows(z, np.zeros(beta.size), lam0)
-            slope = (-2.0 * (n + 1)) * sol.lam * (1.0 - (1.0 + a) * sol.last_weight)
+            m = n + 1
+            slope = (-2.0 * m) * sol.lam * (1.0 - (1.0 + a) * sol.last_weight)
+        lam, g, gp = sol.lam, sol.score, sol.score_slope
+        sum_w2 = m * (1.0 - 2.0 * lam * g - lam * lam * gp)
+        sum_zw2 = -m * gp
+        if self.adjust is None:
+            dlam = -sum_w2 / sum_zw2
+            curvature = (-2.0 * m) * dlam
+        else:
+            p = sol.last_weight
+            w_last2 = (m * p) ** 2
+            dlam = ((1.0 + a) * w_last2 - sum_w2) / sum_zw2
+            dp = -w_last2 * (dlam * z[:, n] + lam * a) / m
+            curvature = (-2.0 * m) * (dlam * (1.0 - (1.0 + a) * p) - lam * (1.0 + a) * dp)
         slope = slope.tolist()
         errors = {}
         for j, exc in sol.errors.items():
@@ -209,7 +249,7 @@ class _StackedRatio:
             else:
                 errors[j] = exc
         ratio = [max(0.0, -2.0 * v) for v in sol.log_ratio.tolist()]
-        return ratio, slope, sol.lam.tolist(), errors
+        return ratio, slope, lam.tolist(), dlam.tolist(), curvature.tolist(), errors
 
 
 def _jel_problem(sample, r, rule, a_n) -> _RatioProblem:
@@ -311,10 +351,15 @@ def confidence_interval(sample, r: int, level: float, method: str,
     ``method`` is one of :data:`CI_METHODS`; ``rule`` and ``a_n`` apply to
     AJEL only but are checked for every method.  Endpoints solve
     ``ratio(beta) = chi-square quantile`` on each side of the ratio's
-    minimum by a safeguarded Newton search that stops at ratio residual
-    <= 1e-6 with a Newton step <= 1e-8 * beta_scale, where ``beta_scale``
-    is the larger of the estimate's magnitude and the EL points' spread
-    around it.
+    minimum by a safeguarded Halley search on ``sqrt(ratio) -
+    sqrt(quantile)``, which takes the ratio's slope and curvature from each
+    EL solve.  It starts a skew-corrected step from the minimum, warm-starts
+    each solve along the multiplier's tangent, and stops at ratio residual
+    <= 1e-6 with a Newton step <= 1e-8 * beta_scale, where ``beta_scale`` is
+    the larger of the estimate's magnitude and the EL points' spread around
+    it.  ``endpoint_iterations`` counts the ratio evaluations of both
+    searches.  The search runs on the data scaled by a power of two, so the
+    endpoints scale exactly with the data.
     """
     problem = _problem(sample, r, method, rule, a_n, level=level)
     return _raised(_lockstep_intervals([problem], level, method)[0])
@@ -324,12 +369,14 @@ def ratio_test(sample, r: int, beta0: float, alpha: float, method: str,
                rule: str = "centered", a_n=None) -> TestResult:
     """Chi-square calibrated test of ``beta_r = beta0`` on ``method``'s ratio."""
     statistic = _neg2_ratio(sample, r, beta0, method, rule, a_n, alpha=alpha)
-    return _test_result(statistic, beta0, alpha, method)
+    return _test_result(statistic, chi2_1_quantile(1.0 - alpha), beta0, alpha, method)
 
 
-def _test_result(statistic: float, beta0: float, alpha: float, method: str) -> TestResult:
+def _test_result(statistic: float, threshold: float, beta0: float, alpha: float,
+                 method: str) -> TestResult:
+    """The test of ``statistic`` against ``threshold``, the chi-square
+    quantile at ``1 - alpha``."""
     p_value = 1.0 - chi2_1_cdf(statistic) if math.isfinite(statistic) else 0.0
-    threshold = chi2_1_quantile(1.0 - alpha)
     return TestResult(
         statistic=statistic,
         threshold=threshold,
@@ -362,7 +409,8 @@ def ratio_tests(samples, r: int, beta0: float, alpha: float, methods,
     """:func:`ratio_test` for every sample and method, one batched EL solve
     per method; returned as :func:`confidence_intervals` returns intervals."""
     methods = check_options(methods, rule, a_n, alpha=alpha, beta0=beta0)
-    columns = [[s if isinstance(s, PwmError) else _test_result(s, beta0, alpha, method)
+    threshold = chi2_1_quantile(1.0 - alpha)
+    columns = [[s if isinstance(s, PwmError) else _test_result(s, threshold, beta0, alpha, method)
                 for s in _statistics(problems, beta0)]
                for method, problems in _method_problems(samples, r, methods, rule, a_n)]
     return list(zip(*columns))
@@ -408,11 +456,26 @@ def _statistics(problems: list, beta0: float) -> list:
     live = [i for i, p in enumerate(problems) if out[i] is None]
     if live:
         k = len(live)
-        stats, _, _, errors = _StackedRatio([problems[i] for i in live])(
-            list(range(k)), [float(beta0)] * k, [0.0] * k)
+        ratio = _StackedRatio([problems[i] for i in live])
+        stats, *_, errors = ratio(list(range(k)),
+                                  [_scaled_beta(float(beta0), e) for e in ratio.exponent],
+                                  [0.0] * k)
         for j, i in enumerate(live):
             out[i] = errors.get(j, stats[j])
     return out
+
+
+def _scaled_beta(beta: float, exponent: int) -> float:
+    """``beta`` in the coordinates of a stacked row with this ``exponent``.
+
+    Held within +-2**60 there: farther out every point (at most 1 in
+    magnitude) rounds away against beta, so the ratio no longer changes; it
+    is infinite for plain EL and at its plateau under the centered
+    adjustment, whose point set is then exactly proportional to beta.
+    """
+    if math.frexp(beta)[1] - exponent > 60:
+        return math.copysign(2.0 ** 60, beta)
+    return math.ldexp(beta, -exponent)
 
 
 def _between(x: float, a: float, b: float) -> bool:
@@ -420,32 +483,43 @@ def _between(x: float, a: float, b: float) -> bool:
 
 
 def _newton_endpoint(seed: float, start: float, bound, threshold: float,
-                     beta_tol: float, lam: float):
+                     beta_tol: float, lam: float, dlam: float, bend: float, exponent: int):
     """Locate the ratio = threshold crossing on the side of ``start``.
 
     A generator: it yields each ``(beta, lam0)`` to evaluate and receives
-    the ratio, its slope and the solved multiplier there; it returns the
-    endpoint and the number of ratio evaluations.  Safeguarded Newton on
-    ``sqrt(ratio) - sqrt(threshold)``, which is nearly linear in beta.  The
+    ``(ratio, slope, lam, dlam, curvature)`` there, the ratio with its first
+    two derivatives in beta and the solved multiplier with its derivative;
+    it returns the endpoint and the number of ratio evaluations.  ``lam``
+    and ``dlam`` come from the solve at the seed, and ``bend`` is half the
+    multiplier's second derivative there.  Halley's method on
+    ``h = sqrt(ratio) - sqrt(threshold)``, which is nearly linear in beta,
+    falling back to Newton's step where Halley's denominator is not positive
+    or a term is not finite.  Each solve starts from the multiplier's
+    tangent at the last evaluated point, ``lam + dlam * (beta - x)``, the
+    first one with ``bend * (beta - seed)^2`` added.  The
     bracket runs from ``inside`` (ratio below the threshold, the seed at
     first) to ``outside`` (at or above it).  A finite ``bound`` (the hull
     bound on this side) enters as the outside end unevaluated and is probed
-    only when a Newton step reaches it; ``None`` means the ratio stays
-    finite on this side, so the search doubles its distance from the seed
-    until it crosses.  Steps that leave the bracket become midpoints.
-    Stops at a point whose ratio residual is at most ``_RESIDUAL_TOL`` and
-    whose next Newton step is at most ``beta_tol``.
+    only when a step reaches it; ``None`` means the ratio stays finite on
+    this side, so the search doubles its distance from the seed until it
+    crosses.  Steps that leave the bracket become midpoints.  Stops at a
+    point whose ratio residual is at most ``_RESIDUAL_TOL`` and whose next
+    Newton step is at most ``beta_tol``.  Everything is in the stacked
+    row's coordinates; the hull bound in an error message and the best point
+    an error carries are scaled back by ``2**exponent``.
     """
     root_threshold = math.sqrt(threshold)
     inside, outside = seed, bound
     bound_probed = bound is None
     best, best_resid = math.nan, math.inf
+    solved_at = seed  # where lam and dlam were solved
     x = start
     if outside is not None and not _between(x, inside, outside):
         x = 0.5 * (inside + outside)
     evals = 0
     while evals < _MAX_STEPS:
-        ratio, slope, lam = yield x, lam
+        ratio, slope, lam, dlam, curvature = yield x, _tangent(lam, dlam, bend, x - solved_at)
+        solved_at, bend = x, 0.0
         evals += 1
         resid = ratio - threshold
         if abs(resid) < best_resid:
@@ -458,6 +532,9 @@ def _newton_endpoint(seed: float, start: float, bound, threshold: float,
         newton = x - 2.0 * root * (root - root_threshold) / slope if slope else math.nan
         if abs(resid) <= _RESIDUAL_TOL and abs(newton - x) <= beta_tol:
             return float(x), evals
+        step = _halley(x, root, root_threshold, slope, curvature)
+        if math.isnan(step):
+            step = newton
         if outside is None:
             if evals >= _MAX_EXPAND:
                 raise ConvergenceError(
@@ -465,20 +542,21 @@ def _newton_endpoint(seed: float, start: float, bound, threshold: float,
                     "interval does not close on this side"
                 )
             reach = seed + 2.0 * (inside - seed)
-            x = newton if _between(newton, inside, reach) else reach
+            x = step if _between(step, inside, reach) else reach
             continue
         if abs(outside - inside) <= beta_tol:
             break
-        if _between(newton, inside, outside):
-            x = newton
-        elif not bound_probed and outside == bound and (newton - bound) * (bound - seed) >= 0.0:
-            # the Newton step reaches the hull bound: check it really is outside
-            at_bound, _, lam = yield bound, lam
+        if _between(step, inside, outside):
+            x = step
+        elif not bound_probed and outside == bound and (step - bound) * (bound - seed) >= 0.0:
+            # the step reaches the hull bound: check it really is outside
+            at_bound = (yield bound, _tangent(lam, dlam, 0.0, bound - solved_at))[0]
             evals += 1
             bound_probed = True
             if at_bound < threshold:
                 raise ConvergenceError(
-                    f"ratio stays below the threshold out to the hull bound {bound:.6g}"
+                    "ratio stays below the threshold out to the hull bound "
+                    f"{math.ldexp(bound, exponent):.6g}"
                 )
             x = 0.5 * (inside + outside)
         else:
@@ -489,8 +567,33 @@ def _newton_endpoint(seed: float, start: float, bound, threshold: float,
         return float(best), evals
     raise ConvergenceError(
         f"interval endpoint stalled with ratio residual {best_resid:.3e}",
-        best=best,
+        best=math.ldexp(best, exponent),
     )
+
+
+def _halley(x: float, root: float, root_threshold: float, slope: float,
+            curvature: float) -> float:
+    """Halley's step from ``x`` on ``h = root - root_threshold``, with
+    ``root = sqrt(ratio)`` and the ratio's slope and curvature; nan where
+    its denominator ``2 h'^2 - h h''`` is not positive or a term is not
+    finite."""
+    if not (0.0 < root < math.inf and math.isfinite(slope) and math.isfinite(curvature)):
+        return math.nan
+    h = root - root_threshold
+    dh = slope / (2.0 * root)
+    d2h = (curvature - slope * dh / root) / (2.0 * root)
+    denominator = 2.0 * dh * dh - h * d2h
+    if not 0.0 < denominator < math.inf:
+        return math.nan
+    step = x - 2.0 * h * dh / denominator
+    return step if math.isfinite(step) else math.nan
+
+
+def _tangent(lam: float, dlam: float, bend: float, dx: float) -> float:
+    """The multiplier's guess ``dx`` away, ``lam + (dlam + bend * dx) * dx``,
+    or ``lam`` where that is not finite."""
+    guess = lam + (dlam + bend * dx) * dx
+    return guess if math.isfinite(guess) else lam
 
 
 def _seed_error(at_seed: float, threshold: float) -> ConvergenceError | None:
@@ -502,27 +605,55 @@ def _seed_error(at_seed: float, threshold: float) -> ConvergenceError | None:
     )
 
 
-def _endpoint_searches(problem: _RatioProblem, threshold: float, lam: float):
-    """The lower and upper endpoint searches, warm-started from ``lam``.
+def _endpoint_searches(problem: _RatioProblem, points: np.ndarray, e: int,
+                       threshold: float, lam: float, dlam: float):
+    """The lower and upper endpoint searches, in the coordinates of the
+    problem's stacked row, whose ``points`` are scaled by ``2**-e``, from
+    the seed's multiplier ``lam`` and its derivative ``dlam``.
 
-    The spread of the problem's points sets the first Newton step,
-    ``sqrt(threshold) * std(points) / sqrt(m)`` from the seed, and the
-    tolerance scale ``beta_scale``; when the problem is bounded their
-    shrunk hull bounds the search.
+    The seed is the mean of the m points, with central moments ``m2`` and
+    ``m3``.  The first Newton step from it, ``delta = sqrt(threshold * m2 /
+    m)``, is skewed by ``kappa = delta * m3 / (3 m2^2)``: the searches start
+    at ``seed - delta (1 - kappa)`` and ``seed + delta (1 + kappa)``, where a
+    skewed ratio crosses the threshold to third order.  Kappa is held within
+    [-1/2, 1/2], since past 1 (a far outlier at a high level) a start would
+    cross the seed.  There the first solve starts from the multiplier's
+    second-order expansion about the seed, where it is 0 and its second
+    derivative is ``2 dlam^2 m3 / m2``.  The spread also sets the tolerance
+    scale ``beta_scale``; when the problem is bounded the shrunk hull of its
+    points bounds the search.
     """
-    points, seed = problem.points, problem.seed
-    beta_tol = _BETA_TOL * _beta_scale(points, problem.estimate)
-    step = math.sqrt(threshold) * float(np.std(points)) / math.sqrt(points.size)
-    lo_bound, hi_bound = _hull_bounds(points) if problem.bounded else (None, None)
-    return (_newton_endpoint(seed, seed - step, lo_bound, threshold, beta_tol, lam),
-            _newton_endpoint(seed, seed + step, hi_bound, threshold, beta_tol, lam))
+    seed = math.ldexp(problem.seed, -e)
+    vmin, vmax = float(points.min()), float(points.max())
+    beta_tol = _BETA_TOL * _beta_scale(vmin, vmax, math.ldexp(problem.estimate, -e))
+    m2, m3 = _central_moments(points)
+    delta = math.sqrt(threshold * m2 / points.size)
+    kappa = min(max(delta * m3 / (3.0 * m2 * m2), -0.5), 0.5) if m2 > 0.0 else 0.0
+    bend = dlam * dlam * m3 / m2 if m2 > 0.0 else 0.0
+    lo_bound, hi_bound = _hull_bounds(vmin, vmax) if problem.bounded else (None, None)
+    return (_newton_endpoint(seed, seed - delta * (1.0 - kappa), lo_bound, threshold,
+                             beta_tol, lam, dlam, bend, e),
+            _newton_endpoint(seed, seed + delta * (1.0 + kappa), hi_bound, threshold,
+                             beta_tol, lam, dlam, bend, e))
 
 
-def _interval(problem: _RatioProblem, level: float, method: str, lower, upper):
-    """The interval from the ``(endpoint, evaluations)`` of both searches."""
+def _central_moments(points: np.ndarray) -> tuple[float, float]:
+    """The second and third central moments of the points.  They are in a
+    stacked row's coordinates, at most 1 in magnitude, so neither can
+    overflow."""
+    m = points.size
+    c = points - float(np.add.reduce(points)) / m
+    c2 = c * c
+    return float(np.add.reduce(c2)) / m, float(np.add.reduce(c2 * c)) / m
+
+
+def _interval(problem: _RatioProblem, exponent: int, level: float, method: str,
+              lower, upper):
+    """The interval from the ``(endpoint, evaluations)`` of both searches,
+    scaled back by ``2**exponent``."""
     return ConfidenceInterval(
-        lower=lower[0],
-        upper=upper[0],
+        lower=math.ldexp(lower[0], exponent),
+        upper=math.ldexp(upper[0], exponent),
         level=level,
         method=method,
         point_estimate=problem.estimate,
@@ -547,21 +678,22 @@ def _lockstep_intervals(problems: list, level: float, method: str) -> list:
     if not live:
         return out
     ratio = _StackedRatio([problems[i] for i in live])
-    at_seed, _, lam, errors = ratio(list(range(len(live))), [problems[i].seed for i in live],
-                                    [0.0] * len(live))
+    seeds = [math.ldexp(problems[i].seed, -e) for i, e in zip(live, ratio.exponent)]
+    at_seed, _, lam, dlam, _, errors = ratio(list(range(len(live))), seeds, [0.0] * len(live))
     searches = {}  # (row, side) -> endpoint search; side 0 is the lower end
     for j, i in enumerate(live):
         out[i] = errors.get(j) or _seed_error(at_seed[j], threshold)
         if out[i] is None:
-            lower, upper = _endpoint_searches(problems[i], threshold, lam[j])
+            lower, upper = _endpoint_searches(problems[i], ratio.points[j], ratio.exponent[j],
+                                              threshold, lam[j], dlam[j])
             searches[j, 0], searches[j, 1] = lower, upper
     pending = {key: next(search) for key, search in searches.items()}
     ends = {}  # (row, side) -> (endpoint, evaluations) or PwmError
     while pending:
         keys = list(pending)
-        values, slopes, lams, errors = ratio([j for j, _ in keys],
-                                             [pending[key][0] for key in keys],
-                                             [pending[key][1] for key in keys])
+        *columns, errors = ratio([j for j, _ in keys], [pending[key][0] for key in keys],
+                                 [pending[key][1] for key in keys])
+        received = list(zip(*columns))
         pending = {}
         for t, key in enumerate(keys):
             j, side = key
@@ -571,7 +703,7 @@ def _lockstep_intervals(problems: list, level: float, method: str) -> list:
                 ends[key] = errors[t]
                 continue
             try:
-                pending[key] = searches[key].send((values[t], slopes[t], lams[t]))
+                pending[key] = searches[key].send(received[t])
             except StopIteration as done:
                 ends[key] = done.value
             except PwmError as exc:
@@ -580,19 +712,22 @@ def _lockstep_intervals(problems: list, level: float, method: str) -> list:
         if out[i] is None:
             lower, upper = ends[j, 0], ends.get((j, 1))
             failed = [end for end in (lower, upper) if isinstance(end, PwmError)]
-            out[i] = failed[0] if failed else _interval(problems[i], level, method,
-                                                         lower, upper)
+            out[i] = failed[0] if failed else _interval(problems[i], ratio.exponent[j],
+                                                         level, method, lower, upper)
     return out
 
 
-def _hull_bounds(values: np.ndarray) -> tuple[float, float]:
-    vmin, vmax = float(values.min()), float(values.max())
+def _hull_bounds(vmin: float, vmax: float) -> tuple[float, float]:
+    """The hull ``[vmin, vmax]`` of the points, shrunk on both sides."""
     span = vmax - vmin
     return vmin + _HULL_SHRINK * span, vmax - _HULL_SHRINK * span
 
 
-def _beta_scale(values: np.ndarray, point: float) -> float:
-    return max(abs(point), float(np.max(np.abs(values - point))))
+def _beta_scale(vmin: float, vmax: float, point: float) -> float:
+    """The larger of ``|point|`` and the largest distance from it to the
+    points, whose hull is ``[vmin, vmax]`` (rounding is monotone, so this
+    is the largest rounded distance)."""
+    return max(abs(point), vmax - point, point - vmin)
 
 
 def jel_neg2_ratio(sample, r: int, beta0: float) -> float:

@@ -216,9 +216,14 @@ def test_ratio_and_slope_solves_through_the_module_attribute(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(el, "solve_lambda", counting)
-    z = np.random.default_rng(4).exponential(1.0, 60)
+    data = np.random.default_rng(4).exponential(1.0, 60)
+    ratio = _StackedRatio([_el_problem(data, float(data.mean()))] * el._VECTOR_ROWS)
+    # the stack solves in its rows' coordinates: the data scaled by a power
+    # of two into [-1, 1)
+    e = ratio.exponent[0]
+    z = ratio.points[0]
+    assert np.array_equal(z, np.ldexp(data, -e)) and 0.5 <= np.abs(z).max() < 1.0
     mu = [float(np.quantile(z, q)) for q in (0.2, 0.5, 0.8)]
-    ratio = _StackedRatio([_el_problem(z, float(z.mean()))] * el._VECTOR_ROWS)
     # below the vectorised row count each row is one solve_lambda call
     for k in range(1, el._VECTOR_ROWS):
         calls.clear()
@@ -228,7 +233,7 @@ def test_ratio_and_slope_solves_through_the_module_attribute(monkeypatch):
             sol = original(z, mu[j], lam0=0.1)
             assert (got[0][j], got[1][j], got[2][j]) == \
                 (-2.0 * sol.log_ratio, -2.0 * z.size * sol.lam, sol.lam)
-        assert got[3] == {}
+        assert got[-1] == {}
     calls.clear()
     ratio(np.arange(el._VECTOR_ROWS), np.full(el._VECTOR_ROWS, mu[1]), np.zeros(el._VECTOR_ROWS))
     assert calls == []
@@ -237,9 +242,10 @@ def test_ratio_and_slope_solves_through_the_module_attribute(monkeypatch):
     # outside the open hull: infinite ratio, no slope, the start multiplier back
     for k in (1, el._VECTOR_ROWS):
         outside = [z.max() + 1.0, z.min(), z.max()] * k
-        values, slopes, lams, errors = ratio(np.zeros(k, dtype=int), outside[:k],
-                                             np.full(k, 0.25))
+        values, slopes, lams, dlams, curvatures, errors = ratio(
+            np.zeros(k, dtype=int), outside[:k], np.full(k, 0.25))
         assert values == [math.inf] * k and all(map(math.isnan, slopes))
+        assert all(map(math.isnan, dlams + curvatures))
         assert lams == [0.25] * k and errors == {}
     for mu_out in (z.max() + 1.0, z.min(), z.max()):
         assert neg2_log_ratio(z, mu_out) == math.inf
@@ -315,14 +321,19 @@ def test_solve_rows_is_bit_identical_to_solve_lambda_per_row():
                             assert (got.lam[j], got.log_ratio[j], got.iterations[j]) == \
                                 (lam0[rows][j], -math.inf, 0)
                             assert math.isnan(got.last_weight[j])
+                            assert math.isnan(got.score[j]) and math.isnan(got.score_slope[j])
                             continue
                         assert (got.lam[j], got.log_ratio[j], got.iterations[j]) == \
                             (ref.lam, ref.log_ratio, ref.iterations)
                         assert got.last_weight[j] == ref.weights[-1]
+                        assert (got.score[j], got.score_slope[j]) == \
+                            (ref.score, ref.score_slope)
                         if err is not None:  # the best iterate rides along
                             best = got.errors[j].best
                             assert (best.lam, best.log_ratio, best.iterations) == \
                                 (ref.lam, ref.log_ratio, ref.iterations)
+                            assert (best.score, best.score_slope) == \
+                                (ref.score, ref.score_slope)
                             assert np.array_equal(best.weights, ref.weights)
                             assert not best.converged
     for counts in seen.values():  # every failure kind on both sides of the row count

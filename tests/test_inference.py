@@ -28,7 +28,13 @@ from pwmjel import (
     sample,
     ustat_estimate,
 )
-from pwmjel.inference import _problem, _StackedRatio, confidence_intervals, ratio_tests
+from pwmjel.inference import (
+    _problem,
+    _scaled_beta,
+    _StackedRatio,
+    confidence_intervals,
+    ratio_tests,
+)
 
 X4 = [1.0, 2.0, 3.0, 4.0]
 Q95 = 3.841458820694124
@@ -88,19 +94,62 @@ def test_centered_slope_is_the_envelope_derivative():
     # inside and beyond the pseudo-value hull, with the default and a set a_n
     cases = ((0.6, None), (0.9, None), (lo - 0.5, None), (hi + 2.0, 3.0))
     ratio = _StackedRatio([_problem(pv, 1, "AJEL", "centered", a_n) for _, a_n in cases])
-    beta = [b for b, _ in cases]
+    # the stack runs in its rows' coordinates, beta * 2**-exponent
+    e = ratio.exponent[0]
+    beta = [_scaled_beta(b, e) for b, _ in cases]
     stacked = ratio(np.arange(len(cases)), beta, np.zeros(len(cases)))
-    assert stacked[3] == {}
+    assert stacked[-1] == {}
     h = 1e-6
     for j, (b, a_n) in enumerate(cases):
         # a row alone is solved by solve_lambda, the stack by the vectorised loop
-        (value,), (slope,), (lam,), errors = ratio([j], [b], [0.0])
-        assert (value, slope, lam) == (stacked[0][j], stacked[1][j], stacked[2][j])
+        (value,), (slope,), (lam,), (dlam,), (curvature,), errors = ratio([j], [beta[j]], [0.0])
+        assert (value, slope, lam, dlam, curvature) == tuple(c[j] for c in stacked[:5])
         assert errors == {}
         fd = (ajel_neg2_ratio(pv, 1, b + h, a_n=a_n)
               - ajel_neg2_ratio(pv, 1, b - h, a_n=a_n)) / (2.0 * h)
         assert value == ajel_neg2_ratio(pv, 1, b, a_n=a_n)
-        assert slope == pytest.approx(fd, rel=1e-5)
+        assert math.ldexp(slope, -e) == pytest.approx(fd, rel=1e-5)
+
+
+@pytest.mark.parametrize("method, rule, a_n", [
+    ("JEL", "centered", None), ("AJEL", "centered", None), ("AJEL", "centered", 3.0),
+    ("AJEL", "literal", None), ("DNEL", "centered", None),
+])
+def test_multiplier_derivative_and_curvature_match_finite_differences(method, rule, a_n):
+    x = sample(DistSpec("exponential", 1.0), 50, make_rng(46))
+    problem = _problem(x, 1, method, rule, a_n)
+    # in the stack's coordinates, where the points are at most 1 in magnitude
+    points = _StackedRatio([problem]).points[0]
+    beta = [float(points.mean())] + list(np.quantile(points, [0.1, 0.3, 0.6, 0.9]))
+    if not problem.bounded:  # the centered ratio is finite beyond the points too
+        span = float(np.ptp(points))
+        beta += [points.min() - 0.5 * span, points.max() + 2.0 * span]
+    k = len(beta)
+    ratio = _StackedRatio([problem] * k)
+    rows = np.arange(k)
+    _, _, _, dlams, curvatures, errors = ratio(rows, beta, np.zeros(k))
+    assert errors == {}
+    h = 1e-6 * float(np.ptp(points))
+    plus = ratio(rows, [b + h for b in beta], np.zeros(k))
+    minus = ratio(rows, [b - h for b in beta], np.zeros(k))
+    for j in rows:
+        fd_lam = (plus[2][j] - minus[2][j]) / (2.0 * h)
+        fd_slope = (plus[1][j] - minus[1][j]) / (2.0 * h)
+        assert dlams[j] == pytest.approx(fd_lam, rel=1e-5)
+        assert curvatures[j] == pytest.approx(fd_slope, rel=1e-5)
+    assert curvatures[0] > 0.0  # the ratio's minimum is at the seed
+
+
+def test_far_hypotheses_reach_the_centered_plateau():
+    # far from the data every pseudo-value rounds away against beta, so the
+    # centered statistic stays on its plateau at any distance and data scale,
+    # subnormal data included; plain EL is infinite there
+    x = sample(DistSpec("exponential", 1.0), 40, make_rng(3))
+    plateau = ajel_neg2_ratio(x, 1, 2.0 ** 61)
+    for beta in (2.0 ** 70, 1e300, -1e300):
+        assert ajel_neg2_ratio(x, 1, beta) == plateau
+        assert jel_neg2_ratio(x, 1, beta) == math.inf
+    assert ajel_neg2_ratio(np.ldexp(x, -1060), 1, 1.0) == plateau
 
 
 def test_ajel_rules_differ_away_from_estimate():
@@ -237,15 +286,15 @@ def test_alpha_validation():
         ajel_test(X4, 1, 2.0, alpha=1.0)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # subnormal data overflow numpy
 @pytest.mark.parametrize("n", [4, 25])
 @pytest.mark.parametrize("rule, a_n", [("centered", None), ("literal", None), ("centered", 3.0)])
 def test_batched_calls_equal_one_sample_calls(n, rule, a_n):
     samples = [sample(DistSpec("lognormal", 1.0), n, make_rng(60 + k)) for k in range(8)]
     samples[2] = np.full(n, 3.0)  # constant pseudo-values
-    # subnormal data: both endpoint searches fail, and the lower one's error
-    # is the one a single call raises
-    samples[5] = samples[5] * 1e-310
+    # a spread 1e-9 of the location: the beta tolerance follows the location,
+    # so both JEL endpoint searches stall, and the lower one's error is the
+    # one a single call raises
+    samples[5] = 5.0 + 1e-9 * samples[5]
     intervals = confidence_intervals(samples, 1, 0.9, CI_METHODS, rule, a_n)
     tests = ratio_tests(samples, 1, 1.0, 0.1, CI_METHODS, rule, a_n)
     failures = set()

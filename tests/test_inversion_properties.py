@@ -10,14 +10,17 @@ factor in [1e-3, 1e3], and levels in [0.5, 0.99], each endpoint must
 * have the ratio below the threshold just inside it;
 * match a plain bisection kept in this file to 1e-7 * beta_scale.
 
-The centered AJEL interval must also contain the JEL interval, and on a
-few seeded samples every kind's ratio must not decrease anywhere along the
-way from its minimum out to the hull edge (past the pseudo-values for
-centered AJEL), the shape the one-crossing endpoint search relies on.
+The centered AJEL interval must also contain the JEL interval; the mean
+number of ratio evaluations per interval on 200 fixed samples must stay
+within a bound for each kind; and on a few seeded samples every kind's
+ratio must not decrease anywhere along the way from its minimum out to the
+hull edge (past the pseudo-values for centered AJEL), the shape the
+one-crossing endpoint search relies on.
 
 Equivariance: scaling the data by a in [1e-12, 1e12] scales every
 interval kind's endpoints by a and keeps its test statistic at a scaled
-hypothesis.  Shifting the data by b moves beta_r by b/(r+1);
+hypothesis, and on one sample scaling by 2**k scales the endpoints for k
+from -990 to 490.  Shifting the data by b moves beta_r by b/(r+1);
 JEL and centered-AJEL endpoints move with it and their test statistics at
 correspondingly shifted hypotheses do not change.  Literal AJEL, DNEL and
 VXL are not shift-equivariant (the appended point and the summand weights
@@ -183,6 +186,33 @@ def test_newton_search_step_count(kind):
     assert _setup(kind, x, 1, 0.95)[0].endpoint_iterations <= 20
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_skewed_start_stays_on_its_side_of_the_seed(kind):
+    # one far outlier at level 0.999: the skew correction of the first step
+    # exceeds the step itself, which must not put a search on the wrong side
+    x = sample(DistSpec("exponential", 1.0), 60, make_rng(2))
+    x[0] = 200.0
+    ci, ratio, seed, _, _ = _setup(kind, x, 1, 0.999)
+    threshold = chi2_1_quantile(0.999)
+    assert ci.lower < seed < ci.upper
+    for endpoint in (ci.lower, ci.upper):
+        assert abs(ratio(endpoint) - threshold) <= RESIDUAL_TOL
+
+
+# mean ratio evaluations per interval, seed solve excluded, allowed on the
+# guard samples below; a plain Newton search took 6.2-7.1
+_EVALUATIONS_PER_INTERVAL = {"JEL": 5.0, "AJEL-centered": 5.0, "AJEL-literal": 5.5,
+                             "DNEL": 5.0, "VXL": 5.0}
+
+
+def test_endpoint_evaluations_per_interval():
+    # an exact, deterministic count: 200 seeded exponential samples, n = 300
+    xs = [sample(DistSpec("exponential", 1.0), 300, make_rng(seed)) for seed in range(200)]
+    for kind, most in _EVALUATIONS_PER_INTERVAL.items():
+        mean = np.mean([_kind_interval(kind, x, 1, 0.95).endpoint_iterations for x in xs])
+        assert mean <= most, kind
+
+
 # t in (0, 1) along the way from where the ratio bottoms out to the far end
 # of its search range, crowding toward the far end
 _TOWARD_EDGE = np.sort(np.concatenate([np.linspace(0.0, 1.0, 33)[1:-1],
@@ -230,6 +260,19 @@ def _inside(ci, u):
     """A hypothesis inside the interval, where every statistic is finite."""
     side = ci.upper if u > 0 else ci.lower
     return ci.point_estimate + abs(u) * (side - ci.point_estimate)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_endpoints_scale_with_the_data_over_the_float_range(kind):
+    # data times 2**k for every fifth k in [-990, 490], about 1e-298 to 1e147;
+    # a RuntimeWarning from an over- or underflow fails the test
+    x = sample(DistSpec("exponential", 1.0), 30, make_rng(30))
+    ci = _kind_interval(kind, x, 1, 0.95)
+    for k in range(-990, 491, 5):
+        scaled = _kind_interval(kind, np.ldexp(x, k), 1, 0.95)
+        tol = 1e-8 * scaled.length
+        assert abs(scaled.lower - math.ldexp(ci.lower, k)) <= tol, k
+        assert abs(scaled.upper - math.ldexp(ci.upper, k)) <= tol, k
 
 
 # the two ends of the scale range, on every run
