@@ -29,7 +29,9 @@ returned multiplier, which the last Newton step computed anyway.  With
 since ``1 / (1 + lam d) = 1 - lam u`` they give the sums behind the
 multiplier's derivative in mu and the ratio's curvature (see
 :class:`pwmjel.inference._StackedRatio`) without another pass over the
-points.
+points.  Where mu is the mean of the points to within the score tolerance,
+the multiplier is 0 before any Newton step; :func:`solved_at_zero` finds
+those rows of a stack and their score and slope without a solve.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ __all__ = [
     "RowSolutions",
     "solve_lambda",
     "solve_rows",
+    "solved_at_zero",
     "neg2_log_ratio",
 ]
 
@@ -223,7 +226,10 @@ def solve_rows(z: np.ndarray, mu: np.ndarray, lam0: np.ndarray, tol: float = 1e-
     rows is solved one row at a time by :func:`solve_lambda`; a taller one
     runs the vectorised loop, where all rows start together and a row
     leaves the active set at the step where it converges, so one shared
-    step counter gives each row's iteration count.
+    step counter gives each row's iteration count.  Outside its Newton
+    steps the loop passes over the stack only for the offsets ``d = z -
+    mu``, their row extremes and the log ratio; a row that is not finite
+    with mu strictly inside goes to :func:`solve_lambda` alone.
     """
     if z.ndim != 2 or z.shape[1] < 2:
         raise PwmInputError("EL rows must be a (k, m) array with m >= 2")
@@ -246,21 +252,26 @@ def solve_rows(z: np.ndarray, mu: np.ndarray, lam0: np.ndarray, tol: float = 1e-
     with np.errstate(invalid="ignore"):
         d_all = z - mu[:, None]
     dmin, dmax = d_all.min(axis=1), d_all.max(axis=1)
-    inside = np.isfinite(z).all(axis=1) & np.isfinite(mu) & (dmin < 0.0) & (dmax > 0.0)
+    # a non-finite point or mu makes an extreme non-finite (nan propagates)
+    inside = (-math.inf < dmin) & (dmin < 0.0) & (0.0 < dmax) & (dmax < math.inf)
     for i in np.flatnonzero(~inside).tolist():
-        try:
-            _validate_points(z[i], mu[i])
-        except PwmError as exc:
+        row, exc = _solve_row(z[i], mu[i], lam0[i], tol, max_iter)
+        (lam_out[i], log_ratio[i], iterations[i], last_weight[i], score_out[i],
+         slope_out[i]) = row
+        if exc is not None:
             errors[i] = exc
 
     solved = np.flatnonzero(inside)
-    d_solved = d_all[solved]
-    rows, d, dmin, dmax = solved, d_solved, dmin[solved], dmax[solved]
-    gtol = tol * np.maximum(np.maximum(np.abs(mu[rows]), -dmin), dmax)
+    if solved.size == k:
+        d_solved, mu_solved, start = d_all, mu, lam0
+    else:
+        d_solved, mu_solved, start = d_all[solved], mu[solved], lam0[solved]
+        dmin, dmax = dmin[solved], dmax[solved]
+    rows, d = solved, d_solved
+    gtol = tol * np.maximum(np.maximum(np.abs(mu_solved), -dmin), dmax)
     with np.errstate(over="ignore"):  # subnormal spreads, as in float arithmetic
         a = (-1.0 / dmax) * (1.0 - _EDGE_MARGIN)
         b = (-1.0 / dmin) * (1.0 - _EDGE_MARGIN)
-    start = lam0[rows]
     lam = np.where((a < start) & (start < b), start, 0.0)
     buf = np.empty_like(d)
 
@@ -307,7 +318,8 @@ def solve_rows(z: np.ndarray, mu: np.ndarray, lam0: np.ndarray, tol: float = 1e-
 
     lam = lam_out[solved]
     last_weight[solved] = 1.0 / (m * (1.0 + lam * d_solved[:, -1]))
-    s = -np.add.reduce(np.log1p(d_solved * lam[:, None]), axis=1)
+    np.multiply(d_solved, lam[:, None], out=buf)
+    s = -np.add.reduce(np.log1p(buf, out=buf), axis=1)
     # rounding can push the ratio epsilon-positive at lam ~ 0
     log_ratio[solved] = np.where(s < 0.0, s, 0.0)
     for i, g_i, gtol_i in stalled:
@@ -316,6 +328,36 @@ def solve_rows(z: np.ndarray, mu: np.ndarray, lam0: np.ndarray, tol: float = 1e-
         errors[i] = _not_converged(max_iter, g_i, gtol_i, best)
     return RowSolutions(lam_out, log_ratio, iterations, last_weight, score_out, slope_out,
                         errors)
+
+
+def solved_at_zero(z: np.ndarray, mu: np.ndarray, tol: float = 1e-10):
+    """The rows of a ``(k, m)`` stack that :func:`solve_rows` started at
+    ``lam0 = 0`` returns at ``lam = 0`` without a Newton step, as a mask,
+    with the score and its slope there for those rows.
+
+    At ``lam = 0`` every weight is ``1/m`` and ``u = d = z - mu``, so the
+    score is ``mean(d)`` and its slope ``-mean(d^2)`` (Owen 1988); both are
+    computed as the kernels compute them, so they are bit for bit what
+    :func:`solve_rows` returns.  A row qualifies when it is finite, mu lies
+    strictly inside its hull and the score meets the kernels' tolerance.
+    Such a row has log ratio 0 and last weight ``1/m``.
+    """
+    m = z.shape[1]
+    zmin, zmax = z.min(axis=1), z.max(axis=1)
+    finite = np.isfinite(zmin) & np.isfinite(zmax) & np.isfinite(mu)
+    if not finite.all():
+        # such a row cannot qualify: points at 0 and mu at 1 leave it
+        # outside its hull, and nothing below warns
+        z = np.where(finite[:, None], z, 0.0)
+        zmin, zmax, mu = (np.where(finite, v, fill)
+                          for v, fill in ((zmin, 0.0), (zmax, 0.0), (mu, 1.0)))
+    d = z - mu[:, None]
+    # the kernels' extremes of d, as rounding is monotone
+    dmin, dmax = zmin - mu, zmax - mu
+    score = np.add.reduce(d, axis=1) / m
+    slope = -np.add.reduce(np.multiply(d, d, out=d), axis=1) / m
+    gtol = tol * np.maximum(np.maximum(np.abs(mu), -dmin), dmax)
+    return (dmin < 0.0) & (0.0 < dmax) & (np.abs(score) <= gtol), score, slope
 
 
 def neg2_log_ratio(z, mu) -> float:

@@ -76,7 +76,7 @@ class SortedSample:
             raise PwmInputError("sample is empty")
         if not np.all(np.isfinite(arr)):
             raise PwmInputError("sample contains non-finite values")
-        out = np.sort(arr, kind="stable")
+        out = np.sort(arr)
         out.flags.writeable = False
         return cls(values=out)
 

@@ -194,6 +194,10 @@ class _StackedRatio:
     ``lam' = ((1 + a) w_last^2 - sum w^2) / sum z^2 w^2`` and the curvature
     is ``-2 m (lam' (1 - (1 + a) p_last) - lam (1 + a) p_last')``, where
     ``p_last' = -w_last^2 (lam' z_last + lam a) / m``.
+
+    Calling the stack gives all of these, for the interval searches;
+    :meth:`statistics` gives the ratio alone, for tests, and
+    :meth:`at_seeds` gives the searches' start values without a solve.
     """
 
     def __init__(self, problems: list[_RatioProblem]):
@@ -205,6 +209,38 @@ class _StackedRatio:
         self.adjust = (None if problems[0].adjust is None
                        else np.array([p.adjust for p in problems]))
 
+    def _el_rows(self, rows, beta):
+        """The EL point sets and hypothesized means of problem ``rows[j]``
+        at ``beta[j]``, with the rows' adjustment constants: the row at
+        beta, or under the centered adjustment (``a`` not None) the row
+        centered at beta and augmented, at mean zero."""
+        beta = np.asarray(beta, dtype=float)
+        points = self.points[rows]
+        if self.adjust is None:
+            return points, beta, None
+        a = self.adjust[rows]
+        c = points - beta[:, None]
+        n = c.shape[1]
+        z = np.empty((c.shape[0], n + 1))
+        z[:, :n] = c
+        z[:, n] = -(a / n) * np.add.reduce(c, axis=1)
+        return z, np.zeros(beta.size), a
+
+    def _ratios(self, sol):
+        """The ratios of a solve and ``{j: error}`` for its failed rows; a
+        plain problem's hull failure is no error but an infinite ratio, as
+        :func:`el.solve_rows` leaves the row at log ratio -inf."""
+        errors = {j: exc for j, exc in sol.errors.items()
+                  if self.adjust is not None or not isinstance(exc, HullError)}
+        return [max(0.0, -2.0 * v) for v in sol.log_ratio.tolist()], errors
+
+    def statistics(self, rows, beta, lam0):
+        """The ratio of problem ``rows[j]`` at ``beta[j]`` from ``lam0[j]``,
+        as a list, and ``{j: error}`` for the rows whose solve fails; the
+        ratio is infinite outside the hull of a plain problem."""
+        z, mu, _ = self._el_rows(rows, beta)
+        return self._ratios(_el.solve_rows(z, mu, lam0))
+
     def __call__(self, rows, beta, lam0):
         """Ratio, slope, multiplier, the multiplier's derivative and the
         ratio's curvature of problem ``rows[j]`` at ``beta[j]`` from
@@ -212,44 +248,67 @@ class _StackedRatio:
         fails.  Outside the hull of a plain problem the ratio is infinite,
         the slope, derivative and curvature nan and the multiplier
         ``lam0[j]``."""
-        beta = np.asarray(beta, dtype=float)
-        points = self.points[rows]
-        if self.adjust is None:
-            sol = _el.solve_rows(points, beta, lam0)
-            m = points.shape[1]
-            slope = (-2.0 * m) * sol.lam
-        else:
-            a = self.adjust[rows]
-            c = points - beta[:, None]
-            n = c.shape[1]
-            z = np.empty((c.shape[0], n + 1))
-            z[:, :n] = c
-            z[:, n] = -(a / n) * np.add.reduce(c, axis=1)
-            sol = _el.solve_rows(z, np.zeros(beta.size), lam0)
-            m = n + 1
-            slope = (-2.0 * m) * sol.lam * (1.0 - (1.0 + a) * sol.last_weight)
-        lam, g, gp = sol.lam, sol.score, sol.score_slope
-        sum_w2 = m * (1.0 - 2.0 * lam * g - lam * lam * gp)
-        sum_zw2 = -m * gp
-        if self.adjust is None:
-            dlam = -sum_w2 / sum_zw2
-            curvature = (-2.0 * m) * dlam
-        else:
-            p = sol.last_weight
-            w_last2 = (m * p) ** 2
-            dlam = ((1.0 + a) * w_last2 - sum_w2) / sum_zw2
-            dp = -w_last2 * (dlam * z[:, n] + lam * a) / m
-            curvature = (-2.0 * m) * (dlam * (1.0 - (1.0 + a) * p) - lam * (1.0 + a) * dp)
+        z, mu, a = self._el_rows(rows, beta)
+        sol = _el.solve_rows(z, mu, lam0)
+        m = z.shape[1]
+        slope = (-2.0 * m) * sol.lam
+        if a is not None:
+            slope *= 1.0 - (1.0 + a) * sol.last_weight
+        dlam, curvature = _derivatives(m, sol.lam, sol.score, sol.score_slope, a,
+                                       sol.last_weight, z[:, -1])
+        ratio, errors = self._ratios(sol)
         slope = slope.tolist()
-        errors = {}
-        for j, exc in sol.errors.items():
-            if isinstance(exc, HullError) and self.adjust is None:
-                # solve_rows leaves the row at log ratio -inf and its lam0
+        for j in sol.errors:
+            if j not in errors:
                 slope[j] = math.nan
-            else:
-                errors[j] = exc
-        ratio = [max(0.0, -2.0 * v) for v in sol.log_ratio.tolist()]
-        return ratio, slope, lam.tolist(), dlam.tolist(), curvature.tolist(), errors
+        return ratio, slope, sol.lam.tolist(), dlam.tolist(), curvature.tolist(), errors
+
+    def at_seeds(self, seeds):
+        """The ratio, multiplier and multiplier's derivative of every problem
+        at its seed ``seeds[i]`` from ``lam0 = 0``, as lists, and ``{i:
+        error}``, bit for bit what ``self`` returns there.
+
+        Where the seed is the mean of the EL points to within the kernel's
+        score tolerance, the multiplier is 0 with no Newton step (Owen 1988),
+        so the ratio is 0 and the derivative is :func:`_derivatives` at
+        ``lam = 0``, where ``sum w^2 = m`` and ``sum d^2 w^2 = sum d^2`` for
+        the offsets ``d`` of the EL points; only the other rows are solved.
+        """
+        k = len(seeds)
+        z, mu, a = self._el_rows(slice(None), seeds)
+        m = z.shape[1]
+        at_zero, score, score_slope = _el.solved_at_zero(z, mu)
+        rest = np.flatnonzero(~at_zero).tolist()
+        closed = np.flatnonzero(at_zero) if rest else slice(None)
+        dlam = np.full(k, math.nan)
+        # the kernel's last weight at lam = 0 is 1 / (m (1 + 0 d)) = 1 / m
+        dlam[closed] = _derivatives(m, 0.0, score[closed], score_slope[closed],
+                                    None if a is None else a[closed],
+                                    np.full(k - len(rest), 1.0 / m), z[closed, -1])[0]
+        ratio, lam, dlam, errors = [0.0] * k, [0.0] * k, dlam.tolist(), {}
+        if rest:
+            got = self(rest, [seeds[i] for i in rest], [0.0] * len(rest))
+            for t, i in enumerate(rest):
+                ratio[i], lam[i], dlam[i] = got[0][t], got[2][t], got[3][t]
+            errors = {rest[t]: exc for t, exc in got[5].items()}
+        return ratio, lam, dlam, errors
+
+
+def _derivatives(m: int, lam, score, score_slope, a, p, z_last):
+    """The multiplier's derivative in beta and the ratio's curvature of
+    stacked rows, from the multiplier ``lam`` solved on ``m`` points and the
+    score and its slope there; under the centered adjustment (``a`` not
+    None) also from the appended points ``z_last`` and their EL weights
+    ``p``.  The formulas are in :class:`_StackedRatio`."""
+    sum_w2 = m * (1.0 - 2.0 * lam * score - lam * lam * score_slope)
+    sum_zw2 = -m * score_slope
+    if a is None:
+        dlam = -sum_w2 / sum_zw2
+        return dlam, (-2.0 * m) * dlam
+    w_last2 = (m * p) ** 2
+    dlam = ((1.0 + a) * w_last2 - sum_w2) / sum_zw2
+    dp = -w_last2 * (dlam * z_last + lam * a) / m
+    return dlam, (-2.0 * m) * (dlam * (1.0 - (1.0 + a) * p) - lam * (1.0 + a) * dp)
 
 
 def _jel_problem(sample, r, rule, a_n) -> _RatioProblem:
@@ -353,13 +412,17 @@ def confidence_interval(sample, r: int, level: float, method: str,
     ``ratio(beta) = chi-square quantile`` on each side of the ratio's
     minimum by a safeguarded Halley search on ``sqrt(ratio) -
     sqrt(quantile)``, which takes the ratio's slope and curvature from each
-    EL solve.  It starts a skew-corrected step from the minimum, warm-starts
-    each solve along the multiplier's tangent, and stops at ratio residual
-    <= 1e-6 with a Newton step <= 1e-8 * beta_scale, where ``beta_scale`` is
-    the larger of the estimate's magnitude and the EL points' spread around
-    it.  ``endpoint_iterations`` counts the ratio evaluations of both
-    searches.  The search runs on the data scaled by a power of two, so the
-    endpoints scale exactly with the data.
+    EL solve.  At the minimum, the seed, the multiplier is 0 in closed
+    form (the seed is the mean of the EL points to within the solver's
+    tolerance), so the ratio there and the multiplier's derivative take no
+    EL solve.  The search starts a skew-corrected step from the seed,
+    warm-starts each solve along the multiplier's tangent, and stops at
+    ratio residual <= 1e-6 with a Newton step <= 1e-8 * beta_scale, where
+    ``beta_scale`` is the larger of the estimate's magnitude and the EL
+    points' spread around it.  ``endpoint_iterations`` counts the ratio
+    evaluations of both searches, which are then all the EL solves the
+    interval takes.  The search runs on the data scaled by a power of two,
+    so the endpoints scale exactly with the data.
     """
     problem = _problem(sample, r, method, rule, a_n, level=level)
     return _raised(_lockstep_intervals([problem], level, method)[0])
@@ -455,11 +518,10 @@ def _statistics(problems: list, beta0: float) -> list:
     out = [p if isinstance(p, PwmError) else None for p in problems]
     live = [i for i, p in enumerate(problems) if out[i] is None]
     if live:
-        k = len(live)
         ratio = _StackedRatio([problems[i] for i in live])
-        stats, *_, errors = ratio(list(range(k)),
-                                  [_scaled_beta(float(beta0), e) for e in ratio.exponent],
-                                  [0.0] * k)
+        stats, errors = ratio.statistics(
+            slice(None), [_scaled_beta(float(beta0), e) for e in ratio.exponent],
+            np.zeros(len(live)))
         for j, i in enumerate(live):
             out[i] = errors.get(j, stats[j])
     return out
@@ -490,11 +552,11 @@ def _newton_endpoint(seed: float, start: float, bound, threshold: float,
     ``(ratio, slope, lam, dlam, curvature)`` there, the ratio with its first
     two derivatives in beta and the solved multiplier with its derivative;
     it returns the endpoint and the number of ratio evaluations.  ``lam``
-    and ``dlam`` come from the solve at the seed, and ``bend`` is half the
-    multiplier's second derivative there.  Halley's method on
-    ``h = sqrt(ratio) - sqrt(threshold)``, which is nearly linear in beta,
-    falling back to Newton's step where Halley's denominator is not positive
-    or a term is not finite.  Each solve starts from the multiplier's
+    and ``dlam`` are the multiplier and its derivative at the seed, and
+    ``bend`` is half the multiplier's second derivative there.  Halley's
+    method on ``h = sqrt(ratio) - sqrt(threshold)``, which is nearly linear
+    in beta, falling back to Newton's step where Halley's denominator is
+    not positive or a term is not finite.  Each solve starts from the multiplier's
     tangent at the last evaluated point, ``lam + dlam * (beta - x)``, the
     first one with ``bend * (beta - seed)^2`` added.  The
     bracket runs from ``inside`` (ratio below the threshold, the seed at
@@ -605,11 +667,15 @@ def _seed_error(at_seed: float, threshold: float) -> ConvergenceError | None:
     )
 
 
-def _endpoint_searches(problem: _RatioProblem, points: np.ndarray, e: int,
-                       threshold: float, lam: float, dlam: float):
-    """The lower and upper endpoint searches, in the coordinates of the
-    problem's stacked row, whose ``points`` are scaled by ``2**-e``, from
-    the seed's multiplier ``lam`` and its derivative ``dlam``.
+def _endpoint_searches(ratio: _StackedRatio, rows: list, problems: list, seeds: list,
+                       threshold: float, lam: list, dlam: list) -> dict:
+    """The lower and upper endpoint searches of the problems on the given
+    stacked ``rows``, as ``{(row, side): search}`` with side 0 the lower
+    end.  ``problems``, ``seeds``, ``lam`` and ``dlam`` hold, for every row
+    of the stack, its problem, and its seed with the multiplier and the
+    multiplier's derivative there, in the row's coordinates.  The sums and
+    extremes of all searches' points are one set of reductions along the
+    rows of the stack, bit for bit the row-by-row ones.
 
     The seed is the mean of the m points, with central moments ``m2`` and
     ``m3``.  The first Newton step from it, ``delta = sqrt(threshold * m2 /
@@ -619,32 +685,41 @@ def _endpoint_searches(problem: _RatioProblem, points: np.ndarray, e: int,
     [-1/2, 1/2], since past 1 (a far outlier at a high level) a start would
     cross the seed.  There the first solve starts from the multiplier's
     second-order expansion about the seed, where it is 0 and its second
-    derivative is ``2 dlam^2 m3 / m2``.  The spread also sets the tolerance
-    scale ``beta_scale``; when the problem is bounded the shrunk hull of its
-    points bounds the search.
+    derivative is ``2 dlam^2 m3 / m2``.  The step tolerance is ``beta_tol =
+    1e-8 * beta_scale``, where ``beta_scale`` is the larger of the
+    estimate's magnitude and the largest distance from it to a point (taken
+    from the extremes, as rounding is monotone); when the problem is
+    bounded the hull of its points, shrunk on both sides, bounds the
+    search.  The points are at most 1 in magnitude, so none of this can
+    overflow.
     """
-    seed = math.ldexp(problem.seed, -e)
-    vmin, vmax = float(points.min()), float(points.max())
-    beta_tol = _BETA_TOL * _beta_scale(vmin, vmax, math.ldexp(problem.estimate, -e))
-    m2, m3 = _central_moments(points)
-    delta = math.sqrt(threshold * m2 / points.size)
-    kappa = min(max(delta * m3 / (3.0 * m2 * m2), -0.5), 0.5) if m2 > 0.0 else 0.0
-    bend = dlam * dlam * m3 / m2 if m2 > 0.0 else 0.0
-    lo_bound, hi_bound = _hull_bounds(vmin, vmax) if problem.bounded else (None, None)
-    return (_newton_endpoint(seed, seed - delta * (1.0 - kappa), lo_bound, threshold,
-                             beta_tol, lam, dlam, bend, e),
-            _newton_endpoint(seed, seed + delta * (1.0 + kappa), hi_bound, threshold,
-                             beta_tol, lam, dlam, bend, e))
-
-
-def _central_moments(points: np.ndarray) -> tuple[float, float]:
-    """The second and third central moments of the points.  They are in a
-    stacked row's coordinates, at most 1 in magnitude, so neither can
-    overflow."""
-    m = points.size
-    c = points - float(np.add.reduce(points)) / m
+    if not rows:
+        return {}
+    points = ratio.points if len(rows) == len(ratio.points) else ratio.points[rows]
+    m = points.shape[1]
+    c = points - (np.add.reduce(points, axis=1) / m)[:, None]
     c2 = c * c
-    return float(np.add.reduce(c2)) / m, float(np.add.reduce(c2 * c)) / m
+    m2 = (np.add.reduce(c2, axis=1) / m).tolist()
+    m3 = (np.add.reduce(np.multiply(c2, c, out=c2), axis=1) / m).tolist()
+    searches = {}
+    # per row in floats: on one-problem stacks numpy's per-call cost would
+    # exceed these few operations
+    for j, vmin, vmax, m2_j, m3_j in zip(rows, points.min(axis=1).tolist(),
+                                         points.max(axis=1).tolist(), m2, m3):
+        seed, e = seeds[j], ratio.exponent[j]
+        estimate = math.ldexp(problems[j].estimate, -e)
+        beta_tol = _BETA_TOL * max(abs(estimate), vmax - estimate, estimate - vmin)
+        delta = math.sqrt(threshold * m2_j / m)
+        kappa = min(max(delta * m3_j / (3.0 * m2_j * m2_j), -0.5), 0.5) if m2_j > 0.0 else 0.0
+        bend = dlam[j] * dlam[j] * m3_j / m2_j if m2_j > 0.0 else 0.0
+        span = vmax - vmin
+        bounds = ((vmin + _HULL_SHRINK * span, vmax - _HULL_SHRINK * span)
+                  if problems[j].bounded else (None, None))
+        starts = (seed - delta * (1.0 - kappa), seed + delta * (1.0 + kappa))
+        for side in (0, 1):
+            searches[j, side] = _newton_endpoint(seed, starts[side], bounds[side], threshold,
+                                                 beta_tol, lam[j], dlam[j], bend, e)
+    return searches
 
 
 def _interval(problem: _RatioProblem, exponent: int, level: float, method: str,
@@ -679,14 +754,12 @@ def _lockstep_intervals(problems: list, level: float, method: str) -> list:
         return out
     ratio = _StackedRatio([problems[i] for i in live])
     seeds = [math.ldexp(problems[i].seed, -e) for i, e in zip(live, ratio.exponent)]
-    at_seed, _, lam, dlam, _, errors = ratio(list(range(len(live))), seeds, [0.0] * len(live))
-    searches = {}  # (row, side) -> endpoint search; side 0 is the lower end
+    at_seed, lam, dlam, errors = ratio.at_seeds(seeds)
     for j, i in enumerate(live):
         out[i] = errors.get(j) or _seed_error(at_seed[j], threshold)
-        if out[i] is None:
-            lower, upper = _endpoint_searches(problems[i], ratio.points[j], ratio.exponent[j],
-                                              threshold, lam[j], dlam[j])
-            searches[j, 0], searches[j, 1] = lower, upper
+    # (row, side) -> endpoint search; side 0 is the lower end
+    searches = _endpoint_searches(ratio, [j for j, i in enumerate(live) if out[i] is None],
+                                  [problems[i] for i in live], seeds, threshold, lam, dlam)
     pending = {key: next(search) for key, search in searches.items()}
     ends = {}  # (row, side) -> (endpoint, evaluations) or PwmError
     while pending:
@@ -715,19 +788,6 @@ def _lockstep_intervals(problems: list, level: float, method: str) -> list:
             out[i] = failed[0] if failed else _interval(problems[i], ratio.exponent[j],
                                                          level, method, lower, upper)
     return out
-
-
-def _hull_bounds(vmin: float, vmax: float) -> tuple[float, float]:
-    """The hull ``[vmin, vmax]`` of the points, shrunk on both sides."""
-    span = vmax - vmin
-    return vmin + _HULL_SHRINK * span, vmax - _HULL_SHRINK * span
-
-
-def _beta_scale(vmin: float, vmax: float, point: float) -> float:
-    """The larger of ``|point|`` and the largest distance from it to the
-    points, whose hull is ``[vmin, vmax]`` (rounding is monotone, so this
-    is the largest rounded distance)."""
-    return max(abs(point), vmax - point, point - vmin)
 
 
 def jel_neg2_ratio(sample, r: int, beta0: float) -> float:

@@ -28,8 +28,12 @@ from pwmjel import (
     sample,
     ustat_estimate,
 )
+from pwmjel import el
 from pwmjel.inference import (
+    _el_problem,
+    _lockstep_intervals,
     _problem,
+    _RatioProblem,
     _scaled_beta,
     _StackedRatio,
     confidence_intervals,
@@ -138,6 +142,94 @@ def test_multiplier_derivative_and_curvature_match_finite_differences(method, ru
         assert dlams[j] == pytest.approx(fd_lam, rel=1e-5)
         assert curvatures[j] == pytest.approx(fd_slope, rel=1e-5)
     assert curvatures[0] > 0.0  # the ratio's minimum is at the seed
+
+
+def _bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The rows of every el.solve_rows call."""
+    calls = []
+    original = el.solve_rows
+
+    def counting(*args, **kwargs):
+        sol = original(*args, **kwargs)
+        calls.append(len(sol.lam))
+        return sol
+
+    monkeypatch.setattr(el, "solve_rows", counting)
+    return calls
+
+
+_SEED_KINDS = [("JEL", "centered", None), ("AJEL", "centered", None),
+               ("AJEL", "centered", 3.0), ("AJEL", "literal", None),
+               ("AJEL", "literal", 3.0), ("DNEL", "centered", None), ("VXL", "centered", None)]
+
+
+def _check_seeds(problems, closed, solves):
+    """``at_seeds`` on a stack of ``problems`` solves only the rows not in
+    ``closed`` and returns bit for bit what a solve of every row returns."""
+    ratio = _StackedRatio(problems)
+    k = len(problems)
+    seeds = [math.ldexp(p.seed, -e) for p, e in zip(problems, ratio.exponent)]
+    solves.clear()
+    at_seed, lam, dlam, errors = ratio.at_seeds(seeds)
+    assert sum(solves) == k - len(closed)
+    solved = ratio(list(range(k)), seeds, [0.0] * k)
+    assert _bits(at_seed) == _bits(solved[0])
+    assert _bits(lam) == _bits(solved[2])
+    assert _bits(dlam) == _bits(solved[3])
+    assert errors.keys() == solved[5].keys()
+    for j, exc in errors.items():
+        assert (type(exc), str(exc)) == (type(solved[5][j]), str(solved[5][j]))
+    assert all(at_seed[j] == 0.0 for j in closed)
+    return at_seed, errors
+
+
+@pytest.mark.parametrize("family", ["exponential", "lognormal", "normal"])
+@pytest.mark.parametrize("n", [30, 300])
+def test_closed_form_seed_is_bit_equal_to_the_seed_solve(family, n, solves):
+    xs = [sample(DistSpec(family, 1.0), n, make_rng(seed)) for seed in range(8)]
+    for method, rule, a_n in _SEED_KINDS:
+        problems = [_problem(x, 1, method, rule, a_n) for x in xs]
+        _, errors = _check_seeds(problems, range(len(xs)), solves)
+        assert errors == {}
+
+
+def test_seeds_off_the_mean_are_solved(solves):
+    points = np.array([0.1, 0.4, 0.45, 0.9, 1.3])
+    # plain: the seed at the largest point (outside the open hull), a seed
+    # off the mean inside it, one at the mean, and non-finite rows
+    plain = [_el_problem(points, 1.3), _el_problem(points, 0.5, seed=0.9),
+             _el_problem(points, 0.63), _el_problem(np.append(points[:-1], np.inf), 0.5),
+             _el_problem(np.array([-np.inf, 0.4, 0.45, 0.9, np.inf]), 0.5)]
+    at_seed, errors = _check_seeds(plain, [2], solves)
+    assert at_seed[:2] == [math.inf, pytest.approx(1.9, abs=0.1)]
+    assert list(errors) == [3, 4]
+    assert {str(exc) for exc in errors.values()} == {"EL points contain non-finite values"}
+    (error,) = _lockstep_intervals(plain[:1], 0.95, "JEL")
+    assert type(error) is ConvergenceError and str(error) == (
+        "ratio at the point estimate (inf) already exceeds the chi-square threshold "
+        "(3.841); no interval exists")
+    # centered: a seed off the mean and one at it
+    centered = [_RatioProblem(points, 0.6, 1.2, adjust=1.0),
+                _RatioProblem(points, 0.63, 0.63, adjust=1.0)]
+    at_seed, errors = _check_seeds(centered, [1], solves)
+    assert at_seed[0] > 0.0 and errors == {}
+
+
+@pytest.mark.parametrize("method, rule, a_n", _SEED_KINDS)
+def test_el_rows_solved_per_interval_are_its_ratio_evaluations(method, rule, a_n, solves):
+    xs = [sample(DistSpec("exponential", 1.0), 60, make_rng(seed)) for seed in range(6)]
+    for x in xs:
+        solves.clear()
+        ci = confidence_interval(x, 1, 0.95, method, rule, a_n)
+        assert sum(solves) == ci.endpoint_iterations
+    solves.clear()
+    block = confidence_intervals(xs, 1, 0.95, [method], rule, a_n)
+    assert sum(solves) == sum(ci.endpoint_iterations for (ci,) in block)
 
 
 def test_far_hypotheses_reach_the_centered_plateau():

@@ -199,8 +199,9 @@ def test_skewed_start_stays_on_its_side_of_the_seed(kind):
         assert abs(ratio(endpoint) - threshold) <= RESIDUAL_TOL
 
 
-# mean ratio evaluations per interval, seed solve excluded, allowed on the
-# guard samples below; a plain Newton search took 6.2-7.1
+# mean ratio evaluations per interval, which are all its EL solves (the seed
+# takes none), allowed on the guard samples below; a plain Newton search
+# took 6.2-7.1
 _EVALUATIONS_PER_INTERVAL = {"JEL": 5.0, "AJEL-centered": 5.0, "AJEL-literal": 5.5,
                              "DNEL": 5.0, "VXL": 5.0}
 
