@@ -30,7 +30,7 @@ since ``1 / (1 + lam d) = 1 - lam u`` they give the sums behind the
 multiplier's derivative in mu and the ratio's curvature (see
 :class:`pwmjel.inference._StackedRatio`) without another pass over the
 points.  Where mu is the mean of the points to within the score tolerance,
-the multiplier is 0 before any Newton step; :func:`solved_at_zero` finds
+the multiplier is 0 before any Newton step; :func:`_solved_at_zero` finds
 those rows of a stack and their score and slope without a solve.
 """
 
@@ -48,12 +48,14 @@ __all__ = [
     "RowSolutions",
     "solve_lambda",
     "solve_rows",
-    "solved_at_zero",
     "neg2_log_ratio",
 ]
 
 # Relative shrink applied to the feasibility endpoints before bracketing.
 _EDGE_MARGIN = 1e-12
+
+# Score tolerance of every solve, relative to max(|mu|, max|z - mu|).
+_SCORE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -79,17 +81,18 @@ def _validate_points(z, mu):
         raise PwmInputError("EL points must be one-dimensional")
     if z.size < 2:
         raise PwmInputError("EL needs at least two points")
-    if not np.isfinite(z).all():
+    # a non-finite point makes an extreme non-finite (nan propagates)
+    zmin, zmax = float(z.min()), float(z.max())
+    if not (-math.inf < zmin and zmax < math.inf):
         raise PwmInputError("EL points contain non-finite values")
     if not np.isfinite(mu):
         raise PwmInputError("hypothesized mean must be finite")
     mu = float(mu)
     d = z - mu
-    dmin, dmax = float(d.min()), float(d.max())
+    # the extremes of d, as rounding is monotone
+    dmin, dmax = zmin - mu, zmax - mu
     if not (dmin < 0.0 < dmax):
-        raise HullError(
-            f"mean {mu} is not interior to the sample hull [{z.min()}, {z.max()}]"
-        )
+        raise HullError(f"mean {mu} is not interior to the sample hull [{zmin}, {zmax}]")
     return z, mu, d, dmin, dmax
 
 
@@ -101,7 +104,7 @@ def _not_converged(max_iter: int, g: float, gtol: float, best) -> ConvergenceErr
     )
 
 
-def solve_lambda(z, mu, tol: float = 1e-10, max_iter: int = 100,
+def solve_lambda(z, mu, tol: float = _SCORE_TOL, max_iter: int = 100,
                  lam0: float = 0.0) -> ELSolution:
     """Solve the EL score equation for the multiplier.
 
@@ -156,7 +159,7 @@ def solve_lambda(z, mu, tol: float = 1e-10, max_iter: int = 100,
 
     w = 1.0 / (m * (1.0 + lam * d))
     # rounding can push the ratio epsilon-positive at lam ~ 0
-    log_ratio = min(0.0, -float(np.sum(np.log1p(lam * d))))
+    log_ratio = min(0.0, -float(np.add.reduce(np.log1p(lam * d))))
     solution = ELSolution(
         lam=float(lam),
         weights=w,
@@ -199,6 +202,16 @@ class RowSolutions:
     errors: dict[int, PwmError]
 
 
+def _interior(mu, dmin, dmax, tol):
+    """Which stacked rows, with extremes ``dmin``, ``dmax`` of their offsets
+    ``d = z - mu``, have finite points and mu strictly inside their hull, and
+    every row's score tolerance ``tol * max(|mu|, -dmin, dmax)``, the rule
+    of :func:`solve_lambda`.  A non-finite point or mu makes an extreme
+    non-finite (nan propagates), so such a row is not inside."""
+    inside = (-math.inf < dmin) & (dmin < 0.0) & (0.0 < dmax) & (dmax < math.inf)
+    return inside, tol * np.maximum(np.maximum(np.abs(mu), -dmin), dmax)
+
+
 def _solve_row(z, mu, lam0, tol, max_iter) -> tuple:
     """One row of :func:`solve_rows` by :func:`solve_lambda`, as the row's
     ``(lam, log_ratio, iterations, last_weight, score, score_slope)`` and its
@@ -215,7 +228,7 @@ def _solve_row(z, mu, lam0, tol, max_iter) -> tuple:
             sol.score_slope), error
 
 
-def solve_rows(z: np.ndarray, mu: np.ndarray, lam0: np.ndarray, tol: float = 1e-10,
+def solve_rows(z: np.ndarray, mu: np.ndarray, lam0: np.ndarray, tol: float = _SCORE_TOL,
                max_iter: int = 100) -> RowSolutions:
     """:func:`solve_lambda` on every row of a C-contiguous ``(k, m)`` array.
 
@@ -252,8 +265,7 @@ def solve_rows(z: np.ndarray, mu: np.ndarray, lam0: np.ndarray, tol: float = 1e-
     with np.errstate(invalid="ignore"):
         d_all = z - mu[:, None]
     dmin, dmax = d_all.min(axis=1), d_all.max(axis=1)
-    # a non-finite point or mu makes an extreme non-finite (nan propagates)
-    inside = (-math.inf < dmin) & (dmin < 0.0) & (0.0 < dmax) & (dmax < math.inf)
+    inside, gtol = _interior(mu, dmin, dmax, tol)
     for i in np.flatnonzero(~inside).tolist():
         row, exc = _solve_row(z[i], mu[i], lam0[i], tol, max_iter)
         (lam_out[i], log_ratio[i], iterations[i], last_weight[i], score_out[i],
@@ -263,12 +275,11 @@ def solve_rows(z: np.ndarray, mu: np.ndarray, lam0: np.ndarray, tol: float = 1e-
 
     solved = np.flatnonzero(inside)
     if solved.size == k:
-        d_solved, mu_solved, start = d_all, mu, lam0
+        d_solved, start = d_all, lam0
     else:
-        d_solved, mu_solved, start = d_all[solved], mu[solved], lam0[solved]
-        dmin, dmax = dmin[solved], dmax[solved]
+        d_solved, start = d_all[solved], lam0[solved]
+        dmin, dmax, gtol = dmin[solved], dmax[solved], gtol[solved]
     rows, d = solved, d_solved
-    gtol = tol * np.maximum(np.maximum(np.abs(mu_solved), -dmin), dmax)
     with np.errstate(over="ignore"):  # subnormal spreads, as in float arithmetic
         a = (-1.0 / dmax) * (1.0 - _EDGE_MARGIN)
         b = (-1.0 / dmin) * (1.0 - _EDGE_MARGIN)
@@ -330,7 +341,7 @@ def solve_rows(z: np.ndarray, mu: np.ndarray, lam0: np.ndarray, tol: float = 1e-
                         errors)
 
 
-def solved_at_zero(z: np.ndarray, mu: np.ndarray, tol: float = 1e-10):
+def _solved_at_zero(z: np.ndarray, mu: np.ndarray):
     """The rows of a ``(k, m)`` stack that :func:`solve_rows` started at
     ``lam0 = 0`` returns at ``lam = 0`` without a Newton step, as a mask,
     with the score and its slope there for those rows.
@@ -338,9 +349,9 @@ def solved_at_zero(z: np.ndarray, mu: np.ndarray, tol: float = 1e-10):
     At ``lam = 0`` every weight is ``1/m`` and ``u = d = z - mu``, so the
     score is ``mean(d)`` and its slope ``-mean(d^2)`` (Owen 1988); both are
     computed as the kernels compute them, so they are bit for bit what
-    :func:`solve_rows` returns.  A row qualifies when it is finite, mu lies
-    strictly inside its hull and the score meets the kernels' tolerance.
-    Such a row has log ratio 0 and last weight ``1/m``.
+    :func:`solve_rows` returns.  A row qualifies when :func:`_interior` takes
+    it and its score meets the kernels' tolerance.  Such a row has log ratio
+    0 and last weight ``1/m``.
     """
     m = z.shape[1]
     zmin, zmax = z.min(axis=1), z.max(axis=1)
@@ -353,11 +364,10 @@ def solved_at_zero(z: np.ndarray, mu: np.ndarray, tol: float = 1e-10):
                           for v, fill in ((zmin, 0.0), (zmax, 0.0), (mu, 1.0)))
     d = z - mu[:, None]
     # the kernels' extremes of d, as rounding is monotone
-    dmin, dmax = zmin - mu, zmax - mu
+    inside, gtol = _interior(mu, zmin - mu, zmax - mu, _SCORE_TOL)
     score = np.add.reduce(d, axis=1) / m
     slope = -np.add.reduce(np.multiply(d, d, out=d), axis=1) / m
-    gtol = tol * np.maximum(np.maximum(np.abs(mu), -dmin), dmax)
-    return (dmin < 0.0) & (0.0 < dmax) & (np.abs(score) <= gtol), score, slope
+    return inside & (np.abs(score) <= gtol), score, slope
 
 
 def neg2_log_ratio(z, mu) -> float:

@@ -77,6 +77,11 @@ class SortedSample:
         if not np.all(np.isfinite(arr)):
             raise PwmInputError("sample contains non-finite values")
         out = np.sort(arr)
+        # -0.0 and +0.0 are the one pair of equal finite floats with
+        # different bits: keep their input order, as a stable sort does
+        lo, hi = out.searchsorted(0.0), out.searchsorted(0.0, "right")
+        if hi - lo > 1:
+            out[lo:hi] = arr[arr == 0.0]
         out.flags.writeable = False
         return cls(values=out)
 

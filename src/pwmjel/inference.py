@@ -277,7 +277,7 @@ class _StackedRatio:
         k = len(seeds)
         z, mu, a = self._el_rows(slice(None), seeds)
         m = z.shape[1]
-        at_zero, score, score_slope = _el.solved_at_zero(z, mu)
+        at_zero, score, score_slope = _el._solved_at_zero(z, mu)
         rest = np.flatnonzero(~at_zero).tolist()
         closed = np.flatnonzero(at_zero) if rest else slice(None)
         dlam = np.full(k, math.nan)

@@ -103,10 +103,14 @@ def test_input_validation():
         solve_lambda([1.0], 1.0)
     with pytest.raises(PwmInputError):
         solve_lambda([[1.0, 2.0]], 1.0)
-    with pytest.raises(PwmInputError):
-        solve_lambda([1.0, np.inf], 1.5)
-    with pytest.raises(PwmInputError):
+    for z in ([1.0, np.inf], [-np.inf, 1.0], [np.nan, 1.0], [1.0, np.nan, np.inf]):
+        with pytest.raises(PwmInputError, match="^EL points contain non-finite values$"):
+            solve_lambda(z, np.nan)
+    with pytest.raises(PwmInputError, match="^hypothesized mean must be finite$"):
         solve_lambda([1.0, 2.0], np.nan)
+    with pytest.raises(HullError) as raised:
+        solve_lambda([2.5, 1e-300, 3.0], 3.0)
+    assert str(raised.value) == "mean 3.0 is not interior to the sample hull [1e-300, 3.0]"
 
 
 def test_convergence_error_carries_best_iterate():
@@ -339,3 +343,25 @@ def test_solve_rows_is_bit_identical_to_solve_lambda_per_row():
     for counts in seen.values():  # every failure kind on both sides of the row count
         assert min(counts.values()) > 0 and counts[None] > 500
     assert staggered >= 40  # rows of one stack converged at different steps
+
+
+def test_solved_at_zero_is_the_kernels_stop_at_zero():
+    # means moved across the score tolerance, some rows non-finite or off
+    # the hull: a row is solved at zero exactly where the kernels succeed
+    # with no step from lam0 = 0, with their score and slope bit for bit
+    rng = np.random.default_rng(5)
+    z = rng.exponential(size=(48, 30))
+    mean = np.add.reduce(z, axis=1) / 30
+    scale = np.maximum(mean, z.max(axis=1) - mean)
+    mu = mean + np.geomspace(1e-2, 1e2, 48) * rng.choice([-1.0, 1.0], 48) * 1e-10 * scale
+    mu[3], mu[7], z[11, 4], z[13, :] = np.nan, z[7].max(), np.inf, 1.0
+    at_zero, score, slope = el._solved_at_zero(z, mu)
+    assert 0 < at_zero.sum() < 44
+    for rows in (np.arange(48), np.arange(3)):
+        sol = el.solve_rows(z[rows], mu[rows], np.zeros(rows.size))
+        stopped = sol.iterations == 0
+        stopped[list(sol.errors)] = False
+        assert np.array_equal(at_zero[rows], stopped)
+        hit = at_zero[rows]
+        assert score[rows][hit].tobytes() == sol.score[hit].tobytes()
+        assert slope[rows][hit].tobytes() == sol.score_slope[hit].tobytes()
