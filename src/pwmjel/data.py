@@ -12,8 +12,6 @@ from .errors import MissingColumnError, PwmInputError
 
 __all__ = ["ColumnDataset", "load_csv_column"]
 
-_NA_TOKENS = {"", "na", "n/a", "nan", "null", "none"}
-
 
 @dataclass(frozen=True)
 class ColumnDataset:
@@ -52,12 +50,12 @@ def load_csv_column(path, column: str) -> ColumnDataset:
                 if index >= len(row):
                     skipped += 1
                     continue
-                cell = row[index].strip()
-                if cell.lower() in _NA_TOKENS:
-                    skipped += 1
-                    continue
+                # float() strips whitespace, rejects NA words and reads nan,
+                # which the finiteness test skips as it does a blank cell;
+                # blank cells are common, so they skip float() and its raise
+                cell = row[index]
                 try:
-                    value = float(cell)
+                    value = float(cell) if cell else math.nan
                 except ValueError:
                     skipped += 1
                     continue

@@ -145,14 +145,19 @@ def _el_problem(points: np.ndarray, estimate: float, seed=None) -> _RatioProblem
 
 
 def _pseudo_values_for(sample, r) -> PseudoValues:
+    """The checked pseudo-values of ``sample``; pseudo-values pass as they
+    are, as :func:`_problem` checks a caller's and the batch shares checked ones."""
     if isinstance(sample, PseudoValues):
-        pv = sample
-        if pv.r != r:
-            raise PwmInputError(
-                f"pseudo-values were built for r = {pv.r}, requested r = {r}"
-            )
-    else:
-        pv = jackknife_pseudo_values(sample, r)
+        return sample
+    return _checked(jackknife_pseudo_values(sample, r), r)
+
+
+def _checked(pv: PseudoValues, r) -> PseudoValues:
+    """``pv``, once it is known to be built for ``r`` and not degenerate."""
+    if pv.r != r:
+        raise PwmInputError(
+            f"pseudo-values were built for r = {pv.r}, requested r = {r}"
+        )
     # constant input leaves rounding noise of a few n*eps relative to the
     # pseudo-values, so the spread is compared against that floor
     scale = float(np.max(np.abs(pv.values)))
@@ -387,6 +392,8 @@ def check_options(methods, rule: str = "centered", a_n=None, *, level=None,
 def _problem(sample, r, method: str, rule: str, a_n, **options) -> _RatioProblem:
     """Check the options, then build the ratio problem."""
     check_options((method,), rule, a_n, **options)
+    if method in _ON_PSEUDO_VALUES and isinstance(sample, PseudoValues):
+        _checked(sample, r)
     return _METHODS[method](sample, r, rule, a_n)
 
 
@@ -482,7 +489,7 @@ def ratio_tests(samples, r: int, beta0: float, alpha: float, methods,
 def _method_problems(samples, r: int, methods, rule: str, a_n):
     """Yield each method with its ratio problem for every sample, or the
     PwmError building it raises.  The pseudo-value methods share one build
-    of each sample's pseudo-values."""
+    and one check of each sample's pseudo-values."""
     sorted_samples = [s if isinstance(s, SortedSample) else SortedSample.from_data(s)
                       for s in samples]
     if len({s.n for s in sorted_samples}) > 1:
@@ -504,10 +511,10 @@ def _method_problems(samples, r: int, methods, rule: str, a_n):
 
 
 def _shared_pseudo_values(sample: SortedSample, r: int):
-    """The pseudo-values of ``sample``, or the sample itself when they
-    cannot be built, so that each method's own build raises the error."""
+    """The checked pseudo-values of ``sample``, or the sample itself when
+    they fail to build or check, so that each method's own build raises."""
     try:
-        return jackknife_pseudo_values(sample, r)
+        return _pseudo_values_for(sample, r)
     except PwmError:
         return sample
 

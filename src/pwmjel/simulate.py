@@ -28,9 +28,9 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import closing
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -361,41 +361,49 @@ def _run_chunk(cell: _Cell) -> list[tuple]:
     return out
 
 
-@contextmanager
-def _cell_runner(threads: int, reps: int):
-    """Yield ``records(cell)``: all per-replication records of one cell, in
-    replication order.
+def _cells_records(cells: list[_Cell], threads: int) -> Iterator[list[tuple]]:
+    """Yield each cell's records, in replication order, cell by cell.
 
-    With ``threads > 1`` and at least 8 replications per cell, every cell of
-    the run goes to one process pool, opened here and closed with the run;
-    each cell is cut into about ``4 * threads`` chunks.
+    With ``threads > 1`` and at least 8 replications per cell, the chunks
+    of every cell go to one process pool in one submission, so no worker
+    waits at a cell boundary.  A chunk of ``min(_BLOCK, ceil(reps /
+    threads))`` replications is one lockstep block, as tall as the cell
+    allows while each cell still spreads over every worker.  Closing the
+    generator early cancels the chunks not yet started.
     """
+    reps = cells[0].config.replications
     if threads <= 1 or reps < 8:
-        yield lambda cell: _run_chunk(replace(cell, rep_lo=0, rep_hi=reps))
+        for cell in cells:
+            yield _run_chunk(replace(cell, rep_lo=0, rep_hi=reps))
         return
-    chunk = max(1, math.ceil(reps / (threads * 4)))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        def records(cell: _Cell) -> list[tuple]:
-            chunks = [replace(cell, rep_lo=lo, rep_hi=min(lo + chunk, reps))
-                      for lo in range(0, reps, chunk)]
-            return [rec for part in pool.map(_run_chunk, chunks) for rec in part]
-
-        yield records
+    size = min(_BLOCK, math.ceil(reps / threads))
+    spans = [(lo, min(lo + size, reps)) for lo in range(0, reps, size)]
+    pool = ProcessPoolExecutor(max_workers=threads)
+    try:
+        parts = pool.map(_run_chunk, [replace(cell, rep_lo=lo, rep_hi=hi)
+                                      for cell in cells for lo, hi in spans])
+        for _ in cells:
+            yield [rec for _ in spans for rec in next(parts)]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     """Run every (r, n) cell of ``config`` and fold each into report rows,
-    r-major, as ``config.kind`` says (see the module docstring)."""
+    r-major, as ``config.kind`` says (see the module docstring).  A cell
+    folds as soon as its records are back from the run's one submission to
+    ``threads`` workers (see :func:`_cells_records`); one over the failure
+    budget raises :class:`NumericError` there, without waiting for the rest.
+    """
     t0 = time.perf_counter()
     kind = _KINDS[config.kind]
     beta_dist = kind.beta_dist(config)
+    betas = {r: None if beta_dist is None else true_beta(beta_dist, r) for r in config.r_values}
+    cells = [_Cell(config, r, n, betas[r], 0, 0) for r in config.r_values for n in config.n_values]
     rows: list[ReportRow] = []
-    with _cell_runner(threads, config.replications) as cell_records:
-        for r in config.r_values:
-            beta = None if beta_dist is None else true_beta(beta_dist, r)
-            for n in config.n_values:
-                cell = _Cell(config, r, n, beta, 0, 0)
-                rows.extend(kind.rows(cell, np.asarray(cell_records(cell))))
+    with closing(_cells_records(cells, threads)) as records:
+        for cell, cell_records in zip(cells, records):
+            rows.extend(kind.rows(cell, np.asarray(cell_records)))
     return ExperimentReport(rows, config, time.perf_counter() - t0)
 
 

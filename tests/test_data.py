@@ -47,6 +47,23 @@ def test_load_skips_blank_na_and_junk(rain_csv):
     assert data.skipped == 3
 
 
+def test_load_reads_each_cell_as_float_does(tmp_path):
+    # float() strips whitespace and accepts underscores; NA tokens and other
+    # words fail it, and nan, inf and overflow are skipped as non-finite
+    cells = [" NA ", "N/A", " nan", "NaN", " inf ", "-Infinity", "1_000", "\t2.5\t",
+             " ", "NULL", '"4.5"', "1e400", "-0.0"]
+    p = tmp_path / "cells.csv"
+    with open(p, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", "x"])
+        writer.writerows([i, cell] for i, cell in enumerate(cells))
+        fh.write("short\n\n7,8.0\n")  # a short row and a blank line
+    data = load_csv_column(p, "x")
+    assert data.values.tolist() == [1000.0, 2.5, -0.0, 8.0]
+    assert str(data.values[2]) == "-0.0"
+    assert data.skipped == 11
+
+
 def test_load_missing_column_lists_fields(rain_csv):
     with pytest.raises(MissingColumnError) as err:
         load_csv_column(rain_csv, "snow")

@@ -10,6 +10,7 @@ from pwmjel import (
     DegenerateSampleError,
     DistSpec,
     PwmError,
+    PseudoValues,
     PwmInputError,
     adjustment_constant,
     ajel_confidence_interval,
@@ -28,7 +29,7 @@ from pwmjel import (
     sample,
     ustat_estimate,
 )
-from pwmjel import el
+from pwmjel import el, inference
 from pwmjel.inference import (
     _el_problem,
     _lockstep_intervals,
@@ -326,6 +327,26 @@ def test_degenerate_sample_errors():
         jel_confidence_interval(const, 1, 0.95)
     with pytest.raises(DegenerateSampleError):
         ajel_test(const, 1, 0.75)
+    # a caller's pseudo-values are checked as a sample's are
+    flat = PseudoValues(np.full(12, 3.0), 3.0, 1, 12)
+    with pytest.raises(DegenerateSampleError):
+        jel_neg2_ratio(flat, 1, 3.0)
+    with pytest.raises(DegenerateSampleError):
+        ajel_confidence_interval(flat, 1, 0.95)
+
+
+def test_batched_calls_check_each_samples_pseudo_values_once(monkeypatch):
+    checked = []
+    check = inference._checked
+    monkeypatch.setattr(inference, "_checked", lambda pv, r: checked.append(pv) or check(pv, r))
+    xs = [sample(DistSpec("exponential", 1.0), 30, make_rng(seed)) for seed in range(3)]
+    rows = ratio_tests(xs, 1, 0.75, 0.05, ("JEL", "AJEL"))
+    assert len(checked) == 3
+    assert rows == [(jel_test(x, 1, 0.75), ajel_test(x, 1, 0.75)) for x in xs]
+    # a degenerate sample fails both methods with the error each raises alone
+    (jel, ajel), = ratio_tests([[3.0] * 30], 1, 0.75, 0.05, ("JEL", "AJEL"))
+    assert type(jel) is type(ajel) is DegenerateSampleError
+    assert str(jel) == str(ajel) != ""
 
 
 def test_option_errors_come_before_the_data_checks():

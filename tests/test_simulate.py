@@ -208,6 +208,28 @@ def test_cell_abort_on_mass_failures():
     assert "constant(2)" in msg and "n=25" in msg
 
 
+def test_cell_abort_on_a_pool_cancels_the_later_cells(monkeypatch):
+    shutdowns = []
+
+    class CountingPool(simulate.ProcessPoolExecutor):
+        def shutdown(self, *args, **kwargs):
+            shutdowns.append(kwargs)
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
+    # the failing cell is the first of four, whose chunks all go in at once
+    cfg = ExperimentConfig(kind="coverage_length", dist=DistSpec("constant", 2.0),
+                           r_values=(1,), n_values=(25, 30, 40, 60), replications=20,
+                           methods=("JEL",))
+    messages = []
+    for threads in (1, 2):
+        with pytest.raises(NumericError) as err:
+            run_experiment(cfg, threads=threads)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] and "n=25" in messages[0]
+    assert shutdowns == [{"cancel_futures": True}]
+
+
 def _one_at_a_time(cell, samples):
     """Coverage and test records from one confidence_interval / ratio_test
     call per replication and method, a failure as the failure tuple."""
@@ -384,3 +406,24 @@ def test_one_worker_pool_per_run(monkeypatch, kind, reps, pools):
     rows = run_experiment(cfg, threads=2).rows
     assert opened == [2] * pools
     assert rows == run_experiment(cfg, threads=1).rows
+
+
+@pytest.mark.parametrize("kind", ["size", "coverage_length"])
+def test_every_cells_chunks_go_to_the_pool_in_one_map(monkeypatch, kind):
+    maps = []
+
+    class CountingPool(simulate.ProcessPoolExecutor):
+        def map(self, fn, chunks, **kwargs):
+            chunks = list(chunks)
+            maps.append([(c.r, c.n, c.rep_hi - c.rep_lo) for c in chunks])
+            return super().map(fn, chunks, **kwargs)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
+    cfg = small_config(kind=kind, r_values=(1, 2), n_values=(20, 40), replications=150)
+    rows = run_experiment(cfg, threads=1).rows
+    cells = [(r, n) for r in (1, 2) for n in (20, 40)]
+    for threads, sizes in ((2, (64, 64, 22)), (3, (50, 50, 50))):
+        maps.clear()
+        assert run_experiment(cfg, threads=threads).rows == rows
+        assert maps == [[(r, n, size) for r, n in cells for size in sizes]]
+        assert max(size for *_, size in maps[0]) <= simulate._BLOCK
