@@ -76,17 +76,19 @@ def _methods_arg(text: str) -> list[str]:
     return [tok.strip().upper() for tok in text.split(",") if tok.strip()]
 
 
+# The point estimates of ``pwm estimate``, by --method; jackknife is the mean
+# of the leave-one-out pseudo-values.
+_ESTIMATES = {
+    "dn": dn_estimate,
+    "vexler": vexler_estimate,
+    "ustat": ustat_estimate,
+    "jackknife": lambda sample, r: float(np.mean(jackknife_pseudo_values(sample, r).values)),
+}
+
+
 def _cmd_estimate(args) -> int:
     data = _load(args)
-    sample = SortedSample.from_data(data.values)
-    if args.method == "dn":
-        value = dn_estimate(sample, args.r)
-    elif args.method == "vexler":
-        value = vexler_estimate(sample, args.r)
-    elif args.method == "ustat":
-        value = ustat_estimate(sample, args.r)
-    else:  # jackknife: mean of the leave-one-out pseudo-values
-        value = float(np.mean(jackknife_pseudo_values(sample, args.r).values))
+    value = _ESTIMATES[args.method](SortedSample.from_data(data.values), args.r)
     _emit_table(["column", "method", "r", "estimate"],
                 [[data.name, args.method, args.r, value]], args.format)
     return _EXIT_OK
@@ -176,8 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--input", required=True, help="delimited input file")
     est.add_argument("--column", required=True, help="column to analyze")
     est.add_argument("--r", type=int, required=True, help="moment order")
-    est.add_argument("--method", required=True,
-                     choices=("dn", "vexler", "ustat", "jackknife"))
+    est.add_argument("--method", required=True, choices=tuple(_ESTIMATES))
     est.set_defaults(handler=_cmd_estimate)
 
     ci = sub.add_parser("ci", parents=[common], help="confidence intervals")

@@ -25,11 +25,11 @@ why they run wide).
 All four methods share one pipeline: a point set and a hypothesized mean
 give an EL ratio, which is either tested against chi-square(1) or inverted
 for an interval.  ``_METHODS`` maps each method name to the ratio problem
-it builds from a sample.  One engine evaluates and inverts the ratios of
-many problems of one method together, one batched EL solve per search
-step: :func:`confidence_intervals` and :func:`ratio_tests` run it on many
-samples, and :func:`confidence_interval` and :func:`ratio_test` are its
-one-sample case.
+it builds, and ``_method_problems`` alone turns samples into problems.  One
+engine evaluates and inverts the ratios of many problems of one method
+together, one batched EL solve per search step: :func:`confidence_intervals`
+and :func:`ratio_tests` run it on many samples, and
+:func:`confidence_interval` and :func:`ratio_test` are their one-sample case.
 """
 
 from __future__ import annotations
@@ -139,21 +139,10 @@ class _RatioProblem:
         return self.adjust is None
 
 
-def _el_problem(points: np.ndarray, estimate: float, seed=None) -> _RatioProblem:
-    """Plain EL on ``points``: infinite ratio outside their open hull."""
-    return _RatioProblem(points, estimate, estimate if seed is None else seed)
-
-
-def _pseudo_values_for(sample, r) -> PseudoValues:
-    """The checked pseudo-values of ``sample``; pseudo-values pass as they
-    are, as :func:`_problem` checks a caller's and the batch shares checked ones."""
-    if isinstance(sample, PseudoValues):
-        return sample
-    return _checked(jackknife_pseudo_values(sample, r), r)
-
-
-def _checked(pv: PseudoValues, r) -> PseudoValues:
-    """``pv``, once it is known to be built for ``r`` and not degenerate."""
+def _checked(sample, r) -> PseudoValues:
+    """The pseudo-values of ``sample`` (``sample`` itself if it is one),
+    once they are known to be built for ``r`` and not degenerate."""
+    pv = sample if isinstance(sample, PseudoValues) else jackknife_pseudo_values(sample, r)
     if pv.r != r:
         raise PwmInputError(
             f"pseudo-values were built for r = {pv.r}, requested r = {r}"
@@ -316,20 +305,18 @@ def _derivatives(m: int, lam, score, score_slope, a, p, z_last):
     return dlam, (-2.0 * m) * (dlam * (1.0 - (1.0 + a) * p) - lam * (1.0 + a) * dp)
 
 
-def _jel_problem(sample, r, rule, a_n) -> _RatioProblem:
-    pv = _pseudo_values_for(sample, r)
-    return _el_problem(pv.values, pv.ustat_estimate)
+def _jel_problem(pv: PseudoValues, r, rule, a_n) -> _RatioProblem:
+    return _RatioProblem(pv.values, pv.ustat_estimate, pv.ustat_estimate)
 
 
-def _ajel_problem(sample, r, rule, a_n) -> _RatioProblem:
-    pv = _pseudo_values_for(sample, r)
+def _ajel_problem(pv: PseudoValues, r, rule, a_n) -> _RatioProblem:
     a = adjustment_constant(pv.n) if a_n is None else float(a_n)
     if rule == "centered":
         return _RatioProblem(pv.values, pv.ustat_estimate, pv.ustat_estimate, adjust=a)
     # the augmented set does not depend on the tested value, so the ratio
     # bottoms out at the augmented mean rather than at the point estimate
     aug = np.append(pv.values, -(a / pv.n) * pv.values.sum())
-    return _el_problem(aug, pv.ustat_estimate, seed=float(aug.mean()))
+    return _RatioProblem(aug, pv.ustat_estimate, float(aug.mean()))
 
 
 def _plugin_problem(summands):
@@ -339,13 +326,14 @@ def _plugin_problem(summands):
             raise DegenerateSampleError(
                 f"{sv.method} summands are all identical; no likelihood spread"
             )
-        return _el_problem(sv.values, sv.estimate)
+        estimate = sv.estimate
+        return _RatioProblem(sv.values, estimate, estimate)
     return problem
 
 
-# The method table: each entry turns (sample, r, rule, a_n) into the ratio
-# problem that both the test and the interval run on.  ``rule`` and ``a_n``
-# only shape AJEL.
+# The method table: each entry turns the sorted sample (for JEL and AJEL its
+# checked pseudo-values), r, rule and a_n into the ratio problem that both the
+# test and the interval run on.  ``rule`` and ``a_n`` only shape AJEL.
 _METHODS = {
     "DNEL": _plugin_problem(dnel_summands),
     "VXL": _plugin_problem(vxl_summands),
@@ -389,18 +377,10 @@ def check_options(methods, rule: str = "centered", a_n=None, *, level=None,
     return methods
 
 
-def _problem(sample, r, method: str, rule: str, a_n, **options) -> _RatioProblem:
-    """Check the options, then build the ratio problem."""
-    check_options((method,), rule, a_n, **options)
-    if method in _ON_PSEUDO_VALUES and isinstance(sample, PseudoValues):
-        _checked(sample, r)
-    return _METHODS[method](sample, r, rule, a_n)
-
-
-def _neg2_ratio(sample, r, beta0, method: str, rule: str = "centered", a_n=None,
-                **options) -> float:
-    problem = _problem(sample, r, method, rule, a_n, beta0=beta0, **options)
-    return _raised(_statistics([problem], beta0)[0])
+def _neg2_ratio(sample, r, beta0, method: str, rule: str = "centered", a_n=None) -> float:
+    check_options((method,), rule, a_n, beta0=beta0)
+    ((_, problems),) = _method_problems([sample], r, (method,), rule, a_n)
+    return _raised(_statistics(problems, beta0)[0])
 
 
 def _raised(result):
@@ -431,15 +411,13 @@ def confidence_interval(sample, r: int, level: float, method: str,
     interval takes.  The search runs on the data scaled by a power of two,
     so the endpoints scale exactly with the data.
     """
-    problem = _problem(sample, r, method, rule, a_n, level=level)
-    return _raised(_lockstep_intervals([problem], level, method)[0])
+    return _raised(confidence_intervals([sample], r, level, (method,), rule, a_n)[0][0])
 
 
 def ratio_test(sample, r: int, beta0: float, alpha: float, method: str,
                rule: str = "centered", a_n=None) -> TestResult:
     """Chi-square calibrated test of ``beta_r = beta0`` on ``method``'s ratio."""
-    statistic = _neg2_ratio(sample, r, beta0, method, rule, a_n, alpha=alpha)
-    return _test_result(statistic, chi2_1_quantile(1.0 - alpha), beta0, alpha, method)
+    return _raised(ratio_tests([sample], r, beta0, alpha, (method,), rule, a_n)[0][0])
 
 
 def _test_result(statistic: float, threshold: float, beta0: float, alpha: float,
@@ -462,7 +440,8 @@ def confidence_intervals(samples, r: int, level: float, methods,
                          rule: str = "centered", a_n=None) -> list[tuple]:
     """:func:`confidence_interval` for every sample and method, in lockstep.
 
-    ``samples`` must share one size.  Each method's searches for all
+    ``samples`` must share one size; a sample's :class:`PseudoValues` may
+    stand in for it (JEL and AJEL only).  Each method's searches for all
     samples advance together, one batched EL solve per search step.
     Returns one tuple per sample, in the order of ``methods``, holding the
     interval or the :class:`PwmError` that :func:`confidence_interval`
@@ -488,35 +467,35 @@ def ratio_tests(samples, r: int, beta0: float, alpha: float, methods,
 
 def _method_problems(samples, r: int, methods, rule: str, a_n):
     """Yield each method with its ratio problem for every sample, or the
-    PwmError building it raises.  The pseudo-value methods share one build
-    and one check of each sample's pseudo-values."""
-    sorted_samples = [s if isinstance(s, SortedSample) else SortedSample.from_data(s)
-                      for s in samples]
-    if len({s.n for s in sorted_samples}) > 1:
+    PwmError building it raises.  A sample may be given as its
+    :class:`PseudoValues`, which only JEL and AJEL take; each sample's
+    checked pseudo-values, or the error building or checking them, are made
+    once and shared by those two methods."""
+    samples = [s if isinstance(s, (SortedSample, PseudoValues)) else SortedSample.from_data(s)
+               for s in samples]
+    if len({s.n for s in samples}) > 1:
         raise PwmInputError("batched inference needs samples of one size")
     pseudo = None
     for method in methods:
-        inputs = sorted_samples
         if method in _ON_PSEUDO_VALUES:
             if pseudo is None:
-                pseudo = [_shared_pseudo_values(s, r) for s in sorted_samples]
+                pseudo = [_built(_checked, s, r) for s in samples]
             inputs = pseudo
-        problems = []
-        for sample in inputs:
-            try:
-                problems.append(_METHODS[method](sample, r, rule, a_n))
-            except PwmError as exc:
-                problems.append(exc)
-        yield method, problems
+        else:
+            inputs = [PwmInputError(f"{method} needs the sample, not its pseudo-values")
+                      if isinstance(s, PseudoValues) else s for s in samples]
+        yield method, [_built(_METHODS[method], s, r, rule, a_n) for s in inputs]
 
 
-def _shared_pseudo_values(sample: SortedSample, r: int):
-    """The checked pseudo-values of ``sample``, or the sample itself when
-    they fail to build or check, so that each method's own build raises."""
-    try:
-        return _pseudo_values_for(sample, r)
-    except PwmError:
+def _built(build, sample, *args):
+    """``build(sample, *args)``, or the PwmError it raises; an error in
+    place of the sample passes through."""
+    if isinstance(sample, PwmError):
         return sample
+    try:
+        return build(sample, *args)
+    except PwmError as exc:
+        return exc
 
 
 def _statistics(problems: list, beta0: float) -> list:

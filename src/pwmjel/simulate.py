@@ -173,7 +173,7 @@ def seed_for_rep(base_seed: int, cell_id: int, rep_index: int) -> int:
     generator stream regardless of scheduling.
     """
     for name, v in (("base_seed", base_seed), ("cell_id", cell_id), ("rep_index", rep_index)):
-        if not isinstance(v, (int, np.integer)):
+        if not _is_int(v):
             raise PwmInputError(f"{name} must be an integer, got {v!r}")
     if cell_id < 0 or rep_index < 0:
         raise PwmInputError("cell_id and rep_index must be non-negative")

@@ -12,7 +12,7 @@ from pwmjel import (
     neg2_log_ratio,
     solve_lambda,
 )
-from pwmjel.inference import _el_problem, _StackedRatio
+from pwmjel.inference import _RatioProblem, _StackedRatio
 
 # frozen from an independent bisection-only solve of the score equation
 GOLD_Z = [1.0, 2.0, 3.0]
@@ -221,7 +221,8 @@ def test_ratio_and_slope_solves_through_the_module_attribute(monkeypatch):
 
     monkeypatch.setattr(el, "solve_lambda", counting)
     data = np.random.default_rng(4).exponential(1.0, 60)
-    ratio = _StackedRatio([_el_problem(data, float(data.mean()))] * el._VECTOR_ROWS)
+    mean = float(data.mean())
+    ratio = _StackedRatio([_RatioProblem(data, mean, mean)] * el._VECTOR_ROWS)
     # the stack solves in its rows' coordinates: the data scaled by a power
     # of two into [-1, 1)
     e = ratio.exponent[0]

@@ -31,9 +31,8 @@ from pwmjel import (
 )
 from pwmjel import el, inference
 from pwmjel.inference import (
-    _el_problem,
     _lockstep_intervals,
-    _problem,
+    _method_problems,
     _RatioProblem,
     _scaled_beta,
     _StackedRatio,
@@ -43,6 +42,12 @@ from pwmjel.inference import (
 
 X4 = [1.0, 2.0, 3.0, 4.0]
 Q95 = 3.841458820694124
+
+
+def _problem(x, method, rule="centered", a_n=None) -> _RatioProblem:
+    """The r = 1 ratio problem of ``method`` on the sample or pseudo-values ``x``."""
+    ((_, (problem,)),) = _method_problems([x], 1, (method,), rule, a_n)
+    return problem
 
 
 def test_jel_ratio_frozen_golden():
@@ -98,7 +103,7 @@ def test_centered_slope_is_the_envelope_derivative():
     lo, hi = pv.values.min(), pv.values.max()
     # inside and beyond the pseudo-value hull, with the default and a set a_n
     cases = ((0.6, None), (0.9, None), (lo - 0.5, None), (hi + 2.0, 3.0))
-    ratio = _StackedRatio([_problem(pv, 1, "AJEL", "centered", a_n) for _, a_n in cases])
+    ratio = _StackedRatio([_problem(pv, "AJEL", "centered", a_n) for _, a_n in cases])
     # the stack runs in its rows' coordinates, beta * 2**-exponent
     e = ratio.exponent[0]
     beta = [_scaled_beta(b, e) for b, _ in cases]
@@ -122,7 +127,7 @@ def test_centered_slope_is_the_envelope_derivative():
 ])
 def test_multiplier_derivative_and_curvature_match_finite_differences(method, rule, a_n):
     x = sample(DistSpec("exponential", 1.0), 50, make_rng(46))
-    problem = _problem(x, 1, method, rule, a_n)
+    problem = _problem(x, method, rule, a_n)
     # in the stack's coordinates, where the points are at most 1 in magnitude
     points = _StackedRatio([problem]).points[0]
     beta = [float(points.mean())] + list(np.quantile(points, [0.1, 0.3, 0.6, 0.9]))
@@ -194,7 +199,7 @@ def _check_seeds(problems, closed, solves):
 def test_closed_form_seed_is_bit_equal_to_the_seed_solve(family, n, solves):
     xs = [sample(DistSpec(family, 1.0), n, make_rng(seed)) for seed in range(8)]
     for method, rule, a_n in _SEED_KINDS:
-        problems = [_problem(x, 1, method, rule, a_n) for x in xs]
+        problems = [_problem(x, method, rule, a_n) for x in xs]
         _, errors = _check_seeds(problems, range(len(xs)), solves)
         assert errors == {}
 
@@ -203,9 +208,10 @@ def test_seeds_off_the_mean_are_solved(solves):
     points = np.array([0.1, 0.4, 0.45, 0.9, 1.3])
     # plain: the seed at the largest point (outside the open hull), a seed
     # off the mean inside it, one at the mean, and non-finite rows
-    plain = [_el_problem(points, 1.3), _el_problem(points, 0.5, seed=0.9),
-             _el_problem(points, 0.63), _el_problem(np.append(points[:-1], np.inf), 0.5),
-             _el_problem(np.array([-np.inf, 0.4, 0.45, 0.9, np.inf]), 0.5)]
+    plain = [_RatioProblem(points, 1.3, 1.3), _RatioProblem(points, 0.5, 0.9),
+             _RatioProblem(points, 0.63, 0.63),
+             _RatioProblem(np.append(points[:-1], np.inf), 0.5, 0.5),
+             _RatioProblem(np.array([-np.inf, 0.4, 0.45, 0.9, np.inf]), 0.5, 0.5)]
     at_seed, errors = _check_seeds(plain, [2], solves)
     assert at_seed[:2] == [math.inf, pytest.approx(1.9, abs=0.1)]
     assert list(errors) == [3, 4]
@@ -399,15 +405,20 @@ def test_alpha_validation():
         ajel_test(X4, 1, 2.0, alpha=1.0)
 
 
+@pytest.mark.parametrize("mixed", [False, True])
 @pytest.mark.parametrize("n", [4, 25])
 @pytest.mark.parametrize("rule, a_n", [("centered", None), ("literal", None), ("centered", 3.0)])
-def test_batched_calls_equal_one_sample_calls(n, rule, a_n):
+def test_batched_calls_equal_one_sample_calls(n, rule, a_n, mixed):
     samples = [sample(DistSpec("lognormal", 1.0), n, make_rng(60 + k)) for k in range(8)]
     samples[2] = np.full(n, 3.0)  # constant pseudo-values
     # a spread 1e-9 of the location: the beta tolerance follows the location,
     # so both JEL endpoint searches stall, and the lower one's error is the
     # one a single call raises
     samples[5] = 5.0 + 1e-9 * samples[5]
+    if mixed:
+        # JEL and AJEL take a sample's pseudo-values in its place; DNEL and
+        # VXL need the sample itself
+        samples[6] = jackknife_pseudo_values(samples[6], 1)
     intervals = confidence_intervals(samples, 1, 0.9, CI_METHODS, rule, a_n)
     tests = ratio_tests(samples, 1, 1.0, 0.1, CI_METHODS, rule, a_n)
     failures = set()
@@ -422,6 +433,13 @@ def test_batched_calls_equal_one_sample_calls(n, rule, a_n):
                     failures.add(type(exc))
                 else:
                     assert got == want
-    assert failures == {DegenerateSampleError, ConvergenceError}
+    expected = {DegenerateSampleError, ConvergenceError}
+    assert failures == (expected | {PwmInputError} if mixed else expected)
+    if mixed:  # the one-sample calls raised these errors too
+        for method in ("DNEL", "VXL"):
+            j = CI_METHODS.index(method)
+            for got in (intervals[6][j], tests[6][j]):
+                assert type(got) is PwmInputError
+                assert str(got) == f"{method} needs the sample, not its pseudo-values"
     with pytest.raises(PwmInputError):
         confidence_intervals([X4, X4 + [5.0]], 1, 0.9, CI_METHODS)

@@ -60,6 +60,14 @@ def test_seed_for_rep_is_deterministic_and_spread():
     assert seed_for_rep(1, _cell_id(1, 25), 0) != seed_for_rep(2, _cell_id(1, 25), 0)
 
 
+def test_seed_for_rep_takes_integers_only():
+    # a bool is not a seed coordinate, as it is no count in ExperimentConfig
+    for args in ((True, 1, 2), (0, False, 2), (0, 1, True), (0.0, 1, 2), (0, 1, -1)):
+        with pytest.raises(PwmInputError):
+            seed_for_rep(*args)
+    assert seed_for_rep(np.int64(7), np.int32(1), 2) == seed_for_rep(7, 1, 2)
+
+
 def test_config_validation():
     with pytest.raises(PwmInputError):
         small_config(kind="sizes")
