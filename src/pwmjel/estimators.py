@@ -16,6 +16,15 @@ The U-statistic form admits an exact order-statistic representation
 which is what ``ustat_estimate`` evaluates.  Jackknife pseudo-values of the
 U-statistic feed the empirical likelihood machinery in :mod:`pwmjel.inference`.
 
+Sorting, the pseudo-values and the summands below are row functions on a
+block of samples of one size (``sorted_rows``, ``pseudo_value_rows``,
+``summand_rows``), which :mod:`pwmjel.inference` runs on a batch at once.
+Their steps are products with the rank weights, sums and prefix sums along
+the rows, so each row comes out bit for bit as it would alone; the
+per-sample functions ``SortedSample.from_data``,
+``jackknife_pseudo_values``, ``dnel_summands`` and ``vxl_summands`` are
+their one-row case.
+
 The two plug-in estimators are also plain means of n summands, which the
 DNEL and VXL baselines run empirical likelihood on:
 
@@ -56,6 +65,10 @@ __all__ = [
 # (n, r) over all its replications, and each entry holds n floats.
 _WEIGHT_CACHE_SIZE = 8
 
+# The most values a slice of rows holds while its pseudo-values are built:
+# 256 KiB per temporary.
+_SLICE_FLOATS = 1 << 15
+
 
 @dataclass(frozen=True)
 class SortedSample:
@@ -69,19 +82,14 @@ class SortedSample:
 
     @classmethod
     def from_data(cls, data) -> "SortedSample":
-        arr = np.asarray(data, dtype=float)
-        if arr.ndim != 1:
-            raise PwmInputError("sample must be one-dimensional")
-        if arr.size == 0:
-            raise PwmInputError("sample is empty")
-        if not np.all(np.isfinite(arr)):
-            raise PwmInputError("sample contains non-finite values")
-        out = np.sort(arr)
-        # -0.0 and +0.0 are the one pair of equal finite floats with
-        # different bits: keep their input order, as a stable sort does
-        lo, hi = out.searchsorted(0.0), out.searchsorted(0.0, "right")
-        if hi - lo > 1:
-            out[lo:hi] = arr[arr == 0.0]
+        """The ascending sample of ``data``, the one-row case of
+        :func:`sorted_rows`; raises :class:`PwmInputError` unless ``data``
+        is one-dimensional, non-empty and finite."""
+        (error,), blocks = sorted_rows([data])
+        if error is not None:
+            raise error
+        ((_, x),) = blocks.values()
+        out = x[0]
         out.flags.writeable = False
         return cls(values=out)
 
@@ -116,6 +124,49 @@ class SummandVector:
     @property
     def estimate(self) -> float:
         return float(np.mean(self.values))
+
+
+def sorted_rows(samples) -> tuple[list, dict]:
+    """Check and sort ``samples``, as the rows of one new matrix per size.
+
+    Returns ``(errors, blocks)``: ``errors[i]`` is the
+    :class:`PwmInputError` sample i fails with (not one-dimensional, empty
+    or not finite), else None, and ``blocks`` maps each size to the indices
+    of the samples of that size that pass and their sorted rows.
+
+    NaN sorts last and infinities outermost, so a sorted row is finite when
+    its two ends are.  -0.0 and +0.0 are the one pair of equal finite floats
+    with different bits: a row holding more than one zero gets them back in
+    input order, as a stable sort leaves them.
+    """
+    errors, groups = [], {}  # size -> [(i, array)]
+    for i, data in enumerate(samples):
+        arr = np.asarray(data, dtype=float)
+        if arr.ndim != 1:
+            errors.append(PwmInputError("sample must be one-dimensional"))
+        elif arr.size == 0:
+            errors.append(PwmInputError("sample is empty"))
+        else:
+            errors.append(None)
+            groups.setdefault(arr.size, []).append((i, arr))
+    blocks = {}
+    for size, group in groups.items():
+        index, rows = [i for i, _ in group], [arr for _, arr in group]
+        out = np.array(rows)
+        out.sort(axis=1)
+        spans = np.flatnonzero((out[:, 0] <= 0.0) & (out[:, -1] >= 0.0))
+        if spans.size:
+            for j in spans[np.count_nonzero(out[spans] == 0.0, axis=1) > 1].tolist():
+                row, raw = out[j], rows[j]
+                row[row.searchsorted(0.0):row.searchsorted(0.0, "right")] = raw[raw == 0.0]
+        finite = np.isfinite(out[:, 0]) & np.isfinite(out[:, -1])
+        if not finite.all():
+            for j in np.flatnonzero(~finite).tolist():
+                errors[index[j]] = PwmInputError("sample contains non-finite values")
+            index, out = [i for i, ok in zip(index, finite.tolist()) if ok], out[finite]
+        if index:
+            blocks[size] = (index, out)
+    return errors, blocks
 
 
 def _as_sample(sample) -> SortedSample:
@@ -199,19 +250,29 @@ def _vxl_weights(n: int, r: int) -> np.ndarray:
     return _cdf_power_steps(n, r) * (n / (r + 1.0))
 
 
-def _summands(sample, r: int, method: str, weights) -> SummandVector:
+# The rank weights of each plug-in method's summands.
+_SUMMAND_WEIGHTS = {"DNEL": _dn_weights, "VXL": _vxl_weights}
+
+
+def summand_rows(x: np.ndarray, r: int, method: str) -> np.ndarray:
+    """The DNEL or VXL summands (``method``) of the sorted rows ``x``."""
     r = _check_order(r)
-    s = _as_sample(sample)
-    if s.n < 2:
+    n = x.shape[1]
+    if n < 2:
         raise PwmInputError("summand construction needs at least two observations")
-    z = weights(s.n, r) * s.values
+    return _SUMMAND_WEIGHTS[method](n, r) * x
+
+
+def _summands(sample, r: int, method: str) -> SummandVector:
+    r = _check_order(r)
+    z = summand_rows(_as_sample(sample).values[None], r, method)[0]
     z.flags.writeable = False
     return SummandVector(values=z, method=method, r=r)
 
 
 def dnel_summands(sample, r: int) -> SummandVector:
     """Summands of the empirical-CDF plug-in estimator."""
-    return _summands(sample, r, "DNEL", _dn_weights)
+    return _summands(sample, r, "DNEL")
 
 
 def vxl_summands(sample, r: int) -> SummandVector:
@@ -219,7 +280,7 @@ def vxl_summands(sample, r: int) -> SummandVector:
 
     At r = 0 the weights telescope and the summands reduce to the data.
     """
-    return _summands(sample, r, "VXL", _vxl_weights)
+    return _summands(sample, r, "VXL")
 
 
 @_cached_weights
@@ -270,39 +331,73 @@ def ustat_estimate(sample, r: int) -> float:
     return float(np.sum(w * s.values) / (r + 1))
 
 
+def _jackknife_order(r) -> int:
+    """``r`` once it is known to be an order pseudo-values exist for."""
+    r = _check_order(r)
+    if r < 1:
+        raise PwmInputError("pseudo-values require moment order r >= 1")
+    return r
+
+
+def pseudo_value_rows(x: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pseudo-values of the sorted rows ``x``, in a matrix of its shape,
+    and the rows' U-statistic estimates.
+
+    Every step is a row operation (products with the rank weights, sums and
+    prefix sums along the rows), so each row's values are bit for bit those
+    of the row alone.  The rows are taken in slices of at most
+    ``_SLICE_FLOATS`` values, whose temporaries stay in a core's cache.
+    """
+    r = _jackknife_order(r)
+    k, n = x.shape
+    if n < r + 2:
+        raise InsufficientSampleError(
+            f"need at least r+2 = {r + 2} observations for the jackknife, got {n}"
+        )
+    w_keep = _ustat_weights(n, r)  # rank unchanged (below the deleted one)
+    w_shift = _ustat_weights(n, r, lag=2)  # rank drops by one (above it)
+    # rescale from C(n, r+1) to the deleted-sample denominator C(n-1, r+1)
+    scale = n / ((n - r - 1.0) * (r + 1.0))
+    v, beta = np.empty((k, n)), np.empty(k)
+    step = max(1, _SLICE_FLOATS // n)
+    kept, shifted = np.empty((min(k, step), n)), np.empty((min(k, step), n))
+    for lo in range(0, k, step):
+        rows, out = x[lo:lo + step], v[lo:lo + step]
+        h = rows.shape[0]
+        keep = np.multiply(w_keep, rows, out=kept[:h])
+        beta[lo:lo + h] = np.add.reduce(keep, axis=1) / (r + 1)
+        # the deleted-sample sum at rank i: the suffix sum of the shifted
+        # terms above i, taken from the top, plus the prefix sum below i
+        np.multiply(w_shift, rows, out=shifted[:h])
+        np.cumsum(shifted[:h, :0:-1], axis=1, out=out[:, -2::-1])
+        out[:, -1] = 0.0
+        np.cumsum(keep[:, :-1], axis=1, out=keep[:, :-1])
+        out[:, 1:] += keep[:, :-1]
+        out[:, 0] += 0.0  # as 0.0 + suffix, which turns -0.0 into 0.0
+        out *= scale
+        out *= n - 1
+        np.subtract((n * beta[lo:lo + h])[:, None], out, out=out)
+    return v, beta
+
+
 def jackknife_pseudo_values(sample, r: int) -> PseudoValues:
     """Leave-one-out pseudo-values of the U-statistic estimator.
 
     For each k the deleted-sample estimate ``b_k`` is obtained from prefix
     and suffix sums of reweighted order statistics (deleting the k-th order
     statistic shifts the ranks above it down by one), so the whole vector
-    costs O(n) after sorting rather than O(n^2).
+    costs O(n) after sorting rather than O(n^2).  This is the one-row case
+    of :func:`pseudo_value_rows`, which builds the pseudo-values of a block
+    of samples at once.
 
     Returns
     -------
     PseudoValues
         With ``values`` in the order of the ascending sample.
     """
-    r = _check_order(r)
-    if r < 1:
-        raise PwmInputError("pseudo-values require moment order r >= 1")
+    r = _jackknife_order(r)
     s = _as_sample(sample)
-    n = s.n
-    if n < r + 2:
-        raise InsufficientSampleError(
-            f"need at least r+2 = {r + 2} observations for the jackknife, got {n}"
-        )
-    x = s.values
-    w_keep = _ustat_weights(n, r)  # rank unchanged (below k)
-    w_shift = _ustat_weights(n, r, lag=2)  # rank drops by one (above k)
-
-    beta_full = float(np.sum(w_keep * x) / (r + 1))
-
-    prefix = np.concatenate(([0.0], np.cumsum(w_keep * x)[:-1]))
-    suffix = np.concatenate((np.cumsum((w_shift * x)[::-1])[::-1][1:], [0.0]))
-    # rescale from C(n, r+1) to the deleted-sample denominator C(n-1, r+1)
-    beta_del = (prefix + suffix) * (n / ((n - r - 1.0) * (r + 1.0)))
-
-    v = n * beta_full - (n - 1) * beta_del
+    v, beta = pseudo_value_rows(s.values[None], r)
+    v = v[0]
     v.flags.writeable = False
-    return PseudoValues(values=v, ustat_estimate=beta_full, r=r, n=n)
+    return PseudoValues(values=v, ustat_estimate=float(beta[0]), r=r, n=s.n)

@@ -24,12 +24,16 @@ why they run wide).
 
 All four methods share one pipeline: a point set and a hypothesized mean
 give an EL ratio, which is either tested against chi-square(1) or inverted
-for an interval.  ``_METHODS`` maps each method name to the ratio problem
-it builds, and ``_method_problems`` alone turns samples into problems.  One
-engine evaluates and inverts the ratios of many problems of one method
-together, one batched EL solve per search step: :func:`confidence_intervals`
-and :func:`ratio_tests` run it on many samples, and
-:func:`confidence_interval` and :func:`ratio_test` are their one-sample case.
+for an interval.  ``_METHODS`` maps each method name to the ratio problems
+it builds, and ``_method_problems`` alone turns samples into problems: it
+stacks and sorts a batch's samples once and builds every method's points
+and estimates with row operations on that block (the row functions of
+:mod:`pwmjel.estimators`, whose one-row case its per-sample functions
+are).  One engine evaluates and inverts the ratios of many problems of one
+method together, one batched EL solve per search step:
+:func:`confidence_intervals` and :func:`ratio_tests` run it on many
+samples, and :func:`confidence_interval` and :func:`ratio_test` are their
+one-sample case.
 """
 
 from __future__ import annotations
@@ -45,9 +49,9 @@ from .errors import ConvergenceError, DegenerateSampleError, HullError, PwmError
 from .estimators import (
     PseudoValues,
     SortedSample,
-    dnel_summands,
-    jackknife_pseudo_values,
-    vxl_summands,
+    pseudo_value_rows,
+    sorted_rows,
+    summand_rows,
 )
 
 __all__ = [
@@ -139,23 +143,95 @@ class _RatioProblem:
         return self.adjust is None
 
 
-def _checked(sample, r) -> PseudoValues:
-    """The pseudo-values of ``sample`` (``sample`` itself if it is one),
-    once they are known to be built for ``r`` and not degenerate."""
-    pv = sample if isinstance(sample, PseudoValues) else jackknife_pseudo_values(sample, r)
-    if pv.r != r:
-        raise PwmInputError(
-            f"pseudo-values were built for r = {pv.r}, requested r = {r}"
-        )
+@dataclass(frozen=True)
+class _Block:
+    """A batch's samples as the rows of one matrix of their one size ``n``:
+    row ``values[j]`` belongs to sample ``rows[j]``.  ``status[i]`` is None
+    while sample i is usable, else what stands in for it: its PwmError, or
+    in a block of sorted samples the caller's :class:`PseudoValues`.  A
+    block of pseudo-values also holds each row's U-statistic estimate."""
+
+    status: list
+    rows: list
+    values: np.ndarray | None
+    n: int | None
+    estimate: list | None = None
+
+
+def _failing(status: list, rows: list, exc: PwmError) -> list:
+    """``status`` with ``exc`` for each of the samples ``rows`` still usable."""
+    out = list(status)
+    for i in rows:
+        if out[i] is None:
+            out[i] = exc
+    return out
+
+
+def _joined(parts: list) -> tuple[list, np.ndarray]:
+    """The ``(rows, matrix)`` pairs ``parts`` as one pair."""
+    if len(parts) == 1:
+        return parts[0]
+    return [i for rows, _ in parts for i in rows], np.concatenate([x for _, x in parts])
+
+
+def _sample_block(samples) -> _Block:
+    """The samples sorted along the rows of one block, in which a sample
+    that :meth:`SortedSample.from_data` rejects gets its error; raises
+    :class:`PwmInputError` unless the other samples share one size."""
+    status = [s if isinstance(s, PseudoValues) else None for s in samples]
+    presorted = [i for i, s in enumerate(samples) if isinstance(s, SortedSample)]
+    raw = [i for i, s in enumerate(samples) if status[i] is None
+           and not isinstance(s, SortedSample)]
+    errors, blocks = sorted_rows([samples[i] for i in raw])
+    for i, exc in zip(raw, errors):
+        status[i] = exc
+    parts = [([raw[j] for j in index], x) for index, x in blocks.values()]
+    if presorted:
+        parts.append((presorted, np.stack([samples[i].values for i in presorted])))
+    sizes = {x.shape[1] for _, x in parts} | {s.n for s in status if isinstance(s, PseudoValues)}
+    if len(sizes) > 1:
+        raise PwmInputError("batched inference needs samples of one size")
+    rows, x = _joined(parts) if parts else ([], None)
+    return _Block(status, rows, x, sizes.pop() if sizes else None)
+
+
+def _checked(block: _Block, r) -> _Block:
+    """The block of pseudo-values of a block of sorted samples: built for
+    all its rows at once and joined by the caller's :class:`PseudoValues`
+    that were built for ``r``, with an error for each degenerate row."""
+    status = [s if isinstance(s, PwmError) else None for s in block.status]
+    parts, estimate = [], []  # parts: (rows, values)
+    if block.rows:
+        try:
+            values, beta = pseudo_value_rows(block.values, r)
+        except PwmError as exc:
+            status = _failing(status, block.rows, exc)
+        else:
+            parts.append((block.rows, values))
+            estimate += beta.tolist()
+    for i, pv in enumerate(block.status):
+        if isinstance(pv, PseudoValues):
+            if pv.r != r:
+                status[i] = PwmInputError(
+                    f"pseudo-values were built for r = {pv.r}, requested r = {r}"
+                )
+            else:
+                parts.append(([i], pv.values[None]))
+                estimate.append(pv.ustat_estimate)
+    if not parts:
+        return _Block(status, [], None, block.n, [])
+    rows, values = _joined(parts)
+    values.flags.writeable = False
     # constant input leaves rounding noise of a few n*eps relative to the
     # pseudo-values, so the spread is compared against that floor
-    scale = float(np.max(np.abs(pv.values)))
-    if np.ptp(pv.values) <= 64.0 * pv.n * np.finfo(float).eps * scale:
-        raise DegenerateSampleError(
+    vmax, vmin = values.max(axis=1), values.min(axis=1)
+    flat = vmax - vmin <= 64.0 * block.n * np.finfo(float).eps * np.maximum(vmax, -vmin)
+    for j in np.flatnonzero(flat).tolist():
+        status[rows[j]] = DegenerateSampleError(
             "all jackknife pseudo-values are identical; the likelihood "
             "ratio carries no information"
         )
-    return pv
+    return _Block(status, rows, values, block.n, estimate)
 
 
 class _StackedRatio:
@@ -305,40 +381,72 @@ def _derivatives(m: int, lam, score, score_slope, a, p, z_last):
     return dlam, (-2.0 * m) * (dlam * (1.0 - (1.0 + a) * p) - lam * (1.0 + a) * dp)
 
 
-def _jel_problem(pv: PseudoValues, r, rule, a_n) -> _RatioProblem:
-    return _RatioProblem(pv.values, pv.ustat_estimate, pv.ustat_estimate)
+def _problems(status: list, rows: list, points, estimate: list, seed: list,
+              adjust: float | None = None) -> list:
+    """One entry per sample: the error in ``status``, or for sample
+    ``rows[j]`` the problem on row ``j`` of ``points``, with ``estimate[j]``
+    and ``seed[j]``."""
+    out = list(status)
+    for j, i in enumerate(rows):
+        if out[i] is None:
+            out[i] = _RatioProblem(points[j], estimate[j], seed[j], adjust)
+    return out
 
 
-def _ajel_problem(pv: PseudoValues, r, rule, a_n) -> _RatioProblem:
-    a = adjustment_constant(pv.n) if a_n is None else float(a_n)
+def _jel_problems(pv: _Block, r, rule, a_n) -> list:
+    return _problems(pv.status, pv.rows, pv.values, pv.estimate, pv.estimate)
+
+
+def _ajel_problems(pv: _Block, r, rule, a_n) -> list:
+    if not pv.rows:
+        return pv.status
+    try:
+        a = adjustment_constant(pv.n) if a_n is None else float(a_n)
+    except PwmError as exc:
+        return _failing(pv.status, pv.rows, exc)
     if rule == "centered":
-        return _RatioProblem(pv.values, pv.ustat_estimate, pv.ustat_estimate, adjust=a)
+        return _problems(pv.status, pv.rows, pv.values, pv.estimate, pv.estimate, a)
     # the augmented set does not depend on the tested value, so the ratio
     # bottoms out at the augmented mean rather than at the point estimate
-    aug = np.append(pv.values, -(a / pv.n) * pv.values.sum())
-    return _RatioProblem(aug, pv.ustat_estimate, float(aug.mean()))
+    k, m = pv.values.shape
+    aug = np.empty((k, m + 1))
+    aug[:, :m] = pv.values
+    aug[:, m] = -(a / pv.n) * np.add.reduce(pv.values, axis=1)
+    aug.flags.writeable = False
+    seed = (np.add.reduce(aug, axis=1) / (m + 1)).tolist()
+    return _problems(pv.status, pv.rows, aug, pv.estimate, seed)
 
 
-def _plugin_problem(summands):
-    def problem(sample, r, rule, a_n) -> _RatioProblem:
-        sv = summands(sample, r)
-        if np.ptp(sv.values) == 0.0:
-            raise DegenerateSampleError(
-                f"{sv.method} summands are all identical; no likelihood spread"
+def _plugin_problems(method: str):
+    def problems(block: _Block, r, rule, a_n) -> list:
+        status = [PwmInputError(f"{method} needs the sample, not its pseudo-values")
+                  if isinstance(s, PseudoValues) else s for s in block.status]
+        if not block.rows:
+            return status
+        try:
+            z = summand_rows(block.values, r, method)
+        except PwmError as exc:
+            return _failing(status, block.rows, exc)
+        z.flags.writeable = False
+        for j in np.flatnonzero(z.max(axis=1) - z.min(axis=1) == 0.0).tolist():
+            status[block.rows[j]] = DegenerateSampleError(
+                f"{method} summands are all identical; no likelihood spread"
             )
-        estimate = sv.estimate
-        return _RatioProblem(sv.values, estimate, estimate)
-    return problem
+        estimate = (np.add.reduce(z, axis=1) / block.n).tolist()
+        return _problems(status, block.rows, z, estimate, estimate)
+    return problems
 
 
-# The method table: each entry turns the sorted sample (for JEL and AJEL its
-# checked pseudo-values), r, rule and a_n into the ratio problem that both the
-# test and the interval run on.  ``rule`` and ``a_n`` only shape AJEL.
+# The method table: each entry turns the batch's block of sorted samples (for
+# JEL and AJEL its checked pseudo-values), r, rule and a_n into one ratio
+# problem per sample, or the sample's error; both the test and the interval
+# run on it.
+# ``rule`` and ``a_n`` only shape AJEL.
 _METHODS = {
-    "DNEL": _plugin_problem(dnel_summands),
-    "VXL": _plugin_problem(vxl_summands),
-    "JEL": _jel_problem,
-    "AJEL": _ajel_problem,
+    "DNEL": _plugin_problems("DNEL"),
+    "VXL": _plugin_problems("VXL"),
+    "JEL": _jel_problems,
+    "AJEL": _ajel_problems,
 }
 CI_METHODS = tuple(_METHODS)
 
@@ -467,35 +575,25 @@ def ratio_tests(samples, r: int, beta0: float, alpha: float, methods,
 
 def _method_problems(samples, r: int, methods, rule: str, a_n):
     """Yield each method with its ratio problem for every sample, or the
-    PwmError building it raises.  A sample may be given as its
-    :class:`PseudoValues`, which only JEL and AJEL take; each sample's
-    checked pseudo-values, or the error building or checking them, are made
-    once and shared by those two methods."""
-    samples = [s if isinstance(s, (SortedSample, PseudoValues)) else SortedSample.from_data(s)
-               for s in samples]
-    if len({s.n for s in samples}) > 1:
-        raise PwmInputError("batched inference needs samples of one size")
+    PwmError building it raises.
+
+    The samples are built as one block: they are stacked and sorted along
+    rows once, and every method's points and estimates come from row
+    operations on the block, with row masks picking out the samples that
+    fail.  A sample may be given as its :class:`PseudoValues`, which only
+    JEL and AJEL take; the pseudo-values of the block, or each sample's
+    error building or checking them, are made once and shared by those two
+    methods.
+    """
+    block = _sample_block(samples)
     pseudo = None
     for method in methods:
         if method in _ON_PSEUDO_VALUES:
             if pseudo is None:
-                pseudo = [_built(_checked, s, r) for s in samples]
-            inputs = pseudo
+                pseudo = _checked(block, r)
+            yield method, _METHODS[method](pseudo, r, rule, a_n)
         else:
-            inputs = [PwmInputError(f"{method} needs the sample, not its pseudo-values")
-                      if isinstance(s, PseudoValues) else s for s in samples]
-        yield method, [_built(_METHODS[method], s, r, rule, a_n) for s in inputs]
-
-
-def _built(build, sample, *args):
-    """``build(sample, *args)``, or the PwmError it raises; an error in
-    place of the sample passes through."""
-    if isinstance(sample, PwmError):
-        return sample
-    try:
-        return build(sample, *args)
-    except PwmError as exc:
-        return exc
+            yield method, _METHODS[method](block, r, rule, a_n)
 
 
 def _statistics(problems: list, beta0: float) -> list:

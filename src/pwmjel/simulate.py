@@ -131,6 +131,8 @@ class ExperimentConfig:
             raise PwmInputError(f"every n must be below {_MAX_N:_}")
         if not _is_int(self.replications) or self.replications < 1:
             raise PwmInputError("replications must be a positive integer")
+        if not _is_int(self.base_seed):
+            raise PwmInputError(f"base_seed must be an integer, got {self.base_seed!r}")
         check_options(self.methods, level=self.level, alpha=self.alpha)
         if self.kind == "power" and self.null_dist is None:
             raise PwmInputError("power experiments need a null distribution")

@@ -12,6 +12,7 @@ from pwmjel import (
     PwmError,
     PseudoValues,
     PwmInputError,
+    SortedSample,
     adjustment_constant,
     ajel_confidence_interval,
     ajel_neg2_ratio,
@@ -19,6 +20,7 @@ from pwmjel import (
     chi2_1_cdf,
     chi2_1_quantile,
     confidence_interval,
+    dnel_summands,
     jackknife_pseudo_values,
     jel_confidence_interval,
     jel_neg2_ratio,
@@ -28,6 +30,7 @@ from pwmjel import (
     ratio_test,
     sample,
     ustat_estimate,
+    vxl_summands,
 )
 from pwmjel import el, inference
 from pwmjel.inference import (
@@ -341,18 +344,113 @@ def test_degenerate_sample_errors():
         ajel_confidence_interval(flat, 1, 0.95)
 
 
-def test_batched_calls_check_each_samples_pseudo_values_once(monkeypatch):
-    checked = []
-    check = inference._checked
-    monkeypatch.setattr(inference, "_checked", lambda pv, r: checked.append(pv) or check(pv, r))
+def test_batched_calls_build_and_check_the_blocks_pseudo_values_once(monkeypatch):
+    checked, built = [], []
+    check, build = inference._checked, inference.pseudo_value_rows
+    monkeypatch.setattr(inference, "_checked",
+                        lambda block, r: checked.append(block) or check(block, r))
+    monkeypatch.setattr(inference, "pseudo_value_rows",
+                        lambda x, r: built.append(x.shape) or build(x, r))
     xs = [sample(DistSpec("exponential", 1.0), 30, make_rng(seed)) for seed in range(3)]
     rows = ratio_tests(xs, 1, 0.75, 0.05, ("JEL", "AJEL"))
-    assert len(checked) == 3
+    # one build of all three samples' pseudo-values and one check, shared by
+    # JEL and AJEL
+    assert len(checked) == 1 and built == [(3, 30)]
     assert rows == [(jel_test(x, 1, 0.75), ajel_test(x, 1, 0.75)) for x in xs]
     # a degenerate sample fails both methods with the error each raises alone
     (jel, ajel), = ratio_tests([[3.0] * 30], 1, 0.75, 0.05, ("JEL", "AJEL"))
     assert type(jel) is type(ajel) is DegenerateSampleError
     assert str(jel) == str(ajel) != ""
+
+
+def _built(problem):
+    """What a block build gave a sample: the problem's bytes, or the error's
+    type and text."""
+    if isinstance(problem, PwmError):
+        return type(problem), str(problem)
+    return (problem.points.tobytes(), problem.points.shape, problem.estimate,
+            problem.seed, problem.adjust)
+
+
+def _one_sample_builds(x, r, rule, a_n):
+    return [_built(p) for _, (p,) in _method_problems([x], r, CI_METHODS, rule, a_n)]
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("rule, a_n", [("centered", None), ("literal", None), ("centered", 3.0)])
+def test_a_block_builds_each_sample_as_it_builds_alone(r, rule, a_n):
+    n = 40
+    xs = [sample(DistSpec(family, 1.0), n, make_rng(70 + k))
+          for k, family in enumerate(("lognormal", "exponential", "normal", "lognormal"))]
+    signed_zeros = xs[2].copy()
+    signed_zeros[[3, 9, 17, 30]] = [0.0, -0.0, -0.0, 0.0]
+    with_nan = xs[3].copy()
+    with_nan[5] = np.nan
+    block = [xs[0], SortedSample.from_data(xs[1]), jackknife_pseudo_values(xs[2], r),
+             with_nan, np.full(n, 3.0), signed_zeros, list(xs[3])]
+    got = [[_built(p) for p in problems]
+           for _, problems in _method_problems(block, r, CI_METHODS, rule, a_n)]
+    for j, x in enumerate(block):
+        assert [column[j] for column in got] == _one_sample_builds(x, r, rule, a_n)
+    # the rows are those of the per-sample functions, bit for bit
+    column = dict(zip(CI_METHODS, got))
+    for j in (0, 1, 5, 6):
+        x = block[j]
+        assert column["JEL"][j][0] == jackknife_pseudo_values(x, r).values.tobytes()
+        assert column["DNEL"][j][0] == dnel_summands(x, r).values.tobytes()
+        assert column["VXL"][j][0] == vxl_summands(x, r).values.tobytes()
+    # the signed zeros keep their input order in the sorted sample
+    zeros = SortedSample.from_data(signed_zeros).values
+    assert np.signbit(zeros[zeros == 0.0]).tolist() == [False, True, True, False]
+    failed = {(method, j): column[method][j] for method in CI_METHODS for j in (2, 3, 4)}
+    assert failed[("DNEL", 2)] == (PwmInputError, "DNEL needs the sample, not its pseudo-values")
+    assert {failed[(m, 3)] for m in CI_METHODS} == {(PwmInputError, "sample contains non-finite values")}
+    assert {failed[(m, 4)][0] for m in ("JEL", "AJEL")} == {DegenerateSampleError}
+
+
+@pytest.mark.parametrize("r, n", [(0, 10), (-1, 10), (1.5, 10), (True, 10), (2, 3), (1, 2), (5, 6)])
+def test_block_wide_errors_are_each_samples_own(r, n):
+    # a bad order or a sample too small for it fails every row of a method
+    # with the error a one-sample build gives
+    block = [sample(DistSpec("exponential", 1.0), n, make_rng(80 + k)) for k in range(3)]
+    got = [[_built(p) for p in problems]
+           for _, problems in _method_problems(block, r, CI_METHODS, "centered", None)]
+    for j, x in enumerate(block):
+        assert [column[j] for column in got] == _one_sample_builds(x, r, "centered", None)
+    assert any(isinstance(row[0], type) for column in got for row in column)
+
+
+def test_a_block_whose_every_sample_fails():
+    block = [[], [1.0, np.nan, 2.0], [[1.0, 2.0], [3.0, 4.0]], [np.inf, 1.0],
+             PseudoValues(np.full(5, 2.0), 2.0, 1, 5)]
+    texts = ["sample is empty", "sample contains non-finite values",
+             "sample must be one-dimensional", "sample contains non-finite values"]
+    for rows in (confidence_intervals(block, 1, 0.9, CI_METHODS),
+                 ratio_tests(block, 1, 1.0, 0.1, CI_METHODS)):
+        for row, text in zip(rows, texts):
+            assert {(type(e), str(e)) for e in row} == {(PwmInputError, text)}
+        assert [type(e) for e in rows[4]] == [PwmInputError, PwmInputError,
+                                              DegenerateSampleError, DegenerateSampleError]
+
+
+def test_a_sample_that_from_data_rejects_fails_its_own_row_only():
+    xs = [sample(DistSpec("lognormal", 1.0), 30, make_rng(90 + k)) for k in range(3)]
+    bad = xs[1].copy()
+    bad[4] = np.nan
+    for samples, text in (([xs[0], bad, xs[2]], "sample contains non-finite values"),
+                          # the one-size check runs on the samples that pass
+                          ([xs[0], [np.inf] * 7, xs[2]], "sample contains non-finite values"),
+                          ([xs[0], [], xs[2]], "sample is empty"),
+                          ([xs[0], [[1.0, 2.0]], xs[2]], "sample must be one-dimensional")):
+        intervals = confidence_intervals(samples, 1, 0.9, CI_METHODS)
+        tests = ratio_tests(samples, 1, 1.0, 0.1, CI_METHODS)
+        for row in (intervals[1], tests[1]):
+            assert {(type(e), str(e)) for e in row} == {(PwmInputError, text)}
+        for k in (0, 2):
+            assert intervals[k] == tuple(confidence_interval(xs[k], 1, 0.9, m) for m in CI_METHODS)
+            assert tests[k] == tuple(ratio_test(xs[k], 1, 1.0, 0.1, m) for m in CI_METHODS)
+    with pytest.raises(PwmInputError, match="samples of one size"):
+        ratio_tests([xs[0], xs[1][:20], xs[2]], 1, 1.0, 0.1, ("JEL",))
 
 
 def test_option_errors_come_before_the_data_checks():

@@ -68,6 +68,14 @@ def test_seed_for_rep_takes_integers_only():
     assert seed_for_rep(np.int64(7), np.int32(1), 2) == seed_for_rep(7, 1, 2)
 
 
+def test_config_takes_integer_base_seeds_only():
+    # checked at construction with seed_for_rep's text, not first in a worker
+    for seed in (True, 1.0):
+        with pytest.raises(PwmInputError, match=f"^base_seed must be an integer, got {seed!r}$"):
+            small_config(base_seed=seed)
+    assert small_config(base_seed=np.int64(5)).base_seed == 5
+
+
 def test_config_validation():
     with pytest.raises(PwmInputError):
         small_config(kind="sizes")
