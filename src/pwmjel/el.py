@@ -320,9 +320,9 @@ def solve_rows(z: np.ndarray, mu: np.ndarray, lam0: np.ndarray, tol: float = _SC
         positive = g > 0.0
         a = np.where(positive, lam, a)
         b = np.where(positive, b, lam)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = lam - g / gp
-        # a zero slope gives a non-finite step, which takes the midpoint
+        # a zero slope (either sign) leaves a nan step, which takes the
+        # midpoint, as solve_lambda's does
+        step = lam - np.divide(g, gp, out=np.full_like(g, math.nan), where=gp != 0.0)
         lam = np.where((a < step) & (step < b), step, 0.5 * (a + b))
         g, gp = score_and_slope(d, lam)
         step_count += 1

@@ -222,7 +222,7 @@ def test_ratio_and_slope_solves_through_the_module_attribute(monkeypatch):
     monkeypatch.setattr(el, "solve_lambda", counting)
     data = np.random.default_rng(4).exponential(1.0, 60)
     mean = float(data.mean())
-    ratio = _StackedRatio([_RatioProblem(data, mean, mean)] * el._VECTOR_ROWS)
+    ratio = _StackedRatio([_RatioProblem(data[None], 0, mean, mean, "JEL")] * el._VECTOR_ROWS)
     # the stack solves in its rows' coordinates: the data scaled by a power
     # of two into [-1, 1)
     e = ratio.exponent[0]
@@ -344,6 +344,24 @@ def test_solve_rows_is_bit_identical_to_solve_lambda_per_row():
     for counts in seen.values():  # every failure kind on both sides of the row count
         assert min(counts.values()) > 0 and counts[None] > 500
     assert staggered >= 40  # rows of one stack converged at different steps
+
+
+def test_a_zero_slope_takes_the_midpoint_in_both_kernels():
+    # at points near 1e-170 the slope -mean(u^2) underflows to -0.0 until
+    # bisection brings 1 + lam*d near 0; each such step is the midpoint, in
+    # the vectorised loop as in solve_lambda, and no division warns
+    rng = np.random.default_rng(5)
+    z = rng.exponential(1.0, (6, 40)) * 1e-170
+    mu = np.array([np.quantile(row, q) for row, q in zip(z, np.linspace(0.3, 0.8, 6))])
+    d = z - mu[:, None]
+    assert not np.add.reduce(d * d, axis=1).any()  # a zero slope at lam = 0
+    with np.errstate(divide="raise", invalid="raise"):
+        got = el.solve_rows(z, mu, np.zeros(6))
+    assert got.errors == {} and got.iterations.min() > 20
+    for i in range(6):
+        ref = solve_lambda(z[i], mu[i])
+        assert (got.lam[i], got.log_ratio[i], got.iterations[i]) == \
+            (ref.lam, ref.log_ratio, ref.iterations)
 
 
 def test_solved_at_zero_is_the_kernels_stop_at_zero():

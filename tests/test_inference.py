@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -34,6 +35,7 @@ from pwmjel import (
 )
 from pwmjel import el, inference
 from pwmjel.inference import (
+    _RULES,
     _lockstep_intervals,
     _method_problems,
     _RatioProblem,
@@ -49,7 +51,7 @@ Q95 = 3.841458820694124
 
 def _problem(x, method, rule="centered", a_n=None) -> _RatioProblem:
     """The r = 1 ratio problem of ``method`` on the sample or pseudo-values ``x``."""
-    ((_, (problem,)),) = _method_problems([x], 1, (method,), rule, a_n)
+    ((problem,),) = _method_problems([x], 1, (method,), rule, a_n)
     return problem
 
 
@@ -211,21 +213,22 @@ def test_seeds_off_the_mean_are_solved(solves):
     points = np.array([0.1, 0.4, 0.45, 0.9, 1.3])
     # plain: the seed at the largest point (outside the open hull), a seed
     # off the mean inside it, one at the mean, and non-finite rows
-    plain = [_RatioProblem(points, 1.3, 1.3), _RatioProblem(points, 0.5, 0.9),
-             _RatioProblem(points, 0.63, 0.63),
-             _RatioProblem(np.append(points[:-1], np.inf), 0.5, 0.5),
-             _RatioProblem(np.array([-np.inf, 0.4, 0.45, 0.9, np.inf]), 0.5, 0.5)]
+    rows = np.array([points, points, points, np.append(points[:-1], np.inf),
+                     [-np.inf, 0.4, 0.45, 0.9, np.inf]])
+    plain = [_RatioProblem(rows, j, estimate, seed, "JEL")
+             for j, (estimate, seed) in enumerate([(1.3, 1.3), (0.5, 0.9), (0.63, 0.63),
+                                                   (0.5, 0.5), (0.5, 0.5)])]
     at_seed, errors = _check_seeds(plain, [2], solves)
     assert at_seed[:2] == [math.inf, pytest.approx(1.9, abs=0.1)]
     assert list(errors) == [3, 4]
     assert {str(exc) for exc in errors.values()} == {"EL points contain non-finite values"}
-    (error,) = _lockstep_intervals(plain[:1], 0.95, "JEL")
+    (error,) = _lockstep_intervals(plain[:1], 0.95)
     assert type(error) is ConvergenceError and str(error) == (
         "ratio at the point estimate (inf) already exceeds the chi-square threshold "
         "(3.841); no interval exists")
     # centered: a seed off the mean and one at it
-    centered = [_RatioProblem(points, 0.6, 1.2, adjust=1.0),
-                _RatioProblem(points, 0.63, 0.63, adjust=1.0)]
+    centered = [_RatioProblem(points[None], 0, 0.6, 1.2, "AJEL", adjust=1.0),
+                _RatioProblem(points[None], 0, 0.63, 0.63, "AJEL", adjust=1.0)]
     at_seed, errors = _check_seeds(centered, [1], solves)
     assert at_seed[0] > 0.0 and errors == {}
 
@@ -368,12 +371,13 @@ def _built(problem):
     type and text."""
     if isinstance(problem, PwmError):
         return type(problem), str(problem)
-    return (problem.points.tobytes(), problem.points.shape, problem.estimate,
-            problem.seed, problem.adjust)
+    points = problem.source[problem.row]
+    return (points.tobytes(), points.shape, problem.estimate, problem.seed, problem.adjust,
+            problem.method)
 
 
 def _one_sample_builds(x, r, rule, a_n):
-    return [_built(p) for _, (p,) in _method_problems([x], r, CI_METHODS, rule, a_n)]
+    return [_built(p) for (p,) in _method_problems([x], r, CI_METHODS, rule, a_n)]
 
 
 @pytest.mark.parametrize("r", [1, 2])
@@ -389,7 +393,7 @@ def test_a_block_builds_each_sample_as_it_builds_alone(r, rule, a_n):
     block = [xs[0], SortedSample.from_data(xs[1]), jackknife_pseudo_values(xs[2], r),
              with_nan, np.full(n, 3.0), signed_zeros, list(xs[3])]
     got = [[_built(p) for p in problems]
-           for _, problems in _method_problems(block, r, CI_METHODS, rule, a_n)]
+           for problems in _method_problems(block, r, CI_METHODS, rule, a_n)]
     for j, x in enumerate(block):
         assert [column[j] for column in got] == _one_sample_builds(x, r, rule, a_n)
     # the rows are those of the per-sample functions, bit for bit
@@ -414,7 +418,7 @@ def test_block_wide_errors_are_each_samples_own(r, n):
     # with the error a one-sample build gives
     block = [sample(DistSpec("exponential", 1.0), n, make_rng(80 + k)) for k in range(3)]
     got = [[_built(p) for p in problems]
-           for _, problems in _method_problems(block, r, CI_METHODS, "centered", None)]
+           for problems in _method_problems(block, r, CI_METHODS, "centered", None)]
     for j, x in enumerate(block):
         assert [column[j] for column in got] == _one_sample_builds(x, r, "centered", None)
     assert any(isinstance(row[0], type) for column in got for row in column)
@@ -541,3 +545,79 @@ def test_batched_calls_equal_one_sample_calls(n, rule, a_n, mixed):
                 assert str(got) == f"{method} needs the sample, not its pseudo-values"
     with pytest.raises(PwmInputError):
         confidence_intervals([X4, X4 + [5.0]], 1, 0.9, CI_METHODS)
+
+
+def _exact(result):
+    """Every field of an interval or test, the p-value included, with floats
+    as their bits; or an error's type and text."""
+    if isinstance(result, PwmError):
+        return type(result), str(result)
+    fields = dataclasses.asdict(result)
+    if isinstance(result, inference.TestResult):
+        fields["p_value"] = result.p_value
+    return {k: v.hex() if isinstance(v, float) else v for k, v in fields.items()}
+
+
+@pytest.mark.parametrize("k", [1, 10, 64])
+@pytest.mark.parametrize("n", [50, 300, 3000])
+def test_stacked_methods_equal_one_sample_calls(k, n):
+    # 3kn points of JEL, DNEL and VXL: one stack up to k = 10, n = 300 and
+    # k = 64, n = 50, one per method from k = 10, n = 3000 and k = 64, n = 300
+    xs = [sample(DistSpec("exponential", 1.0), n, make_rng(100 + j)) for j in range(k)]
+    if k > 1:
+        xs[1] = 5.0 + 1e-9 * xs[1]  # both JEL searches stall; the lower one wins
+        # pseudo-values join the block's last row, so with every row live the
+        # stack takes the JEL rows out of order
+        xs[2] = jackknife_pseudo_values(xs[2], 1)
+    if k > 10:
+        xs[3] = np.full(n, 3.0)
+    for rule in _RULES:
+        intervals = confidence_intervals(xs, 1, 0.9, CI_METHODS, rule)
+        tests = ratio_tests(xs, 1, 1.0, 0.1, CI_METHODS, rule)
+        repeated = confidence_intervals(xs, 1, 0.9, ("JEL", "JEL", "VXL"), rule)
+        # the special samples and some plain ones, against one-sample calls
+        for x, ci_row, test_row, repeated_row in zip(xs[:8], intervals, tests, repeated):
+            alone = {}
+            for method in CI_METHODS:
+                for kind, call in (("ci", lambda: confidence_interval(x, 1, 0.9, method, rule)),
+                                   ("test", lambda: ratio_test(x, 1, 1.0, 0.1, method, rule))):
+                    try:
+                        alone[kind, method] = _exact(call())
+                    except PwmError as exc:
+                        alone[kind, method] = _exact(exc)
+            assert [_exact(ci) for ci in ci_row] == [alone["ci", m] for m in CI_METHODS]
+            assert [_exact(t) for t in test_row] == [alone["test", m] for m in CI_METHODS]
+            assert [_exact(ci) for ci in repeated_row] == [alone["ci", m]
+                                                          for m in ("JEL", "JEL", "VXL")]
+        if k > 1:
+            stalled = intervals[1][CI_METHODS.index("JEL")]
+            assert type(stalled) is ConvergenceError and stalled.best < 5.0 + 1e-9 * 0.4
+            plugin, jackknife = ([CI_METHODS.index(m) for m in pair]
+                                 for pair in (("DNEL", "VXL"), ("JEL", "AJEL")))
+            assert {type(intervals[2][j]) for j in plugin} == {PwmInputError}
+        if k > 10:
+            assert {type(intervals[3][j]) for j in jackknife} == {DegenerateSampleError}
+
+
+@pytest.mark.parametrize("k, n, stacks", [
+    # methods in the order of CI_METHODS; points of DNEL, VXL and JEL together
+    (10, 300, [["DNEL", "VXL", "JEL"], ["AJEL"]]),  # 9 000: one stack
+    (50, 300, [["DNEL", "VXL"], ["JEL"], ["AJEL"]]),  # 45 000: the third does not fit
+    (10, 3000, [["DNEL"], ["VXL"], ["JEL"], ["AJEL"]]),  # 30 000 each, no two fit
+    (20, 3000, [["DNEL"], ["VXL"], ["JEL"], ["AJEL"]]),  # 60 000 each, each whole
+])
+def test_methods_share_a_stack_up_to_the_point_cap(k, n, stacks):
+    xs = [sample(DistSpec("lognormal", 1.0), n, make_rng(200 + j)) for j in range(k)]
+    for rule in _RULES:
+        columns = _method_problems(xs, 1, CI_METHODS, rule, None)
+        calls = []
+
+        def engine(problems):
+            calls.append(problems)
+            return [(p.method, p.row) for p in problems]
+
+        out = inference._by_stack(columns, engine)
+        assert sorted([p.method for p in call[::k]] for call in calls) == sorted(stacks)
+        assert all(len(call) % k == 0 for call in calls)
+        assert all(len({p.source.shape[1] for p in call}) == 1 for call in calls)
+        assert out == [[(p.method, p.row) for p in column] for column in columns]
