@@ -107,6 +107,8 @@ class ConfidenceInterval:
 
 @dataclass(frozen=True)
 class TestResult:
+    __test__ = False  # not a pytest test class, wherever it is imported by name
+
     statistic: float
     threshold: float
     reject: bool
@@ -323,19 +325,21 @@ class _StackedRatio:
         :func:`el.solve_rows` leaves the row at log ratio -inf."""
         errors = {j: exc for j, exc in sol.errors.items()
                   if self.adjust is not None or not isinstance(exc, HullError)}
-        return [max(0.0, -2.0 * v) for v in sol.log_ratio.tolist()], errors
+        ratio = -2.0 * sol.log_ratio
+        return np.where(ratio > 0.0, ratio, 0.0), errors
 
     def statistics(self, rows, beta, lam0):
         """The ratio of problem ``rows[j]`` at ``beta[j]`` from ``lam0[j]``,
         as a list, and ``{j: error}`` for the rows whose solve fails; the
         ratio is infinite outside the hull of a plain problem."""
         z, mu, _ = self._el_rows(rows, beta)
-        return self._ratios(_el.solve_rows(z, mu, lam0))
+        ratio, errors = self._ratios(_el.solve_rows(z, mu, lam0))
+        return ratio.tolist(), errors
 
     def __call__(self, rows, beta, lam0):
         """Ratio, slope, multiplier, the multiplier's derivative and the
         ratio's curvature of problem ``rows[j]`` at ``beta[j]`` from
-        ``lam0[j]``, as lists, and ``{j: error}`` for the rows whose solve
+        ``lam0[j]``, as arrays, and ``{j: error}`` for the rows whose solve
         fails.  Outside the hull of a plain problem the ratio is infinite,
         the slope, derivative and curvature nan and the multiplier
         ``lam0[j]``."""
@@ -348,15 +352,13 @@ class _StackedRatio:
         dlam, curvature = _derivatives(m, sol.lam, sol.score, sol.score_slope, a,
                                        sol.last_weight, z[:, -1])
         ratio, errors = self._ratios(sol)
-        slope = slope.tolist()
-        for j in sol.errors:
-            if j not in errors:
-                slope[j] = math.nan
-        return ratio, slope, sol.lam.tolist(), dlam.tolist(), curvature.tolist(), errors
+        if len(errors) < len(sol.errors):
+            slope[[j for j in sol.errors if j not in errors]] = math.nan
+        return ratio, slope, sol.lam, dlam, curvature, errors
 
     def at_seeds(self, seeds):
         """The ratio, multiplier and multiplier's derivative of every problem
-        at its seed ``seeds[i]`` from ``lam0 = 0``, as lists, and ``{i:
+        at its seed ``seeds[i]`` from ``lam0 = 0``, as arrays, and ``{i:
         error}``, bit for bit what ``self`` returns there.
 
         Where the seed is the mean of the EL points to within the kernel's
@@ -365,22 +367,22 @@ class _StackedRatio:
         ``lam = 0``, where ``sum w^2 = m`` and ``sum d^2 w^2 = sum d^2`` for
         the offsets ``d`` of the EL points; only the other rows are solved.
         """
+        seeds = np.asarray(seeds, dtype=float)
         k = len(seeds)
         z, mu, a = self._el_rows(slice(None), seeds)
         m = z.shape[1]
         at_zero, score, score_slope = _el._solved_at_zero(z, mu)
         rest = np.flatnonzero(~at_zero).tolist()
         closed = np.flatnonzero(at_zero) if rest else slice(None)
-        dlam = np.full(k, math.nan)
         # the kernel's last weight at lam = 0 is 1 / (m (1 + 0 d)) = 1 / m
-        dlam[closed] = _derivatives(m, 0.0, score[closed], score_slope[closed],
-                                    None if a is None else a[closed],
-                                    np.full(k - len(rest), 1.0 / m), z[closed, -1])[0]
-        ratio, lam, dlam, errors = [0.0] * k, [0.0] * k, dlam.tolist(), {}
+        dlam = _derivatives(m, 0.0, score[closed], score_slope[closed],
+                            None if a is None else a[closed], 1.0 / m, z[closed, -1])[0]
+        ratio, lam, errors = np.zeros(k), np.zeros(k), {}
         if rest:
-            got = self(rest, [seeds[i] for i in rest], [0.0] * len(rest))
-            for t, i in enumerate(rest):
-                ratio[i], lam[i], dlam[i] = got[0][t], got[2][t], got[3][t]
+            closed_dlam, dlam = dlam, np.full(k, math.nan)
+            dlam[closed] = closed_dlam
+            got = self(rest, seeds[rest], np.zeros(len(rest)))
+            ratio[rest], lam[rest], dlam[rest] = got[0], got[2], got[3]
             errors = {rest[t]: exc for t, exc in got[5].items()}
         return ratio, lam, dlam, errors
 
@@ -538,7 +540,9 @@ def confidence_interval(sample, r: int, level: float, method: str,
     points' spread around it.  ``endpoint_iterations`` counts the ratio
     evaluations of both searches, which are then all the EL solves the
     interval takes.  The search runs on the data scaled by a power of two,
-    so the endpoints scale exactly with the data.
+    so the endpoints scale exactly with the data.  It is the one-sample
+    case of :func:`confidence_intervals`, whose searches step together as
+    arrays (:class:`_Searches`).
     """
     return _raised(confidence_intervals([sample], r, level, (method,), rule, a_n)[0][0])
 
@@ -555,15 +559,15 @@ def confidence_intervals(samples, r: int, level: float, methods,
 
     ``samples`` must share one size; a sample's :class:`PseudoValues` may
     stand in for it (JEL and AJEL only).  JEL, DNEL and VXL share one stack
-    up to a measured size, AJEL has its own (see :func:`_by_stack`), and all
-    searches of a stack advance together, one batched EL solve per search
-    step.  Returns one tuple per sample, in the order of ``methods``, holding
-    the interval or the :class:`PwmError` that :func:`confidence_interval`
-    raises for that sample alone.
+    up to a measured size, AJEL has its own (see :func:`_by_stack`), and the
+    searches of all stacks advance together, one batched EL solve per stack
+    and round.  Returns one tuple per sample, in the order of ``methods``,
+    holding the interval or the :class:`PwmError` that
+    :func:`confidence_interval` raises for that sample alone.
     """
     methods = check_options(methods, rule, a_n, level=level)
     columns = _by_stack(_method_problems(samples, r, methods, rule, a_n),
-                        lambda problems: _lockstep_intervals(problems, level))
+                        lambda stacks: _lockstep_intervals(stacks, level))
     return list(zip(*columns))
 
 
@@ -575,10 +579,11 @@ def ratio_tests(samples, r: int, beta0: float, alpha: float, methods,
     methods = check_options(methods, rule, a_n, alpha=alpha, beta0=beta0)
     threshold = chi2_1_quantile(1.0 - alpha)
 
-    def tests(problems):
-        return [s if isinstance(s, PwmError)
-                else TestResult(s, threshold, bool(s > threshold), p.method, beta0, alpha)
-                for p, s in zip(problems, _statistics(problems, beta0))]
+    def tests(stacks):
+        return [[s if isinstance(s, PwmError)
+                 else TestResult(s, threshold, bool(s > threshold), p.method, beta0, alpha)
+                 for p, s in zip(problems, _statistics(problems, beta0))]
+                for problems in stacks]
     return list(zip(*_by_stack(_method_problems(samples, r, methods, rule, a_n), tests)))
 
 
@@ -632,9 +637,10 @@ _STACK_POINTS = 1 << 15
 
 
 def _by_stack(columns: list, engine) -> list:
-    """``engine``, which maps a list of problems (or pass-through PwmError)
-    to their results, run on ``columns``, one such list per method, with
-    each column's results in its place.
+    """``engine``, which maps a list of stacks, each a list of problems (or
+    pass-through PwmError), to their results, run on the stacks of
+    ``columns``, one such list per method, with each column's results in
+    its place.
 
     Columns whose problems have one point width and kind (plain, or
     centered) go to one call, so their rows share one stack: JEL, DNEL and
@@ -657,11 +663,12 @@ def _by_stack(columns: list, engine) -> list:
             kind[-1] = (kind[-1][0] + [c], kind[-1][1] + points)
         else:
             kind.append(([c], points))
-    for kind in stacks.values():
-        for stack, _ in kind:
-            results = iter(engine([p for c in stack for p in columns[c]]))
-            for c in stack:
-                out[c] = list(itertools.islice(results, len(columns[c])))
+    groups = [stack for kind in stacks.values() for stack, _ in kind]
+    for stack, results in zip(groups, engine([[p for c in stack for p in columns[c]]
+                                              for stack in groups])):
+        results = iter(results)
+        for c in stack:
+            out[c] = list(itertools.islice(results, len(columns[c])))
     return out
 
 
@@ -693,142 +700,197 @@ def _scaled_beta(beta: float, exponent: int) -> float:
     return math.ldexp(beta, -exponent)
 
 
-def _between(x: float, a: float, b: float) -> bool:
-    return min(a, b) < x < max(a, b)
+def _between(x, a, b):
+    return (np.minimum(a, b) < x) & (x < np.maximum(a, b))
 
 
-def _newton_endpoint(seed: float, start: float, bound, threshold: float,
-                     beta_tol: float, lam: float, dlam: float, bend: float, exponent: int):
-    """Locate the ratio = threshold crossing on the side of ``start``.
-
-    A generator: it yields each ``(beta, lam0)`` to evaluate and receives
-    ``(ratio, slope, lam, dlam, curvature)`` there, the ratio with its first
-    two derivatives in beta and the solved multiplier with its derivative;
-    it returns the endpoint and the number of ratio evaluations.  ``lam``
-    and ``dlam`` are the multiplier and its derivative at the seed, and
-    ``bend`` is half the multiplier's second derivative there.  Halley's
-    method on ``h = sqrt(ratio) - sqrt(threshold)``, which is nearly linear
-    in beta, falling back to Newton's step where Halley's denominator is
-    not positive or a term is not finite.  Each solve starts from the multiplier's
-    tangent at the last evaluated point, ``lam + dlam * (beta - x)``, the
-    first one with ``bend * (beta - seed)^2`` added.  The
-    bracket runs from ``inside`` (ratio below the threshold, the seed at
-    first) to ``outside`` (at or above it).  A finite ``bound`` (the hull
-    bound on this side) enters as the outside end unevaluated and is probed
-    only when a step reaches it; ``None`` means the ratio stays finite on
-    this side, so the search doubles its distance from the seed until it
-    crosses.  Steps that leave the bracket become midpoints.  Stops at a
-    point whose ratio residual is at most ``_RESIDUAL_TOL`` and whose next
-    Newton step is at most ``beta_tol``.  Everything is in the stacked
-    row's coordinates; the hull bound in an error message and the best point
-    an error carries are scaled back by ``2**exponent``.
-    """
-    root_threshold = math.sqrt(threshold)
-    inside, outside = seed, bound
-    bound_probed = bound is None
-    best, best_resid = math.nan, math.inf
-    solved_at = seed  # where lam and dlam were solved
-    x = start
-    if outside is not None and not _between(x, inside, outside):
-        x = 0.5 * (inside + outside)
-    evals = 0
-    while evals < _MAX_STEPS:
-        ratio, slope, lam, dlam, curvature = yield x, _tangent(lam, dlam, bend, x - solved_at)
-        solved_at, bend = x, 0.0
-        evals += 1
-        resid = ratio - threshold
-        if abs(resid) < best_resid:
-            best, best_resid = x, abs(resid)
-        if resid < 0.0:
-            inside = x
-        else:
-            outside = x
-        root = math.sqrt(ratio)
-        newton = x - 2.0 * root * (root - root_threshold) / slope if slope else math.nan
-        if abs(resid) <= _RESIDUAL_TOL and abs(newton - x) <= beta_tol:
-            return float(x), evals
-        step = _halley(x, root, root_threshold, slope, curvature)
-        if math.isnan(step):
-            step = newton
-        if outside is None:
-            if evals >= _MAX_EXPAND:
-                raise ConvergenceError(
-                    "adjusted ratio appears bounded below the threshold; the "
-                    "interval does not close on this side"
-                )
-            reach = seed + 2.0 * (inside - seed)
-            x = step if _between(step, inside, reach) else reach
-            continue
-        if abs(outside - inside) <= beta_tol:
-            break
-        if _between(step, inside, outside):
-            x = step
-        elif not bound_probed and outside == bound and (step - bound) * (bound - seed) >= 0.0:
-            # the step reaches the hull bound: check it really is outside
-            at_bound = (yield bound, _tangent(lam, dlam, 0.0, bound - solved_at))[0]
-            evals += 1
-            bound_probed = True
-            if at_bound < threshold:
-                raise ConvergenceError(
-                    "ratio stays below the threshold out to the hull bound "
-                    f"{math.ldexp(bound, exponent):.6g}"
-                )
-            x = 0.5 * (inside + outside)
-        else:
-            x = 0.5 * (inside + outside)
-        if x == inside or x == outside:  # float resolution exhausted
-            break
-    if best_resid <= _RESIDUAL_TOL:
-        return float(best), evals
-    raise ConvergenceError(
-        f"interval endpoint stalled with ratio residual {best_resid:.3e}",
-        best=math.ldexp(best, exponent),
-    )
-
-
-def _halley(x: float, root: float, root_threshold: float, slope: float,
-            curvature: float) -> float:
-    """Halley's step from ``x`` on ``h = root - root_threshold``, with
-    ``root = sqrt(ratio)`` and the ratio's slope and curvature; nan where
-    its denominator ``2 h'^2 - h h''`` is not positive or a term is not
-    finite."""
-    if not (0.0 < root < math.inf and math.isfinite(slope) and math.isfinite(curvature)):
-        return math.nan
-    h = root - root_threshold
-    dh = slope / (2.0 * root)
-    d2h = (curvature - slope * dh / root) / (2.0 * root)
-    denominator = 2.0 * dh * dh - h * d2h
-    if not 0.0 < denominator < math.inf:
-        return math.nan
-    step = x - 2.0 * h * dh / denominator
-    return step if math.isfinite(step) else math.nan
-
-
-def _tangent(lam: float, dlam: float, bend: float, dx: float) -> float:
+def _warm_start(lam, dlam, bend, dx):
     """The multiplier's guess ``dx`` away, ``lam + (dlam + bend * dx) * dx``,
     or ``lam`` where that is not finite."""
     guess = lam + (dlam + bend * dx) * dx
-    return guess if math.isfinite(guess) else lam
+    np.copyto(guess, lam, where=~np.isfinite(guess))
+    return guess
 
 
-def _seed_error(at_seed: float, threshold: float) -> ConvergenceError | None:
-    if at_seed < threshold:
-        return None
-    return ConvergenceError(
-        f"ratio at the point estimate ({at_seed:.4g}) already exceeds "
-        f"the chi-square threshold ({threshold:.4g}); no interval exists"
-    )
+class _Searches:
+    """The endpoint searches of one or more stacks, as arrays over the
+    searches still running; :func:`_endpoint_searches` builds them and
+    :meth:`advance` takes all of them one step.
+
+    Search ``key`` is the lower (even ``key``) or upper endpoint search of
+    row ``row`` of its stack, in that row's coordinates.  It takes Halley's
+    step on ``h = sqrt(ratio) - sqrt(threshold)``, which is nearly linear in
+    beta, or Newton's where Halley's denominator is not positive or a term
+    is not finite.  The bracket runs from ``inside`` (ratio below the
+    threshold, the seed at first) to ``outside``.  On a bounded problem
+    ``outside`` starts at the hull bound on the search's side, unevaluated,
+    and a step that reaches it probes it once (``unprobed``), for its ratio
+    alone.  Where the ratio stays finite the bound is nan, and so is
+    ``outside`` until the search crosses; until then it doubles its
+    distance from the seed.  Steps that leave the bracket become midpoints.
+    A search stops at a point whose ratio residual is at most
+    ``_RESIDUAL_TOL`` and whose next Newton step is at most ``beta_tol``.
+    When the bracket closes to ``beta_tol`` or to float resolution, or
+    after ``_MAX_STEPS`` evaluations, it returns its best point, the first
+    with the least residual in ``history``, if that is within tolerance.
+
+    Every search evaluates once per round, probes included, so ``evals``
+    is the evaluation count of each search still running.  The solve at
+    ``x`` starts from ``lam0``, the multiplier's tangent from the last point
+    solved, ``solved_at``.  ``probe`` marks the searches whose ``x`` is
+    their bound, or is None.  Results land in ``endpoint``, ``evaluations``
+    and ``failure`` by key, with an error's bound and best point scaled back
+    by ``2**exponent[key // 2]``.
+    """
+
+    _STATE = ("key", "row", "seed", "bound", "unprobed", "beta_tol", "inside", "outside",
+              "solved_at", "lam", "dlam", "x")
+
+    def __init__(self, threshold: float, exponent: np.ndarray, **state):
+        self.threshold, self.root_threshold = threshold, math.sqrt(threshold)
+        self.exponent = exponent
+        self.__dict__.update(state)
+        self.probe, self.evals, self.history, self.failure = None, 0, [], {}
+        self.reaching = bool(np.count_nonzero(np.isnan(self.outside)))
+        self.endpoint = np.full(self.key.size, math.nan)
+        self.evaluations = np.zeros(self.key.size, dtype=int)
+
+    def advance(self, ratio, slope, lam, dlam, curvature, errors: dict) -> None:
+        """One step of every search from the evaluation at its ``x``, as
+        :class:`_StackedRatio` returns it, with ``{position: error}`` for the
+        failed solves.  A failed lower search ends its upper search too."""
+        x, probe, beta_tol = self.x, self.probe, self.beta_tol
+        inside, outside = self.inside, self.outside
+        self.evals += 1
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            resid = ratio - self.threshold
+            size = np.abs(resid)
+            root = np.sqrt(ratio)
+            h = root - self.root_threshold
+            two_root = 2.0 * root
+            # Newton's step; not finite at a zero slope, which every bracket
+            # test but the probe's takes as it takes nan
+            step = x - two_root * h / slope
+            done = (size <= _RESIDUAL_TOL) & (np.abs(step - x) <= beta_tol)
+            dh = slope / two_root
+            d2h = (curvature - slope * dh / root) / two_root
+            denominator = 2.0 * dh * dh - h * d2h
+            halley = x - 2.0 * h * dh / denominator
+            # a ratio of 0 or not finite, or a slope or curvature not finite,
+            # leaves the denominator nan or infinite
+            halley_ok = (0.0 < denominator) & (denominator < math.inf) & np.isfinite(halley)
+            np.copyto(step, halley, where=halley_ok)
+            below = resid < 0.0
+            below_bound = expand_failed = None
+            if probe is None:
+                solved_at = x
+                np.copyto(inside, x, where=below)
+            else:  # a probe reads the ratio alone
+                regular = ~probe
+                below_bound = probe & (ratio < self.threshold)
+                done &= regular
+                np.copyto(inside, x, where=below & regular)
+                below |= probe
+                size = np.where(probe, math.inf, size)
+                solved_at = np.where(probe, self.solved_at, x)
+                np.copyto(lam, self.lam, where=probe)
+                np.copyto(dlam, self.dlam, where=probe)
+                self.unprobed &= regular
+            np.copyto(outside, x, where=~below)
+            self.history.append((self.key, x, size))
+            # the step inside the bracket, else the midpoint (both nan while
+            # there is no outside end)
+            x = 0.5 * (inside + outside)
+            lo, hi = np.minimum(inside, outside), np.maximum(inside, outside)
+            stride = (lo < step) & (step < hi)
+            stop = hi - lo <= beta_tol
+            if probe is not None:
+                stride &= regular
+                stop &= regular
+            np.copyto(x, step, where=stride)
+            midpoint, probe = ~stride, None
+            if np.count_nonzero(midpoint):
+                reaches = midpoint & self.unprobed & (outside == self.bound)
+                if np.count_nonzero(reaches):  # Newton's step is nan at a zero slope
+                    reaches &= (((step - self.bound) * (self.bound - self.seed) >= 0.0)
+                                & (halley_ok | (slope != 0.0)))
+                    probe = reaches if np.count_nonzero(reaches) else None
+                resolved = midpoint & ((x == inside) | (x == outside))
+                stop |= resolved if probe is None else resolved & ~probe
+            if self.reaching:
+                far = np.isnan(outside)
+                self.reaching = bool(np.count_nonzero(far))
+                if self.reaching:
+                    reach = self.seed + 2.0 * (inside - self.seed)
+                    np.copyto(reach, step, where=_between(step, inside, reach))
+                    np.copyto(x, reach, where=far)
+                    if self.evals >= _MAX_EXPAND:
+                        expand_failed = far & ~done
+            if self.evals >= _MAX_STEPS:
+                stop |= True if probe is None else ~probe
+            ended = done | stop
+            for failed in (below_bound, expand_failed):
+                if failed is not None:
+                    ended |= failed
+            if errors:
+                done[list(errors)] = False
+                ended[list(errors)] = True
+            self.solved_at, self.lam, self.dlam = solved_at, lam, dlam
+            self.x, self.probe = x, probe
+            if probe is not None:
+                np.copyto(x, self.bound, where=probe)
+            if np.count_nonzero(ended):
+                self._retire(ended, done, errors, below_bound, expand_failed)
+            self.lam0 = _warm_start(self.lam, self.dlam, 0.0, self.x - self.solved_at)
+
+    def _retire(self, ended, done, errors: dict, below_bound, expand_failed) -> None:
+        """Record the results of the searches that ``ended`` and drop them,
+        with the upper search of each failed lower one."""
+        key = self.key
+        self.endpoint[key], self.evaluations[key] = self.solved_at, self.evals
+        for j in np.flatnonzero(ended & ~done).tolist():
+            k = int(key[j])
+            e = int(self.exponent[k // 2])
+            if j in errors:
+                exc = errors[j]
+            elif below_bound is not None and below_bound[j]:
+                exc = ConvergenceError("ratio stays below the threshold out to the hull bound "
+                                       f"{math.ldexp(float(self.bound[j]), e):.6g}")
+            elif expand_failed is not None and expand_failed[j]:
+                exc = ConvergenceError("adjusted ratio appears bounded below the threshold; "
+                                       "the interval does not close on this side")
+            else:
+                best, best_resid = math.nan, math.inf
+                for keys, xs, sizes in self.history:
+                    t = int(np.searchsorted(keys, k))
+                    if t < keys.size and keys[t] == k and sizes[t] < best_resid:
+                        best, best_resid = float(xs[t]), float(sizes[t])
+                if best_resid <= _RESIDUAL_TOL:
+                    self.endpoint[k] = best
+                    continue
+                exc = ConvergenceError(
+                    f"interval endpoint stalled with ratio residual {best_resid:.3e}",
+                    best=math.ldexp(best, e))
+            self.failure[k] = exc
+            if k % 2 == 0 and j + 1 < key.size and key[j + 1] == k + 1:
+                ended[j + 1] = True
+        keep = np.flatnonzero(~ended)
+        for name in self._STATE:
+            setattr(self, name, getattr(self, name)[keep])
+        if self.probe is not None:
+            probe = self.probe[keep]
+            self.probe = probe if np.count_nonzero(probe) else None
 
 
-def _endpoint_searches(ratio: _StackedRatio, rows: list, problems: list, seeds: list,
-                       threshold: float, lam: list, dlam: list) -> dict:
-    """The lower and upper endpoint searches of the problems on the given
-    stacked ``rows``, as ``{(row, side): search}`` with side 0 the lower
-    end.  ``problems``, ``seeds``, ``lam`` and ``dlam`` hold, for every row
-    of the stack, its problem, and its seed with the multiplier and the
-    multiplier's derivative there, in the row's coordinates.  The sums and
-    extremes of all searches' points are one set of reductions along the
-    rows of the stack, bit for bit the row-by-row ones.
+def _endpoint_searches(stacks: list, threshold: float) -> _Searches:
+    """The lower and upper endpoint searches of the given rows of one or
+    more stacks, keys ``2 t`` and ``2 t + 1`` for the t-th row counted over
+    all stacks.  Each entry of ``stacks`` holds a :class:`_StackedRatio`,
+    its rows to search, and their exponents, and estimates, seeds,
+    multipliers and multiplier's derivatives in the rows' coordinates
+    (entries after those are the caller's).  The sums and extremes of the
+    points are one set of reductions along each stack's rows, bit for bit
+    the row-by-row ones; the rest is arithmetic on arrays over the rows.
 
     The seed is the mean of the m points, with central moments ``m2`` and
     ``m3``.  The first Newton step from it, ``delta = sqrt(threshold * m2 /
@@ -843,103 +905,114 @@ def _endpoint_searches(ratio: _StackedRatio, rows: list, problems: list, seeds: 
     estimate's magnitude and the largest distance from it to a point (taken
     from the extremes, as rounding is monotone); when the problem is
     bounded the hull of its points, shrunk on both sides, bounds the
-    search.  The points are at most 1 in magnitude, so none of this can
-    overflow.
+    search, and a start beyond it moves to the middle of the bracket.  The
+    points are at most 1 in magnitude, so none of this can overflow.
     """
-    if not rows:
-        return {}
-    points = ratio.points if len(rows) == len(ratio.points) else ratio.points[rows]
-    m = points.shape[1]
-    c = points - (np.add.reduce(points, axis=1) / m)[:, None]
-    c2 = c * c
-    m2 = (np.add.reduce(c2, axis=1) / m).tolist()
-    m3 = (np.add.reduce(np.multiply(c2, c, out=c2), axis=1) / m).tolist()
-    searches = {}
-    # per row in floats: on one-problem stacks numpy's per-call cost would
-    # exceed these few operations
-    for j, vmin, vmax, m2_j, m3_j in zip(rows, points.min(axis=1).tolist(),
-                                         points.max(axis=1).tolist(), m2, m3):
-        seed, e = seeds[j], ratio.exponent[j]
-        estimate = math.ldexp(problems[j].estimate, -e)
-        beta_tol = _BETA_TOL * max(abs(estimate), vmax - estimate, estimate - vmin)
-        delta = math.sqrt(threshold * m2_j / m)
-        kappa = min(max(delta * m3_j / (3.0 * m2_j * m2_j), -0.5), 0.5) if m2_j > 0.0 else 0.0
-        bend = dlam[j] * dlam[j] * m3_j / m2_j if m2_j > 0.0 else 0.0
-        span = vmax - vmin
-        bounds = ((vmin + _HULL_SHRINK * span, vmax - _HULL_SHRINK * span)
-                  if problems[j].bounded else (None, None))
-        starts = (seed - delta * (1.0 - kappa), seed + delta * (1.0 + kappa))
-        for side in (0, 1):
-            searches[j, side] = _newton_endpoint(seed, starts[side], bounds[side], threshold,
-                                                 beta_tol, lam[j], dlam[j], bend, e)
-    return searches
+    columns = []  # per stack: rows, m, m2, m3, extremes, hull bounds (or nan), given
+    for ratio, rows, *given in stacks:
+        points = ratio.points if len(rows) == len(ratio.points) else ratio.points[rows]
+        m = points.shape[1]
+        c = points - (np.add.reduce(points, axis=1) / m)[:, None]
+        c2 = c * c
+        m2 = np.add.reduce(c2, axis=1) / m
+        m3 = np.add.reduce(np.multiply(c2, c, out=c2), axis=1) / m
+        vmin, vmax = points.min(axis=1), points.max(axis=1)
+        shrink = _HULL_SHRINK * (vmax - vmin) if ratio.adjust is None else math.nan
+        columns.append((rows, np.full(len(rows), m), m2, m3, vmin, vmax,
+                        vmin + shrink, vmax - shrink, *given[:5]))
+    columns = columns[0] if len(stacks) == 1 else [np.concatenate(c) for c in zip(*columns)]
+    rows, m, m2, m3, vmin, vmax, lower, upper, exponent, estimate, seed, lam, dlam = columns
+    scale = np.maximum(np.maximum(np.abs(estimate), vmax - estimate), estimate - vmin)
+    delta = np.sqrt(threshold * m2 / m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kappa = np.minimum(np.maximum(delta * m3 / (3.0 * m2 * m2), -0.5), 0.5)
+        bend = dlam * dlam * m3 / m2
+    flat = m2 == 0.0  # no spread: no skew
+    if np.count_nonzero(flat):
+        kappa[flat] = bend[flat] = 0.0
+
+    def by_key(lower, upper=None):  # each row's value for its two searches
+        if upper is None:
+            return np.repeat(lower, 2)
+        out = np.empty(2 * lower.size)
+        out[0::2], out[1::2] = lower, upper
+        return out
+
+    x = by_key(seed - delta * (1.0 - kappa), seed + delta * (1.0 + kappa))
+    seed, bound = by_key(seed), by_key(lower, upper)
+    unprobed = ~np.isnan(bound)
+    np.copyto(x, 0.5 * (seed + bound), where=unprobed & ~_between(x, seed, bound))
+    lam, dlam = by_key(lam), by_key(dlam)
+    with np.errstate(invalid="ignore", over="ignore"):
+        lam0 = _warm_start(lam, dlam, by_key(bend), x - seed)
+    return _Searches(
+        threshold, exponent, key=np.arange(seed.size), row=by_key(rows), seed=seed,
+        bound=bound, unprobed=unprobed, beta_tol=by_key(_BETA_TOL * scale), inside=seed.copy(),
+        outside=bound.copy(), solved_at=seed, lam=lam, dlam=dlam, x=x, lam0=lam0)
 
 
-def _interval(problem: _RatioProblem, exponent: int, level: float, lower, upper):
-    """The interval from the ``(endpoint, evaluations)`` of both searches,
-    scaled back by ``2**exponent``."""
-    return ConfidenceInterval(
-        lower=math.ldexp(lower[0], exponent),
-        upper=math.ldexp(upper[0], exponent),
-        level=level,
-        method=problem.method,
-        point_estimate=problem.estimate,
-        endpoint_iterations=lower[1] + upper[1],
-    )
+def _lockstep_intervals(stacks: list, level: float) -> list:
+    """The interval of every problem (or pass-through PwmError) of each of
+    ``stacks``, or the error that ends it, as one list per stack.
 
-
-def _lockstep_intervals(problems: list, level: float) -> list:
-    """The interval of every problem (or pass-through PwmError) of one
-    stack, or the error that ends it.
-
-    Each problem's ratio is inverted on both sides of its seed, and all
-    searches advance together: each round gathers the pending ``(beta,
-    lam0)`` of every search and evaluates them in one batched solve.  A
-    failure ends its own problem only.  A lower-endpoint failure wins and
-    stops the upper search, so a problem's result does not depend on the
-    others in the batch.
+    Each problem's ratio is inverted on both sides of its seed.  The
+    searches of all stacks advance together as arrays (:class:`_Searches`):
+    a round is one batched solve per stack at the running searches' points
+    and one masked step of all of them, and a search leaves the arrays when
+    it finishes or fails.  A failure ends its own problem only; a lower
+    endpoint's failure wins and ends the upper search, so a problem's
+    result does not depend on the others in the batch.
     """
     threshold = chi2_1_quantile(level)
-    out = [p if isinstance(p, PwmError) else None for p in problems]
-    live = [i for i, p in enumerate(problems) if out[i] is None]
-    if not live:
-        return out
-    ratio = _StackedRatio([problems[i] for i in live])
-    seeds = [math.ldexp(problems[i].seed, -e) for i, e in zip(live, ratio.exponent)]
-    at_seed, lam, dlam, errors = ratio.at_seeds(seeds)
-    for j, i in enumerate(live):
-        out[i] = errors.get(j) or _seed_error(at_seed[j], threshold)
-    # (row, side) -> endpoint search; side 0 is the lower end
-    searches = _endpoint_searches(ratio, [j for j, i in enumerate(live) if out[i] is None],
-                                  [problems[i] for i in live], seeds, threshold, lam, dlam)
-    pending = {key: next(search) for key, search in searches.items()}
-    ends = {}  # (row, side) -> (endpoint, evaluations) or PwmError
-    while pending:
-        keys = list(pending)
-        *columns, errors = ratio([j for j, _ in keys], [pending[key][0] for key in keys],
-                                 [pending[key][1] for key in keys])
-        received = list(zip(*columns))
-        pending = {}
-        for t, key in enumerate(keys):
-            j, side = key
-            if side == 1 and isinstance(ends.get((j, 0)), PwmError):
-                continue
-            if t in errors:
-                ends[key] = errors[t]
-                continue
-            try:
-                pending[key] = searches[key].send(received[t])
-            except StopIteration as done:
-                ends[key] = done.value
-            except PwmError as exc:
-                ends[key] = exc
-    for j, i in enumerate(live):
-        if out[i] is None:
-            lower, upper = ends[j, 0], ends.get((j, 1))
-            failed = [end for end in (lower, upper) if isinstance(end, PwmError)]
-            out[i] = failed[0] if failed else _interval(problems[i], ratio.exponent[j],
-                                                         level, lower, upper)
-    return out
+    outs = [[p if isinstance(p, PwmError) else None for p in problems] for problems in stacks]
+    searched = []  # (ratio, rows, their columns, live problems, their places, results)
+    for problems, out in zip(stacks, outs):
+        at = [i for i, p in enumerate(problems) if out[i] is None]
+        if not at:
+            continue
+        live = [problems[i] for i in at]
+        ratio = _StackedRatio(live)
+        exponent = np.array(ratio.exponent)
+        seeds = np.ldexp([p.seed for p in live], -exponent)
+        at_seed, lam, dlam, errors = ratio.at_seeds(seeds)
+        for j in np.flatnonzero(~(at_seed < threshold)).tolist():
+            out[at[j]] = ConvergenceError(
+                f"ratio at the point estimate ({at_seed[j]:.4g}) already exceeds "
+                f"the chi-square threshold ({threshold:.4g}); no interval exists")
+        for j, exc in errors.items():
+            out[at[j]] = exc
+        rows = [j for j, i in enumerate(at) if out[i] is None]
+        if rows:
+            estimate = np.ldexp([p.estimate for p in live], -exponent)
+            columns = (exponent, estimate, seeds, lam, dlam)
+            if len(rows) < len(live):
+                columns = tuple(c[rows] for c in columns)
+            searched.append((ratio, np.array(rows), *columns, live, at, out))
+    if not searched:
+        return outs
+    searches = _endpoint_searches(searched, threshold)
+    first = np.cumsum([0] + [2 * stack[1].size for stack in searched])  # keys per stack
+    while searches.key.size:
+        ends = np.searchsorted(searches.key, first).tolist()
+        spans = [(stack[0], a, b) for stack, a, b in zip(searched, ends, ends[1:]) if a < b]
+        parts = [ratio(searches.row[a:b], searches.x[a:b], searches.lam0[a:b])
+                 for ratio, a, b in spans]
+        if len(parts) == 1:
+            searches.advance(*parts[0])
+        else:
+            searches.advance(*(np.concatenate(field) for field in list(zip(*parts))[:5]),
+                             {a + t: exc for part, (_, a, _) in zip(parts, spans)
+                              for t, exc in part[5].items()})
+    endpoint, evaluations = searches.endpoint.tolist(), searches.evaluations.tolist()
+    key = 0
+    failure = searches.failure
+    for _, rows, exponent, *_, live, at, out in searched:
+        for j, e in zip(rows.tolist(), exponent.tolist()):
+            out[at[j]] = failure.get(key) or failure.get(key + 1) or ConfidenceInterval(
+                math.ldexp(endpoint[key], e), math.ldexp(endpoint[key + 1], e), level,
+                live[j].method, live[j].estimate, evaluations[key] + evaluations[key + 1])
+            key += 2
+    return outs
 
 
 def jel_neg2_ratio(sample, r: int, beta0: float) -> float:

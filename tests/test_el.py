@@ -249,9 +249,9 @@ def test_ratio_and_slope_solves_through_the_module_attribute(monkeypatch):
         outside = [z.max() + 1.0, z.min(), z.max()] * k
         values, slopes, lams, dlams, curvatures, errors = ratio(
             np.zeros(k, dtype=int), outside[:k], np.full(k, 0.25))
-        assert values == [math.inf] * k and all(map(math.isnan, slopes))
-        assert all(map(math.isnan, dlams + curvatures))
-        assert lams == [0.25] * k and errors == {}
+        assert values.tolist() == [math.inf] * k and all(map(math.isnan, slopes))
+        assert all(map(math.isnan, [*dlams, *curvatures]))
+        assert lams.tolist() == [0.25] * k and errors == {}
     for mu_out in (z.max() + 1.0, z.min(), z.max()):
         assert neg2_log_ratio(z, mu_out) == math.inf
     for bad in ([1.0, np.nan, 3.0], [1.0, np.inf, 3.0]):

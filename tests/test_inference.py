@@ -1,9 +1,14 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pwmjel
 from pwmjel import (
     CI_METHODS,
     ConfidenceInterval,
@@ -14,6 +19,7 @@ from pwmjel import (
     PseudoValues,
     PwmInputError,
     SortedSample,
+    TestResult,
     adjustment_constant,
     ajel_confidence_interval,
     ajel_neg2_ratio,
@@ -219,10 +225,10 @@ def test_seeds_off_the_mean_are_solved(solves):
              for j, (estimate, seed) in enumerate([(1.3, 1.3), (0.5, 0.9), (0.63, 0.63),
                                                    (0.5, 0.5), (0.5, 0.5)])]
     at_seed, errors = _check_seeds(plain, [2], solves)
-    assert at_seed[:2] == [math.inf, pytest.approx(1.9, abs=0.1)]
+    assert at_seed[:2].tolist() == [math.inf, pytest.approx(1.9, abs=0.1)]
     assert list(errors) == [3, 4]
     assert {str(exc) for exc in errors.values()} == {"EL points contain non-finite values"}
-    (error,) = _lockstep_intervals(plain[:1], 0.95)
+    ((error,),) = _lockstep_intervals([plain[:1]], 0.95)
     assert type(error) is ConvergenceError and str(error) == (
         "ratio at the point estimate (inf) already exceeds the chi-square threshold "
         "(3.841); no interval exists")
@@ -553,7 +559,7 @@ def _exact(result):
     if isinstance(result, PwmError):
         return type(result), str(result)
     fields = dataclasses.asdict(result)
-    if isinstance(result, inference.TestResult):
+    if isinstance(result, TestResult):
         fields["p_value"] = result.p_value
     return {k: v.hex() if isinstance(v, float) else v for k, v in fields.items()}
 
@@ -612,12 +618,94 @@ def test_methods_share_a_stack_up_to_the_point_cap(k, n, stacks):
         columns = _method_problems(xs, 1, CI_METHODS, rule, None)
         calls = []
 
-        def engine(problems):
-            calls.append(problems)
-            return [(p.method, p.row) for p in problems]
+        def engine(groups):
+            calls.extend(groups)
+            return [[(p.method, p.row) for p in problems] for problems in groups]
 
         out = inference._by_stack(columns, engine)
         assert sorted([p.method for p in call[::k]] for call in calls) == sorted(stacks)
         assert all(len(call) % k == 0 for call in calls)
         assert all(len({p.source.shape[1] for p in call}) == 1 for call in calls)
         assert out == [[(p.method, p.row) for p in column] for column in columns]
+
+
+@pytest.fixture
+def search_errors(monkeypatch):
+    """Every ConvergenceError the interval searches make, in order."""
+    made = []
+
+    class Recorded(ConvergenceError):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(inference, "ConvergenceError", Recorded)
+    return made
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_a_centered_search_that_never_crosses_gives_up_at_the_expansion_budget(n, solves):
+    # three to five points put the centered ratio's plateau below the 95%
+    # threshold: both searches double their reach and the lower one gives up
+    x = sample(DistSpec("exponential", 1.0), n, make_rng(n))
+    with pytest.raises(ConvergenceError) as raised:
+        ajel_confidence_interval(x, 1, 0.95)
+    assert str(raised.value) == ("adjusted ratio appears bounded below the threshold; "
+                                 "the interval does not close on this side")
+    # both searches ran every round, and the upper one stopped with the lower
+    assert solves == [2] * inference._MAX_EXPAND
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_probe_below_the_threshold_at_the_hull_bound_ends_the_search(seed, solves):
+    x = sample(DistSpec("exponential", 1.0), 3, make_rng(seed))
+    pv = jackknife_pseudo_values(x, 1).values
+    bound = pv.min() + inference._HULL_SHRINK * np.ptp(pv)
+    with pytest.raises(ConvergenceError) as raised:
+        confidence_interval(x, 1, 1.0 - 1e-15, "JEL")
+    assert str(raised.value) == ("ratio stays below the threshold out to the hull bound "
+                                 f"{bound:.6g}")
+    # the lower search's probe fails in the second round, which retires the
+    # upper search before it has finished
+    assert solves == [2, 2]
+
+
+@pytest.mark.parametrize("method", ["DNEL", "VXL"])
+def test_a_search_out_of_float_resolution_stalls(method, search_errors):
+    x = sample(DistSpec("exponential", 1.0), 3, make_rng(0))
+    with pytest.raises(ConvergenceError) as raised:
+        confidence_interval(x, 1, 1.0 - 1e-15, method)
+    message = str(raised.value)
+    assert message.startswith("interval endpoint stalled with ratio residual ")
+    assert float(message.rsplit(" ", 1)[1]) > inference._RESIDUAL_TOL
+    # the best point, in the data's coordinates, is on the lower side
+    assert raised.value.best < _problem(x, method).estimate
+    assert search_errors == [raised.value]
+
+
+@pytest.mark.parametrize("method, seed", [("DNEL", 30), ("DNEL", 156), ("VXL", 130)])
+def test_an_upper_failure_loses_to_a_later_lower_failure(method, seed, solves, search_errors):
+    x = sample(DistSpec("normal", 1.0), 3, make_rng(seed))
+    estimate = _problem(x, method).estimate
+    with pytest.raises(ConvergenceError) as raised:
+        confidence_interval(x, 1, 1.0 - 1e-15, method)
+    upper, lower = search_errors
+    assert raised.value is lower
+    assert upper.best > estimate > lower.best
+    assert str(upper).startswith("interval endpoint stalled")
+    # the lower search ran on alone after the upper one failed
+    assert solves[-1] == 1 and solves[0] == 2
+
+
+def test_a_module_importing_test_result_by_name_collects_without_warning(tmp_path):
+    (tmp_path / "test_uses_result.py").write_text(
+        "from pwmjel import TestResult\n\n\ndef test_nothing():\n    assert TestResult\n")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
+         "-W", "error::pytest.PytestCollectionWarning", str(tmp_path)],
+        capture_output=True, text=True, cwd=tmp_path,
+        # the pwmjel that this suite imports, wherever it comes from
+        env={**os.environ, "PYTHONPATH": str(Path(pwmjel.__file__).parents[1])})
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "PytestCollectionWarning" not in run.stdout + run.stderr
+    assert not any(f.name == "__test__" for f in dataclasses.fields(TestResult))
