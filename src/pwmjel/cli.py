@@ -1,8 +1,9 @@
 """Command line interface.
 
 Subcommands: estimate, ci, test, simulate.  Exit codes: 0 on success, 2 on
-input problems (bad arguments, unreadable files, missing columns), 3 when
-every requested numeric computation failed.
+input problems (bad arguments, unreadable files, missing columns, or every
+requested method failing on its input), 3 when every requested method
+failed and a numeric failure is among them.
 """
 
 from __future__ import annotations
@@ -103,6 +104,10 @@ def _cells(result, *fields) -> list:
 
 
 def _exit_code(results) -> int:
+    """0 when a method succeeded, else 2 when every method failed on its
+    input (an order the sample is too small for, say) and 3 otherwise."""
+    if all(isinstance(res, PwmInputError) for res in results):
+        return _EXIT_INPUT
     return _EXIT_NUMERIC if all(isinstance(res, PwmError) for res in results) else _EXIT_OK
 
 

@@ -24,22 +24,24 @@ why they run wide).
 
 All four methods share one pipeline: a point set and a hypothesized mean
 give an EL ratio, which is either tested against chi-square(1) or inverted
-for an interval.  ``_METHODS`` maps each method name to the ratio problems
-it builds, and ``_method_problems`` alone turns samples into problems: it
-stacks and sorts a batch's samples once and builds every method's points
-and estimates with row operations on that block (the row functions of
-:mod:`pwmjel.estimators`, whose one-row case its per-sample functions
-are).  One engine evaluates and inverts the ratios of many problems
-together, one batched EL solve per search step; problems of one point width
-and kind share its stack whatever their method, up to a measured size
-(``_by_stack``).  :func:`confidence_intervals` and :func:`ratio_tests` run
-it on many samples, and :func:`confidence_interval` and :func:`ratio_test`
-are their one-sample case.
+for an interval.  One type carries a batch from its samples to the
+stacked EL solve: a ``_RowSet`` is a matrix with one row per sample that
+has one and the error of every other sample.  ``_method_problems`` alone
+turns samples into row sets: it stacks and sorts a batch's samples once,
+into one row set, and builds every method's points and estimates with row
+operations on that block (the row functions of :mod:`pwmjel.estimators`,
+whose one-row case its per-sample functions are), one row set per method
+from ``_METHODS``.  One engine evaluates and inverts the ratios of many
+rows together, one batched EL solve per search step; the row sets of one
+point width and kind share its stack whatever their method, up to a
+measured size, and ``_by_stack`` maps the stack's results back to the
+samples.  :func:`confidence_intervals` and :func:`ratio_tests` run it on
+many samples, and :func:`confidence_interval` and :func:`ratio_test` are
+their one-sample case.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -130,53 +132,51 @@ def adjustment_constant(n: int) -> float:
 
 
 @dataclass(frozen=True)
-class _RatioProblem:
-    """One method's EL ratio in beta, with what its inversion needs.
+class _RowSet:
+    """A batch's samples as the rows of one matrix: row ``values[j]``
+    belongs to sample ``rows[j]``.  ``status[i]`` is None exactly while
+    sample i has a row, else what stands in for it: its PwmError, or in the
+    block of sorted samples the caller's :class:`PseudoValues`.
 
-    Row ``row`` of ``source`` (the method's point sets of the whole batch,
-    one row per sample) is the EL point set, tested for mean beta; under the
-    centered adjustment (``adjust`` set to its ``a``) it is the
-    pseudo-values, which are centered at beta and augmented before the EL
-    test of mean zero.  ``seed`` is where the ratio bottoms out, which
-    differs from ``estimate`` only under the literal adjustment rule; the
-    hull of the points bounds the interval search unless the problem is
-    centered.  ``method`` names the method whose problem this is.
+    A method's rows (``method`` set) are its EL point sets, tested for mean
+    beta, with each row's ``estimate`` and ``seed``, where its ratio bottoms
+    out; the two differ only under the literal adjustment rule.  Under the
+    centered adjustment (``adjust`` set to its ``a``) the rows are the
+    pseudo-values, centered at beta and augmented before the EL test of mean
+    zero; otherwise the hull of a row's points bounds its interval search.
+    The block of pseudo-values holds each row's U-statistic ``estimate``.
     """
-
-    source: np.ndarray
-    row: int
-    estimate: float
-    seed: float
-    method: str
-    adjust: float | None = None
-
-    @property
-    def bounded(self) -> bool:
-        return self.adjust is None
-
-
-@dataclass(frozen=True)
-class _Block:
-    """A batch's samples as the rows of one matrix of their one size ``n``:
-    row ``values[j]`` belongs to sample ``rows[j]``.  ``status[i]`` is None
-    while sample i is usable, else what stands in for it: its PwmError, or
-    in a block of sorted samples the caller's :class:`PseudoValues`.  A
-    block of pseudo-values also holds each row's U-statistic estimate."""
 
     status: list
     rows: list
     values: np.ndarray | None
-    n: int | None
-    estimate: list | None = None
+    estimate: np.ndarray | None = None
+    seed: np.ndarray | None = None
+    method: str | None = None
+    adjust: float | None = None
 
 
-def _failing(status: list, rows: list, exc: PwmError) -> list:
-    """``status`` with ``exc`` for each of the samples ``rows`` still usable."""
+def _failing(status: list, rows: list, exc: PwmError) -> _RowSet:
+    """No rows, and ``status`` with ``exc`` for each of the samples ``rows``."""
     out = list(status)
     for i in rows:
-        if out[i] is None:
-            out[i] = exc
-    return out
+        out[i] = exc
+    return _RowSet(out, [], None)
+
+
+def _without(rows: _RowSet, bad: np.ndarray, error) -> _RowSet:
+    """``rows`` less the rows flagged in ``bad``, whose samples get ``error()``."""
+    drop = np.flatnonzero(bad).tolist()
+    if not drop:
+        return rows
+    status = list(rows.status)
+    for j in drop:
+        status[rows.rows[j]] = error()
+    keep = np.flatnonzero(~bad)
+    values = rows.values[keep]
+    values.flags.writeable = False
+    return _RowSet(status, [rows.rows[j] for j in keep.tolist()], values,
+                   None if rows.estimate is None else rows.estimate[keep])
 
 
 def _joined(parts: list) -> tuple[list, np.ndarray]:
@@ -186,7 +186,7 @@ def _joined(parts: list) -> tuple[list, np.ndarray]:
     return [i for rows, _ in parts for i in rows], np.concatenate([x for _, x in parts])
 
 
-def _sample_block(samples) -> _Block:
+def _sample_block(samples) -> _RowSet:
     """The samples sorted along the rows of one block, in which a sample
     that :meth:`SortedSample.from_data` rejects gets its error; raises
     :class:`PwmInputError` unless the other samples share one size."""
@@ -203,24 +203,23 @@ def _sample_block(samples) -> _Block:
     sizes = {x.shape[1] for _, x in parts} | {s.n for s in status if isinstance(s, PseudoValues)}
     if len(sizes) > 1:
         raise PwmInputError("batched inference needs samples of one size")
-    rows, x = _joined(parts) if parts else ([], None)
-    return _Block(status, rows, x, sizes.pop() if sizes else None)
+    return _RowSet(status, *_joined(parts)) if parts else _RowSet(status, [], None)
 
 
-def _checked(block: _Block, r) -> _Block:
-    """The block of pseudo-values of a block of sorted samples: built for
-    all its rows at once and joined by the caller's :class:`PseudoValues`
-    that were built for ``r``, with an error for each degenerate row."""
+def _checked(block: _RowSet, r) -> _RowSet:
+    """The pseudo-values of a block of sorted samples: built for all its
+    rows at once and joined by the caller's :class:`PseudoValues` that were
+    built for ``r``, less the degenerate rows, whose samples get an error."""
     status = [s if isinstance(s, PwmError) else None for s in block.status]
     parts, estimate = [], []  # parts: (rows, values)
     if block.rows:
         try:
             values, beta = pseudo_value_rows(block.values, r)
         except PwmError as exc:
-            status = _failing(status, block.rows, exc)
+            status = _failing(status, block.rows, exc).status
         else:
             parts.append((block.rows, values))
-            estimate += beta.tolist()
+            estimate.append(beta)
     for i, pv in enumerate(block.status):
         if isinstance(pv, PseudoValues):
             if pv.r != r:
@@ -229,27 +228,25 @@ def _checked(block: _Block, r) -> _Block:
                 )
             else:
                 parts.append(([i], pv.values[None]))
-                estimate.append(pv.ustat_estimate)
+                estimate.append([pv.ustat_estimate])
     if not parts:
-        return _Block(status, [], None, block.n, [])
+        return _RowSet(status, [], None)
     rows, values = _joined(parts)
     values.flags.writeable = False
     # constant input leaves rounding noise of a few n*eps relative to the
     # pseudo-values, so the spread is compared against that floor
     vmax, vmin = values.max(axis=1), values.min(axis=1)
-    flat = vmax - vmin <= 64.0 * block.n * np.finfo(float).eps * np.maximum(vmax, -vmin)
-    for j in np.flatnonzero(flat).tolist():
-        status[rows[j]] = DegenerateSampleError(
-            "all jackknife pseudo-values are identical; the likelihood "
-            "ratio carries no information"
-        )
-    return _Block(status, rows, values, block.n, estimate)
+    flat = vmax - vmin <= 64.0 * values.shape[1] * np.finfo(float).eps * np.maximum(vmax, -vmin)
+    return _without(_RowSet(status, rows, values, np.concatenate(estimate)), flat,
+                    lambda: DegenerateSampleError(
+                        "all jackknife pseudo-values are identical; the likelihood "
+                        "ratio carries no information"))
 
 
 class _StackedRatio:
-    """Ratio problems of one point width and one kind (plain, or centered),
-    of one or more methods, stacked so that one :func:`el.solve_rows` call
-    evaluates the ratio of any subset.
+    """The rows of one or more row sets of one point width and one kind
+    (plain, or centered), of one or more methods, stacked so that one
+    :func:`el.solve_rows` call evaluates the ratio of any subset.
 
     Each row runs in its own coordinates, ``beta * 2**-exponent[i]``, with
     the power of two that brings the row's largest point magnitude into
@@ -258,9 +255,7 @@ class _StackedRatio:
     exact, so the EL solves and the endpoint searches see the same numbers
     at every data scale, and the multiplier's derivatives, which scale with
     the inverse square of the data, neither over- nor underflow.  The rows
-    are scaled straight from the problems' sources: the problems of one
-    method that follow each other in the stack are one run of rows of its
-    source, all of it where they are every row in order.
+    are scaled straight from the sets' matrices, with no copy in between.
 
     The slope is the ratio's derivative in beta, which by the envelope
     theorem comes free with the solved multiplier (Owen 1988): ``-2 m lam``
@@ -286,24 +281,20 @@ class _StackedRatio:
     :meth:`at_seeds` gives the searches' start values without a solve.
     """
 
-    def __init__(self, problems: list[_RatioProblem]):
-        self.points = np.empty((len(problems), problems[0].source.shape[1]))
+    def __init__(self, sets: list[_RowSet]):
+        self.points = np.empty((sum(len(s.rows) for s in sets), sets[0].values.shape[1]))
         self.exponent = []
-        for _, run in itertools.groupby(problems, lambda p: id(p.source)):
-            run = list(run)
-            source, rows = run[0].source, [p.row for p in run]
-            if rows != list(range(len(source))):
-                source = source[rows]
+        for s in sets:
             # frexp's int32 exponents keep ldexp on its fast loop
-            exponent = np.frexp(np.maximum(source.max(axis=1), -source.min(axis=1)))[1]
+            exponent = np.frexp(np.maximum(s.values.max(axis=1), -s.values.min(axis=1)))[1]
             lo = len(self.exponent)
-            np.ldexp(source, -exponent[:, None], out=self.points[lo:lo + len(run)])
+            np.ldexp(s.values, -exponent[:, None], out=self.points[lo:lo + exponent.size])
             self.exponent += exponent.tolist()
-        self.adjust = (None if problems[0].adjust is None
-                       else np.array([p.adjust for p in problems]))
+        self.adjust = (None if sets[0].adjust is None
+                       else np.repeat([s.adjust for s in sets], [len(s.rows) for s in sets]))
 
     def _el_rows(self, rows, beta):
-        """The EL point sets and hypothesized means of problem ``rows[j]``
+        """The EL point sets and hypothesized means of stacked row ``rows[j]``
         at ``beta[j]``, with the rows' adjustment constants: the row at
         beta, or under the centered adjustment (``a`` not None) the row
         centered at beta and augmented, at mean zero."""
@@ -321,26 +312,30 @@ class _StackedRatio:
 
     def _ratios(self, sol):
         """The ratios of a solve and ``{j: error}`` for its failed rows; a
-        plain problem's hull failure is no error but an infinite ratio, as
+        plain row's hull failure is no error but an infinite ratio, as
         :func:`el.solve_rows` leaves the row at log ratio -inf."""
         errors = {j: exc for j, exc in sol.errors.items()
                   if self.adjust is not None or not isinstance(exc, HullError)}
         ratio = -2.0 * sol.log_ratio
         return np.where(ratio > 0.0, ratio, 0.0), errors
 
-    def statistics(self, rows, beta, lam0):
-        """The ratio of problem ``rows[j]`` at ``beta[j]`` from ``lam0[j]``,
-        as a list, and ``{j: error}`` for the rows whose solve fails; the
-        ratio is infinite outside the hull of a plain problem."""
-        z, mu, _ = self._el_rows(rows, beta)
-        ratio, errors = self._ratios(_el.solve_rows(z, mu, lam0))
-        return ratio.tolist(), errors
+    def statistics(self, beta0: float) -> list:
+        """The ratio of every row at ``beta0``, from one batched solve, or
+        the error the row's solve fails with; the ratio is infinite outside
+        the hull of a plain row."""
+        beta = [_scaled_beta(float(beta0), e) for e in self.exponent]
+        z, mu, _ = self._el_rows(slice(None), beta)
+        ratio, errors = self._ratios(_el.solve_rows(z, mu, np.zeros(len(beta))))
+        ratio = ratio.tolist()
+        for j, exc in errors.items():
+            ratio[j] = exc
+        return ratio
 
     def __call__(self, rows, beta, lam0):
         """Ratio, slope, multiplier, the multiplier's derivative and the
-        ratio's curvature of problem ``rows[j]`` at ``beta[j]`` from
+        ratio's curvature of stacked row ``rows[j]`` at ``beta[j]`` from
         ``lam0[j]``, as arrays, and ``{j: error}`` for the rows whose solve
-        fails.  Outside the hull of a plain problem the ratio is infinite,
+        fails.  Outside the hull of a plain row the ratio is infinite,
         the slope, derivative and curvature nan and the multiplier
         ``lam0[j]``."""
         z, mu, a = self._el_rows(rows, beta)
@@ -357,7 +352,7 @@ class _StackedRatio:
         return ratio, slope, sol.lam, dlam, curvature, errors
 
     def at_seeds(self, seeds):
-        """The ratio, multiplier and multiplier's derivative of every problem
+        """The ratio, multiplier and multiplier's derivative of every row
         at its seed ``seeds[i]`` from ``lam0 = 0``, as arrays, and ``{i:
         error}``, bit for bit what ``self`` returns there.
 
@@ -404,66 +399,53 @@ def _derivatives(m: int, lam, score, score_slope, a, p, z_last):
     return dlam, (-2.0 * m) * (dlam * (1.0 - (1.0 + a) * p) - lam * (1.0 + a) * dp)
 
 
-def _problems(status: list, rows: list, points, estimate: list, seed: list, method: str,
-              adjust: float | None = None) -> list:
-    """One entry per sample: the error in ``status``, or for sample
-    ``rows[j]`` the ``method`` problem on row ``j`` of ``points``, with
-    ``estimate[j]`` and ``seed[j]``."""
-    out = list(status)
-    for j, i in enumerate(rows):
-        if out[i] is None:
-            out[i] = _RatioProblem(points, j, estimate[j], seed[j], method, adjust)
-    return out
+def _jel_problems(pv: _RowSet, r, rule, a_n) -> _RowSet:
+    return _RowSet(pv.status, pv.rows, pv.values, pv.estimate, pv.estimate, "JEL")
 
 
-def _jel_problems(pv: _Block, r, rule, a_n) -> list:
-    return _problems(pv.status, pv.rows, pv.values, pv.estimate, pv.estimate, "JEL")
-
-
-def _ajel_problems(pv: _Block, r, rule, a_n) -> list:
+def _ajel_problems(pv: _RowSet, r, rule, a_n) -> _RowSet:
     if not pv.rows:
-        return pv.status
+        return pv
+    n = pv.values.shape[1]
     try:
-        a = adjustment_constant(pv.n) if a_n is None else float(a_n)
+        a = adjustment_constant(n) if a_n is None else float(a_n)
     except PwmError as exc:
         return _failing(pv.status, pv.rows, exc)
     if rule == "centered":
-        return _problems(pv.status, pv.rows, pv.values, pv.estimate, pv.estimate, "AJEL", a)
+        return _RowSet(pv.status, pv.rows, pv.values, pv.estimate, pv.estimate, "AJEL", a)
     # the augmented set does not depend on the tested value, so the ratio
     # bottoms out at the augmented mean rather than at the point estimate
-    k, m = pv.values.shape
-    aug = np.empty((k, m + 1))
-    aug[:, :m] = pv.values
-    aug[:, m] = -(a / pv.n) * np.add.reduce(pv.values, axis=1)
+    aug = np.empty((len(pv.rows), n + 1))
+    aug[:, :n] = pv.values
+    aug[:, n] = -(a / n) * np.add.reduce(pv.values, axis=1)
     aug.flags.writeable = False
-    seed = (np.add.reduce(aug, axis=1) / (m + 1)).tolist()
-    return _problems(pv.status, pv.rows, aug, pv.estimate, seed, "AJEL")
+    return _RowSet(pv.status, pv.rows, aug, pv.estimate,
+                   np.add.reduce(aug, axis=1) / (n + 1), "AJEL")
 
 
 def _plugin_problems(method: str):
-    def problems(block: _Block, r, rule, a_n) -> list:
+    def build(block: _RowSet, r, rule, a_n) -> _RowSet:
         status = [PwmInputError(f"{method} needs the sample, not its pseudo-values")
                   if isinstance(s, PseudoValues) else s for s in block.status]
         if not block.rows:
-            return status
+            return _RowSet(status, [], None)
         try:
             z = summand_rows(block.values, r, method)
         except PwmError as exc:
             return _failing(status, block.rows, exc)
         z.flags.writeable = False
-        for j in np.flatnonzero(z.max(axis=1) - z.min(axis=1) == 0.0).tolist():
-            status[block.rows[j]] = DegenerateSampleError(
-                f"{method} summands are all identical; no likelihood spread"
-            )
-        estimate = (np.add.reduce(z, axis=1) / block.n).tolist()
-        return _problems(status, block.rows, z, estimate, estimate, method)
-    return problems
+        rows = _without(_RowSet(status, block.rows, z), z.max(axis=1) - z.min(axis=1) == 0.0,
+                        lambda: DegenerateSampleError(
+                            f"{method} summands are all identical; no likelihood spread"))
+        estimate = np.add.reduce(rows.values, axis=1) / rows.values.shape[1]
+        return _RowSet(rows.status, rows.rows, rows.values, estimate, estimate, method)
+    return build
 
 
 # The method table: each entry turns the batch's block of sorted samples (for
-# JEL and AJEL its checked pseudo-values), r, rule and a_n into one ratio
-# problem per sample, or the sample's error; both the test and the interval
-# run on it.
+# JEL and AJEL its checked pseudo-values), r, rule and a_n into the method's
+# rows, one per sample whose build succeeds, and the error of each other
+# sample; both the test and the interval run on them.
 # ``rule`` and ``a_n`` only shape AJEL.
 _METHODS = {
     "DNEL": _plugin_problems("DNEL"),
@@ -473,7 +455,7 @@ _METHODS = {
 }
 CI_METHODS = tuple(_METHODS)
 
-# The methods whose problems are built from the jackknife pseudo-values.
+# The methods whose rows are built from the jackknife pseudo-values.
 _ON_PSEUDO_VALUES = frozenset({"JEL", "AJEL"})
 
 
@@ -483,9 +465,9 @@ def check_options(methods, rule: str = "centered", a_n=None, *, level=None,
 
     ``level`` and ``alpha`` must lie in (0, 1) and ``beta0`` must be finite
     (each is checked unless None); ``methods`` must be a non-empty sequence of
-    names from :data:`CI_METHODS`, ``rule`` must be ``centered`` or
-    ``literal``, and ``a_n``, unless None, must be positive and finite.  Raises
-    :class:`PwmInputError`; returns the methods as a tuple.
+    names from :data:`CI_METHODS` other than a string, ``rule`` must be
+    ``centered`` or ``literal``, and ``a_n``, unless None, must be positive and
+    finite.  Raises :class:`PwmInputError`; returns the methods as a tuple.
     """
     if level is not None and not 0.0 < level < 1.0:
         raise PwmInputError(f"confidence level must be in (0, 1), got {level}")
@@ -493,6 +475,8 @@ def check_options(methods, rule: str = "centered", a_n=None, *, level=None,
         raise PwmInputError(f"test size must be in (0, 1), got {alpha}")
     if beta0 is not None and not math.isfinite(float(beta0)):
         raise PwmInputError("hypothesized value must be finite")
+    if isinstance(methods, str):
+        raise PwmInputError(f"methods must be a sequence of names, not the string {methods!r}")
     methods = tuple(methods)
     bad = [m for m in methods if m not in _METHODS]
     if bad:
@@ -510,12 +494,12 @@ def check_options(methods, rule: str = "centered", a_n=None, *, level=None,
 
 def _neg2_ratio(sample, r, beta0, method: str, rule: str = "centered", a_n=None) -> float:
     check_options((method,), rule, a_n, beta0=beta0)
-    (problems,) = _method_problems([sample], r, (method,), rule, a_n)
-    return _raised(_statistics(problems, beta0)[0])
+    (rows,) = _method_problems([sample], r, (method,), rule, a_n)
+    return _raised(_StackedRatio([rows]).statistics(beta0)[0] if rows.rows else rows.status[0])
 
 
 def _raised(result):
-    """``result`` of a one-problem lockstep call, raised if it is an error."""
+    """``result`` of a one-sample call, raised if it is an error."""
     if isinstance(result, PwmError):
         raise result
     return result
@@ -566,9 +550,10 @@ def confidence_intervals(samples, r: int, level: float, methods,
     :func:`confidence_interval` raises for that sample alone.
     """
     methods = check_options(methods, rule, a_n, level=level)
-    columns = _by_stack(_method_problems(samples, r, methods, rule, a_n),
-                        lambda stacks: _lockstep_intervals(stacks, level))
-    return list(zip(*columns))
+    return _by_stack(_method_problems(samples, r, methods, rule, a_n),
+                     lambda stacks: _lockstep_intervals(stacks, level),
+                     lambda rows, j, ends: ConfidenceInterval(
+                         ends[0], ends[1], level, rows.method, float(rows.estimate[j]), ends[2]))
 
 
 def ratio_tests(samples, r: int, beta0: float, alpha: float, methods,
@@ -578,44 +563,40 @@ def ratio_tests(samples, r: int, beta0: float, alpha: float, methods,
     intervals."""
     methods = check_options(methods, rule, a_n, alpha=alpha, beta0=beta0)
     threshold = chi2_1_quantile(1.0 - alpha)
-
-    def tests(stacks):
-        return [[s if isinstance(s, PwmError)
-                 else TestResult(s, threshold, bool(s > threshold), p.method, beta0, alpha)
-                 for p, s in zip(problems, _statistics(problems, beta0))]
-                for problems in stacks]
-    return list(zip(*_by_stack(_method_problems(samples, r, methods, rule, a_n), tests)))
+    return _by_stack(_method_problems(samples, r, methods, rule, a_n),
+                     lambda stacks: [_StackedRatio(sets).statistics(beta0) for sets in stacks],
+                     lambda rows, j, s: TestResult(s, threshold, bool(s > threshold),
+                                                   rows.method, beta0, alpha))
 
 
-def _method_problems(samples, r: int, methods, rule: str, a_n) -> list:
-    """For each method, its ratio problem for every sample, or the PwmError
-    building it raises.
+def _method_problems(samples, r: int, methods, rule: str, a_n) -> list[_RowSet]:
+    """Each method's rows for the samples, one :class:`_RowSet` per method,
+    with the PwmError that building it raises for each other sample.
 
     The samples are built as one block: they are stacked and sorted along
     rows once, and every method's points and estimates come from row
-    operations on the block, with row masks picking out the samples that
-    fail.  A sample may be given as its :class:`PseudoValues`, which only
-    JEL and AJEL take; the pseudo-values of the block, or each sample's
-    error building or checking them, are made once and shared by those two
-    methods.
+    operations on the block; a sample that fails leaves the rows.  A sample
+    may be given as its :class:`PseudoValues`, which only JEL and AJEL
+    take; the pseudo-values of the block, or each sample's error building or
+    checking them, are made once and shared by those two methods.
     """
     block = _sample_block(samples)
     pseudo = None
-    columns = []
+    sets = []
     for method in methods:
         if method in _ON_PSEUDO_VALUES:
             if pseudo is None:
                 pseudo = _checked(block, r)
-            columns.append(_METHODS[method](pseudo, r, rule, a_n))
+            sets.append(_METHODS[method](pseudo, r, rule, a_n))
         else:
-            columns.append(_METHODS[method](block, r, rule, a_n))
-    return columns
+            sets.append(_METHODS[method](block, r, rule, a_n))
+    return sets
 
 
-# The most points, rows times point width, that problems of several methods
+# The most points, rows times point width, that the rows of several methods
 # share one stack with (see _by_stack): below it one stack saves the search
 # rounds and per-solve setup of the others, above it it costs more than
-# separate stacks.  Time of one stack of the JEL, DNEL and VXL problems of k
+# separate stacks.  Time of one stack of the JEL, DNEL and VXL rows of k
 # exponential samples of size n over that of three stacks, fastest of 15
 # alternated calls in one process on a 2-vCPU VM (Python 3.11, NumPy 2.4);
 # intervals at level 0.95, tests at the true moment:
@@ -636,55 +617,41 @@ def _method_problems(samples, r: int, methods, rule: str, a_n) -> list:
 _STACK_POINTS = 1 << 15
 
 
-def _by_stack(columns: list, engine) -> list:
-    """``engine``, which maps a list of stacks, each a list of problems (or
-    pass-through PwmError), to their results, run on the stacks of
-    ``columns``, one such list per method, with each column's results in
-    its place.
+def _by_stack(sets: list[_RowSet], engine, result) -> list[tuple]:
+    """``engine`` run on the stacks of the row sets ``sets``, one per
+    method, as one tuple per sample holding each method's result or error.
 
-    Columns whose problems have one point width and kind (plain, or
-    centered) go to one call, so their rows share one stack: JEL, DNEL and
-    VXL, which all have n plain points, share one, and AJEL has its own
-    under either rule.  A stack takes the next column of its kind while it
+    ``engine`` maps a list of stacks, each a list of row sets, to one list
+    per stack of its rows' values or PwmErrors, in the order of its sets'
+    rows; ``result(rows, j, value)`` makes the result of row j of the set
+    ``rows`` from its value.  Sets whose rows have one point width and kind
+    (plain, or centered) go to one call, so their rows share one stack: JEL,
+    DNEL and VXL, which all have n plain points, share one, and AJEL has its
+    own under either rule.  A stack takes the next set of its kind while it
     holds at most ``_STACK_POINTS`` points; past that it splits between
-    columns, never within one, so a column alone is one stack at any size.
-    A problem's result does not depend on its stack.
+    sets, never within one, so a set alone is one stack at any size.  A
+    row's value does not depend on its stack.
     """
-    out = list(columns)
-    stacks = {}  # (width, bounded) -> [(columns, points)], the last one open
-    for c, problems in enumerate(columns):
-        live = [p for p in problems if isinstance(p, _RatioProblem)]
-        if not live:
+    stacks = {}  # (width, bounded) -> [set indices of each stack], the last one open
+    for c, rows in enumerate(sets):
+        if not rows.rows:
             continue
-        width = live[0].source.shape[1]
-        kind = stacks.setdefault((width, live[0].bounded), [])
-        points = len(live) * width
-        if kind and kind[-1][1] + points <= _STACK_POINTS:
-            kind[-1] = (kind[-1][0] + [c], kind[-1][1] + points)
+        kind = stacks.setdefault((rows.values.shape[1], rows.adjust is None), [])
+        if kind and sum(sets[d].values.size for d in kind[-1]) + rows.values.size <= _STACK_POINTS:
+            kind[-1].append(c)
         else:
-            kind.append(([c], points))
-    groups = [stack for kind in stacks.values() for stack, _ in kind]
-    for stack, results in zip(groups, engine([[p for c in stack for p in columns[c]]
-                                              for stack in groups])):
-        results = iter(results)
+            kind.append([c])
+    groups = [stack for kind in stacks.values() for stack in kind]
+    columns = [rows.status for rows in sets]
+    for stack, values in zip(groups, engine([[sets[c] for c in stack] for stack in groups])):
+        values = iter(values)
         for c in stack:
-            out[c] = list(itertools.islice(results, len(columns[c])))
-    return out
-
-
-def _statistics(problems: list, beta0: float) -> list:
-    """The ratio statistic of every problem (or pass-through PwmError) at
-    ``beta0``, or the error its solve fails with, from one batched solve."""
-    out = [p if isinstance(p, PwmError) else None for p in problems]
-    live = [i for i, p in enumerate(problems) if out[i] is None]
-    if live:
-        ratio = _StackedRatio([problems[i] for i in live])
-        stats, errors = ratio.statistics(
-            slice(None), [_scaled_beta(float(beta0), e) for e in ratio.exponent],
-            np.zeros(len(live)))
-        for j, i in enumerate(live):
-            out[i] = errors.get(j, stats[j])
-    return out
+            rows = sets[c]
+            columns[c] = column = list(rows.status)
+            # zip takes one value per row, and no more
+            for j, (i, value) in enumerate(zip(rows.rows, values)):
+                column[i] = value if isinstance(value, PwmError) else result(rows, j, value)
+    return list(zip(*columns))
 
 
 def _scaled_beta(beta: float, exponent: int) -> float:
@@ -722,7 +689,7 @@ class _Searches:
     step on ``h = sqrt(ratio) - sqrt(threshold)``, which is nearly linear in
     beta, or Newton's where Halley's denominator is not positive or a term
     is not finite.  The bracket runs from ``inside`` (ratio below the
-    threshold, the seed at first) to ``outside``.  On a bounded problem
+    threshold, the seed at first) to ``outside``.  On a bounded row
     ``outside`` starts at the hull bound on the search's side, unevaluated,
     and a step that reaches it probes it once (``unprobed``), for its ratio
     alone.  Where the ratio stays finite the bound is nan, and so is
@@ -903,7 +870,7 @@ def _endpoint_searches(stacks: list, threshold: float) -> _Searches:
     derivative is ``2 dlam^2 m3 / m2``.  The step tolerance is ``beta_tol =
     1e-8 * beta_scale``, where ``beta_scale`` is the larger of the
     estimate's magnitude and the largest distance from it to a point (taken
-    from the extremes, as rounding is monotone); when the problem is
+    from the extremes, as rounding is monotone); when the row is
     bounded the hull of its points, shrunk on both sides, bounds the
     search, and a start beyond it moves to the middle of the bracket.  The
     points are at most 1 in magnitude, so none of this can overflow.
@@ -952,42 +919,40 @@ def _endpoint_searches(stacks: list, threshold: float) -> _Searches:
 
 
 def _lockstep_intervals(stacks: list, level: float) -> list:
-    """The interval of every problem (or pass-through PwmError) of each of
-    ``stacks``, or the error that ends it, as one list per stack.
+    """The interval ends of every row of each of ``stacks`` (each a list of
+    row sets), as ``(lower, upper, evaluations)``, or the error that ends
+    the row's interval, as one list per stack.
 
-    Each problem's ratio is inverted on both sides of its seed.  The
-    searches of all stacks advance together as arrays (:class:`_Searches`):
-    a round is one batched solve per stack at the running searches' points
-    and one masked step of all of them, and a search leaves the arrays when
-    it finishes or fails.  A failure ends its own problem only; a lower
-    endpoint's failure wins and ends the upper search, so a problem's
-    result does not depend on the others in the batch.
+    Each row's ratio is inverted on both sides of its seed.  The searches
+    of all stacks advance together as arrays (:class:`_Searches`): a round
+    is one batched solve per stack at the running searches' points and one
+    masked step of all of them, and a search leaves the arrays when it
+    finishes or fails.  A failure ends its own row only; a lower endpoint's
+    failure wins and ends the upper search, so a row's result does not
+    depend on the others in the batch.
     """
     threshold = chi2_1_quantile(level)
-    outs = [[p if isinstance(p, PwmError) else None for p in problems] for problems in stacks]
-    searched = []  # (ratio, rows, their columns, live problems, their places, results)
-    for problems, out in zip(stacks, outs):
-        at = [i for i, p in enumerate(problems) if out[i] is None]
-        if not at:
-            continue
-        live = [problems[i] for i in at]
-        ratio = _StackedRatio(live)
+    outs, searched = [], []  # searched: (ratio, rows, their columns, results)
+    for sets in stacks:
+        ratio = _StackedRatio(sets)
         exponent = np.array(ratio.exponent)
-        seeds = np.ldexp([p.seed for p in live], -exponent)
+        seeds = np.ldexp(np.concatenate([s.seed for s in sets]), -exponent)
         at_seed, lam, dlam, errors = ratio.at_seeds(seeds)
+        out = [None] * seeds.size
+        outs.append(out)
         for j in np.flatnonzero(~(at_seed < threshold)).tolist():
-            out[at[j]] = ConvergenceError(
+            out[j] = ConvergenceError(
                 f"ratio at the point estimate ({at_seed[j]:.4g}) already exceeds "
                 f"the chi-square threshold ({threshold:.4g}); no interval exists")
         for j, exc in errors.items():
-            out[at[j]] = exc
-        rows = [j for j, i in enumerate(at) if out[i] is None]
+            out[j] = exc
+        rows = [j for j, o in enumerate(out) if o is None]
         if rows:
-            estimate = np.ldexp([p.estimate for p in live], -exponent)
+            estimate = np.ldexp(np.concatenate([s.estimate for s in sets]), -exponent)
             columns = (exponent, estimate, seeds, lam, dlam)
-            if len(rows) < len(live):
+            if len(rows) < len(out):
                 columns = tuple(c[rows] for c in columns)
-            searched.append((ratio, np.array(rows), *columns, live, at, out))
+            searched.append((ratio, np.array(rows), *columns, out))
     if not searched:
         return outs
     searches = _endpoint_searches(searched, threshold)
@@ -1006,11 +971,11 @@ def _lockstep_intervals(stacks: list, level: float) -> list:
     endpoint, evaluations = searches.endpoint.tolist(), searches.evaluations.tolist()
     key = 0
     failure = searches.failure
-    for _, rows, exponent, *_, live, at, out in searched:
+    for _, rows, exponent, *_, out in searched:
         for j, e in zip(rows.tolist(), exponent.tolist()):
-            out[at[j]] = failure.get(key) or failure.get(key + 1) or ConfidenceInterval(
-                math.ldexp(endpoint[key], e), math.ldexp(endpoint[key + 1], e), level,
-                live[j].method, live[j].estimate, evaluations[key] + evaluations[key + 1])
+            out[j] = failure.get(key) or failure.get(key + 1) or (
+                math.ldexp(endpoint[key], e), math.ldexp(endpoint[key + 1], e),
+                evaluations[key] + evaluations[key + 1])
             key += 2
     return outs
 

@@ -96,6 +96,20 @@ def test_ci_all_methods_fail_exits_3(capsys, const_csv):
     assert code == 3
 
 
+def test_every_method_failing_on_its_input_exits_2(capsys, tmp_path):
+    # a bad order, or one the 40-row column is too small for, fails each
+    # method with a PwmInputError: a bad flag, not a numeric failure
+    p = tmp_path / "forty.csv"
+    p.write_text("x\n" + "\n".join(str(1.0 + 0.1 * k) for k in range(40)) + "\n")
+    for flags in (["--r", "-1"], ["--r", "0", "--methods", "JEL,AJEL"],
+                  ["--r", "50", "--methods", "JEL"]):
+        for command in (["ci"], ["test", "--null", "1.0"]):
+            code, out, _ = run_main(capsys, *command, "--input", str(p), "--column", "x",
+                                    *flags, "--format", "csv")
+            assert code == 2, (command, flags)
+            assert all(row["error"] for row in csv.DictReader(io.StringIO(out)))
+
+
 def test_ci_ajel_rule_flags_change_result(capsys, data_csv):
     rows = {}
     for rule in ("centered", "literal"):

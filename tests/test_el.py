@@ -12,7 +12,7 @@ from pwmjel import (
     neg2_log_ratio,
     solve_lambda,
 )
-from pwmjel.inference import _RatioProblem, _StackedRatio
+from pwmjel.inference import _RowSet, _StackedRatio
 
 # frozen from an independent bisection-only solve of the score equation
 GOLD_Z = [1.0, 2.0, 3.0]
@@ -222,7 +222,8 @@ def test_ratio_and_slope_solves_through_the_module_attribute(monkeypatch):
     monkeypatch.setattr(el, "solve_lambda", counting)
     data = np.random.default_rng(4).exponential(1.0, 60)
     mean = float(data.mean())
-    ratio = _StackedRatio([_RatioProblem(data[None], 0, mean, mean, "JEL")] * el._VECTOR_ROWS)
+    rows = _RowSet([None], [0], data[None], np.array([mean]), np.array([mean]), "JEL")
+    ratio = _StackedRatio([rows] * el._VECTOR_ROWS)
     # the stack solves in its rows' coordinates: the data scaled by a power
     # of two into [-1, 1)
     e = ratio.exponent[0]

@@ -44,7 +44,7 @@ from pwmjel.inference import (
     _RULES,
     _lockstep_intervals,
     _method_problems,
-    _RatioProblem,
+    _RowSet,
     _scaled_beta,
     _StackedRatio,
     confidence_intervals,
@@ -55,10 +55,17 @@ X4 = [1.0, 2.0, 3.0, 4.0]
 Q95 = 3.841458820694124
 
 
-def _problem(x, method, rule="centered", a_n=None) -> _RatioProblem:
-    """The r = 1 ratio problem of ``method`` on the sample or pseudo-values ``x``."""
-    ((problem,),) = _method_problems([x], 1, (method,), rule, a_n)
-    return problem
+def _problem(x, method, rule="centered", a_n=None) -> _RowSet:
+    """The r = 1 rows of ``method`` on the sample or pseudo-values ``x``: one row."""
+    (rows,) = _method_problems([x], 1, (method,), rule, a_n)
+    return rows
+
+
+def _rows(values, estimate, seed, method, adjust=None) -> _RowSet:
+    """The rows ``values`` of one sample each, with their estimates and seeds."""
+    k = len(values)
+    return _RowSet([None] * k, list(range(k)), np.asarray(values), np.array(estimate),
+                   np.array(seed), method, adjust)
 
 
 def test_jel_ratio_frozen_golden():
@@ -142,7 +149,7 @@ def test_multiplier_derivative_and_curvature_match_finite_differences(method, ru
     # in the stack's coordinates, where the points are at most 1 in magnitude
     points = _StackedRatio([problem]).points[0]
     beta = [float(points.mean())] + list(np.quantile(points, [0.1, 0.3, 0.6, 0.9]))
-    if not problem.bounded:  # the centered ratio is finite beyond the points too
+    if problem.adjust is not None:  # the centered ratio is finite beyond the points too
         span = float(np.ptp(points))
         beta += [points.min() - 0.5 * span, points.max() + 2.0 * span]
     k = len(beta)
@@ -189,8 +196,9 @@ def _check_seeds(problems, closed, solves):
     """``at_seeds`` on a stack of ``problems`` solves only the rows not in
     ``closed`` and returns bit for bit what a solve of every row returns."""
     ratio = _StackedRatio(problems)
-    k = len(problems)
-    seeds = [math.ldexp(p.seed, -e) for p, e in zip(problems, ratio.exponent)]
+    k = len(ratio.points)
+    seeds = [math.ldexp(seed, -e)
+             for seed, e in zip(np.concatenate([p.seed for p in problems]), ratio.exponent)]
     solves.clear()
     at_seed, lam, dlam, errors = ratio.at_seeds(seeds)
     assert sum(solves) == k - len(closed)
@@ -221,21 +229,19 @@ def test_seeds_off_the_mean_are_solved(solves):
     # off the mean inside it, one at the mean, and non-finite rows
     rows = np.array([points, points, points, np.append(points[:-1], np.inf),
                      [-np.inf, 0.4, 0.45, 0.9, np.inf]])
-    plain = [_RatioProblem(rows, j, estimate, seed, "JEL")
-             for j, (estimate, seed) in enumerate([(1.3, 1.3), (0.5, 0.9), (0.63, 0.63),
-                                                   (0.5, 0.5), (0.5, 0.5)])]
-    at_seed, errors = _check_seeds(plain, [2], solves)
+    estimate, seed = [1.3, 0.5, 0.63, 0.5, 0.5], [1.3, 0.9, 0.63, 0.5, 0.5]
+    plain = _rows(rows, estimate, seed, "JEL")
+    at_seed, errors = _check_seeds([plain], [2], solves)
     assert at_seed[:2].tolist() == [math.inf, pytest.approx(1.9, abs=0.1)]
     assert list(errors) == [3, 4]
     assert {str(exc) for exc in errors.values()} == {"EL points contain non-finite values"}
-    ((error,),) = _lockstep_intervals([plain[:1]], 0.95)
+    ((error,),) = _lockstep_intervals([[_rows(rows[:1], estimate[:1], seed[:1], "JEL")]], 0.95)
     assert type(error) is ConvergenceError and str(error) == (
         "ratio at the point estimate (inf) already exceeds the chi-square threshold "
         "(3.841); no interval exists")
     # centered: a seed off the mean and one at it
-    centered = [_RatioProblem(points[None], 0, 0.6, 1.2, "AJEL", adjust=1.0),
-                _RatioProblem(points[None], 0, 0.63, 0.63, "AJEL", adjust=1.0)]
-    at_seed, errors = _check_seeds(centered, [1], solves)
+    centered = _rows([points, points], [0.6, 0.63], [1.2, 0.63], "AJEL", adjust=1.0)
+    at_seed, errors = _check_seeds([centered], [1], solves)
     assert at_seed[0] > 0.0 and errors == {}
 
 
@@ -372,18 +378,19 @@ def test_batched_calls_build_and_check_the_blocks_pseudo_values_once(monkeypatch
     assert str(jel) == str(ajel) != ""
 
 
-def _built(problem):
-    """What a block build gave a sample: the problem's bytes, or the error's
-    type and text."""
-    if isinstance(problem, PwmError):
-        return type(problem), str(problem)
-    points = problem.source[problem.row]
-    return (points.tobytes(), points.shape, problem.estimate, problem.seed, problem.adjust,
-            problem.method)
+def _built(rows, i):
+    """What a block build gave sample ``i`` of the method's ``rows``: its
+    row's bytes, or the error's type and text."""
+    if rows.status[i] is not None:
+        return type(rows.status[i]), str(rows.status[i])
+    j = rows.rows.index(i)
+    points = rows.values[j]
+    return (points.tobytes(), points.shape, float(rows.estimate[j]), float(rows.seed[j]),
+            rows.adjust, rows.method)
 
 
 def _one_sample_builds(x, r, rule, a_n):
-    return [_built(p) for (p,) in _method_problems([x], r, CI_METHODS, rule, a_n)]
+    return [_built(rows, 0) for rows in _method_problems([x], r, CI_METHODS, rule, a_n)]
 
 
 @pytest.mark.parametrize("r", [1, 2])
@@ -398,8 +405,8 @@ def test_a_block_builds_each_sample_as_it_builds_alone(r, rule, a_n):
     with_nan[5] = np.nan
     block = [xs[0], SortedSample.from_data(xs[1]), jackknife_pseudo_values(xs[2], r),
              with_nan, np.full(n, 3.0), signed_zeros, list(xs[3])]
-    got = [[_built(p) for p in problems]
-           for problems in _method_problems(block, r, CI_METHODS, rule, a_n)]
+    got = [[_built(rows, i) for i in range(len(block))]
+           for rows in _method_problems(block, r, CI_METHODS, rule, a_n)]
     for j, x in enumerate(block):
         assert [column[j] for column in got] == _one_sample_builds(x, r, rule, a_n)
     # the rows are those of the per-sample functions, bit for bit
@@ -423,8 +430,8 @@ def test_block_wide_errors_are_each_samples_own(r, n):
     # a bad order or a sample too small for it fails every row of a method
     # with the error a one-sample build gives
     block = [sample(DistSpec("exponential", 1.0), n, make_rng(80 + k)) for k in range(3)]
-    got = [[_built(p) for p in problems]
-           for problems in _method_problems(block, r, CI_METHODS, "centered", None)]
+    got = [[_built(rows, i) for i in range(len(block))]
+           for rows in _method_problems(block, r, CI_METHODS, "centered", None)]
     for j, x in enumerate(block):
         assert [column[j] for column in got] == _one_sample_builds(x, r, "centered", None)
     assert any(isinstance(row[0], type) for column in got for row in column)
@@ -475,6 +482,15 @@ def test_option_errors_come_before_the_data_checks():
         ajel_confidence_interval(const, 1, 0.95, rule="nope")
     with pytest.raises(PwmInputError):
         plugin_el_ci([2.0] * 10, 0, 2.0, "DNEL")
+
+
+def test_a_string_of_methods_is_rejected_not_split_into_letters():
+    xs = [sample(DistSpec("exponential", 1.0), 20, make_rng(seed)) for seed in range(2)]
+    text = "methods must be a sequence of names, not the string 'JEL'"
+    with pytest.raises(PwmInputError, match=text):
+        confidence_intervals(xs, 1, 0.95, "JEL")
+    with pytest.raises(PwmInputError, match=text):
+        ratio_tests(xs, 1, 1.0, 0.05, "JEL")
 
 
 def test_jel_test_fields_and_duality():
@@ -615,18 +631,19 @@ def test_stacked_methods_equal_one_sample_calls(k, n):
 def test_methods_share_a_stack_up_to_the_point_cap(k, n, stacks):
     xs = [sample(DistSpec("lognormal", 1.0), n, make_rng(200 + j)) for j in range(k)]
     for rule in _RULES:
-        columns = _method_problems(xs, 1, CI_METHODS, rule, None)
+        sets = _method_problems(xs, 1, CI_METHODS, rule, None)
         calls = []
 
         def engine(groups):
             calls.extend(groups)
-            return [[(p.method, p.row) for p in problems] for problems in groups]
+            return [[(rows.method, j) for rows in call for j in range(len(rows.rows))]
+                    for call in groups]
 
-        out = inference._by_stack(columns, engine)
-        assert sorted([p.method for p in call[::k]] for call in calls) == sorted(stacks)
-        assert all(len(call) % k == 0 for call in calls)
-        assert all(len({p.source.shape[1] for p in call}) == 1 for call in calls)
-        assert out == [[(p.method, p.row) for p in column] for column in columns]
+        out = inference._by_stack(sets, engine, lambda rows, j, value: (value, j))
+        assert sorted([rows.method for rows in call] for call in calls) == sorted(stacks)
+        assert all(len(rows.rows) == k for call in calls for rows in call)
+        assert all(len({rows.values.shape[1] for rows in call}) == 1 for call in calls)
+        assert out == [tuple(((rows.method, i), i) for rows in sets) for i in range(k)]
 
 
 @pytest.fixture
@@ -679,14 +696,14 @@ def test_a_search_out_of_float_resolution_stalls(method, search_errors):
     assert message.startswith("interval endpoint stalled with ratio residual ")
     assert float(message.rsplit(" ", 1)[1]) > inference._RESIDUAL_TOL
     # the best point, in the data's coordinates, is on the lower side
-    assert raised.value.best < _problem(x, method).estimate
+    assert raised.value.best < _problem(x, method).estimate[0]
     assert search_errors == [raised.value]
 
 
 @pytest.mark.parametrize("method, seed", [("DNEL", 30), ("DNEL", 156), ("VXL", 130)])
 def test_an_upper_failure_loses_to_a_later_lower_failure(method, seed, solves, search_errors):
     x = sample(DistSpec("normal", 1.0), 3, make_rng(seed))
-    estimate = _problem(x, method).estimate
+    estimate = _problem(x, method).estimate[0]
     with pytest.raises(ConvergenceError) as raised:
         confidence_interval(x, 1, 1.0 - 1e-15, method)
     upper, lower = search_errors

@@ -93,6 +93,8 @@ def test_config_validation():
             small_config(**bad)
     with pytest.raises(PwmInputError):
         small_config(methods=("JEL", "WALD"))
+    with pytest.raises(PwmInputError, match="not the string 'JEL'"):
+        small_config(methods="JEL")  # not the methods 'J', 'E' and 'L'
     with pytest.raises(PwmInputError):
         small_config(kind="power")  # power needs null_dist
 
