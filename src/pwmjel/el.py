@@ -15,8 +15,8 @@ the usual chi-square calibrated statistic.
 stack of equal-size point sets, one per row, and is what every interval
 and test runs on.  A stack of at least ``_VECTOR_ROWS`` rows runs the same
 iteration on every row at once, so many independent problems cost one pass
-of array operations per Newton step; a shorter one, such as the two
-endpoint searches of one interval, is solved row by row with
+of array operations per Newton step; a shorter one, such as the last few
+endpoint searches of a call, is solved row by row with
 :func:`solve_lambda`, whose setup is cheaper.  Either way a row's result is
 bit for bit what :func:`solve_lambda` returns on that row: the row sums
 reduce each contiguous row in the pairwise order of the one-dimensional sum.
@@ -212,14 +212,14 @@ def _interior(mu, dmin, dmax, tol):
     return inside, tol * np.maximum(np.maximum(np.abs(mu), -dmin), dmax)
 
 
-def _solve_row(z, mu, lam0, tol, max_iter) -> tuple:
+def _solve_row(z, mu, lam0, max_iter) -> tuple:
     """One row of :func:`solve_rows` by :func:`solve_lambda`, as the row's
     ``(lam, log_ratio, iterations, last_weight, score, score_slope)`` and its
     error or None."""
     error = None
     try:
         # looked up as a module global, so that tracers see each solve
-        sol = solve_lambda(z, mu, tol, max_iter, lam0)
+        sol = solve_lambda(z, mu, max_iter=max_iter, lam0=lam0)
     except ConvergenceError as exc:
         sol, error = exc.best, exc
     except PwmError as exc:
@@ -228,7 +228,7 @@ def _solve_row(z, mu, lam0, tol, max_iter) -> tuple:
             sol.score_slope), error
 
 
-def solve_rows(z: np.ndarray, mu: np.ndarray, lam0: np.ndarray, tol: float = _SCORE_TOL,
+def solve_rows(z: np.ndarray, mu: np.ndarray, lam0: np.ndarray,
                max_iter: int = 100) -> RowSolutions:
     """:func:`solve_lambda` on every row of a C-contiguous ``(k, m)`` array.
 
@@ -250,7 +250,7 @@ def solve_rows(z: np.ndarray, mu: np.ndarray, lam0: np.ndarray, tol: float = _SC
     mu = np.asarray(mu, dtype=float)
     lam0 = np.asarray(lam0, dtype=float)
     if 0 < k < _VECTOR_ROWS:
-        rows, errors = zip(*(_solve_row(z[i], mu[i], lam0[i], tol, max_iter)
+        rows, errors = zip(*(_solve_row(z[i], mu[i], lam0[i], max_iter)
                              for i in range(k)))
         return RowSolutions(*(np.array(field) for field in zip(*rows)),
                             {i: exc for i, exc in enumerate(errors) if exc is not None})
@@ -265,9 +265,9 @@ def solve_rows(z: np.ndarray, mu: np.ndarray, lam0: np.ndarray, tol: float = _SC
     with np.errstate(invalid="ignore"):
         d_all = z - mu[:, None]
     dmin, dmax = d_all.min(axis=1), d_all.max(axis=1)
-    inside, gtol = _interior(mu, dmin, dmax, tol)
+    inside, gtol = _interior(mu, dmin, dmax, _SCORE_TOL)
     for i in np.flatnonzero(~inside).tolist():
-        row, exc = _solve_row(z[i], mu[i], lam0[i], tol, max_iter)
+        row, exc = _solve_row(z[i], mu[i], lam0[i], max_iter)
         (lam_out[i], log_ratio[i], iterations[i], last_weight[i], score_out[i],
          slope_out[i]) = row
         if exc is not None:

@@ -37,7 +37,9 @@ point width and kind share its stack whatever their method, up to a
 measured size, and ``_by_stack`` maps the stack's results back to the
 samples.  :func:`confidence_intervals` and :func:`ratio_tests` run it on
 many samples, and :func:`confidence_interval` and :func:`ratio_test` are
-their one-sample case.
+their one-sample case.  A stack alone maps values between its rows'
+power-of-two coordinates and the data's, and ``_Searches`` builds a call's
+endpoint searches from its stacks.
 """
 
 from __future__ import annotations
@@ -188,9 +190,16 @@ def _joined(parts: list) -> tuple[list, np.ndarray]:
 
 def _sample_block(samples) -> _RowSet:
     """The samples sorted along the rows of one block, in which a sample
-    that :meth:`SortedSample.from_data` rejects gets its error; raises
-    :class:`PwmInputError` unless the other samples share one size."""
+    that :meth:`SortedSample.from_data` rejects, or a caller's malformed
+    :class:`PseudoValues`, gets its error; raises :class:`PwmInputError`
+    unless the other samples share one size."""
     status = [s if isinstance(s, PseudoValues) else None for s in samples]
+    for i, pv in enumerate(status):
+        if pv is not None and not (isinstance(pv.values, np.ndarray) and pv.values.ndim == 1
+                                   and 0 < pv.values.size == pv.n):
+            status[i] = PwmInputError(
+                f"pseudo-values must be a non-empty one-dimensional array of their n = "
+                f"{pv.n!r} values, got {getattr(pv.values, 'shape', type(pv.values).__name__)}")
     presorted = [i for i, s in enumerate(samples) if isinstance(s, SortedSample)]
     raw = [i for i, s in enumerate(samples) if status[i] is None
            and not isinstance(s, SortedSample)]
@@ -256,6 +265,8 @@ class _StackedRatio:
     at every data scale, and the multiplier's derivatives, which scale with
     the inverse square of the data, neither over- nor underflow.  The rows
     are scaled straight from the sets' matrices, with no copy in between.
+    Only the stack knows them: :meth:`scaled` maps values in (seeds,
+    estimates, beta), :meth:`unscaled` maps them out (endpoints).
 
     The slope is the ratio's derivative in beta, which by the envelope
     theorem comes free with the solved multiplier (Owen 1988): ``-2 m lam``
@@ -282,16 +293,37 @@ class _StackedRatio:
     """
 
     def __init__(self, sets: list[_RowSet]):
+        self.sets = sets
         self.points = np.empty((sum(len(s.rows) for s in sets), sets[0].values.shape[1]))
-        self.exponent = []
+        # frexp's int32 exponents keep ldexp on its fast loop
+        self.exponent = np.frexp(np.concatenate(
+            [np.maximum(s.values.max(axis=1), -s.values.min(axis=1)) for s in sets]))[1]
+        lo = 0
         for s in sets:
-            # frexp's int32 exponents keep ldexp on its fast loop
-            exponent = np.frexp(np.maximum(s.values.max(axis=1), -s.values.min(axis=1)))[1]
-            lo = len(self.exponent)
-            np.ldexp(s.values, -exponent[:, None], out=self.points[lo:lo + exponent.size])
-            self.exponent += exponent.tolist()
+            hi = lo + len(s.rows)
+            np.ldexp(s.values, -self.exponent[lo:hi, None], out=self.points[lo:hi])
+            lo = hi
         self.adjust = (None if sets[0].adjust is None
                        else np.repeat([s.adjust for s in sets], [len(s.rows) for s in sets]))
+
+    def scaled(self, beta) -> np.ndarray:
+        """``beta``, one value or one per row, in the rows' coordinates, held
+        within +-2**60: farther out every point (at most 1 in magnitude)
+        rounds away against beta, so the ratio no longer changes (infinite
+        for plain EL, on its plateau under the centered adjustment).  Beta's
+        mantissa is scaled, so that nothing overflows on the way."""
+        mantissa, exponent = np.frexp(beta)
+        scaled = np.ldexp(mantissa, np.minimum(exponent - self.exponent, 61))
+        return scaled.clip(-2.0 ** 60, 2.0 ** 60)
+
+    def unscaled(self, x, rows) -> np.ndarray:
+        """``x[j]``, in the coordinates of stacked row ``rows[j]``, in the data's."""
+        return np.ldexp(x, self.exponent[rows])
+
+    def seeds(self) -> np.ndarray:
+        """Each row's seed and estimate, in its coordinates, as two rows."""
+        return self.scaled(np.array([np.concatenate([s.seed for s in self.sets]),
+                                     np.concatenate([s.estimate for s in self.sets])]))
 
     def _el_rows(self, rows, beta):
         """The EL point sets and hypothesized means of stacked row ``rows[j]``
@@ -323,9 +355,9 @@ class _StackedRatio:
         """The ratio of every row at ``beta0``, from one batched solve, or
         the error the row's solve fails with; the ratio is infinite outside
         the hull of a plain row."""
-        beta = [_scaled_beta(float(beta0), e) for e in self.exponent]
+        beta = self.scaled(float(beta0))
         z, mu, _ = self._el_rows(slice(None), beta)
-        ratio, errors = self._ratios(_el.solve_rows(z, mu, np.zeros(len(beta))))
+        ratio, errors = self._ratios(_el.solve_rows(z, mu, np.zeros(beta.size)))
         ratio = ratio.tolist()
         for j, exc in errors.items():
             ratio[j] = exc
@@ -407,10 +439,7 @@ def _ajel_problems(pv: _RowSet, r, rule, a_n) -> _RowSet:
     if not pv.rows:
         return pv
     n = pv.values.shape[1]
-    try:
-        a = adjustment_constant(n) if a_n is None else float(a_n)
-    except PwmError as exc:
-        return _failing(pv.status, pv.rows, exc)
+    a = adjustment_constant(n) if a_n is None else float(a_n)
     if rule == "centered":
         return _RowSet(pv.status, pv.rows, pv.values, pv.estimate, pv.estimate, "AJEL", a)
     # the augmented set does not depend on the tested value, so the ratio
@@ -490,12 +519,6 @@ def check_options(methods, rule: str = "centered", a_n=None, *, level=None,
         if not np.isfinite(a) or a <= 0:
             raise PwmInputError(f"adjustment constant must be positive, got {a_n!r}")
     return methods
-
-
-def _neg2_ratio(sample, r, beta0, method: str, rule: str = "centered", a_n=None) -> float:
-    check_options((method,), rule, a_n, beta0=beta0)
-    (rows,) = _method_problems([sample], r, (method,), rule, a_n)
-    return _raised(_StackedRatio([rows]).statistics(beta0)[0] if rows.rows else rows.status[0])
 
 
 def _raised(result):
@@ -643,7 +666,8 @@ def _by_stack(sets: list[_RowSet], engine, result) -> list[tuple]:
             kind.append([c])
     groups = [stack for kind in stacks.values() for stack in kind]
     columns = [rows.status for rows in sets]
-    for stack, values in zip(groups, engine([[sets[c] for c in stack] for stack in groups])):
+    for stack, values in zip(groups, engine([[sets[c] for c in stack] for stack in groups])
+                                     if groups else ()):
         values = iter(values)
         for c in stack:
             rows = sets[c]
@@ -652,19 +676,6 @@ def _by_stack(sets: list[_RowSet], engine, result) -> list[tuple]:
             for j, (i, value) in enumerate(zip(rows.rows, values)):
                 column[i] = value if isinstance(value, PwmError) else result(rows, j, value)
     return list(zip(*columns))
-
-
-def _scaled_beta(beta: float, exponent: int) -> float:
-    """``beta`` in the coordinates of a stacked row with this ``exponent``.
-
-    Held within +-2**60 there: farther out every point (at most 1 in
-    magnitude) rounds away against beta, so the ratio no longer changes; it
-    is infinite for plain EL and at its plateau under the centered
-    adjustment, whose point set is then exactly proportional to beta.
-    """
-    if math.frexp(beta)[1] - exponent > 60:
-        return math.copysign(2.0 ** 60, beta)
-    return math.ldexp(beta, -exponent)
 
 
 def _between(x, a, b):
@@ -680,49 +691,156 @@ def _warm_start(lam, dlam, bend, dx):
 
 
 class _Searches:
-    """The endpoint searches of one or more stacks, as arrays over the
-    searches still running; :func:`_endpoint_searches` builds them and
-    :meth:`advance` takes all of them one step.
+    """The lower and upper endpoint searches of the rows of one or more
+    stacks, as arrays over the searches still running, in the rows'
+    coordinates: built from the stacks, one lockstep round per
+    :meth:`advance`, read by :meth:`results`.  A row whose seed fails is not
+    searched.  Search ``key`` is the lower (even) or upper search of stacked
+    row ``row``; stack t's searched rows ``rows[t]`` have keys from ``first[t]``.
 
-    Search ``key`` is the lower (even ``key``) or upper endpoint search of
-    row ``row`` of its stack, in that row's coordinates.  It takes Halley's
-    step on ``h = sqrt(ratio) - sqrt(threshold)``, which is nearly linear in
-    beta, or Newton's where Halley's denominator is not positive or a term
-    is not finite.  The bracket runs from ``inside`` (ratio below the
-    threshold, the seed at first) to ``outside``.  On a bounded row
-    ``outside`` starts at the hull bound on the search's side, unevaluated,
-    and a step that reaches it probes it once (``unprobed``), for its ratio
-    alone.  Where the ratio stays finite the bound is nan, and so is
-    ``outside`` until the search crosses; until then it doubles its
-    distance from the seed.  Steps that leave the bracket become midpoints.
-    A search stops at a point whose ratio residual is at most
-    ``_RESIDUAL_TOL`` and whose next Newton step is at most ``beta_tol``.
-    When the bracket closes to ``beta_tol`` or to float resolution, or
-    after ``_MAX_STEPS`` evaluations, it returns its best point, the first
-    with the least residual in ``history``, if that is within tolerance.
+    Start.  The seed is the mean of the row's m points, with central moments
+    ``m2`` and ``m3``.  The first Newton step from it, ``delta =
+    sqrt(threshold * m2 / m)``, is skewed by ``kappa = delta * m3 / (3
+    m2^2)``: the searches start at ``seed - delta (1 - kappa)`` and ``seed +
+    delta (1 + kappa)``, where a skewed ratio crosses the threshold to third
+    order.  Kappa is held within [-1/2, 1/2], since past 1 (a far outlier at
+    a high level) a start would cross the seed.  There the first solve
+    starts from the multiplier's second-order expansion about the seed,
+    where it is 0 and its second derivative is ``2 dlam^2 m3 / m2``.  The
+    step tolerance is ``beta_tol = 1e-8 * beta_scale``, the larger of the
+    estimate's magnitude and its largest distance to a point (from the
+    extremes, as rounding is monotone).  The hull of a bounded row's points,
+    shrunk on both sides, bounds its searches; a start beyond it moves to
+    the middle of the bracket.  The sums and extremes of the points are one
+    set of reductions along each stack's rows, bit for bit the row-by-row
+    ones.  The points are at most 1 in magnitude, so nothing overflows.
+
+    Step.  A search takes Halley's step on ``h = sqrt(ratio) -
+    sqrt(threshold)``, which is nearly linear in beta, or Newton's where
+    Halley's denominator is not positive or a term is not finite.  The
+    bracket runs from ``inside`` (ratio below the threshold, the seed at
+    first) to ``outside``.  On a bounded row ``outside`` starts at the hull
+    bound on the search's side, unevaluated, and a step that reaches it
+    probes it once (``unprobed``), for its ratio alone.  Where the ratio
+    stays finite the bound is nan, and so is ``outside`` until the search
+    crosses; until then it doubles its distance from the seed.  Steps that
+    leave the bracket become midpoints.  A search stops at a point whose
+    ratio residual is at most ``_RESIDUAL_TOL`` and whose next Newton step
+    is at most ``beta_tol``.  When the bracket closes to ``beta_tol`` or to
+    float resolution, or after ``_MAX_STEPS`` evaluations, it returns its
+    best point, the first with the least residual in ``history``, if that
+    is within tolerance.
 
     Every search evaluates once per round, probes included, so ``evals``
     is the evaluation count of each search still running.  The solve at
     ``x`` starts from ``lam0``, the multiplier's tangent from the last point
     solved, ``solved_at``.  ``probe`` marks the searches whose ``x`` is
     their bound, or is None.  Results land in ``endpoint``, ``evaluations``
-    and ``failure`` by key, with an error's bound and best point scaled back
-    by ``2**exponent[key // 2]``.
+    and ``failure`` by key.
     """
 
     _STATE = ("key", "row", "seed", "bound", "unprobed", "beta_tol", "inside", "outside",
               "solved_at", "lam", "dlam", "x")
 
-    def __init__(self, threshold: float, exponent: np.ndarray, **state):
-        self.threshold, self.root_threshold = threshold, math.sqrt(threshold)
-        self.exponent = exponent
-        self.__dict__.update(state)
+    def __init__(self, stacks: list[_StackedRatio], threshold: float):
+        self.stacks, self.threshold, self.root_threshold = stacks, threshold, math.sqrt(threshold)
+        self.outs, self.rows = [], []  # per stack: each row's result (None if searched), rows
+        columns = []  # per stack: rows, m, m2, m3, extremes, hull bounds (or nan), at the seeds
+        for ratio in stacks:
+            seed, estimate = ratio.seeds()
+            at_seed, lam, dlam, errors = ratio.at_seeds(seed)
+            out = [None] * seed.size
+            for j in np.flatnonzero(~(at_seed < threshold)).tolist():
+                out[j] = ConvergenceError(
+                    f"ratio at the point estimate ({at_seed[j]:.4g}) already exceeds "
+                    f"the chi-square threshold ({threshold:.4g}); no interval exists")
+            for j, exc in errors.items():
+                out[j] = exc
+            rows = np.array([j for j, o in enumerate(out) if o is None], dtype=int)
+            points = ratio.points
+            if rows.size < len(out):
+                points, estimate, seed, lam, dlam = (
+                    c[rows] for c in (points, estimate, seed, lam, dlam))
+            m = points.shape[1]
+            c = points - (np.add.reduce(points, axis=1) / m)[:, None]
+            c2 = c * c
+            m2 = np.add.reduce(c2, axis=1) / m
+            m3 = np.add.reduce(np.multiply(c2, c, out=c2), axis=1) / m
+            vmin, vmax = points.min(axis=1), points.max(axis=1)
+            shrink = _HULL_SHRINK * (vmax - vmin) if ratio.adjust is None else math.nan
+            self.outs.append(out)
+            self.rows.append(rows)
+            columns.append((rows, np.full(rows.size, m), m2, m3, vmin, vmax,
+                            vmin + shrink, vmax - shrink, estimate, seed, lam, dlam))
+        self.first = np.cumsum([0] + [2 * rows.size for rows in self.rows])
+        columns = columns[0] if len(stacks) == 1 else [np.concatenate(c) for c in zip(*columns)]
+        rows, m, m2, m3, vmin, vmax, lower, upper, estimate, seed, lam, dlam = columns
+        scale = np.maximum(np.maximum(np.abs(estimate), vmax - estimate), estimate - vmin)
+        delta = np.sqrt(threshold * m2 / m)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kappa = np.minimum(np.maximum(delta * m3 / (3.0 * m2 * m2), -0.5), 0.5)
+            bend = dlam * dlam * m3 / m2
+        flat = m2 == 0.0  # no spread: no skew
+        if np.count_nonzero(flat):
+            kappa[flat] = bend[flat] = 0.0
+
+        def by_key(lower, upper=None):  # each row's value for its two searches
+            if upper is None:
+                return np.repeat(lower, 2)
+            out = np.empty(2 * lower.size)
+            out[0::2], out[1::2] = lower, upper
+            return out
+
+        x = by_key(seed - delta * (1.0 - kappa), seed + delta * (1.0 + kappa))
+        seed, bound = by_key(seed), by_key(lower, upper)
+        unprobed = ~np.isnan(bound)
+        np.copyto(x, 0.5 * (seed + bound), where=unprobed & ~_between(x, seed, bound))
+        lam, dlam = by_key(lam), by_key(dlam)
+        with np.errstate(invalid="ignore", over="ignore"):
+            self.lam0 = _warm_start(lam, dlam, by_key(bend), x - seed)
+        self.key, self.row, self.seed, self.bound = np.arange(seed.size), by_key(rows), seed, bound
+        self.unprobed, self.beta_tol = unprobed, by_key(_BETA_TOL * scale)
+        self.inside, self.outside = seed.copy(), bound.copy()
+        self.solved_at, self.lam, self.dlam, self.x = seed, lam, dlam, x
         self.probe, self.evals, self.history, self.failure = None, 0, [], {}
         self.reaching = bool(np.count_nonzero(np.isnan(self.outside)))
         self.endpoint = np.full(self.key.size, math.nan)
         self.evaluations = np.zeros(self.key.size, dtype=int)
 
-    def advance(self, ratio, slope, lam, dlam, curvature, errors: dict) -> None:
+    def advance(self) -> None:
+        """One lockstep round: one batched solve per stack at its running
+        searches' points, and one step of all of them."""
+        ends = np.searchsorted(self.key, self.first).tolist()
+        spans = [(ratio, a, b) for ratio, a, b in zip(self.stacks, ends, ends[1:]) if a < b]
+        parts = [ratio(self.row[a:b], self.x[a:b], self.lam0[a:b]) for ratio, a, b in spans]
+        if len(parts) == 1:
+            self._step(*parts[0])
+        else:
+            self._step(*(np.concatenate(field) for field in list(zip(*parts))[:5]),
+                       {a + t: exc for part, (_, a, _) in zip(parts, spans)
+                        for t, exc in part[5].items()})
+
+    def results(self) -> list:
+        """Per stack, its rows' ``(lower, upper, evaluations)`` in the data's
+        coordinates, or the error at the seed, else the lower, else the upper
+        search's."""
+        for ratio, rows, out, a in zip(self.stacks, self.rows, self.outs, self.first.tolist()):
+            keys = slice(a, a + 2 * rows.size)
+            # a failed search's endpoint is never read and may lie far out
+            with np.errstate(over="ignore"):
+                ends = ratio.unscaled(self.endpoint[keys], rows.repeat(2)).tolist()
+            evals = self.evaluations[keys].tolist()
+            for t, j in zip(range(0, len(ends), 2), rows.tolist()):
+                out[j] = self.failure.get(a + t) or self.failure.get(a + t + 1) or (
+                    ends[t], ends[t + 1], evals[t] + evals[t + 1])
+        return self.outs
+
+    def _unscaled(self, j: int, x: float) -> float:
+        """``x``, in the coordinates of running search ``j``, in the data's."""
+        t = int(np.searchsorted(self.first, self.key[j], side="right")) - 1
+        return float(self.stacks[t].unscaled(x, self.row[j]))
+
+    def _step(self, ratio, slope, lam, dlam, curvature, errors: dict) -> None:
         """One step of every search from the evaluation at its ``x``, as
         :class:`_StackedRatio` returns it, with ``{position: error}`` for the
         failed solves.  A failed lower search ends its upper search too."""
@@ -817,12 +935,11 @@ class _Searches:
         self.endpoint[key], self.evaluations[key] = self.solved_at, self.evals
         for j in np.flatnonzero(ended & ~done).tolist():
             k = int(key[j])
-            e = int(self.exponent[k // 2])
             if j in errors:
                 exc = errors[j]
             elif below_bound is not None and below_bound[j]:
                 exc = ConvergenceError("ratio stays below the threshold out to the hull bound "
-                                       f"{math.ldexp(float(self.bound[j]), e):.6g}")
+                                       f"{self._unscaled(j, self.bound[j]):.6g}")
             elif expand_failed is not None and expand_failed[j]:
                 exc = ConvergenceError("adjusted ratio appears bounded below the threshold; "
                                        "the interval does not close on this side")
@@ -837,7 +954,7 @@ class _Searches:
                     continue
                 exc = ConvergenceError(
                     f"interval endpoint stalled with ratio residual {best_resid:.3e}",
-                    best=math.ldexp(best, e))
+                    best=self._unscaled(j, best))
             self.failure[k] = exc
             if k % 2 == 0 and j + 1 < key.size and key[j + 1] == k + 1:
                 ended[j + 1] = True
@@ -849,135 +966,14 @@ class _Searches:
             self.probe = probe if np.count_nonzero(probe) else None
 
 
-def _endpoint_searches(stacks: list, threshold: float) -> _Searches:
-    """The lower and upper endpoint searches of the given rows of one or
-    more stacks, keys ``2 t`` and ``2 t + 1`` for the t-th row counted over
-    all stacks.  Each entry of ``stacks`` holds a :class:`_StackedRatio`,
-    its rows to search, and their exponents, and estimates, seeds,
-    multipliers and multiplier's derivatives in the rows' coordinates
-    (entries after those are the caller's).  The sums and extremes of the
-    points are one set of reductions along each stack's rows, bit for bit
-    the row-by-row ones; the rest is arithmetic on arrays over the rows.
-
-    The seed is the mean of the m points, with central moments ``m2`` and
-    ``m3``.  The first Newton step from it, ``delta = sqrt(threshold * m2 /
-    m)``, is skewed by ``kappa = delta * m3 / (3 m2^2)``: the searches start
-    at ``seed - delta (1 - kappa)`` and ``seed + delta (1 + kappa)``, where a
-    skewed ratio crosses the threshold to third order.  Kappa is held within
-    [-1/2, 1/2], since past 1 (a far outlier at a high level) a start would
-    cross the seed.  There the first solve starts from the multiplier's
-    second-order expansion about the seed, where it is 0 and its second
-    derivative is ``2 dlam^2 m3 / m2``.  The step tolerance is ``beta_tol =
-    1e-8 * beta_scale``, where ``beta_scale`` is the larger of the
-    estimate's magnitude and the largest distance from it to a point (taken
-    from the extremes, as rounding is monotone); when the row is
-    bounded the hull of its points, shrunk on both sides, bounds the
-    search, and a start beyond it moves to the middle of the bracket.  The
-    points are at most 1 in magnitude, so none of this can overflow.
-    """
-    columns = []  # per stack: rows, m, m2, m3, extremes, hull bounds (or nan), given
-    for ratio, rows, *given in stacks:
-        points = ratio.points if len(rows) == len(ratio.points) else ratio.points[rows]
-        m = points.shape[1]
-        c = points - (np.add.reduce(points, axis=1) / m)[:, None]
-        c2 = c * c
-        m2 = np.add.reduce(c2, axis=1) / m
-        m3 = np.add.reduce(np.multiply(c2, c, out=c2), axis=1) / m
-        vmin, vmax = points.min(axis=1), points.max(axis=1)
-        shrink = _HULL_SHRINK * (vmax - vmin) if ratio.adjust is None else math.nan
-        columns.append((rows, np.full(len(rows), m), m2, m3, vmin, vmax,
-                        vmin + shrink, vmax - shrink, *given[:5]))
-    columns = columns[0] if len(stacks) == 1 else [np.concatenate(c) for c in zip(*columns)]
-    rows, m, m2, m3, vmin, vmax, lower, upper, exponent, estimate, seed, lam, dlam = columns
-    scale = np.maximum(np.maximum(np.abs(estimate), vmax - estimate), estimate - vmin)
-    delta = np.sqrt(threshold * m2 / m)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kappa = np.minimum(np.maximum(delta * m3 / (3.0 * m2 * m2), -0.5), 0.5)
-        bend = dlam * dlam * m3 / m2
-    flat = m2 == 0.0  # no spread: no skew
-    if np.count_nonzero(flat):
-        kappa[flat] = bend[flat] = 0.0
-
-    def by_key(lower, upper=None):  # each row's value for its two searches
-        if upper is None:
-            return np.repeat(lower, 2)
-        out = np.empty(2 * lower.size)
-        out[0::2], out[1::2] = lower, upper
-        return out
-
-    x = by_key(seed - delta * (1.0 - kappa), seed + delta * (1.0 + kappa))
-    seed, bound = by_key(seed), by_key(lower, upper)
-    unprobed = ~np.isnan(bound)
-    np.copyto(x, 0.5 * (seed + bound), where=unprobed & ~_between(x, seed, bound))
-    lam, dlam = by_key(lam), by_key(dlam)
-    with np.errstate(invalid="ignore", over="ignore"):
-        lam0 = _warm_start(lam, dlam, by_key(bend), x - seed)
-    return _Searches(
-        threshold, exponent, key=np.arange(seed.size), row=by_key(rows), seed=seed,
-        bound=bound, unprobed=unprobed, beta_tol=by_key(_BETA_TOL * scale), inside=seed.copy(),
-        outside=bound.copy(), solved_at=seed, lam=lam, dlam=dlam, x=x, lam0=lam0)
-
-
 def _lockstep_intervals(stacks: list, level: float) -> list:
     """The interval ends of every row of each of ``stacks`` (each a list of
-    row sets), as ``(lower, upper, evaluations)``, or the error that ends
-    the row's interval, as one list per stack.
-
-    Each row's ratio is inverted on both sides of its seed.  The searches
-    of all stacks advance together as arrays (:class:`_Searches`): a round
-    is one batched solve per stack at the running searches' points and one
-    masked step of all of them, and a search leaves the arrays when it
-    finishes or fails.  A failure ends its own row only; a lower endpoint's
-    failure wins and ends the upper search, so a row's result does not
-    depend on the others in the batch.
-    """
-    threshold = chi2_1_quantile(level)
-    outs, searched = [], []  # searched: (ratio, rows, their columns, results)
-    for sets in stacks:
-        ratio = _StackedRatio(sets)
-        exponent = np.array(ratio.exponent)
-        seeds = np.ldexp(np.concatenate([s.seed for s in sets]), -exponent)
-        at_seed, lam, dlam, errors = ratio.at_seeds(seeds)
-        out = [None] * seeds.size
-        outs.append(out)
-        for j in np.flatnonzero(~(at_seed < threshold)).tolist():
-            out[j] = ConvergenceError(
-                f"ratio at the point estimate ({at_seed[j]:.4g}) already exceeds "
-                f"the chi-square threshold ({threshold:.4g}); no interval exists")
-        for j, exc in errors.items():
-            out[j] = exc
-        rows = [j for j, o in enumerate(out) if o is None]
-        if rows:
-            estimate = np.ldexp(np.concatenate([s.estimate for s in sets]), -exponent)
-            columns = (exponent, estimate, seeds, lam, dlam)
-            if len(rows) < len(out):
-                columns = tuple(c[rows] for c in columns)
-            searched.append((ratio, np.array(rows), *columns, out))
-    if not searched:
-        return outs
-    searches = _endpoint_searches(searched, threshold)
-    first = np.cumsum([0] + [2 * stack[1].size for stack in searched])  # keys per stack
+    row sets), as :meth:`_Searches.results` gives them.  A failure ends its
+    own row only, so a row's result does not depend on the batch."""
+    searches = _Searches([_StackedRatio(sets) for sets in stacks], chi2_1_quantile(level))
     while searches.key.size:
-        ends = np.searchsorted(searches.key, first).tolist()
-        spans = [(stack[0], a, b) for stack, a, b in zip(searched, ends, ends[1:]) if a < b]
-        parts = [ratio(searches.row[a:b], searches.x[a:b], searches.lam0[a:b])
-                 for ratio, a, b in spans]
-        if len(parts) == 1:
-            searches.advance(*parts[0])
-        else:
-            searches.advance(*(np.concatenate(field) for field in list(zip(*parts))[:5]),
-                             {a + t: exc for part, (_, a, _) in zip(parts, spans)
-                              for t, exc in part[5].items()})
-    endpoint, evaluations = searches.endpoint.tolist(), searches.evaluations.tolist()
-    key = 0
-    failure = searches.failure
-    for _, rows, exponent, *_, out in searched:
-        for j, e in zip(rows.tolist(), exponent.tolist()):
-            out[j] = failure.get(key) or failure.get(key + 1) or (
-                math.ldexp(endpoint[key], e), math.ldexp(endpoint[key + 1], e),
-                evaluations[key] + evaluations[key + 1])
-            key += 2
-    return outs
+        searches.advance()
+    return searches.results()
 
 
 def jel_neg2_ratio(sample, r: int, beta0: float) -> float:
@@ -985,7 +981,7 @@ def jel_neg2_ratio(sample, r: int, beta0: float) -> float:
 
     Infinite when beta0 lies outside the open hull of the pseudo-values.
     """
-    return _neg2_ratio(sample, r, beta0, "JEL")
+    return ratio_test(sample, r, beta0, 0.5, "JEL").statistic
 
 
 def ajel_neg2_ratio(sample, r: int, beta0: float, rule: str = "centered", a_n=None) -> float:
@@ -996,7 +992,7 @@ def ajel_neg2_ratio(sample, r: int, beta0: float, rule: str = "centered", a_n=No
     rule the hull constraint applies to the augmented point set, so the
     infinite marker can still occur.
     """
-    return _neg2_ratio(sample, r, beta0, "AJEL", rule, a_n)
+    return ratio_test(sample, r, beta0, 0.5, "AJEL", rule, a_n).statistic
 
 
 def jel_confidence_interval(sample, r: int, level: float = 0.95) -> ConfidenceInterval:

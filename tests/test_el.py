@@ -226,9 +226,8 @@ def test_ratio_and_slope_solves_through_the_module_attribute(monkeypatch):
     ratio = _StackedRatio([rows] * el._VECTOR_ROWS)
     # the stack solves in its rows' coordinates: the data scaled by a power
     # of two into [-1, 1)
-    e = ratio.exponent[0]
     z = ratio.points[0]
-    assert np.array_equal(z, np.ldexp(data, -e)) and 0.5 <= np.abs(z).max() < 1.0
+    assert np.array_equal(ratio.unscaled(z, 0), data) and 0.5 <= np.abs(z).max() < 1.0
     mu = [float(np.quantile(z, q)) for q in (0.2, 0.5, 0.8)]
     # below the vectorised row count each row is one solve_lambda call
     for k in range(1, el._VECTOR_ROWS):

@@ -45,7 +45,6 @@ from pwmjel.inference import (
     _lockstep_intervals,
     _method_problems,
     _RowSet,
-    _scaled_beta,
     _StackedRatio,
     confidence_intervals,
     ratio_tests,
@@ -123,8 +122,7 @@ def test_centered_slope_is_the_envelope_derivative():
     cases = ((0.6, None), (0.9, None), (lo - 0.5, None), (hi + 2.0, 3.0))
     ratio = _StackedRatio([_problem(pv, "AJEL", "centered", a_n) for _, a_n in cases])
     # the stack runs in its rows' coordinates, beta * 2**-exponent
-    e = ratio.exponent[0]
-    beta = [_scaled_beta(b, e) for b, _ in cases]
+    beta = ratio.scaled(np.array([b for b, _ in cases]))
     stacked = ratio(np.arange(len(cases)), beta, np.zeros(len(cases)))
     assert stacked[-1] == {}
     h = 1e-6
@@ -136,7 +134,8 @@ def test_centered_slope_is_the_envelope_derivative():
         fd = (ajel_neg2_ratio(pv, 1, b + h, a_n=a_n)
               - ajel_neg2_ratio(pv, 1, b - h, a_n=a_n)) / (2.0 * h)
         assert value == ajel_neg2_ratio(pv, 1, b, a_n=a_n)
-        assert math.ldexp(slope, -e) == pytest.approx(fd, rel=1e-5)
+        # the slope scales as beta's inverse, as the stack maps beta in
+        assert ratio.scaled(slope)[j] == pytest.approx(fd, rel=1e-5)
 
 
 @pytest.mark.parametrize("method, rule, a_n", [
@@ -197,8 +196,7 @@ def _check_seeds(problems, closed, solves):
     ``closed`` and returns bit for bit what a solve of every row returns."""
     ratio = _StackedRatio(problems)
     k = len(ratio.points)
-    seeds = [math.ldexp(seed, -e)
-             for seed, e in zip(np.concatenate([p.seed for p in problems]), ratio.exponent)]
+    seeds, _ = ratio.seeds()
     solves.clear()
     at_seed, lam, dlam, errors = ratio.at_seeds(seeds)
     assert sum(solves) == k - len(closed)
@@ -468,6 +466,27 @@ def test_a_sample_that_from_data_rejects_fails_its_own_row_only():
             assert tests[k] == tuple(ratio_test(xs[k], 1, 1.0, 0.1, m) for m in CI_METHODS)
     with pytest.raises(PwmInputError, match="samples of one size"):
         ratio_tests([xs[0], xs[1][:20], xs[2]], 1, 1.0, 0.1, ("JEL",))
+
+
+def test_malformed_pseudo_values_fail_their_own_row_only():
+    xs = [sample(DistSpec("exponential", 1.0), 12, make_rng(95 + k)) for k in range(2)]
+    pv = jackknife_pseudo_values(xs[1], 1)
+    text = "pseudo-values must be a non-empty one-dimensional array of their n = {} values, got {}"
+    methods = ("JEL", "AJEL")
+    for bad, n, shape in ((dataclasses.replace(pv, values=pv.values[:10]), 12, (10,)),
+                          (dataclasses.replace(pv, values=pv.values[:0], n=0), 0, (0,)),
+                          (dataclasses.replace(pv, values=pv.values[None]), 12, (1, 12)),
+                          (dataclasses.replace(pv, n=13), 13, (12,))):
+        want = {(PwmInputError, text.format(n, shape))}
+        intervals = confidence_intervals([xs[0], bad], 1, 0.9, methods)
+        tests = ratio_tests([xs[0], bad], 1, 1.0, 0.1, methods)
+        for row in (intervals[1], tests[1]):
+            assert {(type(e), str(e)) for e in row} == want
+        assert intervals[0] == tuple(confidence_interval(xs[0], 1, 0.9, m) for m in methods)
+        assert tests[0] == tuple(ratio_test(xs[0], 1, 1.0, 0.1, m) for m in methods)
+        # alone too, where a wrong n ran silently
+        with pytest.raises(PwmInputError, match="pseudo-values must be"):
+            jel_neg2_ratio(bad, 1, 1.0)
 
 
 def test_option_errors_come_before_the_data_checks():
