@@ -1,15 +1,16 @@
 """Print the deterministic work counts of the inference engine: ratio
 evaluations, EL rows solved and Newton iterations per interval, and the
-el.solve_rows calls of a few batched and one-sample calls.
+el.solve_rows calls and lockstep rounds (_Searches.advance calls) of a few
+batched and one-sample calls.
 
 Run from the repository root with the package to count on the path:
 ``PYTHONPATH=src python .github/work_counts.py``.
 """
 
 import numpy as np
-from pwmjel import DistSpec, confidence_interval, el, make_rng, sample
+from pwmjel import DistSpec, confidence_interval, el, inference, make_rng, sample
 from pwmjel.inference import confidence_intervals, ratio_tests
-work = {"calls": 0, "rows": 0, "iterations": 0}
+work = {"calls": 0, "rows": 0, "iterations": 0, "rounds": 0}
 solve_rows = el.solve_rows
 def counting(*args, **kwargs):
     sol = solve_rows(*args, **kwargs)
@@ -18,6 +19,11 @@ def counting(*args, **kwargs):
     work["iterations"] += int(sol.iterations.sum())
     return sol
 el.solve_rows = counting
+advance = inference._Searches.advance
+def round_counting(self):
+    work["rounds"] += 1
+    advance(self)
+inference._Searches.advance = round_counting
 xs = [sample(DistSpec("exponential", 1.0), 300, make_rng(seed)) for seed in range(200)]
 for method, rule in (("JEL", "centered"), ("AJEL", "centered"), ("AJEL", "literal"),
                      ("DNEL", "centered"), ("VXL", "centered")):
@@ -26,17 +32,18 @@ for method, rule in (("JEL", "centered"), ("AJEL", "centered"), ("AJEL", "litera
     print(f"{method} ({rule}): {np.mean(evals):.3f} evaluations, "
           f"{work['rows'] / len(xs):.3f} EL rows solved, "
           f"{work['iterations'] / len(xs):.3f} Newton iterations per interval")
-work.update(calls=0, rows=0, iterations=0)
+work.update(calls=0, rows=0, iterations=0, rounds=0)
 confidence_intervals(xs[:10], 1, 0.95, ("JEL", "AJEL", "DNEL", "VXL"))
-print(f"four-method block of 10 samples: {work['calls']} solve_rows calls, "
-      f"{work['rows']} EL rows solved, {work['iterations']} Newton iterations")
+print(f"four-method block of 10 samples: {work['rounds']} lockstep rounds, {work['calls']} "
+      f"solve_rows calls, {work['rows']} EL rows solved, {work['iterations']} Newton iterations")
 for n in (50, 300, 3000):
     x = sample(DistSpec("exponential", 1.0), n, make_rng(n))
     for rule in ("centered", "literal"):
-        work.update(calls=0, rows=0, iterations=0)
+        work.update(calls=0, rows=0, iterations=0, rounds=0)
         confidence_intervals([x], 1, 0.95, ("JEL", "AJEL", "DNEL", "VXL"), rule)
-        print(f"one-sample four-method call, n = {n} ({rule}): {work['calls']} solve_rows "
-              f"calls, {work['rows']} EL rows solved, {work['iterations']} Newton iterations")
+        print(f"one-sample four-method call, n = {n} ({rule}): {work['rounds']} lockstep "
+              f"rounds, {work['calls']} solve_rows calls, {work['rows']} EL rows solved, "
+              f"{work['iterations']} Newton iterations")
 for n in (25, 300, 3000):
     xs = [sample(DistSpec("lognormal", 1.0), n, make_rng(seed)) for seed in range(50)]
     work.update(calls=0, rows=0, iterations=0)

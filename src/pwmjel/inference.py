@@ -45,6 +45,7 @@ endpoint searches from its stacks.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,7 @@ __all__ = [
     "TestResult",
     "adjustment_constant",
     "check_options",
+    "check_probability",
     "confidence_interval",
     "confidence_intervals",
     "ratio_test",
@@ -488,22 +490,31 @@ CI_METHODS = tuple(_METHODS)
 _ON_PSEUDO_VALUES = frozenset({"JEL", "AJEL"})
 
 
-def check_options(methods, rule: str = "centered", a_n=None, *, level=None,
-                  alpha=None, beta0=None) -> tuple[str, ...]:
-    """Check the options of an interval or test, before any numeric work.
+def _real(value) -> float:
+    """``value`` as a float if it is a real number (not a bool) in the float
+    range, else nan, which every option check rejects."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    return math.nan
 
-    ``level`` and ``alpha`` must lie in (0, 1) and ``beta0`` must be finite
-    (each is checked unless None); ``methods`` must be a non-empty sequence of
-    names from :data:`CI_METHODS` other than a string, ``rule`` must be
-    ``centered`` or ``literal``, and ``a_n``, unless None, must be positive and
-    finite.  Raises :class:`PwmInputError`; returns the methods as a tuple.
-    """
-    if level is not None and not 0.0 < level < 1.0:
-        raise PwmInputError(f"confidence level must be in (0, 1), got {level}")
-    if alpha is not None and not 0.0 < alpha < 1.0:
-        raise PwmInputError(f"test size must be in (0, 1), got {alpha}")
-    if beta0 is not None and not math.isfinite(float(beta0)):
-        raise PwmInputError("hypothesized value must be finite")
+
+def check_probability(value, name: str) -> None:
+    """Raise :class:`PwmInputError` unless ``value``, the option ``name``
+    (a confidence level or a test size), is a real number in (0, 1)."""
+    if not 0.0 < _real(value) < 1.0:
+        raise PwmInputError(f"{name} must be in (0, 1), got {value!r}")
+
+
+def check_options(methods, rule: str = "centered", a_n=None) -> tuple[str, ...]:
+    """Check the methods and adjustment of an interval or test, before any
+    numeric work: ``methods`` is a non-empty sequence of names from
+    :data:`CI_METHODS` other than a string, ``rule`` is ``centered`` or
+    ``literal`` and ``a_n`` is None (for :func:`adjustment_constant`) or a
+    positive finite real number.  Raises :class:`PwmInputError`; returns
+    the methods as a tuple."""
     if isinstance(methods, str):
         raise PwmInputError(f"methods must be a sequence of names, not the string {methods!r}")
     methods = tuple(methods)
@@ -514,10 +525,8 @@ def check_options(methods, rule: str = "centered", a_n=None, *, level=None,
         raise PwmInputError("at least one method is required")
     if rule not in _RULES:
         raise PwmInputError(f"unknown adjustment rule {rule!r}; expected {_RULES}")
-    if a_n is not None:
-        a = float(a_n)
-        if not np.isfinite(a) or a <= 0:
-            raise PwmInputError(f"adjustment constant must be positive, got {a_n!r}")
+    if a_n is not None and not 0.0 < _real(a_n) < math.inf:
+        raise PwmInputError(f"adjustment constant must be positive, got {a_n!r}")
     return methods
 
 
@@ -572,7 +581,8 @@ def confidence_intervals(samples, r: int, level: float, methods,
     holding the interval or the :class:`PwmError` that
     :func:`confidence_interval` raises for that sample alone.
     """
-    methods = check_options(methods, rule, a_n, level=level)
+    check_probability(level, "confidence level")
+    methods = check_options(methods, rule, a_n)
     return _by_stack(_method_problems(samples, r, methods, rule, a_n),
                      lambda stacks: _lockstep_intervals(stacks, level),
                      lambda rows, j, ends: ConfidenceInterval(
@@ -584,7 +594,10 @@ def ratio_tests(samples, r: int, beta0: float, alpha: float, methods,
     """:func:`ratio_test` for every sample and method, one batched EL solve
     per stack of :func:`confidence_intervals`; returned as it returns
     intervals."""
-    methods = check_options(methods, rule, a_n, alpha=alpha, beta0=beta0)
+    check_probability(alpha, "test size")
+    if not math.isfinite(_real(beta0)):
+        raise PwmInputError(f"hypothesized value must be a finite number, got {beta0!r}")
+    methods = check_options(methods, rule, a_n)
     threshold = chi2_1_quantile(1.0 - alpha)
     return _by_stack(_method_problems(samples, r, methods, rule, a_n),
                      lambda stacks: [_StackedRatio(sets).statistics(beta0) for sets in stacks],
@@ -728,19 +741,21 @@ class _Searches:
     ratio residual is at most ``_RESIDUAL_TOL`` and whose next Newton step
     is at most ``beta_tol``.  When the bracket closes to ``beta_tol`` or to
     float resolution, or after ``_MAX_STEPS`` evaluations, it returns its
-    best point, the first with the least residual in ``history``, if that
-    is within tolerance.
+    best point ``best``, the first with the least residual ``best_size``,
+    if that is within tolerance.
 
     Every search evaluates once per round, probes included, so ``evals``
     is the evaluation count of each search still running.  The solve at
     ``x`` starts from ``lam0``, the multiplier's tangent from the last point
     solved, ``solved_at``.  ``probe`` marks the searches whose ``x`` is
-    their bound, or is None.  Results land in ``endpoint``, ``evaluations``
-    and ``failure`` by key.
+    their bound; a probe's residual counts as infinite.  Each quantity of
+    the running searches is one array in ``_STATE``, and an ended search
+    leaves all of them at once.  Results land in ``endpoint``,
+    ``evaluations`` and ``failure`` by key.
     """
 
     _STATE = ("key", "row", "seed", "bound", "unprobed", "beta_tol", "inside", "outside",
-              "solved_at", "lam", "dlam", "x")
+              "solved_at", "lam", "dlam", "x", "probe", "best", "best_size")
 
     def __init__(self, stacks: list[_StackedRatio], threshold: float):
         self.stacks, self.threshold, self.root_threshold = stacks, threshold, math.sqrt(threshold)
@@ -802,8 +817,8 @@ class _Searches:
         self.unprobed, self.beta_tol = unprobed, by_key(_BETA_TOL * scale)
         self.inside, self.outside = seed.copy(), bound.copy()
         self.solved_at, self.lam, self.dlam, self.x = seed, lam, dlam, x
-        self.probe, self.evals, self.history, self.failure = None, 0, [], {}
-        self.reaching = bool(np.count_nonzero(np.isnan(self.outside)))
+        self.probe, self.evals, self.failure = np.zeros(seed.size, dtype=bool), 0, {}
+        self.best, self.best_size = np.full(seed.size, math.nan), np.full(seed.size, math.inf)
         self.endpoint = np.full(self.key.size, math.nan)
         self.evaluations = np.zeros(self.key.size, dtype=int)
 
@@ -850,6 +865,11 @@ class _Searches:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             resid = ratio - self.threshold
             size = np.abs(resid)
+            # a probe reads the ratio alone: it is never done nor a best point
+            np.copyto(size, math.inf, where=probe)
+            better = size < self.best_size
+            np.copyto(self.best, x, where=better)
+            np.copyto(self.best_size, size, where=better)
             root = np.sqrt(ratio)
             h = root - self.root_threshold
             two_root = 2.0 * root
@@ -865,65 +885,47 @@ class _Searches:
             # leaves the denominator nan or infinite
             halley_ok = (0.0 < denominator) & (denominator < math.inf) & np.isfinite(halley)
             np.copyto(step, halley, where=halley_ok)
+            # a probe below the threshold fails its search; one above it
+            # finds ``outside`` at the bound already
             below = resid < 0.0
-            below_bound = expand_failed = None
-            if probe is None:
-                solved_at = x
-                np.copyto(inside, x, where=below)
-            else:  # a probe reads the ratio alone
-                regular = ~probe
-                below_bound = probe & (ratio < self.threshold)
-                done &= regular
-                np.copyto(inside, x, where=below & regular)
-                below |= probe
-                size = np.where(probe, math.inf, size)
-                solved_at = np.where(probe, self.solved_at, x)
-                np.copyto(lam, self.lam, where=probe)
-                np.copyto(dlam, self.dlam, where=probe)
-                self.unprobed &= regular
+            below_bound = probe & below
+            np.copyto(inside, x, where=below)
             np.copyto(outside, x, where=~below)
-            self.history.append((self.key, x, size))
+            solved_at = np.where(probe, self.solved_at, x)
+            np.copyto(lam, self.lam, where=probe)
+            np.copyto(dlam, self.dlam, where=probe)
             # the step inside the bracket, else the midpoint (both nan while
             # there is no outside end)
             x = 0.5 * (inside + outside)
             lo, hi = np.minimum(inside, outside), np.maximum(inside, outside)
-            stride = (lo < step) & (step < hi)
+            stride = (lo < step) & (step < hi) & ~probe
             stop = hi - lo <= beta_tol
-            if probe is not None:
-                stride &= regular
-                stop &= regular
             np.copyto(x, step, where=stride)
-            midpoint, probe = ~stride, None
+            midpoint = ~stride
+            probe = midpoint  # all False, unless some step fell back
             if np.count_nonzero(midpoint):
-                reaches = midpoint & self.unprobed & (outside == self.bound)
-                if np.count_nonzero(reaches):  # Newton's step is nan at a zero slope
-                    reaches &= (((step - self.bound) * (self.bound - self.seed) >= 0.0)
-                                & (halley_ok | (slope != 0.0)))
-                    probe = reaches if np.count_nonzero(reaches) else None
                 resolved = midpoint & ((x == inside) | (x == outside))
-                stop |= resolved if probe is None else resolved & ~probe
-            if self.reaching:
-                far = np.isnan(outside)
-                self.reaching = bool(np.count_nonzero(far))
-                if self.reaching:
-                    reach = self.seed + 2.0 * (inside - self.seed)
-                    np.copyto(reach, step, where=_between(step, inside, reach))
-                    np.copyto(x, reach, where=far)
-                    if self.evals >= _MAX_EXPAND:
-                        expand_failed = far & ~done
+                probe = midpoint & self.unprobed & (outside == self.bound)
+                if np.count_nonzero(probe):  # Newton's step is nan at a zero slope
+                    probe &= (((step - self.bound) * (self.bound - self.seed) >= 0.0)
+                              & (halley_ok | (slope != 0.0)))
+                    self.unprobed &= ~probe
+                    resolved &= ~probe
+                    np.copyto(x, self.bound, where=probe)
+                stop |= resolved
+            far = np.isnan(outside)
+            if np.count_nonzero(far):
+                reach = self.seed + 2.0 * (inside - self.seed)
+                np.copyto(reach, step, where=_between(step, inside, reach))
+                np.copyto(x, reach, where=far)
+            expand_failed = far & (self.evals >= _MAX_EXPAND)
             if self.evals >= _MAX_STEPS:
-                stop |= True if probe is None else ~probe
-            ended = done | stop
-            for failed in (below_bound, expand_failed):
-                if failed is not None:
-                    ended |= failed
+                stop |= ~probe
+            ended = done | stop | below_bound | expand_failed
             if errors:
                 done[list(errors)] = False
                 ended[list(errors)] = True
-            self.solved_at, self.lam, self.dlam = solved_at, lam, dlam
-            self.x, self.probe = x, probe
-            if probe is not None:
-                np.copyto(x, self.bound, where=probe)
+            self.solved_at, self.lam, self.dlam, self.x, self.probe = solved_at, lam, dlam, x, probe
             if np.count_nonzero(ended):
                 self._retire(ended, done, errors, below_bound, expand_failed)
             self.lam0 = _warm_start(self.lam, self.dlam, 0.0, self.x - self.solved_at)
@@ -937,33 +939,25 @@ class _Searches:
             k = int(key[j])
             if j in errors:
                 exc = errors[j]
-            elif below_bound is not None and below_bound[j]:
+            elif below_bound[j]:
                 exc = ConvergenceError("ratio stays below the threshold out to the hull bound "
                                        f"{self._unscaled(j, self.bound[j]):.6g}")
-            elif expand_failed is not None and expand_failed[j]:
+            elif expand_failed[j]:
                 exc = ConvergenceError("adjusted ratio appears bounded below the threshold; "
                                        "the interval does not close on this side")
+            elif self.best_size[j] <= _RESIDUAL_TOL:
+                self.endpoint[k] = self.best[j]
+                continue
             else:
-                best, best_resid = math.nan, math.inf
-                for keys, xs, sizes in self.history:
-                    t = int(np.searchsorted(keys, k))
-                    if t < keys.size and keys[t] == k and sizes[t] < best_resid:
-                        best, best_resid = float(xs[t]), float(sizes[t])
-                if best_resid <= _RESIDUAL_TOL:
-                    self.endpoint[k] = best
-                    continue
                 exc = ConvergenceError(
-                    f"interval endpoint stalled with ratio residual {best_resid:.3e}",
-                    best=self._unscaled(j, best))
+                    f"interval endpoint stalled with ratio residual {self.best_size[j]:.3e}",
+                    best=self._unscaled(j, self.best[j]))
             self.failure[k] = exc
             if k % 2 == 0 and j + 1 < key.size and key[j + 1] == k + 1:
                 ended[j + 1] = True
         keep = np.flatnonzero(~ended)
         for name in self._STATE:
             setattr(self, name, getattr(self, name)[keep])
-        if self.probe is not None:
-            probe = self.probe[keep]
-            self.probe = probe if np.count_nonzero(probe) else None
 
 
 def _lockstep_intervals(stacks: list, level: float) -> list:

@@ -46,6 +46,7 @@ from .inference import (
     CI_METHODS,
     adjustment_constant,
     check_options,
+    check_probability,
     confidence_intervals,
     ratio_tests,
 )
@@ -133,7 +134,9 @@ class ExperimentConfig:
             raise PwmInputError("replications must be a positive integer")
         if not _is_int(self.base_seed):
             raise PwmInputError(f"base_seed must be an integer, got {self.base_seed!r}")
-        check_options(self.methods, level=self.level, alpha=self.alpha)
+        check_probability(self.level, "confidence level")
+        check_probability(self.alpha, "test size")
+        check_options(self.methods)
         if self.kind == "power" and self.null_dist is None:
             raise PwmInputError("power experiments need a null distribution")
 

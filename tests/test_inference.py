@@ -503,6 +503,30 @@ def test_option_errors_come_before_the_data_checks():
         plugin_el_ci([2.0] * 10, 0, 2.0, "DNEL")
 
 
+def test_options_that_are_not_numbers_are_input_errors():
+    # None, strings, bools and numbers beyond the float range are no level,
+    # size, hypothesized value or adjustment constant: each is an input
+    # error before any numeric work, not a bare TypeError or ValueError
+    xs = [sample(DistSpec("exponential", 1.0), 20, make_rng(seed)) for seed in range(2)]
+    bad = [(confidence_intervals, (xs, 1, None, ("JEL",)), "confidence level"),
+           (confidence_intervals, (xs, 1, "0.9", ("JEL",)), "confidence level"),
+           (ratio_tests, (xs, 1, 0.7, None, ("JEL",)), "test size"),
+           (ratio_tests, (xs, 1, None, 0.05, ("JEL",)), "hypothesized value"),
+           (ratio_tests, (xs, 1, "abc", 0.05, ("JEL",)), "hypothesized value"),
+           (ratio_tests, (xs, 1, 10 ** 400, 0.05, ("JEL",)), "hypothesized value"),
+           (confidence_intervals, (xs, 1, 0.9, ("AJEL",), "centered", "abc"), "adjustment"),
+           (ratio_tests, (xs, 1, 0.7, 0.05, ("AJEL",), "centered", True), "adjustment")]
+    for call, args, text in bad:
+        with pytest.raises(PwmInputError, match=text):
+            call(*args)
+    # NumPy numbers are numbers
+    want = confidence_intervals(xs, 1, 0.9, ("AJEL",), "centered", 2.0)
+    assert confidence_intervals(xs, 1, np.float64(0.9), ("AJEL",), "centered",
+                                np.int64(2)) == want
+    assert ratio_tests(xs, 1, np.float32(0.5), np.float64(0.05), ("JEL",)) == ratio_tests(
+        xs, 1, float(np.float32(0.5)), 0.05, ("JEL",))
+
+
 def test_a_string_of_methods_is_rejected_not_split_into_letters():
     xs = [sample(DistSpec("exponential", 1.0), 20, make_rng(seed)) for seed in range(2)]
     text = "methods must be a sequence of names, not the string 'JEL'"
@@ -717,6 +741,32 @@ def test_a_search_out_of_float_resolution_stalls(method, search_errors):
     # the best point, in the data's coordinates, is on the lower side
     assert raised.value.best < _problem(x, method).estimate[0]
     assert search_errors == [raised.value]
+
+
+@pytest.mark.parametrize("method, level, sizes, seen", [
+    # probes at the hull bound, some below the threshold
+    ("JEL", 1.0 - 1e-15, (3, 4, 5), "probe"),
+    # centered searches with no outside end reach out for it; at n = 8 they cross
+    ("AJEL", 0.95, (3, 4, 5, 8), "reach"),
+])
+def test_the_search_state_stays_aligned_as_searches_end(method, level, sizes, seen):
+    # every per-search array of _Searches leaves together when a search ends;
+    # one stack per size, of 10 samples each
+    stacks = [_StackedRatio(_method_problems(
+        [sample(DistSpec("exponential", 1.0), n, make_rng([n, k])) for k in range(10)],
+        1, (method,), "centered", None)) for n in sizes]
+    searches = inference._Searches(stacks, chi2_1_quantile(level))
+    running, probes, reaching = [], 0, 0
+    while searches.key.size:
+        probes += np.count_nonzero(searches.probe)
+        reaching += np.count_nonzero(np.isnan(searches.outside))
+        searches.advance()
+        running.append(searches.key.size)
+        for name in searches._STATE + ("lam0",):
+            assert getattr(searches, name).shape == (searches.key.size,), name
+    assert {"probe": probes, "reach": reaching}[seen] > 0
+    # some searches ran on after others had ended
+    assert len(set(running)) > 2
 
 
 @pytest.mark.parametrize("method, seed", [("DNEL", 30), ("DNEL", 156), ("VXL", 130)])

@@ -6,9 +6,10 @@ normal samples of n = 3 to 3000 at levels from 0.5 to 1 - 1e-15, as
 10-sample batches and as one-sample calls, two samples of each batch
 scaled by 2**1000 and 2**-1000.  Each case records the ``float.hex`` of
 lower, upper and point estimate and ``endpoint_iterations``, or the
-error's type and text.  The file ``data/pinned_endpoints.json`` was
-written by an earlier implementation of the search, so a rewrite of the
-search that changes a single bit or evaluation fails here.
+error's type and text, with the ``float.hex`` of a stalled search's best
+point.  The file ``data/pinned_endpoints.json`` was written by an earlier
+implementation of the search, so a rewrite of the search that changes a
+single bit or evaluation fails here.
 
 Rewrite the file (only for a deliberate change of results) with
 ``PYTHONPATH=src python tests/test_pinned_endpoints.py``.
@@ -20,7 +21,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pwmjel import CI_METHODS, PwmError, DistSpec, confidence_interval, make_rng, sample
+from pwmjel import (CI_METHODS, ConvergenceError, DistSpec, PwmError, confidence_interval,
+                    make_rng, sample)
 from pwmjel.inference import confidence_intervals
 
 DATA = Path(__file__).parent / "data" / "pinned_endpoints.json"
@@ -37,6 +39,8 @@ ALONE = (0, 9)
 
 def _record(result):
     if isinstance(result, PwmError):
+        if isinstance(result, ConvergenceError) and isinstance(result.best, float):
+            return [type(result).__name__, str(result), result.best.hex()]
         return [type(result).__name__, str(result)]
     return [result.lower.hex(), result.upper.hex(), result.point_estimate.hex(),
             result.endpoint_iterations]

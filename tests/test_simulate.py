@@ -99,6 +99,15 @@ def test_config_validation():
         small_config(kind="power")  # power needs null_dist
 
 
+def test_config_rejects_a_level_or_size_that_is_not_a_number():
+    # checked at construction, not met first as a bare TypeError in run_experiment
+    for bad in (None, "0.9", True):
+        with pytest.raises(PwmInputError, match="confidence level"):
+            small_config(level=bad)
+        with pytest.raises(PwmInputError, match="test size"):
+            small_config(kind="size", alpha=bad)
+
+
 def test_config_rejects_sample_sizes_that_share_seed_streams():
     # the packed cell id collides once n reaches a million
     assert _cell_id(1, 1_000_005) == _cell_id(2, 5)
