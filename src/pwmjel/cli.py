@@ -154,8 +154,11 @@ def _cmd_simulate(args) -> int:
         config = dataclasses.replace(config, base_seed=args.seed)
     if args.reps is not None:
         config = dataclasses.replace(config, replications=args.reps)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise PwmInputError(f"cannot write {args.out}: {exc}") from exc
     report = run_experiment(config, threads=args.threads)
-    os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "report.csv")
     md_path = os.path.join(args.out, "report.md")
     write_report_csv(report, csv_path)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,6 +23,21 @@ class ColumnDataset:
     skipped: int
 
 
+def _rows(fh, index: int):
+    """The rows after the header, each line split at its first ``index + 1``
+    commas. From the first line with a quote, a NUL or more characters than
+    ``csv.field_size_limit()``, that line and the rest go through csv.reader;
+    no quoted field is open before it, so the rows and any csv.Error (before
+    Python 3.11 a NUL is one) are the ones csv.reader alone gives."""
+    limit = csv.field_size_limit()
+    for line in fh:
+        if '"' in line or "\0" in line or len(line) > limit:
+            yield from csv.reader(itertools.chain([line], fh))
+            return
+        line = line.rstrip("\r\n")
+        yield line.split(",", index + 1) if line else []
+
+
 def load_csv_column(path, column: str) -> ColumnDataset:
     """Extract one numeric column; blank, NA and non-numeric cells are
     skipped and counted rather than treated as errors."""
@@ -33,8 +49,7 @@ def load_csv_column(path, column: str) -> ColumnDataset:
     skipped = 0
     with fh:
         try:
-            reader = csv.reader(fh)
-            header = next(reader, None)
+            header = next(csv.reader(fh), None)
             if header is None:
                 raise PwmInputError(f"{path} has no header row")
             fields = [f.strip() for f in header]
@@ -44,7 +59,7 @@ def load_csv_column(path, column: str) -> ColumnDataset:
                 )
             # a duplicated name reads its last column, as csv.DictReader does
             index = len(fields) - 1 - fields[::-1].index(column)
-            for row in reader:
+            for row in _rows(fh, index):
                 if not row:  # blank line
                     continue
                 if index >= len(row):

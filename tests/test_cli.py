@@ -274,6 +274,22 @@ def test_simulate_bad_config_exits_2(capsys, tmp_path):
     assert code == 2 and "'param' needs a real number, got 'abc'" in err
 
 
+@pytest.mark.parametrize("out", ["s.csv", "s.csv/o"])
+def test_simulate_out_under_a_file_exits_2_before_running(capsys, tmp_path, monkeypatch, out):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kind = size\nfamily = exp\nparam = 1\nr = 1\nn_list = 20\nreps = 8\n")
+    (tmp_path / "s.csv").write_text("x\n1\n")
+
+    def never(*args, **kwargs):
+        raise AssertionError("the experiment ran before the output directory was made")
+
+    monkeypatch.setattr("pwmjel.cli.run_experiment", never)
+    path = str(tmp_path / out)
+    code, _, err = run_main(capsys, "simulate", "--config", str(cfg), "--out", path)
+    assert code == 2
+    assert f"error: cannot write {path}: " in err
+
+
 def test_console_script_entry_point(data_csv):
     # one end-to-end subprocess run through the installed script
     proc = subprocess.run(
