@@ -8,8 +8,8 @@ Run from the repository root with the package to count on the path:
 """
 
 import numpy as np
-from pwmjel import DistSpec, confidence_interval, el, inference, make_rng, sample
-from pwmjel.inference import confidence_intervals, ratio_tests
+from pwmjel import (DistSpec, confidence_interval, confidence_intervals, el, inference,
+                    make_rng, ratio_tests, sample)
 work = {"calls": 0, "rows": 0, "iterations": 0, "rounds": 0}
 solve_rows = el.solve_rows
 def counting(*args, **kwargs):

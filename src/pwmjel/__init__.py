@@ -43,20 +43,21 @@ from .estimators import (
     vxl_summands,
 )
 from .inference import (
+    ADJUSTMENT_RULES,
     CI_METHODS,
     ConfidenceInterval,
     TestResult,
     adjustment_constant,
     ajel_confidence_interval,
     ajel_neg2_ratio,
-    ajel_test,
     confidence_interval,
+    confidence_intervals,
     jel_confidence_interval,
     jel_neg2_ratio,
     jel_test,
     plugin_el_ci,
-    plugin_el_test,
     ratio_test,
+    ratio_tests,
 )
 from .simulate import (
     ESTIMATOR_METHODS,

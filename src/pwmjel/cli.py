@@ -9,6 +9,7 @@ failed and a numeric failure is among them.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import sys
@@ -24,7 +25,7 @@ from .estimators import (
     ustat_estimate,
     vexler_estimate,
 )
-from .inference import confidence_intervals, ratio_tests
+from .inference import ADJUSTMENT_RULES, CI_METHODS, confidence_intervals, ratio_tests
 from .simulate import (
     parse_config_file,
     run_experiment,
@@ -148,21 +149,30 @@ def _cmd_test(args) -> int:
     return _exit_code(results)
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Raise an OSError of the block as the input error that names ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise PwmInputError(f"cannot write {path}: {exc}") from exc
+
+
 def _cmd_simulate(args) -> int:
     config = parse_config_file(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, base_seed=args.seed)
     if args.reps is not None:
         config = dataclasses.replace(config, replications=args.reps)
-    try:
+    with _writing(args.out):
         os.makedirs(args.out, exist_ok=True)
-    except OSError as exc:
-        raise PwmInputError(f"cannot write {args.out}: {exc}") from exc
     report = run_experiment(config, threads=args.threads)
     csv_path = os.path.join(args.out, "report.csv")
     md_path = os.path.join(args.out, "report.md")
-    write_report_csv(report, csv_path)
-    write_report_markdown(report, md_path)
+    with _writing(csv_path):
+        write_report_csv(report, csv_path)
+    with _writing(md_path):
+        write_report_markdown(report, md_path)
     if not args.quiet:
         print(f"wrote {csv_path}")
         print(f"wrote {md_path}")
@@ -171,54 +181,40 @@ def _cmd_simulate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("csv", "md"), default="md",
-                        help="output as full-precision csv or 4-decimal markdown")
-    common.add_argument("--quiet", action="store_true", help="suppress notes")
-
     parser = argparse.ArgumentParser(
         prog="pwm",
         description="Probability weighted moments with empirical likelihood inference.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    est = sub.add_parser("estimate", parents=[common], help="point estimate of beta_r")
-    est.add_argument("--input", required=True, help="delimited input file")
-    est.add_argument("--column", required=True, help="column to analyze")
-    est.add_argument("--r", type=int, required=True, help="moment order")
+    est, ci, test, sim = (sub.add_parser(name, help=text) for name, text in (
+        ("estimate", "point estimate of beta_r"), ("ci", "confidence intervals"),
+        ("test", "test beta_r = NULL"), ("simulate", "run a Monte Carlo config")))
+    # each option is declared once, on every subcommand that takes it
+    for cmd, handler in ((est, _cmd_estimate), (ci, _cmd_ci), (test, _cmd_test),
+                         (sim, _cmd_simulate)):
+        cmd.add_argument("--quiet", action="store_true", help="suppress notes")
+        cmd.set_defaults(handler=handler)
+    for cmd in (est, ci, test):
+        cmd.add_argument("--format", choices=("csv", "md"), default="md",
+                         help="output as full-precision csv or 4-decimal markdown")
+        cmd.add_argument("--input", required=True, help="delimited input file")
+        cmd.add_argument("--column", required=True, help="column to analyze")
+        cmd.add_argument("--r", type=int, required=True, help="moment order")
     est.add_argument("--method", required=True, choices=tuple(_ESTIMATES))
-    est.set_defaults(handler=_cmd_estimate)
-
-    ci = sub.add_parser("ci", parents=[common], help="confidence intervals")
-    ci.add_argument("--input", required=True)
-    ci.add_argument("--column", required=True)
-    ci.add_argument("--r", type=int, required=True)
     ci.add_argument("--level", type=float, default=0.95)
-    ci.add_argument("--methods", default="DNEL,VXL,JEL,AJEL",
-                    help="comma list from DNEL,VXL,JEL,AJEL")
-    ci.add_argument("--ajel-rule", choices=("centered", "literal"), default="centered")
-    ci.add_argument("--an", type=float, default=None,
-                    help="override the adjustment constant")
-    ci.set_defaults(handler=_cmd_ci)
-
-    test = sub.add_parser("test", parents=[common], help="test beta_r = NULL")
-    test.add_argument("--input", required=True)
-    test.add_argument("--column", required=True)
-    test.add_argument("--r", type=int, required=True)
     test.add_argument("--null", type=float, required=True)
     test.add_argument("--alpha", type=float, default=0.05)
-    test.add_argument("--methods", default="DNEL,VXL,JEL,AJEL")
-    test.add_argument("--ajel-rule", choices=("centered", "literal"), default="centered")
-    test.add_argument("--an", type=float, default=None)
-    test.set_defaults(handler=_cmd_test)
-
-    sim = sub.add_parser("simulate", parents=[common], help="run a Monte Carlo config")
+    methods = ",".join(CI_METHODS)
+    for cmd in (ci, test):
+        cmd.add_argument("--methods", default=methods, help=f"comma list from {methods}")
+        cmd.add_argument("--ajel-rule", choices=ADJUSTMENT_RULES, default="centered")
+        cmd.add_argument("--an", type=float, default=None,
+                         help="override the adjustment constant")
     sim.add_argument("--config", required=True, help="flat key=value config file")
     sim.add_argument("--out", required=True, help="output directory")
     sim.add_argument("--seed", type=int, default=None, help="override the config seed")
     sim.add_argument("--reps", type=int, default=None, help="override replications")
     sim.add_argument("--threads", type=int, default=1, help="worker processes")
-    sim.set_defaults(handler=_cmd_simulate)
     return parser
 
 

@@ -89,7 +89,7 @@ def _uniform_open(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def sample(dist: DistSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n observations from dist using inverse-CDF transforms."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise PwmInputError(f"sample size must be a positive integer, got {n!r}")
     n = int(n)
     if dist.family == CONSTANT:

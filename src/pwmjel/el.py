@@ -54,8 +54,10 @@ __all__ = [
 # Relative shrink applied to the feasibility endpoints before bracketing.
 _EDGE_MARGIN = 1e-12
 
-# Score tolerance of every solve, relative to max(|mu|, max|z - mu|).
+# Score tolerance of every solve, relative to max(|mu|, max|z - mu|), and
+# the Newton step budget of every solve.
 _SCORE_TOL = 1e-10
+_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -96,23 +98,23 @@ def _validate_points(z, mu):
     return z, mu, d, dmin, dmax
 
 
-def _not_converged(max_iter: int, g: float, gtol: float, best) -> ConvergenceError:
+def _not_converged(g: float, gtol: float, best) -> ConvergenceError:
     return ConvergenceError(
-        f"EL multiplier did not converge in {max_iter} iterations "
+        f"EL multiplier did not converge in {_MAX_ITER} iterations "
         f"(|score| = {abs(g):.3e}, tol = {gtol:.3e})",
         best=best,
     )
 
 
-def solve_lambda(z, mu, tol: float = _SCORE_TOL, max_iter: int = 100,
-                 lam0: float = 0.0) -> ELSolution:
+def solve_lambda(z, mu, lam0: float = 0.0) -> ELSolution:
     """Solve the EL score equation for the multiplier.
 
     Newton iteration started at ``lam0`` (at 0 when ``lam0`` is not strictly
     feasible for this mu), safeguarded by bisection against
     the feasibility bracket, which keeps every iterate on the side where
     all weights stay positive (also after a slope underflow).  Convergence
-    means |score| <= ``tol * max(|mu|, max|z - mu|)``, a scale-free test.
+    means |score| <= ``_SCORE_TOL * max(|mu|, max|z - mu|)``, a scale-free
+    test, within ``_MAX_ITER`` steps.
 
     Raises
     ------
@@ -124,7 +126,7 @@ def solve_lambda(z, mu, tol: float = _SCORE_TOL, max_iter: int = 100,
     """
     z, mu, d, dmin, dmax = _validate_points(z, mu)
     m = z.size
-    gtol = tol * max(abs(mu), -dmin, dmax)
+    gtol = _SCORE_TOL * max(abs(mu), -dmin, dmax)
 
     lo = (-1.0 / dmax) * (1.0 - _EDGE_MARGIN)
     hi = (-1.0 / dmin) * (1.0 - _EDGE_MARGIN)
@@ -146,7 +148,7 @@ def solve_lambda(z, mu, tol: float = _SCORE_TOL, max_iter: int = 100,
     g, gp = score_and_slope(lam)
     iterations = 0
     converged = abs(g) <= gtol
-    while not converged and iterations < max_iter:
+    while not converged and iterations < _MAX_ITER:
         if g > 0.0:
             a = lam
         else:
@@ -170,7 +172,7 @@ def solve_lambda(z, mu, tol: float = _SCORE_TOL, max_iter: int = 100,
         score_slope=gp,
     )
     if not converged:
-        raise _not_converged(max_iter, g, gtol, solution)
+        raise _not_converged(g, gtol, solution)
     return solution
 
 
@@ -202,24 +204,24 @@ class RowSolutions:
     errors: dict[int, PwmError]
 
 
-def _interior(mu, dmin, dmax, tol):
+def _interior(mu, dmin, dmax):
     """Which stacked rows, with extremes ``dmin``, ``dmax`` of their offsets
     ``d = z - mu``, have finite points and mu strictly inside their hull, and
-    every row's score tolerance ``tol * max(|mu|, -dmin, dmax)``, the rule
-    of :func:`solve_lambda`.  A non-finite point or mu makes an extreme
+    every row's score tolerance ``_SCORE_TOL * max(|mu|, -dmin, dmax)``, the
+    rule of :func:`solve_lambda`.  A non-finite point or mu makes an extreme
     non-finite (nan propagates), so such a row is not inside."""
     inside = (-math.inf < dmin) & (dmin < 0.0) & (0.0 < dmax) & (dmax < math.inf)
-    return inside, tol * np.maximum(np.maximum(np.abs(mu), -dmin), dmax)
+    return inside, _SCORE_TOL * np.maximum(np.maximum(np.abs(mu), -dmin), dmax)
 
 
-def _solve_row(z, mu, lam0, max_iter) -> tuple:
+def _solve_row(z, mu, lam0) -> tuple:
     """One row of :func:`solve_rows` by :func:`solve_lambda`, as the row's
     ``(lam, log_ratio, iterations, last_weight, score, score_slope)`` and its
     error or None."""
     error = None
     try:
         # looked up as a module global, so that tracers see each solve
-        sol = solve_lambda(z, mu, max_iter=max_iter, lam0=lam0)
+        sol = solve_lambda(z, mu, lam0)
     except ConvergenceError as exc:
         sol, error = exc.best, exc
     except PwmError as exc:
@@ -228,8 +230,7 @@ def _solve_row(z, mu, lam0, max_iter) -> tuple:
             sol.score_slope), error
 
 
-def solve_rows(z: np.ndarray, mu: np.ndarray, lam0: np.ndarray,
-               max_iter: int = 100) -> RowSolutions:
+def solve_rows(z: np.ndarray, mu: np.ndarray, lam0: np.ndarray) -> RowSolutions:
     """:func:`solve_lambda` on every row of a C-contiguous ``(k, m)`` array.
 
     Row i solves for mean ``mu[i]`` from ``lam0[i]``, with the same
@@ -250,8 +251,7 @@ def solve_rows(z: np.ndarray, mu: np.ndarray, lam0: np.ndarray,
     mu = np.asarray(mu, dtype=float)
     lam0 = np.asarray(lam0, dtype=float)
     if 0 < k < _VECTOR_ROWS:
-        rows, errors = zip(*(_solve_row(z[i], mu[i], lam0[i], max_iter)
-                             for i in range(k)))
+        rows, errors = zip(*(_solve_row(z[i], mu[i], lam0[i]) for i in range(k)))
         return RowSolutions(*(np.array(field) for field in zip(*rows)),
                             {i: exc for i, exc in enumerate(errors) if exc is not None})
     lam_out = lam0.copy()
@@ -265,9 +265,9 @@ def solve_rows(z: np.ndarray, mu: np.ndarray, lam0: np.ndarray,
     with np.errstate(invalid="ignore"):
         d_all = z - mu[:, None]
     dmin, dmax = d_all.min(axis=1), d_all.max(axis=1)
-    inside, gtol = _interior(mu, dmin, dmax, _SCORE_TOL)
+    inside, gtol = _interior(mu, dmin, dmax)
     for i in np.flatnonzero(~inside).tolist():
-        row, exc = _solve_row(z[i], mu[i], lam0[i], max_iter)
+        row, exc = _solve_row(z[i], mu[i], lam0[i])
         (lam_out[i], log_ratio[i], iterations[i], last_weight[i], score_out[i],
          slope_out[i]) = row
         if exc is not None:
@@ -301,7 +301,7 @@ def solve_rows(z: np.ndarray, mu: np.ndarray, lam0: np.ndarray,
     stalled = []  # (row, score, tolerance) of the rows that ran out of budget
     while rows.size:
         converged = np.abs(g) <= gtol
-        if step_count == max_iter:
+        if step_count == _MAX_ITER:
             lam_out[rows] = lam
             iterations[rows] = step_count
             score_out[rows], slope_out[rows] = g, gp
@@ -335,8 +335,8 @@ def solve_rows(z: np.ndarray, mu: np.ndarray, lam0: np.ndarray,
     log_ratio[solved] = np.where(s < 0.0, s, 0.0)
     for i, g_i, gtol_i in stalled:
         best = ELSolution(float(lam_out[i]), 1.0 / (m * (1.0 + lam_out[i] * d_all[i])),
-                          float(log_ratio[i]), max_iter, False, g_i, float(slope_out[i]))
-        errors[i] = _not_converged(max_iter, g_i, gtol_i, best)
+                          float(log_ratio[i]), _MAX_ITER, False, g_i, float(slope_out[i]))
+        errors[i] = _not_converged(g_i, gtol_i, best)
     return RowSolutions(lam_out, log_ratio, iterations, last_weight, score_out, slope_out,
                         errors)
 
@@ -364,7 +364,7 @@ def _solved_at_zero(z: np.ndarray, mu: np.ndarray):
                           for v, fill in ((zmin, 0.0), (zmax, 0.0), (mu, 1.0)))
     d = z - mu[:, None]
     # the kernels' extremes of d, as rounding is monotone
-    inside, gtol = _interior(mu, zmin - mu, zmax - mu, _SCORE_TOL)
+    inside, gtol = _interior(mu, zmin - mu, zmax - mu)
     score = np.add.reduce(d, axis=1) / m
     slope = -np.add.reduce(np.multiply(d, d, out=d), axis=1) / m
     return inside & (np.abs(score) <= gtol), score, slope

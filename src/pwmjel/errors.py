@@ -33,8 +33,11 @@ class DegenerateSampleError(PwmError):
 class ConvergenceError(PwmError):
     """Iterative solver exhausted its budget.
 
-    The best iterate found so far, when one exists, is attached as
-    ``best`` so callers can inspect how close the solver got.
+    ``best`` shows how close the solver got.  From the EL kernels
+    (:func:`pwmjel.el.solve_lambda`, :func:`pwmjel.el.solve_rows`) it is
+    the :class:`pwmjel.el.ELSolution` at the last iterate.  From an
+    interval search whose endpoint stalled it is the best endpoint found,
+    a float in the data's units.  Other search failures leave it None.
     """
 
     def __init__(self, message, best=None):

@@ -62,6 +62,7 @@ from .estimators import (
 )
 
 __all__ = [
+    "ADJUSTMENT_RULES",
     "CI_METHODS",
     "ConfidenceInterval",
     "TestResult",
@@ -77,12 +78,11 @@ __all__ = [
     "jel_confidence_interval",
     "ajel_confidence_interval",
     "jel_test",
-    "ajel_test",
     "plugin_el_ci",
-    "plugin_el_test",
 ]
 
-_RULES = ("centered", "literal")
+# The augmentation rules of AJEL, as the module docstring describes them.
+ADJUSTMENT_RULES = ("centered", "literal")
 
 # Endpoint search controls: residual tolerance on the ratio at the returned
 # endpoint, relative beta tolerance, hull shrink, and evaluation budgets
@@ -511,10 +511,10 @@ def check_probability(value, name: str) -> None:
 def check_options(methods, rule: str = "centered", a_n=None) -> tuple[str, ...]:
     """Check the methods and adjustment of an interval or test, before any
     numeric work: ``methods`` is a non-empty sequence of names from
-    :data:`CI_METHODS` other than a string, ``rule`` is ``centered`` or
-    ``literal`` and ``a_n`` is None (for :func:`adjustment_constant`) or a
-    positive finite real number.  Raises :class:`PwmInputError`; returns
-    the methods as a tuple."""
+    :data:`CI_METHODS` other than a string, ``rule`` is one of
+    :data:`ADJUSTMENT_RULES` and ``a_n`` is None (for
+    :func:`adjustment_constant`) or a positive finite real number.  Raises
+    :class:`PwmInputError`; returns the methods as a tuple."""
     if isinstance(methods, str):
         raise PwmInputError(f"methods must be a sequence of names, not the string {methods!r}")
     methods = tuple(methods)
@@ -523,8 +523,8 @@ def check_options(methods, rule: str = "centered", a_n=None) -> tuple[str, ...]:
         raise PwmInputError(f"unknown methods {bad}; expected subset of {CI_METHODS}")
     if not methods:
         raise PwmInputError("at least one method is required")
-    if rule not in _RULES:
-        raise PwmInputError(f"unknown adjustment rule {rule!r}; expected {_RULES}")
+    if rule not in ADJUSTMENT_RULES:
+        raise PwmInputError(f"unknown adjustment rule {rule!r}; expected {ADJUSTMENT_RULES}")
     if a_n is not None and not 0.0 < _real(a_n) < math.inf:
         raise PwmInputError(f"adjustment constant must be positive, got {a_n!r}")
     return methods
@@ -1016,12 +1016,6 @@ def jel_test(sample, r: int, beta0: float, alpha: float = 0.05) -> TestResult:
     return ratio_test(sample, r, beta0, alpha, "JEL")
 
 
-def ajel_test(sample, r: int, beta0: float, alpha: float = 0.05,
-              rule: str = "centered", a_n=None) -> TestResult:
-    """Adjusted-ratio test of ``beta_r = beta0``."""
-    return ratio_test(sample, r, beta0, alpha, "AJEL", rule, a_n)
-
-
 def _plugin_method(method: str) -> str:
     if method not in ("DNEL", "VXL"):
         raise PwmInputError(f"unknown comparison method {method!r}; expected ('DNEL', 'VXL')")
@@ -1031,9 +1025,3 @@ def _plugin_method(method: str) -> str:
 def plugin_el_ci(sample, r: int, level: float = 0.95, method: str = "DNEL") -> ConfidenceInterval:
     """EL interval on the DNEL or VXL summands, centered at their mean."""
     return confidence_interval(sample, r, level, _plugin_method(method))
-
-
-def plugin_el_test(sample, r: int, beta0: float, alpha: float = 0.05,
-                   method: str = "DNEL") -> TestResult:
-    """EL test of ``mean(summands) = beta0``; infinite ratio outside the hull."""
-    return ratio_test(sample, r, beta0, alpha, _plugin_method(method))

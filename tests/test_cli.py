@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import subprocess
@@ -5,8 +6,14 @@ import sys
 
 import pytest
 
-from pwmjel import jel_confidence_interval, jel_test, ustat_estimate
-from pwmjel.cli import main
+from pwmjel import (
+    ADJUSTMENT_RULES,
+    CI_METHODS,
+    jel_confidence_interval,
+    jel_test,
+    ustat_estimate,
+)
+from pwmjel.cli import build_parser, main
 
 VALS = [0.4, 1.7, 0.9, 2.8, 0.2, 1.1, 3.4, 0.7, 1.9, 0.5, 2.2, 1.4]
 
@@ -164,6 +171,10 @@ def test_bad_flag_exits_2(data_csv):
         main(["estimate", "--input", data_csv, "--column", "flow",
               "--r", "1", "--method", "median"])
     assert exc.value.code == 2
+    # simulate always writes both report formats, so it takes no --format
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", "run.cfg", "--out", "o", "--format", "csv"])
+    assert exc.value.code == 2
 
 
 def test_out_of_range_flag_values_exit_2(capsys, data_csv):
@@ -288,6 +299,28 @@ def test_simulate_out_under_a_file_exits_2_before_running(capsys, tmp_path, monk
     code, _, err = run_main(capsys, "simulate", "--config", str(cfg), "--out", path)
     assert code == 2
     assert f"error: cannot write {path}: " in err
+
+
+@pytest.mark.parametrize("report", ["report.csv", "report.md"])
+def test_simulate_report_that_cannot_be_written_exits_2(capsys, tmp_path, report):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kind = size\nfamily = exp\nparam = 1\nr = 1\nn_list = 20\nreps = 8\n")
+    path = tmp_path / "o" / report
+    path.mkdir(parents=True)  # a directory where the report goes
+    code, _, err = run_main(capsys, "simulate", "--config", str(cfg), "--out",
+                            str(tmp_path / "o"), "--quiet")
+    assert code == 2
+    assert f"error: cannot write {path}: " in err
+
+
+def test_ci_and_test_take_the_engines_methods_and_rules():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for command in ("ci", "test"):
+        sub = commands.choices[command]
+        assert sub.get_default("methods") == ",".join(CI_METHODS)
+        (rule,) = [a for a in sub._actions if a.dest == "ajel_rule"]
+        assert rule.choices is ADJUSTMENT_RULES and rule.default in ADJUSTMENT_RULES
 
 
 def test_console_script_entry_point(data_csv):

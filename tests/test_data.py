@@ -9,18 +9,18 @@ from pwmjel import (
     MissingColumnError,
     PwmInputError,
     ajel_confidence_interval,
-    ajel_test,
+    confidence_intervals,
     jel_confidence_interval,
     jel_test,
     load_csv_column,
     make_rng,
     plugin_el_ci,
-    plugin_el_test,
+    ratio_test,
+    ratio_tests,
     sample,
     ustat_estimate,
 )
 from pwmjel.cli import main
-from pwmjel.inference import confidence_intervals, ratio_tests
 
 SAMPLE = """month,rain,flag
 jan,11.2,a
@@ -147,9 +147,9 @@ def test_rows_equal_the_per_method_functions(capsys, tmp_path, rule, a_n):
         "JEL": (lambda: jel_confidence_interval(x, 1, level),
                 lambda: jel_test(x, 1, beta0, alpha)),
         "AJEL": (lambda: ajel_confidence_interval(x, 1, level, rule=rule, a_n=a_n),
-                 lambda: ajel_test(x, 1, beta0, alpha, rule=rule, a_n=a_n)),
+                 lambda: ratio_test(x, 1, beta0, alpha, "AJEL", rule, a_n)),
         **{m: (lambda m=m: plugin_el_ci(x, 1, level, m),
-               lambda m=m: plugin_el_test(x, 1, beta0, alpha, m))
+               lambda m=m: ratio_test(x, 1, beta0, alpha, m))
            for m in ("DNEL", "VXL")},
     }
     options = ["--input", path, "--column", "x", "--r", "1", "--ajel-rule", rule,

@@ -227,8 +227,10 @@ def test_sampling_constant_family():
 
 
 def test_sample_size_validation():
-    with pytest.raises(PwmInputError):
-        sample(EXP1, 0, make_rng(0))
+    # a bool is no count, as in every other integer check of the package
+    for n in (0, True, False):
+        with pytest.raises(PwmInputError, match=f"^sample size must be a positive integer, got {n}$"):
+            sample(EXP1, n, make_rng(0))
 
 
 def test_sigma_sq_matches_pseudo_value_spread():

@@ -113,10 +113,12 @@ def test_input_validation():
     assert str(raised.value) == "mean 3.0 is not interior to the sample hull [1e-300, 3.0]"
 
 
-def test_convergence_error_carries_best_iterate():
+def test_convergence_error_carries_best_iterate(monkeypatch):
     z = np.array([0.0, 1.0, 2.0, 10.0])
-    with pytest.raises(ConvergenceError) as err:
-        solve_lambda(z, 5.0, max_iter=2)
+    with monkeypatch.context() as budget:
+        budget.setattr(el, "_MAX_ITER", 2)
+        with pytest.raises(ConvergenceError) as err:
+            solve_lambda(z, 5.0)
     best = err.value.best
     assert best is not None and not best.converged
     # relaxed budget from the same start succeeds
@@ -261,18 +263,18 @@ def test_ratio_and_slope_solves_through_the_module_attribute(monkeypatch):
         neg2_log_ratio(z, math.nan)
 
 
-def _row_reference(z, mu, lam0, max_iter):
+def _row_reference(z, mu, lam0):
     """solve_lambda on one row: its solution (the best iterate where it
     raises ConvergenceError, None where it raises else) and its error."""
     try:
-        return solve_lambda(z, mu, lam0=lam0, max_iter=max_iter), None
+        return solve_lambda(z, mu, lam0=lam0), None
     except ConvergenceError as err:
         return err.best, err
     except PwmError as err:
         return None, err
 
 
-def test_solve_rows_is_bit_identical_to_solve_lambda_per_row():
+def test_solve_rows_is_bit_identical_to_solve_lambda_per_row(monkeypatch):
     rng = np.random.default_rng(77)
     draws = (
         lambda shape: rng.exponential(1.0, shape),
@@ -302,14 +304,15 @@ def test_solve_rows_is_bit_identical_to_solve_lambda_per_row():
         lam0[9:11] = -cold[6:8]
         lam0[11] = 1e6 / scale
         for max_iter in (100, 2):  # a budget of 2 stops some rows short
-            refs = [_row_reference(z[i], mu[i], lam0[i], max_iter) for i in range(12)]
+            monkeypatch.setattr(el, "_MAX_ITER", max_iter)
+            refs = [_row_reference(z[i], mu[i], lam0[i]) for i in range(12)]
             # consecutive groups of rows: single rows, stacks just below and
             # at the vectorised row count, and taller ones
             for size in sorted({1, el._VECTOR_ROWS - 1, el._VECTOR_ROWS,
                                 el._VECTOR_ROWS + 1, 12}):
                 for first in range(0, 12, size):
                     rows = slice(first, first + size)
-                    got = el.solve_rows(z[rows], mu[rows], lam0[rows], max_iter=max_iter)
+                    got = el.solve_rows(z[rows], mu[rows], lam0[rows])
                     vectorised = got.lam.size >= el._VECTOR_ROWS
                     if got.lam.size == 12:
                         ok = [j for j in range(12) if j not in got.errors]
@@ -341,6 +344,7 @@ def test_solve_rows_is_bit_identical_to_solve_lambda_per_row():
                                 (ref.score, ref.score_slope)
                             assert np.array_equal(best.weights, ref.weights)
                             assert not best.converged
+        monkeypatch.undo()  # the cold starts above run on the module's budget
     for counts in seen.values():  # every failure kind on both sides of the row count
         assert min(counts.values()) > 0 and counts[None] > 500
     assert staggered >= 40  # rows of one stack converged at different steps

@@ -23,7 +23,6 @@ from pwmjel import (
     adjustment_constant,
     ajel_confidence_interval,
     ajel_neg2_ratio,
-    ajel_test,
     chi2_1_cdf,
     chi2_1_quantile,
     confidence_interval,
@@ -41,7 +40,7 @@ from pwmjel import (
 )
 from pwmjel import el, inference
 from pwmjel.inference import (
-    _RULES,
+    ADJUSTMENT_RULES,
     _lockstep_intervals,
     _method_problems,
     _RowSet,
@@ -348,7 +347,7 @@ def test_degenerate_sample_errors():
     with pytest.raises(DegenerateSampleError):
         jel_confidence_interval(const, 1, 0.95)
     with pytest.raises(DegenerateSampleError):
-        ajel_test(const, 1, 0.75)
+        ratio_test(const, 1, 0.75, 0.05, "AJEL")
     # a caller's pseudo-values are checked as a sample's are
     flat = PseudoValues(np.full(12, 3.0), 3.0, 1, 12)
     with pytest.raises(DegenerateSampleError):
@@ -369,7 +368,7 @@ def test_batched_calls_build_and_check_the_blocks_pseudo_values_once(monkeypatch
     # one build of all three samples' pseudo-values and one check, shared by
     # JEL and AJEL
     assert len(checked) == 1 and built == [(3, 30)]
-    assert rows == [(jel_test(x, 1, 0.75), ajel_test(x, 1, 0.75)) for x in xs]
+    assert rows == [(jel_test(x, 1, 0.75), ratio_test(x, 1, 0.75, 0.05, "AJEL")) for x in xs]
     # a degenerate sample fails both methods with the error each raises alone
     (jel, ajel), = ratio_tests([[3.0] * 30], 1, 0.75, 0.05, ("JEL", "AJEL"))
     assert type(jel) is type(ajel) is DegenerateSampleError
@@ -558,7 +557,7 @@ def test_jel_test_fields_and_duality():
 def test_ajel_test_matches_ratio():
     rng = make_rng(24)
     x = sample(DistSpec("normal", 1.0), 70, rng)
-    t = ajel_test(x, 1, 0.30, alpha=0.10)
+    t = ratio_test(x, 1, 0.30, 0.10, "AJEL")
     assert t.method == "AJEL"
     assert t.statistic == pytest.approx(ajel_neg2_ratio(x, 1, 0.30), rel=1e-12)
     assert t.threshold == pytest.approx(chi2_1_quantile(0.90), rel=1e-12)
@@ -569,7 +568,7 @@ def test_alpha_validation():
     with pytest.raises(PwmInputError):
         jel_test(X4, 1, 2.0, alpha=0.0)
     with pytest.raises(PwmInputError):
-        ajel_test(X4, 1, 2.0, alpha=1.0)
+        ratio_test(X4, 1, 2.0, 1.0, "AJEL")
 
 
 @pytest.mark.parametrize("mixed", [False, True])
@@ -636,7 +635,7 @@ def test_stacked_methods_equal_one_sample_calls(k, n):
         xs[2] = jackknife_pseudo_values(xs[2], 1)
     if k > 10:
         xs[3] = np.full(n, 3.0)
-    for rule in _RULES:
+    for rule in ADJUSTMENT_RULES:
         intervals = confidence_intervals(xs, 1, 0.9, CI_METHODS, rule)
         tests = ratio_tests(xs, 1, 1.0, 0.1, CI_METHODS, rule)
         repeated = confidence_intervals(xs, 1, 0.9, ("JEL", "JEL", "VXL"), rule)
@@ -673,7 +672,7 @@ def test_stacked_methods_equal_one_sample_calls(k, n):
 ])
 def test_methods_share_a_stack_up_to_the_point_cap(k, n, stacks):
     xs = [sample(DistSpec("lognormal", 1.0), n, make_rng(200 + j)) for j in range(k)]
-    for rule in _RULES:
+    for rule in ADJUSTMENT_RULES:
         sets = _method_problems(xs, 1, CI_METHODS, rule, None)
         calls = []
 

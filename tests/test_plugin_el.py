@@ -10,7 +10,7 @@ from pwmjel import (
     dnel_summands,
     make_rng,
     plugin_el_ci,
-    plugin_el_test,
+    ratio_test,
     sample,
     vexler_estimate,
     vxl_summands,
@@ -60,9 +60,9 @@ def test_plugin_ci_and_test_roundtrip():
         ci = plugin_el_ci(x, 1, 0.95, method)
         assert ci.method == method
         assert ci.lower < ci.point_estimate < ci.upper
-        t_in = plugin_el_test(x, 1, ci.point_estimate, method=method)
+        t_in = ratio_test(x, 1, ci.point_estimate, 0.05, method)
         assert not t_in.reject
-        t_out = plugin_el_test(x, 1, ci.upper + ci.length, method=method)
+        t_out = ratio_test(x, 1, ci.upper + ci.length, 0.05, method)
         assert t_out.reject
         assert t_out.method == method
 
@@ -71,7 +71,7 @@ def test_unknown_method_rejected():
     with pytest.raises(PwmInputError):
         plugin_el_ci(X4, 1, 0.95, "JEL")  # jackknife route lives elsewhere
     with pytest.raises(PwmInputError):
-        plugin_el_test(X4, 1, 2.0, method="nope")
+        ratio_test(X4, 1, 2.0, 0.05, "nope")
 
 
 def test_constant_sample():
@@ -83,4 +83,4 @@ def test_constant_sample():
     with pytest.raises(DegenerateSampleError):
         plugin_el_ci([2.0] * 10, 0, 0.95, "DNEL")
     with pytest.raises(DegenerateSampleError):
-        plugin_el_test([2.0] * 10, 0, 0.5, method="VXL")
+        ratio_test([2.0] * 10, 0, 0.5, 0.05, "VXL")
