@@ -127,21 +127,29 @@ class SummandVector:
 
 
 def sorted_rows(samples) -> tuple[list, dict]:
-    """Check and sort ``samples``, as the rows of one new matrix per size.
+    """Check and sort ``samples``, read once, as the rows of one new matrix
+    per size; a :class:`SortedSample` is taken as its values.
 
     Returns ``(errors, blocks)``: ``errors[i]`` is the
-    :class:`PwmInputError` sample i fails with (not one-dimensional, empty
-    or not finite), else None, and ``blocks`` maps each size to the indices
-    of the samples of that size that pass and their sorted rows.
+    :class:`PwmInputError` sample i fails with (not an array of real
+    numbers, not one-dimensional, empty or not finite), else None, and
+    ``blocks`` maps each size to the indices of the samples of that size
+    that pass and their sorted rows.
 
     NaN sorts last and infinities outermost, so a sorted row is finite when
     its two ends are.  -0.0 and +0.0 are the one pair of equal finite floats
     with different bits: a row holding more than one zero gets them back in
-    input order, as a stable sort leaves them.
+    input order, as a stable sort leaves them.  So a sorted row sorts to
+    its own bytes.
     """
     errors, groups = [], {}  # size -> [(i, array)]
     for i, data in enumerate(samples):
-        arr = np.asarray(data, dtype=float)
+        try:
+            arr = np.asarray(data.values if isinstance(data, SortedSample) else data,
+                             dtype=float)
+        except (TypeError, ValueError):
+            errors.append(PwmInputError("sample must be an array of real numbers"))
+            continue
         if arr.ndim != 1:
             errors.append(PwmInputError("sample must be one-dimensional"))
         elif arr.size == 0:

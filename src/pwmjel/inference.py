@@ -53,13 +53,7 @@ import numpy as np
 from . import el as _el
 from .distributions import chi2_1_cdf, chi2_1_quantile
 from .errors import ConvergenceError, DegenerateSampleError, HullError, PwmError, PwmInputError
-from .estimators import (
-    PseudoValues,
-    SortedSample,
-    pseudo_value_rows,
-    sorted_rows,
-    summand_rows,
-)
+from .estimators import pseudo_value_rows, sorted_rows, summand_rows
 
 __all__ = [
     "ADJUSTMENT_RULES",
@@ -138,9 +132,8 @@ def adjustment_constant(n: int) -> float:
 @dataclass(frozen=True)
 class _RowSet:
     """A batch's samples as the rows of one matrix: row ``values[j]``
-    belongs to sample ``rows[j]``.  ``status[i]`` is None exactly while
-    sample i has a row, else what stands in for it: its PwmError, or in the
-    block of sorted samples the caller's :class:`PseudoValues`.
+    belongs to sample ``rows[j]``, in sample order.  ``status[i]`` is None
+    exactly while sample i has a row, else its PwmError.
 
     A method's rows (``method`` set) are its EL point sets, tested for mean
     beta, with each row's ``estimate`` and ``seed``, where its ratio bottoms
@@ -183,72 +176,31 @@ def _without(rows: _RowSet, bad: np.ndarray, error) -> _RowSet:
                    None if rows.estimate is None else rows.estimate[keep])
 
 
-def _joined(parts: list) -> tuple[list, np.ndarray]:
-    """The ``(rows, matrix)`` pairs ``parts`` as one pair."""
-    if len(parts) == 1:
-        return parts[0]
-    return [i for rows, _ in parts for i in rows], np.concatenate([x for _, x in parts])
-
-
 def _sample_block(samples) -> _RowSet:
-    """The samples sorted along the rows of one block, in which a sample
-    that :meth:`SortedSample.from_data` rejects, or a caller's malformed
-    :class:`PseudoValues`, gets its error; raises :class:`PwmInputError`
-    unless the other samples share one size."""
-    status = [s if isinstance(s, PseudoValues) else None for s in samples]
-    for i, pv in enumerate(status):
-        if pv is not None and not (isinstance(pv.values, np.ndarray) and pv.values.ndim == 1
-                                   and 0 < pv.values.size == pv.n):
-            status[i] = PwmInputError(
-                f"pseudo-values must be a non-empty one-dimensional array of their n = "
-                f"{pv.n!r} values, got {getattr(pv.values, 'shape', type(pv.values).__name__)}")
-    presorted = [i for i, s in enumerate(samples) if isinstance(s, SortedSample)]
-    raw = [i for i, s in enumerate(samples) if status[i] is None
-           and not isinstance(s, SortedSample)]
-    errors, blocks = sorted_rows([samples[i] for i in raw])
-    for i, exc in zip(raw, errors):
-        status[i] = exc
-    parts = [([raw[j] for j in index], x) for index, x in blocks.values()]
-    if presorted:
-        parts.append((presorted, np.stack([samples[i].values for i in presorted])))
-    sizes = {x.shape[1] for _, x in parts} | {s.n for s in status if isinstance(s, PseudoValues)}
-    if len(sizes) > 1:
+    """The samples, read once, sorted along the rows of one block, in which
+    a sample that :meth:`SortedSample.from_data` rejects gets its error;
+    raises :class:`PwmInputError` unless the other samples share one size."""
+    status, blocks = sorted_rows(samples)
+    if len(blocks) > 1:
         raise PwmInputError("batched inference needs samples of one size")
-    return _RowSet(status, *_joined(parts)) if parts else _RowSet(status, [], None)
+    return _RowSet(status, *blocks.popitem()[1]) if blocks else _RowSet(status, [], None)
 
 
 def _checked(block: _RowSet, r) -> _RowSet:
-    """The pseudo-values of a block of sorted samples: built for all its
-    rows at once and joined by the caller's :class:`PseudoValues` that were
-    built for ``r``, less the degenerate rows, whose samples get an error."""
-    status = [s if isinstance(s, PwmError) else None for s in block.status]
-    parts, estimate = [], []  # parts: (rows, values)
-    if block.rows:
-        try:
-            values, beta = pseudo_value_rows(block.values, r)
-        except PwmError as exc:
-            status = _failing(status, block.rows, exc).status
-        else:
-            parts.append((block.rows, values))
-            estimate.append(beta)
-    for i, pv in enumerate(block.status):
-        if isinstance(pv, PseudoValues):
-            if pv.r != r:
-                status[i] = PwmInputError(
-                    f"pseudo-values were built for r = {pv.r}, requested r = {r}"
-                )
-            else:
-                parts.append(([i], pv.values[None]))
-                estimate.append([pv.ustat_estimate])
-    if not parts:
-        return _RowSet(status, [], None)
-    rows, values = _joined(parts)
+    """The pseudo-values of a block of sorted samples, built for all its
+    rows at once, less the degenerate rows, whose samples get an error."""
+    if not block.rows:
+        return block
+    try:
+        values, estimate = pseudo_value_rows(block.values, r)
+    except PwmError as exc:
+        return _failing(block.status, block.rows, exc)
     values.flags.writeable = False
     # constant input leaves rounding noise of a few n*eps relative to the
     # pseudo-values, so the spread is compared against that floor
     vmax, vmin = values.max(axis=1), values.min(axis=1)
     flat = vmax - vmin <= 64.0 * values.shape[1] * np.finfo(float).eps * np.maximum(vmax, -vmin)
-    return _without(_RowSet(status, rows, values, np.concatenate(estimate)), flat,
+    return _without(_RowSet(block.status, block.rows, values, estimate), flat,
                     lambda: DegenerateSampleError(
                         "all jackknife pseudo-values are identical; the likelihood "
                         "ratio carries no information"))
@@ -456,16 +408,14 @@ def _ajel_problems(pv: _RowSet, r, rule, a_n) -> _RowSet:
 
 def _plugin_problems(method: str):
     def build(block: _RowSet, r, rule, a_n) -> _RowSet:
-        status = [PwmInputError(f"{method} needs the sample, not its pseudo-values")
-                  if isinstance(s, PseudoValues) else s for s in block.status]
         if not block.rows:
-            return _RowSet(status, [], None)
+            return block
         try:
             z = summand_rows(block.values, r, method)
         except PwmError as exc:
-            return _failing(status, block.rows, exc)
+            return _failing(block.status, block.rows, exc)
         z.flags.writeable = False
-        rows = _without(_RowSet(status, block.rows, z), z.max(axis=1) - z.min(axis=1) == 0.0,
+        rows = _without(_RowSet(block.status, block.rows, z), z.max(axis=1) - z.min(axis=1) == 0.0,
                         lambda: DegenerateSampleError(
                             f"{method} summands are all identical; no likelihood spread"))
         estimate = np.add.reduce(rows.values, axis=1) / rows.values.shape[1]
@@ -573,13 +523,15 @@ def confidence_intervals(samples, r: int, level: float, methods,
                          rule: str = "centered", a_n=None) -> list[tuple]:
     """:func:`confidence_interval` for every sample and method, in lockstep.
 
-    ``samples`` must share one size; a sample's :class:`PseudoValues` may
-    stand in for it (JEL and AJEL only).  JEL, DNEL and VXL share one stack
-    up to a measured size, AJEL has its own (see :func:`_by_stack`), and the
-    searches of all stacks advance together, one batched EL solve per stack
-    and round.  Returns one tuple per sample, in the order of ``methods``,
-    holding the interval or the :class:`PwmError` that
-    :func:`confidence_interval` raises for that sample alone.
+    ``samples``, an iterable read once, holds arrays of real numbers or
+    :class:`SortedSample` objects of one size; anything else, a sample's
+    :class:`PseudoValues` too, fails its own row.  JEL, DNEL and VXL share
+    one stack up to a measured size, AJEL has its own (see
+    :func:`_by_stack`), and the searches of all stacks advance together,
+    one batched EL solve per stack and round.  Returns one tuple per
+    sample, in the order of ``methods``, holding the interval or the
+    :class:`PwmError` that :func:`confidence_interval` raises for that
+    sample alone.
     """
     check_probability(level, "confidence level")
     methods = check_options(methods, rule, a_n)
@@ -611,10 +563,9 @@ def _method_problems(samples, r: int, methods, rule: str, a_n) -> list[_RowSet]:
 
     The samples are built as one block: they are stacked and sorted along
     rows once, and every method's points and estimates come from row
-    operations on the block; a sample that fails leaves the rows.  A sample
-    may be given as its :class:`PseudoValues`, which only JEL and AJEL
-    take; the pseudo-values of the block, or each sample's error building or
-    checking them, are made once and shared by those two methods.
+    operations on the block; a sample that fails leaves the rows.  The
+    pseudo-values of the block, or each sample's error building or checking
+    them, are made once and shared by JEL and AJEL.
     """
     block = _sample_block(samples)
     pseudo = None

@@ -399,7 +399,10 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentRepo
     folds as soon as its records are back from the run's one submission to
     ``threads`` workers (see :func:`_cells_records`); one over the failure
     budget raises :class:`NumericError` there, without waiting for the rest.
+    ``threads`` must be an integer >= 1.
     """
+    if not _is_int(threads) or threads < 1:
+        raise PwmInputError(f"threads must be an integer >= 1, got {threads!r}")
     t0 = time.perf_counter()
     kind = _KINDS[config.kind]
     beta_dist = kind.beta_dist(config)

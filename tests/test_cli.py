@@ -285,6 +285,21 @@ def test_simulate_bad_config_exits_2(capsys, tmp_path):
     assert code == 2 and "'param' needs a real number, got 'abc'" in err
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_simulate_thread_count_below_one_exits_2(capsys, tmp_path, monkeypatch, threads):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kind = size\nfamily = exp\nparam = 1\nr = 1\nn_list = 20\nreps = 8\n")
+
+    def never(*args, **kwargs):
+        raise AssertionError("a pool was made")
+
+    monkeypatch.setattr("pwmjel.simulate.ProcessPoolExecutor", never)
+    code, _, err = run_main(capsys, "simulate", "--config", str(cfg), "--out",
+                            str(tmp_path / "o"), "--threads", threads)
+    assert code == 2
+    assert f"threads must be an integer >= 1, got {threads}" in err
+
+
 @pytest.mark.parametrize("out", ["s.csv", "s.csv/o"])
 def test_simulate_out_under_a_file_exits_2_before_running(capsys, tmp_path, monkeypatch, out):
     cfg = tmp_path / "run.cfg"

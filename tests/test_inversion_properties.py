@@ -89,18 +89,18 @@ def _setup(kind, x, r, level):
     pv = jackknife_pseudo_values(x, r)
     point = pv.ustat_estimate
     if kind == "JEL":
-        ci = jel_confidence_interval(pv, r, level)
-        ratio, points, seed, hull = (lambda b: jel_neg2_ratio(pv, r, b),
+        ci = jel_confidence_interval(x, r, level)
+        ratio, points, seed, hull = (lambda b: jel_neg2_ratio(x, r, b),
                                      pv.values, point, pv.values)
     elif kind == "AJEL-centered":
-        ci = ajel_confidence_interval(pv, r, level)
-        ratio, points, seed, hull = (lambda b: ajel_neg2_ratio(pv, r, b),
+        ci = ajel_confidence_interval(x, r, level)
+        ratio, points, seed, hull = (lambda b: ajel_neg2_ratio(x, r, b),
                                      pv.values, point, None)
     elif kind == "AJEL-literal":
-        ci = ajel_confidence_interval(pv, r, level, rule="literal")
+        ci = ajel_confidence_interval(x, r, level, rule="literal")
         # the literal set does not move with beta: its mean is the minimum
         aug = np.append(pv.values, -(adjustment_constant(pv.n) / pv.n) * pv.values.sum())
-        ratio, points, seed, hull = (lambda b: ajel_neg2_ratio(pv, r, b, rule="literal"),
+        ratio, points, seed, hull = (lambda b: ajel_neg2_ratio(x, r, b, rule="literal"),
                                      aug, float(aug.mean()), aug)
     else:
         z = (dnel_summands if kind == "DNEL" else vxl_summands)(x, r).values
@@ -152,7 +152,7 @@ def test_endpoints_solve_the_threshold_and_match_bisection(kind, case):
         assert kind == "AJEL-centered"
         pv = jackknife_pseudo_values(x, r)
         far = 1e8 * max(1.0, float(np.ptp(pv.values)))
-        assert min(ajel_neg2_ratio(pv, r, pv.ustat_estimate + d * far)
+        assert min(ajel_neg2_ratio(x, r, pv.ustat_estimate + d * far)
                    for d in (-1.0, 1.0)) < threshold
         return
     assert type(ci.lower) is float and type(ci.upper) is float

@@ -257,6 +257,16 @@ def test_cell_abort_on_a_pool_cancels_the_later_cells(monkeypatch):
     assert shutdowns == [{"cancel_futures": True}]
 
 
+@pytest.mark.parametrize("threads", [0, -1, True, 2.5])
+def test_a_thread_count_that_is_not_a_positive_integer_is_refused(monkeypatch, threads):
+    def never(*args, **kwargs):
+        raise AssertionError("a pool was made")
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", never)
+    with pytest.raises(PwmInputError, match="threads must be an integer >= 1"):
+        run_experiment(small_config(), threads=threads)
+
+
 def _one_at_a_time(cell, samples):
     """Coverage and test records from one confidence_interval / ratio_test
     call per replication and method, a failure as the failure tuple."""
