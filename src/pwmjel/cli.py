@@ -27,6 +27,7 @@ from .estimators import (
 )
 from .inference import ADJUSTMENT_RULES, CI_METHODS, confidence_intervals, ratio_tests
 from .simulate import (
+    check_threads,
     parse_config_file,
     run_experiment,
     write_report_csv,
@@ -164,6 +165,7 @@ def _cmd_simulate(args) -> int:
         config = dataclasses.replace(config, base_seed=args.seed)
     if args.reps is not None:
         config = dataclasses.replace(config, replications=args.reps)
+    check_threads(args.threads)
     with _writing(args.out):
         os.makedirs(args.out, exist_ok=True)
     report = run_experiment(config, threads=args.threads)

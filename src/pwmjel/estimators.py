@@ -16,14 +16,15 @@ The U-statistic form admits an exact order-statistic representation
 which is what ``ustat_estimate`` evaluates.  Jackknife pseudo-values of the
 U-statistic feed the empirical likelihood machinery in :mod:`pwmjel.inference`.
 
-Sorting, the pseudo-values and the summands below are row functions on a
-block of samples of one size (``sorted_rows``, ``pseudo_value_rows``,
-``summand_rows``), which :mod:`pwmjel.inference` runs on a batch at once.
+Sorting, the estimates, the pseudo-values and the summands below are row
+functions on a block of samples of one size (``sorted_rows``,
+``estimate_rows``, ``pseudo_value_rows``, ``summand_rows``), which
+:mod:`pwmjel.inference` and :mod:`pwmjel.simulate` run on a batch at once.
 Their steps are products with the rank weights, sums and prefix sums along
 the rows, so each row comes out bit for bit as it would alone; the
-per-sample functions ``SortedSample.from_data``,
-``jackknife_pseudo_values``, ``dnel_summands`` and ``vxl_summands`` are
-their one-row case.
+per-sample functions ``SortedSample.from_data``, ``dn_estimate``,
+``vexler_estimate``, ``ustat_estimate``, ``jackknife_pseudo_values``,
+``dnel_summands`` and ``vxl_summands`` are their one-row case.
 
 The two plug-in estimators are also plain means of n summands, which the
 DNEL and VXL baselines run empirical likelihood on:
@@ -144,9 +145,12 @@ def sorted_rows(samples) -> tuple[list, dict]:
     """
     errors, groups = [], {}  # size -> [(i, array)]
     for i, data in enumerate(samples):
+        raw = data.values if isinstance(data, SortedSample) else data
         try:
-            arr = np.asarray(data.values if isinstance(data, SortedSample) else data,
-                             dtype=float)
+            if isinstance(raw, np.ndarray) and raw.dtype.kind == "c":
+                # NumPy would cast it to its real parts with only a warning
+                raise TypeError("complex sample")
+            arr = np.asarray(raw, dtype=float)
         except (TypeError, ValueError):
             errors.append(PwmInputError("sample must be an array of real numbers"))
             continue
@@ -207,9 +211,7 @@ def dn_estimate(sample, r: int) -> float:
     -------
     float
     """
-    r = _check_order(r)
-    s = _as_sample(sample)
-    return float(np.mean(_dn_weights(s.n, r) * s.values))
+    return _estimate(sample, r, "DN")
 
 
 def vexler_estimate(sample, r: int) -> float:
@@ -219,9 +221,7 @@ def vexler_estimate(sample, r: int) -> float:
     The weights inside the sum telescope to one, so a constant sample c
     yields exactly ``c / (r+1)``, matching the U-statistic estimator.
     """
-    r = _check_order(r)
-    s = _as_sample(sample)
-    return float(np.sum(_cdf_power_steps(s.n, r) * s.values) / (r + 1))
+    return _estimate(sample, r, "VEXLER")
 
 
 def _cached_weights(fn):
@@ -329,14 +329,29 @@ def ustat_estimate(sample, r: int) -> float:
     InsufficientSampleError
         If ``n < r + 1``, where no subset of the required size exists.
     """
+    return _estimate(sample, r, "USTAT")
+
+
+# The rank weights of each estimator; each is a weighted sum of the sorted
+# sample over n (DN) or r + 1 (the others).
+_ESTIMATE_WEIGHTS = {"DN": _dn_weights, "VEXLER": _cdf_power_steps, "USTAT": _ustat_weights}
+
+
+def estimate_rows(x: np.ndarray, r: int, method: str) -> np.ndarray:
+    """The DN, VEXLER or USTAT estimates (``method``) of the sorted rows ``x``."""
     r = _check_order(r)
-    s = _as_sample(sample)
-    if s.n < r + 1:
+    n = x.shape[1]
+    if method == "USTAT" and n < r + 1:
         raise InsufficientSampleError(
-            f"need at least r+1 = {r + 1} observations, got {s.n}"
+            f"need at least r+1 = {r + 1} observations, got {n}"
         )
-    w = _ustat_weights(s.n, r)
-    return float(np.sum(w * s.values) / (r + 1))
+    total = np.add.reduce(_ESTIMATE_WEIGHTS[method](n, r) * x, axis=1)
+    return total / (n if method == "DN" else r + 1)
+
+
+def _estimate(sample, r: int, method: str) -> float:
+    r = _check_order(r)
+    return float(estimate_rows(_as_sample(sample).values[None], r, method)[0])
 
 
 def _jackknife_order(r) -> int:

@@ -11,6 +11,10 @@ Five experiment kinds over a grid of moment orders and sample sizes:
 Each kind is one entry of the kind table ``_KINDS``: the record every
 replication yields and the report rows a cell's records fold into.
 :func:`run_experiment` runs any kind through one loop over the cells.
+A cell's replications run in chunks, and each chunk is one lockstep block
+of samples: the estimator kinds take its estimates from the row functions
+of :mod:`pwmjel.estimators`, the others its intervals or tests from the
+batched calls of :mod:`pwmjel.inference`.
 
 Determinism contract: every replication derives its own generator from
 ``seed_for_rep(base_seed, cell_id, rep_index)``, per-replication results
@@ -36,12 +40,7 @@ import numpy as np
 
 from .distributions import DistSpec, make_rng, sample, true_beta
 from .errors import NumericError, PwmError, PwmInputError
-from .estimators import (
-    SortedSample,
-    dn_estimate,
-    jackknife_pseudo_values,
-    vexler_estimate,
-)
+from .estimators import estimate_rows, pseudo_value_rows, sorted_rows
 from .inference import (
     CI_METHODS,
     adjustment_constant,
@@ -71,8 +70,9 @@ CSV_HEADER = "dist,r,n,method,metric,value,stderr"
 # A cell aborts once failures exceed this fraction of its replications.
 _MAX_FAILURE_RATE = 0.01
 
-# Replications whose inference runs in lockstep, one batched EL solve per
-# search step; it bounds a block's working memory to O(_BLOCK * n).
+# The most replications in one chunk, which runs as one lockstep block (one
+# batched EL solve per search step); it bounds a block's working memory to
+# O(_BLOCK * n).
 _BLOCK = 64
 
 _FAMILY_ALIASES = {
@@ -210,17 +210,16 @@ class _Cell:
                          value, stderr)
 
 
-def _estimates_record(cell: _Cell, x: np.ndarray) -> tuple:
-    s = SortedSample.from_data(x)
-    pv = jackknife_pseudo_values(s, cell.r)
-    jack = float(np.mean(pv.values))
-    a = adjustment_constant(cell.n)
-    adj = jack * (cell.n - a) / (cell.n + 1.0)  # mean of the literally augmented set
-    return (dn_estimate(s, cell.r), vexler_estimate(s, cell.r), jack, adj)
-
-
 def _estimates_records(cell: _Cell, samples: list[np.ndarray]) -> list[tuple]:
-    return [_estimates_record(cell, x) for x in samples]
+    errors, blocks = sorted_rows(samples)
+    for error in filter(None, errors):
+        raise error
+    ((_, x),) = blocks.values()
+    r, n = cell.r, cell.n
+    jack = np.add.reduce(pseudo_value_rows(x, r)[0], axis=1) / n
+    adj = jack * (n - adjustment_constant(n)) / (n + 1.0)  # mean of the literally augmented set
+    columns = (estimate_rows(x, r, "DN"), estimate_rows(x, r, "VEXLER"), jack, adj)
+    return list(zip(*(col.tolist() for col in columns)))
 
 
 def _ci_records(cell: _Cell, samples: list[np.ndarray]) -> list[tuple]:
@@ -352,45 +351,47 @@ KINDS = tuple(_KINDS)
 
 
 def _run_chunk(cell: _Cell) -> list[tuple]:
-    """The records of replications ``[rep_lo, rep_hi)``, in order, computed
-    in blocks of at most ``_BLOCK`` replications."""
+    """The records of replications ``[rep_lo, rep_hi)``, in order, run as
+    one lockstep block."""
     config = cell.config
-    records = _KINDS[config.kind].records
     cell_id = _cell_id(cell.r, cell.n)
-    out = []
-    for lo in range(cell.rep_lo, cell.rep_hi, _BLOCK):
-        samples = [sample(config.dist, cell.n,
-                          make_rng(seed_for_rep(config.base_seed, cell_id, i)))
-                   for i in range(lo, min(lo + _BLOCK, cell.rep_hi))]
-        out.extend(records(cell, samples))
-    return out
+    samples = [sample(config.dist, cell.n, make_rng(seed_for_rep(config.base_seed, cell_id, i)))
+               for i in range(cell.rep_lo, cell.rep_hi)]
+    return _KINDS[config.kind].records(cell, samples)
 
 
 def _cells_records(cells: list[_Cell], threads: int) -> Iterator[list[tuple]]:
     """Yield each cell's records, in replication order, cell by cell.
 
+    Every cell is cut into chunks, and one chunk is one lockstep block.
     With ``threads > 1`` and at least 8 replications per cell, the chunks
     of every cell go to one process pool in one submission, so no worker
-    waits at a cell boundary.  A chunk of ``min(_BLOCK, ceil(reps /
-    threads))`` replications is one lockstep block, as tall as the cell
-    allows while each cell still spreads over every worker.  Closing the
-    generator early cancels the chunks not yet started.
+    waits at a cell boundary, and a chunk is ``min(_BLOCK, ceil(reps /
+    threads))`` replications: as tall as the cell allows while each cell
+    still spreads over every worker.  Otherwise the chunks run inline and
+    are ``_BLOCK`` tall.  Closing the generator early cancels the chunks
+    not yet started.
     """
     reps = cells[0].config.replications
-    if threads <= 1 or reps < 8:
-        for cell in cells:
-            yield _run_chunk(replace(cell, rep_lo=0, rep_hi=reps))
-        return
-    size = min(_BLOCK, math.ceil(reps / threads))
+    workers = threads if reps >= 8 else 1
+    size = min(_BLOCK, math.ceil(reps / workers))
     spans = [(lo, min(lo + size, reps)) for lo in range(0, reps, size)]
-    pool = ProcessPoolExecutor(max_workers=threads)
+    chunks = [replace(cell, rep_lo=lo, rep_hi=hi) for cell in cells for lo, hi in spans]
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        parts = pool.map(_run_chunk, [replace(cell, rep_lo=lo, rep_hi=hi)
-                                      for cell in cells for lo, hi in spans])
+        parts = (pool.map if pool else map)(_run_chunk, chunks)
         for _ in cells:
             yield [rec for _ in spans for rec in next(parts)]
     finally:
-        pool.shutdown(cancel_futures=True)
+        if pool:
+            pool.shutdown(cancel_futures=True)
+
+
+def check_threads(threads) -> None:
+    """Raise :class:`PwmInputError` unless ``threads``, a worker count, is
+    an integer >= 1."""
+    if not _is_int(threads) or threads < 1:
+        raise PwmInputError(f"threads must be an integer >= 1, got {threads!r}")
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
@@ -401,8 +402,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentRepo
     budget raises :class:`NumericError` there, without waiting for the rest.
     ``threads`` must be an integer >= 1.
     """
-    if not _is_int(threads) or threads < 1:
-        raise PwmInputError(f"threads must be an integer >= 1, got {threads!r}")
+    check_threads(threads)
     t0 = time.perf_counter()
     kind = _KINDS[config.kind]
     beta_dist = kind.beta_dist(config)

@@ -298,6 +298,7 @@ def test_simulate_thread_count_below_one_exits_2(capsys, tmp_path, monkeypatch, 
                             str(tmp_path / "o"), "--threads", threads)
     assert code == 2
     assert f"threads must be an integer >= 1, got {threads}" in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("out", ["s.csv", "s.csv/o"])

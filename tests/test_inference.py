@@ -457,7 +457,7 @@ def test_a_sample_that_from_data_rejects_fails_its_own_row_only():
 def test_a_sample_that_is_not_real_numbers_fails_its_own_row_only():
     xs = [sample(DistSpec("exponential", 1.0), 12, make_rng(95 + k)) for k in range(3)]
     pv = jackknife_pseudo_values(xs[1], 1)
-    for bad in (["a"] * 12, [[1.0, 2.0], [3.0]], {"a": 1}, pv,
+    for bad in (["a"] * 12, [[1.0, 2.0], [3.0]], {"a": 1}, xs[1] + 1j, pv,
                 dataclasses.replace(pv, values=pv.values[:10])):
         samples = [xs[0], bad, xs[2]]
         intervals = confidence_intervals(samples, 1, 0.9, CI_METHODS)
@@ -470,8 +470,9 @@ def test_a_sample_that_is_not_real_numbers_fails_its_own_row_only():
         # alone too
         with pytest.raises(PwmInputError, match=f"^{NOT_REAL}$"):
             jel_neg2_ratio(bad, 1, 1.0)
-    with pytest.raises(PwmInputError, match=f"^{NOT_REAL}$"):
-        ustat_estimate(["a", "b", "c"], 1)
+    for bad in (["a", "b", "c"], xs[1] + 2j):  # not cast to its real parts
+        with pytest.raises(PwmInputError, match=f"^{NOT_REAL}$"):
+            ustat_estimate(bad, 1)
 
 
 @pytest.mark.parametrize("batch", [lambda xs: (x for x in xs), iter])

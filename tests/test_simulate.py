@@ -14,7 +14,10 @@ from pwmjel import (
     NumericError,
     PwmError,
     PwmInputError,
+    adjustment_constant,
     confidence_interval,
+    dn_estimate,
+    jackknife_pseudo_values,
     make_rng,
     parse_config_file,
     ratio_test,
@@ -23,6 +26,7 @@ from pwmjel import (
     seed_for_rep,
     simulate,
     true_beta,
+    vexler_estimate,
     write_report_csv,
     write_report_markdown,
 )
@@ -305,7 +309,25 @@ def test_lockstep_records_equal_one_call_per_replication():
     assert not ci_records[np.arange(12) != 4, 2::3].any()
 
 
-@pytest.mark.parametrize("kind", ["coverage_length", "size"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_estimate_records_equal_the_per_sample_estimators(r):
+    for n in (r + 2, 7, 64, 300, 3000):
+        cfg = small_config(kind="variance", r_values=(r,), n_values=(n,))
+        cell = _Cell(cfg, r, n, None, 0, 0)
+        samples = [sample(DistSpec(family, 1.0), n, make_rng(60 + k))
+                   for k, family in enumerate(("exponential", "lognormal", "normal"))]
+        samples[2][[0, -1]] = [-0.0, 0.0]
+        a = adjustment_constant(n)
+        want = []
+        for x in samples:
+            jack = float(np.mean(jackknife_pseudo_values(x, r).values))
+            want.append((dn_estimate(x, r), vexler_estimate(x, r), jack,
+                         jack * (n - a) / (n + 1.0)))
+        got = simulate._estimates_records(cell, samples)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["coverage_length", "size", "variance"])
 def test_chunk_records_do_not_depend_on_chunking(kind):
     cfg = small_config(kind=kind, methods=CI_METHODS, n_values=(20,))
     cell = _Cell(cfg, 1, 20, true_beta(EXP1, 1), 0, 0)
@@ -314,7 +336,7 @@ def test_chunk_records_do_not_depend_on_chunking(kind):
              for rec in _run_chunk(replace(cell, rep_lo=lo, rep_hi=hi))]
     assert len(whole) == 37
     assert np.array_equal(np.array(whole), np.array(parts), equal_nan=True)
-    # more replications than one lockstep block
+    # a block taller than _BLOCK
     longer = _run_chunk(replace(cell, rep_lo=0, rep_hi=simulate._BLOCK + 9))
     assert np.array_equal(np.array(longer[:37]), np.array(whole), equal_nan=True)
 
@@ -464,3 +486,17 @@ def test_every_cells_chunks_go_to_the_pool_in_one_map(monkeypatch, kind):
         assert run_experiment(cfg, threads=threads).rows == rows
         assert maps == [[(r, n, size) for r, n in cells for size in sizes]]
         assert max(size for *_, size in maps[0]) <= simulate._BLOCK
+
+
+def test_an_inline_run_runs_each_cell_in_blocks(monkeypatch):
+    chunks = []
+    run_chunk = simulate._run_chunk
+
+    def recording(cell):
+        chunks.append((cell.r, cell.n, cell.rep_hi - cell.rep_lo))
+        return run_chunk(cell)
+
+    monkeypatch.setattr(simulate, "_run_chunk", recording)
+    cfg = small_config(kind="variance", r_values=(1, 2), n_values=(20, 40), replications=150)
+    run_experiment(cfg, threads=1)
+    assert chunks == [(r, n, size) for r in (1, 2) for n in (20, 40) for size in (64, 64, 22)]
