@@ -83,8 +83,11 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def _uniform_open(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Uniforms strictly inside (0, 1): inverse transforms stay finite."""
-    return (rng.integers(0, 1 << 53, size=n, dtype=np.int64) + 0.5) * 2.0**-53
+    """Uniforms for the inverse transforms, never 0: the values k·2^-53 of
+    ``random()`` moved up by 2^-54, the same bits as
+    ``(integers(0, 2**53) + 0.5) * 2**-53``.  From 0.5 up the sum is a tie
+    that rounds to even, so 1.0 comes once in 2^53 draws."""
+    return rng.random(n) + 2.0**-54
 
 
 def sample(dist: DistSpec, n: int, rng: np.random.Generator) -> np.ndarray:

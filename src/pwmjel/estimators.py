@@ -147,10 +147,12 @@ def sorted_rows(samples) -> tuple[list, dict]:
     for i, data in enumerate(samples):
         raw = data.values if isinstance(data, SortedSample) else data
         try:
-            if isinstance(raw, np.ndarray) and raw.dtype.kind == "c":
+            arr = np.asarray(raw)
+            if arr.dtype.kind == "c" or arr.dtype.kind == "O" and any(
+                    isinstance(v, np.complexfloating) for v in arr.flat):
                 # NumPy would cast it to its real parts with only a warning
                 raise TypeError("complex sample")
-            arr = np.asarray(raw, dtype=float)
+            arr = arr.astype(float, copy=False)
         except (TypeError, ValueError):
             errors.append(PwmInputError("sample must be an array of real numbers"))
             continue

@@ -1,7 +1,12 @@
-"""``load_csv_column`` splits plain lines itself and hands a file over to
-``csv.reader`` from its first line with a quote, a NUL or an oversized field.
-These tests hold it to a reference that runs every row through ``csv.reader``:
-the same value bytes, the same skip count, the same error type and text."""
+"""``load_csv_column`` reads the text after the header in line-aligned
+blocks and finds each line's cell with array passes over the block's
+character codes.  From the first line with a quote, a NUL or
+``csv.field_size_limit()`` characters, the rest of the file goes through
+``csv.reader``; a decode error or a csv.Error reads the file again through
+``csv.reader`` alone.  These tests hold it to a reference that runs every row
+through ``csv.reader``: the same value bytes, the same skip count, the same
+error type and text, also with blocks a few characters long, so that a block
+ends at every place in a line."""
 
 import csv
 import math
@@ -173,3 +178,86 @@ def test_plain_lines_do_not_go_through_csv_reader(tmp_path, monkeypatch):
     path.write_text("x,y\n1,2\n3,4\n\"5\",6\n7,8\n")
     assert data.load_csv_column(path, "x").values.tolist() == [1.0, 3.0, 5.0, 7.0]
     assert rows_read == [["x", "y"], ["5", "6"], ["7", "8"]]  # from the quote on
+
+
+@pytest.fixture
+def field_limit():
+    old = csv.field_size_limit()
+    yield csv.field_size_limit
+    csv.field_size_limit(old)
+
+
+def assert_same_at_every_block_size(path, monkeypatch, text, *columns):
+    """``text`` as the file, read with blocks from one character to all of it."""
+    path.write_bytes(text.encode("utf-8"))
+    for size in range(1, len(text) + 2):
+        monkeypatch.setattr(data, "_BLOCK", size)
+        assert_same(path, *columns)
+
+
+@pytest.mark.parametrize("body", [
+    "1,2\r\n3,4\r\n\r\n5,6\r\n",  # a block ends between "\r" and "\n"
+    "1,2\r3,4\r\r5,6\r",  # ... on a lone "\r"
+    "1,2\r\r\r\n3,4\n\r",  # runs of line ends
+    "10.5,,2\n,3\n4,5,6,7\n8\n",  # ... in the middle of a line, short rows
+    "1,2\n3,4\n\"5\",6\n7,8\n",  # ... just before a quoted field
+    "1,2\n3,\"4\"\r\n5,6\r7,8",  # ... and before a mid-line one
+    "1,2\n3,\"4\n,\r\n5\"\n6,7\n8,9\n",  # a quoted field that spans blocks
+    "1,2\n3,4\n5,6\0\n7,8\n",  # a NUL
+    "µ,1\n–,2\n١٢,3\n 4 ,µ\n\u2028,5\n6,\u00a07\n",  # non-ASCII cells; float reads ١٢ as 12
+])
+def test_blocks_split_anywhere_match_csv_reader(tmp_path, monkeypatch, body):
+    assert_same_at_every_block_size(tmp_path / "blocks.csv", monkeypatch, "x,y\n" + body, "x", "y")
+
+
+def test_lines_over_the_limit_match_csv_reader(tmp_path, monkeypatch, field_limit):
+    field_limit(12)
+    body = "1,2\n" + "3," + "4" * 9 + "," + "5" * 9 + "\n6,7\n"  # 21 characters, no long field
+    assert_same_at_every_block_size(tmp_path / "long.csv", monkeypatch, "x,y,z\n" + body, "x", "y", "z")
+    body += "8," + "9" * 13 + "\n"  # a field over the limit
+    assert_same_at_every_block_size(tmp_path / "long.csv", monkeypatch, "x,y\n" + body, "x", "y")
+
+
+def test_a_line_over_the_limit_is_handed_over_before_its_end_is_read(tmp_path, monkeypatch,
+                                                                    field_limit):
+    field_limit(12)
+    blocks = []
+    real_block_cells = data._block_cells
+
+    def recording_block_cells(text, n, *args):
+        blocks.append(text[:n])
+        return real_block_cells(text, n, *args)
+
+    monkeypatch.setattr(data, "_block_cells", recording_block_cells)
+    monkeypatch.setattr(data, "_BLOCK", 4)
+    path = tmp_path / "long.csv"
+    path.write_text("x,y\n1,2\n3," + "4," * 500 + "\n5,6\n")
+    assert_same(path, "x", "y")
+    assert blocks and max(map(len, blocks)) <= 12 + 4
+
+
+def test_undecodable_byte_past_the_first_block_is_the_same_error(tmp_path, monkeypatch):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"x,y\n" + b"1.5,2.5\n" * 40 + b"3,caf\xe9\n4,5\n")
+    for size in (1, 7, 64, 200):
+        monkeypatch.setattr(data, "_BLOCK", size)
+        got = outcome(data.load_csv_column, path, "x")
+        assert got == outcome(reference_load, path, "x")
+        assert got[0] is PwmInputError and "can't decode byte 0xe9 in position 329" in got[1]
+
+
+def test_small_blocks_keep_plain_lines_out_of_csv_reader(tmp_path, monkeypatch):
+    rows_read = []
+    real_reader = csv.reader
+
+    def counting_reader(*args, **kwargs):
+        for row in real_reader(*args, **kwargs):
+            rows_read.append(row)
+            yield row
+
+    monkeypatch.setattr(data.csv, "reader", counting_reader)
+    monkeypatch.setattr(data, "_BLOCK", 4)
+    path = tmp_path / "plain.csv"
+    path.write_bytes(b"x,y\r\n1,2\r\n3,4\r5,6\n,\r\n7,8")
+    assert data.load_csv_column(path, "y").values.tolist() == [2.0, 4.0, 6.0, 8.0]
+    assert rows_read == [["x", "y"]]

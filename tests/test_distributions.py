@@ -14,6 +14,7 @@ from pwmjel import (
     PwmInputError,
     chi2_1_cdf,
     chi2_1_quantile,
+    distributions,
     make_rng,
     sample,
     true_beta,
@@ -193,6 +194,16 @@ def test_rng_reproducible_and_open_interval():
     c = sample(EXP1, 1000, make_rng(124))
     assert not np.array_equal(a, c)
     assert np.all(a > 0)  # exp draws never hit 0 (open-interval uniforms)
+
+
+def test_open_uniforms_are_the_bits_of_the_integer_formula():
+    # random() is (next64 >> 11)·2^-53 and integers(0, 2**53) is next64 >> 11
+    for seed in range(400):
+        for n in (1, 2, 3, 25, 300, 603):
+            got = distributions._uniform_open(make_rng(seed), n)
+            old = (make_rng(seed).integers(0, 1 << 53, size=n, dtype=np.int64) + 0.5) * 2.0**-53
+            assert got.tobytes() == old.tobytes()
+    assert distributions._uniform_open(make_rng(0), 1).shape == (1,)
 
 
 def test_sampling_hits_the_right_medians():

@@ -81,6 +81,23 @@ def test_sample_validation():
         dn_estimate([1.0, np.nan], 1)
 
 
+def test_bool_int_and_sorted_inputs_keep_their_bits():
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=50)
+    ints = [int(v) for v in rng.integers(-2**62, 2**62, 50)] + [2**70, -2**64 - 1]
+    bits = rng.random(50) < 0.5
+    for raw, want in ((bits.tolist(), bits.astype(float)),
+                      (bits, bits.astype(float)),
+                      (ints, np.array([float(v) for v in ints])),
+                      (np.array(ints[:50]), np.array([float(v) for v in ints[:50]])),
+                      (SortedSample.from_data(x), x),
+                      (x.tolist(), x)):
+        errors, blocks = estimators.sorted_rows([raw])
+        ((index, rows),) = blocks.values()
+        assert errors == [None] and list(index) == [0]
+        assert rows[0].tobytes() == np.sort(want, kind="stable").tobytes()
+
+
 def test_sorted_sample_is_sorted_and_frozen():
     s = SortedSample.from_data([3.0, 1.0, 2.0])
     assert list(s.values) == [1.0, 2.0, 3.0]

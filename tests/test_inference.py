@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -471,6 +472,19 @@ def test_a_sample_that_is_not_real_numbers_fails_its_own_row_only():
         with pytest.raises(PwmInputError, match=f"^{NOT_REAL}$"):
             jel_neg2_ratio(bad, 1, 1.0)
     for bad in (["a", "b", "c"], xs[1] + 2j):  # not cast to its real parts
+        with pytest.raises(PwmInputError, match=f"^{NOT_REAL}$"):
+            ustat_estimate(bad, 1)
+
+
+def test_a_list_holding_numpy_complex_scalars_is_not_real_numbers():
+    # NumPy casts such a list to its real parts with only a ComplexWarning
+    x = sample(DistSpec("lognormal", 1.0), 40, make_rng(96))
+    for bad in ([np.complex128(v + 1j) for v in x],
+                [*x[:-1], np.complex128(x[-1])],  # mixed, a zero imaginary part
+                [Fraction(1, 2)] * 39 + [np.complex64(1 + 1j)]):  # an object array
+        good, row = ratio_tests([x, bad], 1, 1.5, 0.05, CI_METHODS)
+        assert {(type(e), str(e)) for e in row} == {(PwmInputError, NOT_REAL)}
+        assert good == tuple(ratio_test(x, 1, 1.5, 0.05, m) for m in CI_METHODS)
         with pytest.raises(PwmInputError, match=f"^{NOT_REAL}$"):
             ustat_estimate(bad, 1)
 
