@@ -83,11 +83,14 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def _uniform_open(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Uniforms for the inverse transforms, never 0: the values k·2^-53 of
-    ``random()`` moved up by 2^-54, the same bits as
-    ``(integers(0, 2**53) + 0.5) * 2**-53``.  From 0.5 up the sum is a tie
-    that rounds to even, so 1.0 comes once in 2^53 draws."""
-    return rng.random(n) + 2.0**-54
+    """Uniforms in (0, 1) for the inverse transforms: the values k·2^-53 of
+    ``random()`` moved up by 2^-54, the same bits as ``(integers(0, 2**53) +
+    0.5) * 2**-53`` but for the top draw.  From 0.5 up the sum is a tie that
+    rounds to even, which takes the top draw, k = 2^53 - 1, to 1.0; that one
+    is held at 1 - 2^-53, the largest float below 1, so that no transform
+    meets the end of its range."""
+    u = rng.random(n) + 2.0**-54
+    return np.minimum(u, 1.0 - 2.0**-53, out=u)
 
 
 def sample(dist: DistSpec, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -29,9 +29,7 @@ returned multiplier, which the last Newton step computed anyway.  With
 since ``1 / (1 + lam d) = 1 - lam u`` they give the sums behind the
 multiplier's derivative in mu and the ratio's curvature (see
 :class:`pwmjel.inference._StackedRatio`) without another pass over the
-points.  Where mu is the mean of the points to within the score tolerance,
-the multiplier is 0 before any Newton step; :func:`_solved_at_zero` finds
-those rows of a stack and their score and slope without a solve.
+points.
 """
 
 from __future__ import annotations
@@ -204,16 +202,6 @@ class RowSolutions:
     errors: dict[int, PwmError]
 
 
-def _interior(mu, dmin, dmax):
-    """Which stacked rows, with extremes ``dmin``, ``dmax`` of their offsets
-    ``d = z - mu``, have finite points and mu strictly inside their hull, and
-    every row's score tolerance ``_SCORE_TOL * max(|mu|, -dmin, dmax)``, the
-    rule of :func:`solve_lambda`.  A non-finite point or mu makes an extreme
-    non-finite (nan propagates), so such a row is not inside."""
-    inside = (-math.inf < dmin) & (dmin < 0.0) & (0.0 < dmax) & (dmax < math.inf)
-    return inside, _SCORE_TOL * np.maximum(np.maximum(np.abs(mu), -dmin), dmax)
-
-
 def _solve_row(z, mu, lam0) -> tuple:
     """One row of :func:`solve_rows` by :func:`solve_lambda`, as the row's
     ``(lam, log_ratio, iterations, last_weight, score, score_slope)`` and its
@@ -265,7 +253,10 @@ def solve_rows(z: np.ndarray, mu: np.ndarray, lam0: np.ndarray) -> RowSolutions:
     with np.errstate(invalid="ignore"):
         d_all = z - mu[:, None]
     dmin, dmax = d_all.min(axis=1), d_all.max(axis=1)
-    inside, gtol = _interior(mu, dmin, dmax)
+    # a non-finite point or mu makes an extreme non-finite (nan propagates),
+    # so such a row is not inside; the tolerance is solve_lambda's
+    inside = (-math.inf < dmin) & (dmin < 0.0) & (0.0 < dmax) & (dmax < math.inf)
+    gtol = _SCORE_TOL * np.maximum(np.maximum(np.abs(mu), -dmin), dmax)
     for i in np.flatnonzero(~inside).tolist():
         row, exc = _solve_row(z[i], mu[i], lam0[i])
         (lam_out[i], log_ratio[i], iterations[i], last_weight[i], score_out[i],
@@ -339,35 +330,6 @@ def solve_rows(z: np.ndarray, mu: np.ndarray, lam0: np.ndarray) -> RowSolutions:
         errors[i] = _not_converged(g_i, gtol_i, best)
     return RowSolutions(lam_out, log_ratio, iterations, last_weight, score_out, slope_out,
                         errors)
-
-
-def _solved_at_zero(z: np.ndarray, mu: np.ndarray):
-    """The rows of a ``(k, m)`` stack that :func:`solve_rows` started at
-    ``lam0 = 0`` returns at ``lam = 0`` without a Newton step, as a mask,
-    with the score and its slope there for those rows.
-
-    At ``lam = 0`` every weight is ``1/m`` and ``u = d = z - mu``, so the
-    score is ``mean(d)`` and its slope ``-mean(d^2)`` (Owen 1988); both are
-    computed as the kernels compute them, so they are bit for bit what
-    :func:`solve_rows` returns.  A row qualifies when :func:`_interior` takes
-    it and its score meets the kernels' tolerance.  Such a row has log ratio
-    0 and last weight ``1/m``.
-    """
-    m = z.shape[1]
-    zmin, zmax = z.min(axis=1), z.max(axis=1)
-    finite = np.isfinite(zmin) & np.isfinite(zmax) & np.isfinite(mu)
-    if not finite.all():
-        # such a row cannot qualify: points at 0 and mu at 1 leave it
-        # outside its hull, and nothing below warns
-        z = np.where(finite[:, None], z, 0.0)
-        zmin, zmax, mu = (np.where(finite, v, fill)
-                          for v, fill in ((zmin, 0.0), (zmax, 0.0), (mu, 1.0)))
-    d = z - mu[:, None]
-    # the kernels' extremes of d, as rounding is monotone
-    inside, gtol = _interior(mu, zmin - mu, zmax - mu)
-    score = np.add.reduce(d, axis=1) / m
-    slope = -np.add.reduce(np.multiply(d, d, out=d), axis=1) / m
-    return inside & (np.abs(score) <= gtol), score, slope
 
 
 def neg2_log_ratio(z, mu) -> float:

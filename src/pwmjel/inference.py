@@ -52,7 +52,8 @@ import numpy as np
 
 from . import el as _el
 from .distributions import chi2_1_cdf, chi2_1_quantile
-from .errors import ConvergenceError, DegenerateSampleError, HullError, PwmError, PwmInputError
+from .errors import (ConvergenceError, DegenerateSampleError, HullError, NumericError, PwmError,
+                     PwmInputError)
 from .estimators import pseudo_value_rows, sorted_rows, summand_rows
 
 __all__ = [
@@ -137,11 +138,14 @@ class _RowSet:
 
     A method's rows (``method`` set) are its EL point sets, tested for mean
     beta, with each row's ``estimate`` and ``seed``, where its ratio bottoms
-    out; the two differ only under the literal adjustment rule.  Under the
+    out; the two differ only under the literal adjustment rule.  The build
+    keeps a row only where its points and estimate are finite and its seed
+    strictly inside its points (:func:`_seeded`).  Under the
     centered adjustment (``adjust`` set to its ``a``) the rows are the
     pseudo-values, centered at beta and augmented before the EL test of mean
     zero; otherwise the hull of a row's points bounds its interval search.
-    The block of pseudo-values holds each row's U-statistic ``estimate``.
+    The block of pseudo-values holds each row's U-statistic ``estimate``,
+    which is also its ``seed``.
     """
 
     status: list
@@ -153,27 +157,42 @@ class _RowSet:
     adjust: float | None = None
 
 
-def _failing(status: list, rows: list, exc: PwmError) -> _RowSet:
-    """No rows, and ``status`` with ``exc`` for each of the samples ``rows``."""
-    out = list(status)
-    for i in rows:
-        out[i] = exc
-    return _RowSet(out, [], None)
-
-
-def _without(rows: _RowSet, bad: np.ndarray, error) -> _RowSet:
-    """``rows`` less the rows flagged in ``bad``, whose samples get ``error()``."""
-    drop = np.flatnonzero(bad).tolist()
-    if not drop:
+def _without(rows: _RowSet, checks) -> _RowSet:
+    """``rows`` less the rows that fail one of ``checks``, pairs of a mask of
+    the failing rows (or True for all) and an error maker; the sample of
+    such a row gets ``error()`` of the first check that the row fails."""
+    drop = np.zeros(len(rows.rows), dtype=bool)
+    for bad, _ in checks:
+        drop |= bad
+    if not np.count_nonzero(drop):
         return rows
-    status = list(rows.status)
-    for j in drop:
-        status[rows.rows[j]] = error()
-    keep = np.flatnonzero(~bad)
-    values = rows.values[keep]
+    status, left = list(rows.status), drop.copy()
+    for bad, error in checks:
+        for j in np.flatnonzero(bad & left).tolist():
+            status[rows.rows[j]] = error()
+        left &= np.logical_not(bad)
+    keep = np.flatnonzero(~drop)
+    values, estimate, seed = (None if v is None else v[keep]
+                              for v in (rows.values, rows.estimate, rows.seed))
     values.flags.writeable = False
-    return _RowSet(status, [rows.rows[j] for j in keep.tolist()], values,
-                   None if rows.estimate is None else rows.estimate[keep])
+    return _RowSet(status, [rows.rows[j] for j in keep.tolist()], values, estimate, seed,
+                   rows.method, rows.adjust)
+
+
+def _seeded(rows: _RowSet, lo, hi, points: str, *checks) -> _RowSet:
+    """``rows``, whose EL points (named ``points``) have row extremes ``lo``
+    and ``hi``, less those whose points or estimate are not finite, then
+    those that fail ``checks``, then those whose seed is not strictly
+    inside the extremes (nan fails every comparison).  So each seed left,
+    the mean of its points, is where the searches start at multiplier 0."""
+    finite = (-math.inf < lo) & (hi < math.inf) & np.isfinite(rows.estimate)
+    inside = (lo < rows.seed) & (rows.seed < hi)
+    return _without(rows, (
+        (~finite, lambda: NumericError(f"{points} overflow the float range")),
+        *checks,
+        (~inside, lambda: DegenerateSampleError(
+            f"the mean of the {points} is not strictly inside their range; the "
+            "likelihood ratio carries no information"))))
 
 
 def _sample_block(samples) -> _RowSet:
@@ -188,22 +207,25 @@ def _sample_block(samples) -> _RowSet:
 
 def _checked(block: _RowSet, r) -> _RowSet:
     """The pseudo-values of a block of sorted samples, built for all its
-    rows at once, less the degenerate rows, whose samples get an error."""
+    rows at once, with their U-statistic estimates, which are also the seeds
+    of JEL and centered AJEL, less the rows that :func:`_seeded` drops or
+    that are degenerate, whose samples get an error."""
     if not block.rows:
         return block
-    try:
-        values, estimate = pseudo_value_rows(block.values, r)
-    except PwmError as exc:
-        return _failing(block.status, block.rows, exc)
-    values.flags.writeable = False
-    # constant input leaves rounding noise of a few n*eps relative to the
-    # pseudo-values, so the spread is compared against that floor
-    vmax, vmin = values.max(axis=1), values.min(axis=1)
-    flat = vmax - vmin <= 64.0 * values.shape[1] * np.finfo(float).eps * np.maximum(vmax, -vmin)
-    return _without(_RowSet(block.status, block.rows, values, estimate), flat,
-                    lambda: DegenerateSampleError(
-                        "all jackknife pseudo-values are identical; the likelihood "
-                        "ratio carries no information"))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails its row below
+        try:
+            values, estimate = pseudo_value_rows(block.values, r)
+        except PwmError as exc:
+            return _without(block, [(True, lambda: exc)])
+        values.flags.writeable = False
+        # constant input leaves rounding noise of a few n*eps relative to the
+        # pseudo-values, so the spread is compared against that floor
+        vmax, vmin = values.max(axis=1), values.min(axis=1)
+        flat = vmax - vmin <= 64.0 * values.shape[1] * np.finfo(float).eps * np.maximum(vmax, -vmin)
+    return _seeded(_RowSet(block.status, block.rows, values, estimate, estimate), vmin, vmax,
+                   "jackknife pseudo-values", (flat, lambda: DegenerateSampleError(
+                       "all jackknife pseudo-values are identical; the likelihood "
+                       "ratio carries no information")))
 
 
 class _StackedRatio:
@@ -243,7 +265,8 @@ class _StackedRatio:
 
     Calling the stack gives all of these, for the interval searches;
     :meth:`statistics` gives the ratio alone, for tests, and
-    :meth:`at_seeds` gives the searches' start values without a solve.
+    :meth:`at_seeds` gives the multiplier's derivative at the seeds, where
+    the searches start, without a solve.
     """
 
     def __init__(self, sets: list[_RowSet]):
@@ -338,34 +361,22 @@ class _StackedRatio:
         return ratio, slope, sol.lam, dlam, curvature, errors
 
     def at_seeds(self, seeds):
-        """The ratio, multiplier and multiplier's derivative of every row
-        at its seed ``seeds[i]`` from ``lam0 = 0``, as arrays, and ``{i:
-        error}``, bit for bit what ``self`` returns there.
+        """The multiplier's derivative in beta of every row at its seed
+        ``seeds[i]``, bit for bit what ``self`` returns there.
 
-        Where the seed is the mean of the EL points to within the kernel's
-        score tolerance, the multiplier is 0 with no Newton step (Owen 1988),
-        so the ratio is 0 and the derivative is :func:`_derivatives` at
-        ``lam = 0``, where ``sum w^2 = m`` and ``sum d^2 w^2 = sum d^2`` for
-        the offsets ``d`` of the EL points; only the other rows are solved.
+        The build leaves only rows whose seed is the mean of their EL
+        points, strictly inside them, where the multiplier is 0 in closed
+        form (Owen 1988) and so is the ratio.  The derivative is
+        :func:`_derivatives` at ``lam = 0``, where ``sum w^2 = m`` and ``sum
+        d^2 w^2 = sum d^2`` for the offsets ``d`` of the EL points, summed as
+        the kernels sum them.
         """
-        seeds = np.asarray(seeds, dtype=float)
-        k = len(seeds)
-        z, mu, a = self._el_rows(slice(None), seeds)
+        z, mu, a = self._el_rows(slice(None), np.asarray(seeds, dtype=float))
         m = z.shape[1]
-        at_zero, score, score_slope = _el._solved_at_zero(z, mu)
-        rest = np.flatnonzero(~at_zero).tolist()
-        closed = np.flatnonzero(at_zero) if rest else slice(None)
+        d = z - mu[:, None]
+        score_slope = -np.add.reduce(np.multiply(d, d, out=d), axis=1) / m
         # the kernel's last weight at lam = 0 is 1 / (m (1 + 0 d)) = 1 / m
-        dlam = _derivatives(m, 0.0, score[closed], score_slope[closed],
-                            None if a is None else a[closed], 1.0 / m, z[closed, -1])[0]
-        ratio, lam, errors = np.zeros(k), np.zeros(k), {}
-        if rest:
-            closed_dlam, dlam = dlam, np.full(k, math.nan)
-            dlam[closed] = closed_dlam
-            got = self(rest, seeds[rest], np.zeros(len(rest)))
-            ratio[rest], lam[rest], dlam[rest] = got[0], got[2], got[3]
-            errors = {rest[t]: exc for t, exc in got[5].items()}
-        return ratio, lam, dlam, errors
+        return _derivatives(m, 0.0, 0.0, score_slope, a, 1.0 / m, z[:, -1])[0]
 
 
 def _derivatives(m: int, lam, score, score_slope, a, p, z_last):
@@ -400,26 +411,33 @@ def _ajel_problems(pv: _RowSet, r, rule, a_n) -> _RowSet:
     # bottoms out at the augmented mean rather than at the point estimate
     aug = np.empty((len(pv.rows), n + 1))
     aug[:, :n] = pv.values
-    aug[:, n] = -(a / n) * np.add.reduce(pv.values, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails its row below
+        aug[:, n] = -(a / n) * np.add.reduce(pv.values, axis=1)
+        seed = np.add.reduce(aug, axis=1) / (n + 1)
     aug.flags.writeable = False
-    return _RowSet(pv.status, pv.rows, aug, pv.estimate,
-                   np.add.reduce(aug, axis=1) / (n + 1), "AJEL")
+    return _seeded(_RowSet(pv.status, pv.rows, aug, pv.estimate, seed, "AJEL"),
+                   aug.min(axis=1), aug.max(axis=1), "augmented pseudo-values")
 
 
 def _plugin_problems(method: str):
     def build(block: _RowSet, r, rule, a_n) -> _RowSet:
         if not block.rows:
             return block
-        try:
-            z = summand_rows(block.values, r, method)
-        except PwmError as exc:
-            return _failing(block.status, block.rows, exc)
-        z.flags.writeable = False
-        rows = _without(_RowSet(block.status, block.rows, z), z.max(axis=1) - z.min(axis=1) == 0.0,
-                        lambda: DegenerateSampleError(
-                            f"{method} summands are all identical; no likelihood spread"))
-        estimate = np.add.reduce(rows.values, axis=1) / rows.values.shape[1]
-        return _RowSet(rows.status, rows.rows, rows.values, estimate, estimate, method)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow fails its row below
+            try:
+                z = summand_rows(block.values, r, method)
+            except PwmError as exc:
+                return _without(block, [(True, lambda: exc)])
+            z.flags.writeable = False
+            zmax, zmin = z.max(axis=1), z.min(axis=1)
+            # the mean in each row's power-of-two coordinates, the stack's,
+            # where the sum cannot overflow; the scaling is exact
+            e = np.frexp(np.maximum(zmax, -zmin))[1]
+            estimate = np.ldexp(np.add.reduce(np.ldexp(z, -e[:, None]), axis=1) / z.shape[1], e)
+            flat = zmax - zmin == 0.0
+        return _seeded(_RowSet(block.status, block.rows, z, estimate, estimate, method),
+                       zmin, zmax, f"{method} summands", (flat, lambda: DegenerateSampleError(
+                           f"{method} summands are all identical; no likelihood spread")))
     return build
 
 
@@ -497,9 +515,9 @@ def confidence_interval(sample, r: int, level: float, method: str,
     minimum by a safeguarded Halley search on ``sqrt(ratio) -
     sqrt(quantile)``, which takes the ratio's slope and curvature from each
     EL solve.  At the minimum, the seed, the multiplier is 0 in closed
-    form (the seed is the mean of the EL points to within the solver's
-    tolerance), so the ratio there and the multiplier's derivative take no
-    EL solve.  The search starts a skew-corrected step from the seed,
+    form (the seed is the mean of the EL points, strictly inside them, as
+    the build checks), so the ratio there and the multiplier's derivative
+    take no EL solve.  The search starts a skew-corrected step from the seed,
     warm-starts each solve along the multiplier's tangent, and stops at
     ratio residual <= 1e-6 with a Newton step <= 1e-8 * beta_scale, where
     ``beta_scale`` is the larger of the estimate's magnitude and the EL
@@ -658,12 +676,14 @@ class _Searches:
     """The lower and upper endpoint searches of the rows of one or more
     stacks, as arrays over the searches still running, in the rows'
     coordinates: built from the stacks, one lockstep round per
-    :meth:`advance`, read by :meth:`results`.  A row whose seed fails is not
-    searched.  Search ``key`` is the lower (even) or upper search of stacked
-    row ``row``; stack t's searched rows ``rows[t]`` have keys from ``first[t]``.
+    :meth:`advance`, read by :meth:`results`.  Search ``key`` is the lower
+    (even) or upper search of stacked row ``row``; stack t's rows have keys
+    from ``first[t]``, two per row, in row order.
 
-    Start.  The seed is the mean of the row's m points, with central moments
-    ``m2`` and ``m3``.  The first Newton step from it, ``delta =
+    Start.  The seed is the mean of the row's m points, strictly inside
+    them (the build drops every other row), where the ratio and the
+    multiplier are 0; the points have central moments ``m2`` and ``m3``
+    there.  The first Newton step from it, ``delta =
     sqrt(threshold * m2 / m)``, is skewed by ``kappa = delta * m3 / (3
     m2^2)``: the searches start at ``seed - delta (1 - kappa)`` and ``seed +
     delta (1 + kappa)``, where a skewed ratio crosses the threshold to third
@@ -710,37 +730,22 @@ class _Searches:
 
     def __init__(self, stacks: list[_StackedRatio], threshold: float):
         self.stacks, self.threshold, self.root_threshold = stacks, threshold, math.sqrt(threshold)
-        self.outs, self.rows = [], []  # per stack: each row's result (None if searched), rows
         columns = []  # per stack: rows, m, m2, m3, extremes, hull bounds (or nan), at the seeds
         for ratio in stacks:
             seed, estimate = ratio.seeds()
-            at_seed, lam, dlam, errors = ratio.at_seeds(seed)
-            out = [None] * seed.size
-            for j in np.flatnonzero(~(at_seed < threshold)).tolist():
-                out[j] = ConvergenceError(
-                    f"ratio at the point estimate ({at_seed[j]:.4g}) already exceeds "
-                    f"the chi-square threshold ({threshold:.4g}); no interval exists")
-            for j, exc in errors.items():
-                out[j] = exc
-            rows = np.array([j for j, o in enumerate(out) if o is None], dtype=int)
             points = ratio.points
-            if rows.size < len(out):
-                points, estimate, seed, lam, dlam = (
-                    c[rows] for c in (points, estimate, seed, lam, dlam))
-            m = points.shape[1]
+            k, m = points.shape
             c = points - (np.add.reduce(points, axis=1) / m)[:, None]
             c2 = c * c
             m2 = np.add.reduce(c2, axis=1) / m
             m3 = np.add.reduce(np.multiply(c2, c, out=c2), axis=1) / m
             vmin, vmax = points.min(axis=1), points.max(axis=1)
             shrink = _HULL_SHRINK * (vmax - vmin) if ratio.adjust is None else math.nan
-            self.outs.append(out)
-            self.rows.append(rows)
-            columns.append((rows, np.full(rows.size, m), m2, m3, vmin, vmax,
-                            vmin + shrink, vmax - shrink, estimate, seed, lam, dlam))
-        self.first = np.cumsum([0] + [2 * rows.size for rows in self.rows])
+            columns.append((np.arange(k), np.full(k, m), m2, m3, vmin, vmax,
+                            vmin + shrink, vmax - shrink, estimate, seed, ratio.at_seeds(seed)))
+        self.first = np.cumsum([0] + [2 * len(ratio.points) for ratio in stacks])
         columns = columns[0] if len(stacks) == 1 else [np.concatenate(c) for c in zip(*columns)]
-        rows, m, m2, m3, vmin, vmax, lower, upper, estimate, seed, lam, dlam = columns
+        rows, m, m2, m3, vmin, vmax, lower, upper, estimate, seed, dlam = columns
         scale = np.maximum(np.maximum(np.abs(estimate), vmax - estimate), estimate - vmin)
         delta = np.sqrt(threshold * m2 / m)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -761,7 +766,7 @@ class _Searches:
         seed, bound = by_key(seed), by_key(lower, upper)
         unprobed = ~np.isnan(bound)
         np.copyto(x, 0.5 * (seed + bound), where=unprobed & ~_between(x, seed, bound))
-        lam, dlam = by_key(lam), by_key(dlam)
+        lam, dlam = np.zeros(x.size), by_key(dlam)
         with np.errstate(invalid="ignore", over="ignore"):
             self.lam0 = _warm_start(lam, dlam, by_key(bend), x - seed)
         self.key, self.row, self.seed, self.bound = np.arange(seed.size), by_key(rows), seed, bound
@@ -788,18 +793,16 @@ class _Searches:
 
     def results(self) -> list:
         """Per stack, its rows' ``(lower, upper, evaluations)`` in the data's
-        coordinates, or the error at the seed, else the lower, else the upper
-        search's."""
-        for ratio, rows, out, a in zip(self.stacks, self.rows, self.outs, self.first.tolist()):
-            keys = slice(a, a + 2 * rows.size)
+        coordinates, or the error of the lower, else the upper search."""
+        out, first = [], self.first.tolist()
+        for ratio, a, b in zip(self.stacks, first, first[1:]):
             # a failed search's endpoint is never read and may lie far out
             with np.errstate(over="ignore"):
-                ends = ratio.unscaled(self.endpoint[keys], rows.repeat(2)).tolist()
-            evals = self.evaluations[keys].tolist()
-            for t, j in zip(range(0, len(ends), 2), rows.tolist()):
-                out[j] = self.failure.get(a + t) or self.failure.get(a + t + 1) or (
-                    ends[t], ends[t + 1], evals[t] + evals[t + 1])
-        return self.outs
+                ends = ratio.unscaled(self.endpoint[a:b], np.arange(b - a) // 2).tolist()
+            evals = self.evaluations[a:b].tolist()
+            out.append([self.failure.get(a + t) or self.failure.get(a + t + 1) or (
+                ends[t], ends[t + 1], evals[t] + evals[t + 1]) for t in range(0, b - a, 2)])
+        return out
 
     def _unscaled(self, j: int, x: float) -> float:
         """``x``, in the coordinates of running search ``j``, in the data's."""

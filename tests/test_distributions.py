@@ -206,6 +206,24 @@ def test_open_uniforms_are_the_bits_of_the_integer_formula():
     assert distributions._uniform_open(make_rng(0), 1).shape == (1,)
 
 
+class _TopDraws:
+    """A generator whose ``random`` gives its largest value, (2^53 - 1)·2^-53."""
+
+    def random(self, n):
+        return np.full(n, (2**53 - 1) * 2.0**-53)
+
+
+def test_the_top_draw_stays_below_one():
+    # the integer formula would give 1.0, where exponential draws are -0.0
+    # and normal and lognormal ones infinite
+    assert distributions._uniform_open(_TopDraws(), 3).tolist() == [1.0 - 2.0**-53] * 3
+    for dist in (EXP1, DistSpec("normal", 2.0), DistSpec("lognormal", 1.5)):
+        x = sample(dist, 3, _TopDraws())
+        assert np.all(np.isfinite(x)) and np.all(x > 0.0)
+        assert x.tolist() == [x[0]] * 3
+    assert sample(EXP1, 1, _TopDraws())[0] == 2.0**-53
+
+
 def test_sampling_hits_the_right_medians():
     # empirical cdf at the true median is binomial(n, 1/2); 4 sigma band
     n = 20000

@@ -366,25 +366,3 @@ def test_a_zero_slope_takes_the_midpoint_in_both_kernels():
         ref = solve_lambda(z[i], mu[i])
         assert (got.lam[i], got.log_ratio[i], got.iterations[i]) == \
             (ref.lam, ref.log_ratio, ref.iterations)
-
-
-def test_solved_at_zero_is_the_kernels_stop_at_zero():
-    # means moved across the score tolerance, some rows non-finite or off
-    # the hull: a row is solved at zero exactly where the kernels succeed
-    # with no step from lam0 = 0, with their score and slope bit for bit
-    rng = np.random.default_rng(5)
-    z = rng.exponential(size=(48, 30))
-    mean = np.add.reduce(z, axis=1) / 30
-    scale = np.maximum(mean, z.max(axis=1) - mean)
-    mu = mean + np.geomspace(1e-2, 1e2, 48) * rng.choice([-1.0, 1.0], 48) * 1e-10 * scale
-    mu[3], mu[7], z[11, 4], z[13, :] = np.nan, z[7].max(), np.inf, 1.0
-    at_zero, score, slope = el._solved_at_zero(z, mu)
-    assert 0 < at_zero.sum() < 44
-    for rows in (np.arange(48), np.arange(3)):
-        sol = el.solve_rows(z[rows], mu[rows], np.zeros(rows.size))
-        stopped = sol.iterations == 0
-        stopped[list(sol.errors)] = False
-        assert np.array_equal(at_zero[rows], stopped)
-        hit = at_zero[rows]
-        assert score[rows][hit].tobytes() == sol.score[hit].tobytes()
-        assert slope[rows][hit].tobytes() == sol.score_slope[hit].tobytes()

@@ -16,6 +16,7 @@ from pwmjel import (
     ConvergenceError,
     DegenerateSampleError,
     DistSpec,
+    NumericError,
     PwmError,
     PseudoValues,
     PwmInputError,
@@ -42,7 +43,6 @@ from pwmjel import (
 from pwmjel import el, inference
 from pwmjel.inference import (
     ADJUSTMENT_RULES,
-    _lockstep_intervals,
     _method_problems,
     _RowSet,
     _StackedRatio,
@@ -185,24 +185,20 @@ _SEED_KINDS = [("JEL", "centered", None), ("AJEL", "centered", None),
                ("AJEL", "literal", 3.0), ("DNEL", "centered", None), ("VXL", "centered", None)]
 
 
-def _check_seeds(problems, closed, solves):
-    """``at_seeds`` on a stack of ``problems`` solves only the rows not in
-    ``closed`` and returns bit for bit what a solve of every row returns."""
+def _check_seeds(problems, solves):
+    """``at_seeds`` on a stack of ``problems`` takes no solve, and a solve of
+    every row at its seed from ``lam0 = 0`` stops there: ratio and
+    multiplier 0, and bit for bit the closed form's multiplier derivative."""
     ratio = _StackedRatio(problems)
     k = len(ratio.points)
     seeds, _ = ratio.seeds()
     solves.clear()
-    at_seed, lam, dlam, errors = ratio.at_seeds(seeds)
-    assert sum(solves) == k - len(closed)
-    solved = ratio(list(range(k)), seeds, [0.0] * k)
-    assert _bits(at_seed) == _bits(solved[0])
-    assert _bits(lam) == _bits(solved[2])
-    assert _bits(dlam) == _bits(solved[3])
-    assert errors.keys() == solved[5].keys()
-    for j, exc in errors.items():
-        assert (type(exc), str(exc)) == (type(solved[5][j]), str(solved[5][j]))
-    assert all(at_seed[j] == 0.0 for j in closed)
-    return at_seed, errors
+    dlam = ratio.at_seeds(seeds)
+    assert solves == []
+    at_seed, _, lam, solved_dlam, _, errors = ratio(list(range(k)), seeds, [0.0] * k)
+    assert errors == {}
+    assert _bits(at_seed) == _bits(lam) == _bits(np.zeros(k))
+    assert _bits(dlam) == _bits(solved_dlam)
 
 
 @pytest.mark.parametrize("family", ["exponential", "lognormal", "normal"])
@@ -211,42 +207,84 @@ def test_closed_form_seed_is_bit_equal_to_the_seed_solve(family, n, solves):
     xs = [sample(DistSpec(family, 1.0), n, make_rng(seed)) for seed in range(8)]
     for method, rule, a_n in _SEED_KINDS:
         problems = [_problem(x, method, rule, a_n) for x in xs]
-        _, errors = _check_seeds(problems, range(len(xs)), solves)
-        assert errors == {}
+        # the vectorised kernel, and solve_lambda row by row
+        _check_seeds(problems, solves)
+        _check_seeds(problems[:1], solves)
 
 
-def test_seeds_off_the_mean_are_solved(solves):
-    points = np.array([0.1, 0.4, 0.45, 0.9, 1.3])
-    # plain: the seed at the largest point (outside the open hull), a seed
-    # off the mean inside it, one at the mean, and non-finite rows
-    rows = np.array([points, points, points, np.append(points[:-1], np.inf),
-                     [-np.inf, 0.4, 0.45, 0.9, np.inf]])
-    estimate, seed = [1.3, 0.5, 0.63, 0.5, 0.5], [1.3, 0.9, 0.63, 0.5, 0.5]
-    plain = _rows(rows, estimate, seed, "JEL")
-    at_seed, errors = _check_seeds([plain], [2], solves)
-    assert at_seed[:2].tolist() == [math.inf, pytest.approx(1.9, abs=0.1)]
-    assert list(errors) == [3, 4]
-    assert {str(exc) for exc in errors.values()} == {"EL points contain non-finite values"}
-    ((error,),) = _lockstep_intervals([[_rows(rows[:1], estimate[:1], seed[:1], "JEL")]], 0.95)
-    assert type(error) is ConvergenceError and str(error) == (
-        "ratio at the point estimate (inf) already exceeds the chi-square threshold "
-        "(3.841); no interval exists")
-    # centered: a seed off the mean and one at it
-    centered = _rows([points, points], [0.6, 0.63], [1.2, 0.63], "AJEL", adjust=1.0)
-    at_seed, errors = _check_seeds([centered], [1], solves)
-    assert at_seed[0] > 0.0 and errors == {}
+def test_the_build_keeps_only_rows_whose_seed_is_inside_finite_points():
+    points = np.array([[0.1, 0.4, 1.3]] * 6)
+    points[1, 2] = np.inf
+    estimate = np.array([0.6, 0.6, np.inf, 0.6, 0.6, 0.6])
+    seed = np.array([0.6, 0.6, 0.6, 1.3, np.nan, 0.1])
+    flat = np.array([False, True, False, True, False, False])
+    rows = inference._seeded(_rows(points, estimate, seed, "JEL"), points.min(axis=1),
+                             points.max(axis=1), "points",
+                             (flat, lambda: DegenerateSampleError("flat")))
+    assert rows.rows == [0] and rows.method == "JEL"
+    assert rows.values.tolist() == [[0.1, 0.4, 1.3]] and not rows.values.flags.writeable
+    assert (rows.estimate.tolist(), rows.seed.tolist()) == ([0.6], [0.6])
+    # each dropped row gets the first check it fails, in the order taken
+    assert [(type(e), str(e)) for e in rows.status[1:]] == [
+        (NumericError, "points overflow the float range")] * 2 + [
+        (DegenerateSampleError, "flat")] + [
+        (DegenerateSampleError, "the mean of the points is not strictly inside their range; "
+                                "the likelihood ratio carries no information")] * 2
+
+
+def test_overflowing_sums_leave_the_plug_in_intervals_exact():
+    # at 2**1017 the summands' plain sum overflows, and their mean is taken
+    # in the rows' power-of-two coordinates; the pseudo-values overflow, so
+    # JEL and AJEL fail with a NumericError; no warning escapes
+    x = sample(DistSpec("exponential", 1.0), 300, make_rng(7))
+    big = np.ldexp(x, 1017)
+    with np.errstate(over="ignore"):
+        assert np.add.reduce(dnel_summands(big, 1).values) == math.inf
+    for rule in ADJUSTMENT_RULES:
+        ((*plug_in, jel, ajel),) = confidence_intervals([big], 1, 0.95, CI_METHODS, rule)
+        ((*tests, jel_stat, ajel_stat),) = ratio_tests([big], 1, np.ldexp(0.8, 1017), 0.05,
+                                                       CI_METHODS, rule)
+        for ci, test, method in zip(plug_in, tests, ("DNEL", "VXL")):
+            want = confidence_interval(x, 1, 0.95, method)
+            assert [ci.lower, ci.upper, ci.point_estimate] == [
+                np.ldexp(v, 1017) for v in (want.lower, want.upper, want.point_estimate)]
+            assert ci.endpoint_iterations == want.endpoint_iterations
+            assert test.statistic == ratio_test(x, 1, 0.8, 0.05, method).statistic
+        for error in (jel, ajel, jel_stat, ajel_stat):
+            assert (type(error), str(error)) == (
+                NumericError, "jackknife pseudo-values overflow the float range")
 
 
 @pytest.mark.parametrize("method, rule, a_n", _SEED_KINDS)
-def test_el_rows_solved_per_interval_are_its_ratio_evaluations(method, rule, a_n, solves):
+def test_el_rows_solved_per_interval_are_its_ratio_evaluations(method, rule, a_n, solves,
+                                                               monkeypatch):
     xs = [sample(DistSpec("exponential", 1.0), 60, make_rng(seed)) for seed in range(6)]
-    for x in xs:
+    # the offset sample, whose JEL and centered AJEL searches stall; its seed
+    # takes no solve either
+    xs.append(5.0 + 1e-9 * xs[0])
+    rounds = []  # the searches running in each lockstep round, one evaluation each
+    advance = inference._Searches.advance
+
+    def counting(self):
+        rounds.append(self.key.size)
+        advance(self)
+
+    monkeypatch.setattr(inference._Searches, "advance", counting)
+
+    def intervals(block):
         solves.clear()
-        ci = confidence_interval(x, 1, 0.95, method, rule, a_n)
-        assert sum(solves) == ci.endpoint_iterations
-    solves.clear()
-    block = confidence_intervals(xs, 1, 0.95, [method], rule, a_n)
-    assert sum(solves) == sum(ci.endpoint_iterations for (ci,) in block)
+        rounds.clear()
+        cis = [ci for (ci,) in confidence_intervals(block, 1, 0.95, [method], rule, a_n)]
+        assert sum(solves) == sum(rounds)
+        return cis
+
+    for x in xs:
+        (ci,) = intervals([x])
+        if not isinstance(ci, PwmError):
+            assert sum(solves) == ci.endpoint_iterations
+    cis = intervals(xs[:-1])
+    assert sum(solves) == sum(ci.endpoint_iterations for ci in cis)
+    intervals(xs)
 
 
 def test_far_hypotheses_reach_the_centered_plateau():

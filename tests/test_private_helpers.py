@@ -2,9 +2,7 @@
 
 A name with a leading underscore is private to its module: a sibling may
 neither import it (``from .x import _y``) nor reach it through the module
-(``x._y``).  The one documented exception is the closed form of the EL
-kernels' first convergence test, which the interval searches take from
-:mod:`pwmjel.el` without making it part of the kernels' API.
+(``x._y``).  There is no exception.
 """
 
 import ast
@@ -14,7 +12,6 @@ import pwmjel
 
 PACKAGE = Path(pwmjel.__file__).parent
 SIBLINGS = {p.stem for p in PACKAGE.glob("*.py")}
-ALLOWED = {("inference", "el", "_solved_at_zero")}
 
 
 def _private(name: str) -> bool:
@@ -59,13 +56,13 @@ def _uses(path: Path):
 def test_no_module_uses_a_siblings_private_helpers():
     found = {(path.stem, sibling, name)
              for path in sorted(PACKAGE.glob("*.py")) for sibling, name in _uses(path)}
-    assert found - ALLOWED == set()
+    assert found == set()
 
 
 def test_the_check_sees_both_forms_of_use(tmp_path):
     bad = tmp_path / "bad.py"
-    bad.write_text("from .el import _interior\nfrom . import el as kernel\n"
-                   "from pwmjel import estimators\nkernel._solved_at_zero\n"
+    bad.write_text("from .el import _validate_points\nfrom . import el as kernel\n"
+                   "from pwmjel import estimators\nkernel._not_converged\n"
                    "estimators._cached_weights\n")
-    assert sorted(_uses(bad)) == [("el", "_interior"), ("el", "_solved_at_zero"),
+    assert sorted(_uses(bad)) == [("el", "_not_converged"), ("el", "_validate_points"),
                                   ("estimators", "_cached_weights")]
