@@ -37,23 +37,21 @@ point width and kind share its stack whatever their method, up to a
 measured size, and ``_by_stack`` maps the stack's results back to the
 samples.  :func:`confidence_intervals` and :func:`ratio_tests` run it on
 many samples, and :func:`confidence_interval` and :func:`ratio_test` are
-their one-sample case.  A stack alone maps values between its rows'
-power-of-two coordinates and the data's, and ``_Searches`` builds a call's
-endpoint searches from its stacks.
+their one-sample case.  The build puts each row in its own power-of-two
+frame, and ``_Searches`` builds a call's endpoint searches from its stacks.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import el as _el
 from .distributions import chi2_1_cdf, chi2_1_quantile
-from .errors import (ConvergenceError, DegenerateSampleError, HullError, NumericError, PwmError,
-                     PwmInputError)
+from .errors import ConvergenceError, DegenerateSampleError, HullError, PwmError, PwmInputError
 from .estimators import pseudo_value_rows, sorted_rows, summand_rows
 
 __all__ = [
@@ -134,12 +132,15 @@ def adjustment_constant(n: int) -> float:
 class _RowSet:
     """A batch's samples as the rows of one matrix: row ``values[j]``
     belongs to sample ``rows[j]``, in sample order.  ``status[i]`` is None
-    exactly while sample i has a row, else its PwmError.
+    exactly while sample i has a row, else its PwmError.  Each row is in
+    its own frame, the data times ``2**-exponent[j]``, which is exact: the
+    block of sorted samples is scaled into [-1, 1), so nothing built on it
+    overflows, and :func:`_framed` scales each method's rows again.
 
     A method's rows (``method`` set) are its EL point sets, tested for mean
-    beta, with each row's ``estimate`` and ``seed``, where its ratio bottoms
-    out; the two differ only under the literal adjustment rule.  The build
-    keeps a row only where its points and estimate are finite and its seed
+    beta, with extremes ``lo`` and ``hi`` and each row's ``estimate`` and
+    ``seed``, where its ratio bottoms out; the two differ only under the
+    literal adjustment rule.  The build keeps a row only where its seed is
     strictly inside its points (:func:`_seeded`).  Under the
     centered adjustment (``adjust`` set to its ``a``) the rows are the
     pseudo-values, centered at beta and augmented before the EL test of mean
@@ -151,10 +152,16 @@ class _RowSet:
     status: list
     rows: list
     values: np.ndarray | None
+    exponent: np.ndarray | None = None
     estimate: np.ndarray | None = None
     seed: np.ndarray | None = None
+    lo: np.ndarray | None = None
+    hi: np.ndarray | None = None
     method: str | None = None
     adjust: float | None = None
+
+
+_ROW_FIELDS = ("values", "exponent", "estimate", "seed", "lo", "hi")
 
 
 def _without(rows: _RowSet, checks) -> _RowSet:
@@ -172,37 +179,52 @@ def _without(rows: _RowSet, checks) -> _RowSet:
             status[rows.rows[j]] = error()
         left &= np.logical_not(bad)
     keep = np.flatnonzero(~drop)
-    values, estimate, seed = (None if v is None else v[keep]
-                              for v in (rows.values, rows.estimate, rows.seed))
+    fields = {name: None if getattr(rows, name) is None else getattr(rows, name)[keep]
+              for name in _ROW_FIELDS}
+    fields["values"].flags.writeable = False
+    return replace(rows, status=status, rows=[rows.rows[j] for j in keep.tolist()], **fields)
+
+
+def _framed(rows: _RowSet, values, estimate, seed, method=None) -> _RowSet:
+    """The EL points ``values`` built on ``rows``, in its frames, with their
+    ``estimate`` and ``seed``, each row scaled (the points in place) by the
+    power of two that brings its largest point magnitude into [1/2, 1).
+    The points' extremes are taken here once."""
+    lo, hi = values.min(axis=1), values.max(axis=1)
+    # frexp's int32 exponents keep ldexp on its fast loop
+    e = np.frexp(np.maximum(hi, -lo))[1]
+    np.ldexp(values, -e[:, None], out=values)
     values.flags.writeable = False
-    return _RowSet(status, [rows.rows[j] for j in keep.tolist()], values, estimate, seed,
-                   rows.method, rows.adjust)
+    return _RowSet(rows.status, rows.rows, values, rows.exponent + e, np.ldexp(estimate, -e),
+                   np.ldexp(seed, -e), np.ldexp(lo, -e), np.ldexp(hi, -e), method)
 
 
-def _seeded(rows: _RowSet, lo, hi, points: str, *checks) -> _RowSet:
-    """``rows``, whose EL points (named ``points``) have row extremes ``lo``
-    and ``hi``, less those whose points or estimate are not finite, then
-    those that fail ``checks``, then those whose seed is not strictly
-    inside the extremes (nan fails every comparison).  So each seed left,
-    the mean of its points, is where the searches start at multiplier 0."""
-    finite = (-math.inf < lo) & (hi < math.inf) & np.isfinite(rows.estimate)
-    inside = (lo < rows.seed) & (rows.seed < hi)
-    return _without(rows, (
-        (~finite, lambda: NumericError(f"{points} overflow the float range")),
-        *checks,
-        (~inside, lambda: DegenerateSampleError(
-            f"the mean of the {points} is not strictly inside their range; the "
-            "likelihood ratio carries no information"))))
+def _seeded(rows: _RowSet, points: str, *checks) -> _RowSet:
+    """``rows``, whose EL points are named ``points``, less those that fail
+    ``checks``, then those whose seed is not strictly inside their
+    extremes.  So each seed left, the mean of its points, is where the
+    searches start at multiplier 0."""
+    inside = (rows.lo < rows.seed) & (rows.seed < rows.hi)
+    return _without(rows, (*checks, (~inside, lambda: DegenerateSampleError(
+        f"the mean of the {points} is not strictly inside their range; the "
+        "likelihood ratio carries no information"))))
 
 
 def _sample_block(samples) -> _RowSet:
-    """The samples, read once, sorted along the rows of one block, in which
-    a sample that :meth:`SortedSample.from_data` rejects gets its error;
-    raises :class:`PwmInputError` unless the other samples share one size."""
+    """The samples, read once, sorted along the rows of one block and scaled
+    in place into [-1, 1), in which a sample that
+    :meth:`SortedSample.from_data` rejects gets its error; raises
+    :class:`PwmInputError` unless the other samples share one size."""
     status, blocks = sorted_rows(samples)
     if len(blocks) > 1:
         raise PwmInputError("batched inference needs samples of one size")
-    return _RowSet(status, *blocks.popitem()[1]) if blocks else _RowSet(status, [], None)
+    if not blocks:
+        return _RowSet(status, [], None)
+    rows, x = blocks.popitem()[1]
+    # a sorted row's largest magnitude is at one of its ends
+    exponent = np.frexp(np.maximum(-x[:, 0], x[:, -1]))[1]
+    np.ldexp(x, -exponent[:, None], out=x)
+    return _RowSet(status, rows, x, exponent)
 
 
 def _checked(block: _RowSet, r) -> _RowSet:
@@ -212,20 +234,17 @@ def _checked(block: _RowSet, r) -> _RowSet:
     that are degenerate, whose samples get an error."""
     if not block.rows:
         return block
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails its row below
-        try:
-            values, estimate = pseudo_value_rows(block.values, r)
-        except PwmError as exc:
-            return _without(block, [(True, lambda: exc)])
-        values.flags.writeable = False
-        # constant input leaves rounding noise of a few n*eps relative to the
-        # pseudo-values, so the spread is compared against that floor
-        vmax, vmin = values.max(axis=1), values.min(axis=1)
-        flat = vmax - vmin <= 64.0 * values.shape[1] * np.finfo(float).eps * np.maximum(vmax, -vmin)
-    return _seeded(_RowSet(block.status, block.rows, values, estimate, estimate), vmin, vmax,
-                   "jackknife pseudo-values", (flat, lambda: DegenerateSampleError(
-                       "all jackknife pseudo-values are identical; the likelihood "
-                       "ratio carries no information")))
+    try:
+        values, estimate = pseudo_value_rows(block.values, r)
+    except PwmError as exc:
+        return _without(block, [(True, lambda: exc)])
+    pv = _framed(block, values, estimate, estimate)
+    # constant input leaves rounding noise of a few n*eps relative to the
+    # pseudo-values, so the spread is compared against that floor
+    flat = pv.hi - pv.lo <= 64.0 * values.shape[1] * np.finfo(float).eps * np.maximum(pv.hi, -pv.lo)
+    return _seeded(pv, "jackknife pseudo-values", (flat, lambda: DegenerateSampleError(
+        "all jackknife pseudo-values are identical; the likelihood ratio carries no "
+        "information")))
 
 
 class _StackedRatio:
@@ -233,16 +252,12 @@ class _StackedRatio:
     (plain, or centered), of one or more methods, stacked so that one
     :func:`el.solve_rows` call evaluates the ratio of any subset.
 
-    Each row runs in its own coordinates, ``beta * 2**-exponent[i]``, with
-    the power of two that brings the row's largest point magnitude into
-    [1/2, 1); ``points`` holds the scaled rows, and beta, the multiplier and
-    the derivatives are in these coordinates.  Scaling by a power of two is
-    exact, so the EL solves and the endpoint searches see the same numbers
-    at every data scale, and the multiplier's derivatives, which scale with
-    the inverse square of the data, neither over- nor underflow.  The rows
-    are scaled straight from the sets' matrices, with no copy in between.
-    Only the stack knows them: :meth:`scaled` maps values in (seeds,
-    estimates, beta), :meth:`unscaled` maps them out (endpoints).
+    The rows, and beta, the multiplier and the derivatives with them, are
+    in the rows' frames (see :class:`_RowSet`), where the multiplier's
+    derivatives, which scale with the inverse square of the data, neither
+    over- nor underflow.  The stack only concatenates its sets' fields;
+    :meth:`scaled` maps a hypothesized value in and :meth:`unscaled`
+    endpoints out.
 
     The slope is the ratio's derivative in beta, which by the envelope
     theorem comes free with the solved multiplier (Owen 1988): ``-2 m lam``
@@ -270,21 +285,13 @@ class _StackedRatio:
     """
 
     def __init__(self, sets: list[_RowSet]):
-        self.sets = sets
-        self.points = np.empty((sum(len(s.rows) for s in sets), sets[0].values.shape[1]))
-        # frexp's int32 exponents keep ldexp on its fast loop
-        self.exponent = np.frexp(np.concatenate(
-            [np.maximum(s.values.max(axis=1), -s.values.min(axis=1)) for s in sets]))[1]
-        lo = 0
-        for s in sets:
-            hi = lo + len(s.rows)
-            np.ldexp(s.values, -self.exponent[lo:hi, None], out=self.points[lo:hi])
-            lo = hi
+        self.points, self.exponent, self.estimate, self.seed, self.lo, self.hi = (
+            np.concatenate([getattr(s, name) for s in sets]) for name in _ROW_FIELDS)
         self.adjust = (None if sets[0].adjust is None
                        else np.repeat([s.adjust for s in sets], [len(s.rows) for s in sets]))
 
     def scaled(self, beta) -> np.ndarray:
-        """``beta``, one value or one per row, in the rows' coordinates, held
+        """``beta``, one value or one per row, in the rows' frames, held
         within +-2**60: farther out every point (at most 1 in magnitude)
         rounds away against beta, so the ratio no longer changes (infinite
         for plain EL, on its plateau under the centered adjustment).  Beta's
@@ -294,13 +301,8 @@ class _StackedRatio:
         return scaled.clip(-2.0 ** 60, 2.0 ** 60)
 
     def unscaled(self, x, rows) -> np.ndarray:
-        """``x[j]``, in the coordinates of stacked row ``rows[j]``, in the data's."""
+        """``x[j]``, in the frame of stacked row ``rows[j]``, in the data's."""
         return np.ldexp(x, self.exponent[rows])
-
-    def seeds(self) -> np.ndarray:
-        """Each row's seed and estimate, in its coordinates, as two rows."""
-        return self.scaled(np.array([np.concatenate([s.seed for s in self.sets]),
-                                     np.concatenate([s.estimate for s in self.sets])]))
 
     def _el_rows(self, rows, beta):
         """The EL point sets and hypothesized means of stacked row ``rows[j]``
@@ -360,9 +362,9 @@ class _StackedRatio:
             slope[[j for j in sol.errors if j not in errors]] = math.nan
         return ratio, slope, sol.lam, dlam, curvature, errors
 
-    def at_seeds(self, seeds):
-        """The multiplier's derivative in beta of every row at its seed
-        ``seeds[i]``, bit for bit what ``self`` returns there.
+    def at_seeds(self):
+        """The multiplier's derivative in beta of every row at its seed,
+        bit for bit what ``self`` returns there.
 
         The build leaves only rows whose seed is the mean of their EL
         points, strictly inside them, where the multiplier is 0 in closed
@@ -371,7 +373,7 @@ class _StackedRatio:
         d^2 w^2 = sum d^2`` for the offsets ``d`` of the EL points, summed as
         the kernels sum them.
         """
-        z, mu, a = self._el_rows(slice(None), np.asarray(seeds, dtype=float))
+        z, mu, a = self._el_rows(slice(None), self.seed)
         m = z.shape[1]
         d = z - mu[:, None]
         score_slope = -np.add.reduce(np.multiply(d, d, out=d), axis=1) / m
@@ -397,7 +399,7 @@ def _derivatives(m: int, lam, score, score_slope, a, p, z_last):
 
 
 def _jel_problems(pv: _RowSet, r, rule, a_n) -> _RowSet:
-    return _RowSet(pv.status, pv.rows, pv.values, pv.estimate, pv.estimate, "JEL")
+    return replace(pv, method="JEL")
 
 
 def _ajel_problems(pv: _RowSet, r, rule, a_n) -> _RowSet:
@@ -406,38 +408,28 @@ def _ajel_problems(pv: _RowSet, r, rule, a_n) -> _RowSet:
     n = pv.values.shape[1]
     a = adjustment_constant(n) if a_n is None else float(a_n)
     if rule == "centered":
-        return _RowSet(pv.status, pv.rows, pv.values, pv.estimate, pv.estimate, "AJEL", a)
+        return replace(pv, method="AJEL", adjust=a)
     # the augmented set does not depend on the tested value, so the ratio
     # bottoms out at the augmented mean rather than at the point estimate
     aug = np.empty((len(pv.rows), n + 1))
     aug[:, :n] = pv.values
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails its row below
-        aug[:, n] = -(a / n) * np.add.reduce(pv.values, axis=1)
-        seed = np.add.reduce(aug, axis=1) / (n + 1)
-    aug.flags.writeable = False
-    return _seeded(_RowSet(pv.status, pv.rows, aug, pv.estimate, seed, "AJEL"),
-                   aug.min(axis=1), aug.max(axis=1), "augmented pseudo-values")
+    aug[:, n] = -(a / n) * np.add.reduce(pv.values, axis=1)
+    seed = np.add.reduce(aug, axis=1) / (n + 1)
+    return _seeded(_framed(pv, aug, pv.estimate, seed, "AJEL"), "augmented pseudo-values")
 
 
 def _plugin_problems(method: str):
     def build(block: _RowSet, r, rule, a_n) -> _RowSet:
         if not block.rows:
             return block
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow fails its row below
-            try:
-                z = summand_rows(block.values, r, method)
-            except PwmError as exc:
-                return _without(block, [(True, lambda: exc)])
-            z.flags.writeable = False
-            zmax, zmin = z.max(axis=1), z.min(axis=1)
-            # the mean in each row's power-of-two coordinates, the stack's,
-            # where the sum cannot overflow; the scaling is exact
-            e = np.frexp(np.maximum(zmax, -zmin))[1]
-            estimate = np.ldexp(np.add.reduce(np.ldexp(z, -e[:, None]), axis=1) / z.shape[1], e)
-            flat = zmax - zmin == 0.0
-        return _seeded(_RowSet(block.status, block.rows, z, estimate, estimate, method),
-                       zmin, zmax, f"{method} summands", (flat, lambda: DegenerateSampleError(
-                           f"{method} summands are all identical; no likelihood spread")))
+        try:
+            z = summand_rows(block.values, r, method)
+        except PwmError as exc:
+            return _without(block, [(True, lambda: exc)])
+        estimate = np.add.reduce(z, axis=1) / z.shape[1]
+        rows = _framed(block, z, estimate, estimate, method)
+        return _seeded(rows, f"{method} summands", (rows.lo == rows.hi, lambda: (
+            DegenerateSampleError(f"{method} summands are all identical; no likelihood spread"))))
     return build
 
 
@@ -523,8 +515,9 @@ def confidence_interval(sample, r: int, level: float, method: str,
     ``beta_scale`` is the larger of the estimate's magnitude and the EL
     points' spread around it.  ``endpoint_iterations`` counts the ratio
     evaluations of both searches, which are then all the EL solves the
-    interval takes.  The search runs on the data scaled by a power of two,
-    so the endpoints scale exactly with the data.  It is the one-sample
+    interval takes.  Each row is built and searched in a power-of-two
+    frame, so the endpoints and the estimate scale exactly with the data
+    over the float range.  It is the one-sample
     case of :func:`confidence_intervals`, whose searches step together as
     arrays (:class:`_Searches`).
     """
@@ -556,7 +549,8 @@ def confidence_intervals(samples, r: int, level: float, methods,
     return _by_stack(_method_problems(samples, r, methods, rule, a_n),
                      lambda stacks: _lockstep_intervals(stacks, level),
                      lambda rows, j, ends: ConfidenceInterval(
-                         ends[0], ends[1], level, rows.method, float(rows.estimate[j]), ends[2]))
+                         ends[0], ends[1], level, rows.method,
+                         math.ldexp(rows.estimate[j], int(rows.exponent[j])), ends[2]))
 
 
 def ratio_tests(samples, r: int, beta0: float, alpha: float, methods,
@@ -674,11 +668,11 @@ def _warm_start(lam, dlam, bend, dx):
 
 class _Searches:
     """The lower and upper endpoint searches of the rows of one or more
-    stacks, as arrays over the searches still running, in the rows'
-    coordinates: built from the stacks, one lockstep round per
-    :meth:`advance`, read by :meth:`results`.  Search ``key`` is the lower
-    (even) or upper search of stacked row ``row``; stack t's rows have keys
-    from ``first[t]``, two per row, in row order.
+    stacks, as arrays over the searches still running, in the rows' frames:
+    built from the stacks, one lockstep round per :meth:`advance`, read by
+    :meth:`results`.  Search ``key`` is the lower (even) or upper search of
+    stacked row ``row``; stack t's rows have keys from ``first[t]``, two per
+    row, in row order.
 
     Start.  The seed is the mean of the row's m points, strictly inside
     them (the build drops every other row), where the ratio and the
@@ -695,9 +689,9 @@ class _Searches:
     estimate's magnitude and its largest distance to a point (from the
     extremes, as rounding is monotone).  The hull of a bounded row's points,
     shrunk on both sides, bounds its searches; a start beyond it moves to
-    the middle of the bracket.  The sums and extremes of the points are one
-    set of reductions along each stack's rows, bit for bit the row-by-row
-    ones.  The points are at most 1 in magnitude, so nothing overflows.
+    the middle of the bracket.  The extremes come from the build, and the
+    sums are one set of reductions along each stack's rows, bit for bit the
+    row-by-row ones.  The points are at most 1 in magnitude.
 
     Step.  A search takes Halley's step on ``h = sqrt(ratio) -
     sqrt(threshold)``, which is nearly linear in beta, or Newton's where
@@ -732,17 +726,15 @@ class _Searches:
         self.stacks, self.threshold, self.root_threshold = stacks, threshold, math.sqrt(threshold)
         columns = []  # per stack: rows, m, m2, m3, extremes, hull bounds (or nan), at the seeds
         for ratio in stacks:
-            seed, estimate = ratio.seeds()
-            points = ratio.points
+            points, vmin, vmax = ratio.points, ratio.lo, ratio.hi
             k, m = points.shape
             c = points - (np.add.reduce(points, axis=1) / m)[:, None]
             c2 = c * c
             m2 = np.add.reduce(c2, axis=1) / m
             m3 = np.add.reduce(np.multiply(c2, c, out=c2), axis=1) / m
-            vmin, vmax = points.min(axis=1), points.max(axis=1)
             shrink = _HULL_SHRINK * (vmax - vmin) if ratio.adjust is None else math.nan
-            columns.append((np.arange(k), np.full(k, m), m2, m3, vmin, vmax,
-                            vmin + shrink, vmax - shrink, estimate, seed, ratio.at_seeds(seed)))
+            columns.append((np.arange(k), np.full(k, m), m2, m3, vmin, vmax, vmin + shrink,
+                            vmax - shrink, ratio.estimate, ratio.seed, ratio.at_seeds()))
         self.first = np.cumsum([0] + [2 * len(ratio.points) for ratio in stacks])
         columns = columns[0] if len(stacks) == 1 else [np.concatenate(c) for c in zip(*columns)]
         rows, m, m2, m3, vmin, vmax, lower, upper, estimate, seed, dlam = columns
@@ -805,7 +797,7 @@ class _Searches:
         return out
 
     def _unscaled(self, j: int, x: float) -> float:
-        """``x``, in the coordinates of running search ``j``, in the data's."""
+        """``x``, in the frame of running search ``j``, in the data's."""
         t = int(np.searchsorted(self.first, self.key[j], side="right")) - 1
         return float(self.stacks[t].unscaled(x, self.row[j]))
 

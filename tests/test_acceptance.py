@@ -14,6 +14,7 @@ The verdict lines carry the measured numbers either way.
 """
 
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -336,7 +337,10 @@ def test_a10_adjusted_contains_unadjusted(verdict):
 # a11: simulation reports are byte-identical across thread counts
 
 
-def test_a11_simulate_deterministic_across_threads(verdict, tmp_path):
+def _a11_reports(tmp_path, runs):
+    """The report bytes of ``pwm simulate`` on a11's config for each of
+    ``runs``, pairs of a thread count and a start method for the pools (None
+    for the platform's default), each in a child process run in tmp_path."""
     cfg = tmp_path / "det.cfg"
     cfg.write_text(
         "kind = coverage_length\nfamily = exp\nparam = 1\n"
@@ -348,20 +352,39 @@ def test_a11_simulate_deterministic_across_threads(verdict, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     blobs = []
-    for threads in (1, 4, 8):
-        out_dir = tmp_path / f"t{threads}"
+    for threads, method in runs:
+        out_dir = tmp_path / f"t{threads}-{method}"
+        program = ["-m", "pwmjel.cli"] if method is None else [
+            "-c", "import multiprocessing, sys\n"
+            f"multiprocessing.set_start_method({method!r})\n"
+            "from pwmjel import cli\n"
+            "sys.exit(cli.main(sys.argv[1:]))"]
         subprocess.run(
-            [sys.executable, "-m", "pwmjel.cli", "simulate",
+            [sys.executable, *program, "simulate",
              "--config", str(cfg), "--out", str(out_dir),
              "--threads", str(threads)],
-            check=True, capture_output=True, cwd=tmp_path, env=env,
+            check=True, capture_output=True, cwd=tmp_path, env=env, timeout=600,
         )
         csvs = sorted(out_dir.glob("*.csv"))
         assert csvs, f"no report written for --threads {threads}"
         blobs.append(b"".join(p.read_bytes() for p in csvs))
+    return blobs
+
+
+def test_a11_simulate_deterministic_across_threads(verdict, tmp_path):
+    blobs = _a11_reports(tmp_path, [(1, None), (4, None), (8, None)])
     assert blobs[0] == blobs[1] == blobs[2]
     verdict("[a11] PASS simulate reports byte-identical across "
             "--threads 1, 4, 8")
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_a11_report_is_the_same_under_every_start_method(method, tmp_path):
+    # workers started fresh, not forked, import the package themselves
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    default, started = _a11_reports(tmp_path, [(1, None), (2, method)])
+    assert default == started
 
 
 # ---------------------------------------------------------------------------

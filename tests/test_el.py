@@ -12,7 +12,7 @@ from pwmjel import (
     neg2_log_ratio,
     solve_lambda,
 )
-from pwmjel.inference import _RowSet, _StackedRatio
+from pwmjel.inference import _framed, _RowSet, _StackedRatio
 
 # frozen from an independent bisection-only solve of the score equation
 GOLD_Z = [1.0, 2.0, 3.0]
@@ -224,10 +224,11 @@ def test_ratio_and_slope_solves_through_the_module_attribute(monkeypatch):
     monkeypatch.setattr(el, "solve_lambda", counting)
     data = np.random.default_rng(4).exponential(1.0, 60)
     mean = float(data.mean())
-    rows = _RowSet([None], [0], data[None], np.array([mean]), np.array([mean]), "JEL")
+    rows = _framed(_RowSet([None], [0], None, np.zeros(1, dtype=np.int32)), data[None].copy(),
+                   np.array([mean]), np.array([mean]), "JEL")
     ratio = _StackedRatio([rows] * el._VECTOR_ROWS)
-    # the stack solves in its rows' coordinates: the data scaled by a power
-    # of two into [-1, 1)
+    # the stack solves in its rows' frames: the data scaled by a power of two
+    # into [-1, 1)
     z = ratio.points[0]
     assert np.array_equal(ratio.unscaled(z, 0), data) and 0.5 <= np.abs(z).max() < 1.0
     mu = [float(np.quantile(z, q)) for q in (0.2, 0.5, 0.8)]

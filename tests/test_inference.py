@@ -16,7 +16,6 @@ from pwmjel import (
     ConvergenceError,
     DegenerateSampleError,
     DistSpec,
-    NumericError,
     PwmError,
     PseudoValues,
     PwmInputError,
@@ -61,11 +60,20 @@ def _problem(x, method, rule="centered", a_n=None) -> _RowSet:
     return rows
 
 
-def _rows(values, estimate, seed, method, adjust=None) -> _RowSet:
-    """The rows ``values`` of one sample each, with their estimates and seeds."""
+def _rows(values, estimate, seed, method) -> _RowSet:
+    """The rows ``values`` of one sample each, with their estimates and seeds,
+    given in the data's coordinates, in their frames."""
     k = len(values)
-    return _RowSet([None] * k, list(range(k)), np.asarray(values), np.array(estimate),
-                   np.array(seed), method, adjust)
+    data = _RowSet([None] * k, list(range(k)), None, np.zeros(k, dtype=np.int32))
+    return inference._framed(data, np.array(values, dtype=float), np.array(estimate),
+                             np.array(seed), method)
+
+
+def _unscaled(rows: _RowSet, name: str) -> np.ndarray:
+    """The field ``name`` of ``rows``, one value or row per sample, in the
+    data's coordinates."""
+    field = getattr(rows, name)
+    return np.ldexp(field, rows.exponent if field.ndim == 1 else rows.exponent[:, None])
 
 
 def test_jel_ratio_frozen_golden():
@@ -191,9 +199,9 @@ def _check_seeds(problems, solves):
     multiplier 0, and bit for bit the closed form's multiplier derivative."""
     ratio = _StackedRatio(problems)
     k = len(ratio.points)
-    seeds, _ = ratio.seeds()
+    seeds = ratio.seed
     solves.clear()
-    dlam = ratio.at_seeds(seeds)
+    dlam = ratio.at_seeds()
     assert solves == []
     at_seed, _, lam, solved_dlam, _, errors = ratio(list(range(k)), seeds, [0.0] * k)
     assert errors == {}
@@ -212,47 +220,45 @@ def test_closed_form_seed_is_bit_equal_to_the_seed_solve(family, n, solves):
         _check_seeds(problems[:1], solves)
 
 
-def test_the_build_keeps_only_rows_whose_seed_is_inside_finite_points():
-    points = np.array([[0.1, 0.4, 1.3]] * 6)
-    points[1, 2] = np.inf
-    estimate = np.array([0.6, 0.6, np.inf, 0.6, 0.6, 0.6])
-    seed = np.array([0.6, 0.6, 0.6, 1.3, np.nan, 0.1])
-    flat = np.array([False, True, False, True, False, False])
-    rows = inference._seeded(_rows(points, estimate, seed, "JEL"), points.min(axis=1),
-                             points.max(axis=1), "points",
+def test_the_build_keeps_only_rows_whose_seed_is_strictly_inside_its_points():
+    points = [[0.1, 0.4, 1.3]] * 4
+    seed = [0.6, 0.6, 1.3, 0.1]
+    flat = np.array([False, True, True, False])
+    rows = inference._seeded(_rows(points, [0.6] * 4, seed, "JEL"), "points",
                              (flat, lambda: DegenerateSampleError("flat")))
     assert rows.rows == [0] and rows.method == "JEL"
-    assert rows.values.tolist() == [[0.1, 0.4, 1.3]] and not rows.values.flags.writeable
-    assert (rows.estimate.tolist(), rows.seed.tolist()) == ([0.6], [0.6])
+    # in the frame, [0.1, 0.4, 1.3] / 2, and back
+    assert rows.values.tolist() == [[0.05, 0.2, 0.65]] and not rows.values.flags.writeable
+    assert _unscaled(rows, "values").tolist() == [[0.1, 0.4, 1.3]]
+    assert [_unscaled(rows, name).tolist() for name in ("estimate", "seed")] == [[0.6], [0.6]]
+    assert (rows.lo.tolist(), rows.hi.tolist()) == ([0.05], [0.65])
     # each dropped row gets the first check it fails, in the order taken
     assert [(type(e), str(e)) for e in rows.status[1:]] == [
-        (NumericError, "points overflow the float range")] * 2 + [
-        (DegenerateSampleError, "flat")] + [
+        (DegenerateSampleError, "flat")] * 2 + [
         (DegenerateSampleError, "the mean of the points is not strictly inside their range; "
-                                "the likelihood ratio carries no information")] * 2
+                                "the likelihood ratio carries no information")]
 
 
-def test_overflowing_sums_leave_the_plug_in_intervals_exact():
-    # at 2**1017 the summands' plain sum overflows, and their mean is taken
-    # in the rows' power-of-two coordinates; the pseudo-values overflow, so
-    # JEL and AJEL fail with a NumericError; no warning escapes
+@pytest.mark.parametrize("k", [1017, 1020])
+def test_overflowing_sums_leave_every_interval_exact(k):
+    # from 2**1017 the summands' plain sum overflows, and n * beta, which
+    # the pseudo-values take, would too; every method builds its points in the
+    # rows' power-of-two frames, so each interval and test is that of the
+    # unscaled data, scaled; no warning escapes
     x = sample(DistSpec("exponential", 1.0), 300, make_rng(7))
-    big = np.ldexp(x, 1017)
+    big = np.ldexp(x, k)
     with np.errstate(over="ignore"):
         assert np.add.reduce(dnel_summands(big, 1).values) == math.inf
+        assert 300 * ustat_estimate(big, 1) == math.inf
     for rule in ADJUSTMENT_RULES:
-        ((*plug_in, jel, ajel),) = confidence_intervals([big], 1, 0.95, CI_METHODS, rule)
-        ((*tests, jel_stat, ajel_stat),) = ratio_tests([big], 1, np.ldexp(0.8, 1017), 0.05,
-                                                       CI_METHODS, rule)
-        for ci, test, method in zip(plug_in, tests, ("DNEL", "VXL")):
-            want = confidence_interval(x, 1, 0.95, method)
+        (intervals,) = confidence_intervals([big], 1, 0.95, CI_METHODS, rule)
+        (tests,) = ratio_tests([big], 1, np.ldexp(0.8, k), 0.05, CI_METHODS, rule)
+        for ci, test, method in zip(intervals, tests, CI_METHODS):
+            want = confidence_interval(x, 1, 0.95, method, rule)
             assert [ci.lower, ci.upper, ci.point_estimate] == [
-                np.ldexp(v, 1017) for v in (want.lower, want.upper, want.point_estimate)]
+                np.ldexp(v, k) for v in (want.lower, want.upper, want.point_estimate)]
             assert ci.endpoint_iterations == want.endpoint_iterations
-            assert test.statistic == ratio_test(x, 1, 0.8, 0.05, method).statistic
-        for error in (jel, ajel, jel_stat, ajel_stat):
-            assert (type(error), str(error)) == (
-                NumericError, "jackknife pseudo-values overflow the float range")
+            assert test.statistic == ratio_test(x, 1, 0.8, 0.05, method, rule).statistic
 
 
 @pytest.mark.parametrize("method, rule, a_n", _SEED_KINDS)
@@ -408,9 +414,10 @@ def _built(rows, i):
     if rows.status[i] is not None:
         return type(rows.status[i]), str(rows.status[i])
     j = rows.rows.index(i)
-    points = rows.values[j]
-    return (points.tobytes(), points.shape, float(rows.estimate[j]), float(rows.seed[j]),
-            rows.adjust, rows.method)
+    # in the data's coordinates
+    points = _unscaled(rows, "values")[j]
+    return (points.tobytes(), points.shape, float(_unscaled(rows, "estimate")[j]),
+            float(_unscaled(rows, "seed")[j]), rows.adjust, rows.method)
 
 
 def _one_sample_builds(x, r, rule, a_n):
@@ -780,7 +787,7 @@ def test_a_search_out_of_float_resolution_stalls(method, search_errors):
     assert message.startswith("interval endpoint stalled with ratio residual ")
     assert float(message.rsplit(" ", 1)[1]) > inference._RESIDUAL_TOL
     # the best point, in the data's coordinates, is on the lower side
-    assert raised.value.best < _problem(x, method).estimate[0]
+    assert raised.value.best < _unscaled(_problem(x, method), "estimate")[0]
     assert search_errors == [raised.value]
 
 
@@ -813,7 +820,7 @@ def test_the_search_state_stays_aligned_as_searches_end(method, level, sizes, se
 @pytest.mark.parametrize("method, seed", [("DNEL", 30), ("DNEL", 156), ("VXL", 130)])
 def test_an_upper_failure_loses_to_a_later_lower_failure(method, seed, solves, search_errors):
     x = sample(DistSpec("normal", 1.0), 3, make_rng(seed))
-    estimate = _problem(x, method).estimate[0]
+    estimate = _unscaled(_problem(x, method), "estimate")[0]
     with pytest.raises(ConvergenceError) as raised:
         confidence_interval(x, 1, 1.0 - 1e-15, method)
     upper, lower = search_errors

@@ -19,13 +19,15 @@ one-crossing endpoint search relies on.
 
 Equivariance: scaling the data by a in [1e-12, 1e12] scales every
 interval kind's endpoints by a and keeps its test statistic at a scaled
-hypothesis, and on one sample scaling by 2**k scales the endpoints for k
-from -990 to 490 and, on it and on a sample that straddles 0, keeps the
-test statistic at 0.  Shifting the data by b moves beta_r by b/(r+1);
-JEL and centered-AJEL endpoints move with it and their test statistics at
-correspondingly shifted hypotheses do not change.  Literal AJEL, DNEL and
-VXL are not shift-equivariant (the appended point and the summand weights
-do not shift by a constant), so only their scaling is tested.
+hypothesis.  On one sample scaling by 2**k scales the endpoints and the
+estimate exactly, for every fifth k from -990 to 490 and every k at the
+ends of the float range (-1019 to -1015, 1016 to 1020), and on it and on a
+sample that straddles 0 it keeps the test statistic at 0.  Shifting the
+data by b moves beta_r by b/(r+1); JEL and centered-AJEL endpoints move
+with it and their test statistics at correspondingly shifted hypotheses
+do not change.  Literal AJEL, DNEL and VXL are not shift-equivariant (the
+appended point and the summand weights do not shift by a constant), so
+only their scaling is tested.
 """
 
 import math
@@ -264,21 +266,27 @@ def _inside(ci, u):
     return ci.point_estimate + abs(u) * (side - ci.point_estimate)
 
 
+# every fifth k in [-990, 490], about 1e-298 to 1e147, and the two ends of
+# the float range for the sample below, about 1e-307 and 1e307
+_POWERS = [*range(-1019, -1014), *range(-990, 491, 5), *range(1016, 1021)]
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_endpoints_scale_with_the_data_over_the_float_range(kind):
-    # data times 2**k for every fifth k in [-990, 490], about 1e-298 to 1e147;
-    # a RuntimeWarning from an over- or underflow fails the test
+    # data times 2**k: the endpoints and the estimate are exactly 2**k times
+    # the unscaled ones; a RuntimeWarning from an over- or underflow fails
+    # the test
     method, rule = METHOD_RULE[kind]
     x = sample(DistSpec("exponential", 1.0), 30, make_rng(30))
     # normal data straddle 0, so the test of beta = 0 is finite for every kind
     y = sample(DistSpec("normal", 1.0), 50, make_rng(3))
     ci = _kind_interval(kind, x, 1, 0.95)
     at_zero = [ratio_test(data, 1, 0.0, 0.05, method, rule).statistic for data in (x, y)]
-    for k in range(-990, 491, 5):
+    for k in _POWERS:
         scaled = _kind_interval(kind, np.ldexp(x, k), 1, 0.95)
-        tol = 1e-8 * scaled.length
-        assert abs(scaled.lower - math.ldexp(ci.lower, k)) <= tol, k
-        assert abs(scaled.upper - math.ldexp(ci.upper, k)) <= tol, k
+        assert [scaled.lower, scaled.upper, scaled.point_estimate] == [
+            math.ldexp(v, k) for v in (ci.lower, ci.upper, ci.point_estimate)], k
+        assert scaled.endpoint_iterations == ci.endpoint_iterations, k
         # 0 is 0 at every scale, so its statistic is exactly the unscaled one
         assert [ratio_test(np.ldexp(data, k), 1, 0.0, 0.05, method, rule).statistic
                 for data in (x, y)] == at_zero, k
