@@ -698,29 +698,27 @@ class _Searches:
     Halley's denominator is not positive or a term is not finite.  The
     bracket runs from ``inside`` (ratio below the threshold, the seed at
     first) to ``outside``.  On a bounded row ``outside`` starts at the hull
-    bound on the search's side, unevaluated, and a step that reaches it
-    probes it once (``unprobed``), for its ratio alone.  Where the ratio
-    stays finite the bound is nan, and so is ``outside`` until the search
-    crosses; until then it doubles its distance from the seed.  Steps that
-    leave the bracket become midpoints.  A search stops at a point whose
-    ratio residual is at most ``_RESIDUAL_TOL`` and whose next Newton step
-    is at most ``beta_tol``.  When the bracket closes to ``beta_tol`` or to
-    float resolution, or after ``_MAX_STEPS`` evaluations, it returns its
-    best point ``best``, the first with the least residual ``best_size``,
-    if that is within tolerance.
+    bound on the search's side, where the ratio diverges, so the bound
+    closes the bracket unevaluated.  Where the ratio stays finite the bound
+    is nan, and so is ``outside`` until the search crosses; until then it
+    doubles its distance from the seed.  Steps that leave the bracket become
+    midpoints.  A search stops at a point whose ratio residual is at most
+    ``_RESIDUAL_TOL`` and whose next Newton step is at most ``beta_tol``.
+    When the bracket closes to ``beta_tol`` or to float resolution, or after
+    ``_MAX_STEPS`` evaluations, it returns its best point ``best``, the
+    first with the least residual ``best_size``, if that is within
+    tolerance.
 
-    Every search evaluates once per round, probes included, so ``evals``
-    is the evaluation count of each search still running.  The solve at
-    ``x`` starts from ``lam0``, the multiplier's tangent from the last point
-    solved, ``solved_at``.  ``probe`` marks the searches whose ``x`` is
-    their bound; a probe's residual counts as infinite.  Each quantity of
-    the running searches is one array in ``_STATE``, and an ended search
-    leaves all of them at once.  Results land in ``endpoint``,
-    ``evaluations`` and ``failure`` by key.
+    Every search evaluates once per round, so ``evals`` is the evaluation
+    count of each search still running.  The solve at ``x`` starts from
+    ``lam0``, the multiplier's tangent from the last point solved,
+    ``solved_at``.  Each quantity of the running searches is one array in
+    ``_STATE``, and an ended search leaves all of them at once.  Results
+    land in ``endpoint``, ``evaluations`` and ``failure`` by key.
     """
 
-    _STATE = ("key", "row", "seed", "bound", "unprobed", "beta_tol", "inside", "outside",
-              "solved_at", "lam", "dlam", "x", "probe", "best", "best_size")
+    _STATE = ("key", "row", "seed", "beta_tol", "inside", "outside", "solved_at", "lam",
+              "dlam", "x", "best", "best_size")
 
     def __init__(self, stacks: list[_StackedRatio], threshold: float):
         self.stacks, self.threshold, self.root_threshold = stacks, threshold, math.sqrt(threshold)
@@ -756,16 +754,14 @@ class _Searches:
 
         x = by_key(seed - delta * (1.0 - kappa), seed + delta * (1.0 + kappa))
         seed, bound = by_key(seed), by_key(lower, upper)
-        unprobed = ~np.isnan(bound)
-        np.copyto(x, 0.5 * (seed + bound), where=unprobed & ~_between(x, seed, bound))
+        np.copyto(x, 0.5 * (seed + bound), where=~np.isnan(bound) & ~_between(x, seed, bound))
         lam, dlam = np.zeros(x.size), by_key(dlam)
         with np.errstate(invalid="ignore", over="ignore"):
             self.lam0 = _warm_start(lam, dlam, by_key(bend), x - seed)
-        self.key, self.row, self.seed, self.bound = np.arange(seed.size), by_key(rows), seed, bound
-        self.unprobed, self.beta_tol = unprobed, by_key(_BETA_TOL * scale)
-        self.inside, self.outside = seed.copy(), bound.copy()
+        self.key, self.row, self.seed = np.arange(seed.size), by_key(rows), seed
+        self.beta_tol, self.inside, self.outside = by_key(_BETA_TOL * scale), seed.copy(), bound
         self.solved_at, self.lam, self.dlam, self.x = seed, lam, dlam, x
-        self.probe, self.evals, self.failure = np.zeros(seed.size, dtype=bool), 0, {}
+        self.evals, self.failure = 0, {}
         self.best, self.best_size = np.full(seed.size, math.nan), np.full(seed.size, math.inf)
         self.endpoint = np.full(self.key.size, math.nan)
         self.evaluations = np.zeros(self.key.size, dtype=int)
@@ -805,22 +801,20 @@ class _Searches:
         """One step of every search from the evaluation at its ``x``, as
         :class:`_StackedRatio` returns it, with ``{position: error}`` for the
         failed solves.  A failed lower search ends its upper search too."""
-        x, probe, beta_tol = self.x, self.probe, self.beta_tol
+        x, beta_tol = self.x, self.beta_tol
         inside, outside = self.inside, self.outside
         self.evals += 1
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             resid = ratio - self.threshold
             size = np.abs(resid)
-            # a probe reads the ratio alone: it is never done nor a best point
-            np.copyto(size, math.inf, where=probe)
             better = size < self.best_size
             np.copyto(self.best, x, where=better)
             np.copyto(self.best_size, size, where=better)
             root = np.sqrt(ratio)
             h = root - self.root_threshold
             two_root = 2.0 * root
-            # Newton's step; not finite at a zero slope, which every bracket
-            # test but the probe's takes as it takes nan
+            # Newton's step; not finite at a zero slope, which the bracket
+            # tests take as they take nan
             step = x - two_root * h / slope
             done = (size <= _RESIDUAL_TOL) & (np.abs(step - x) <= beta_tol)
             dh = slope / two_root
@@ -831,52 +825,36 @@ class _Searches:
             # leaves the denominator nan or infinite
             halley_ok = (0.0 < denominator) & (denominator < math.inf) & np.isfinite(halley)
             np.copyto(step, halley, where=halley_ok)
-            # a probe below the threshold fails its search; one above it
-            # finds ``outside`` at the bound already
             below = resid < 0.0
-            below_bound = probe & below
             np.copyto(inside, x, where=below)
             np.copyto(outside, x, where=~below)
-            solved_at = np.where(probe, self.solved_at, x)
-            np.copyto(lam, self.lam, where=probe)
-            np.copyto(dlam, self.dlam, where=probe)
+            self.solved_at, self.lam, self.dlam = x, lam, dlam
             # the step inside the bracket, else the midpoint (both nan while
             # there is no outside end)
             x = 0.5 * (inside + outside)
             lo, hi = np.minimum(inside, outside), np.maximum(inside, outside)
-            stride = (lo < step) & (step < hi) & ~probe
+            stride = (lo < step) & (step < hi)
             stop = hi - lo <= beta_tol
             np.copyto(x, step, where=stride)
             midpoint = ~stride
-            probe = midpoint  # all False, unless some step fell back
             if np.count_nonzero(midpoint):
-                resolved = midpoint & ((x == inside) | (x == outside))
-                probe = midpoint & self.unprobed & (outside == self.bound)
-                if np.count_nonzero(probe):  # Newton's step is nan at a zero slope
-                    probe &= (((step - self.bound) * (self.bound - self.seed) >= 0.0)
-                              & (halley_ok | (slope != 0.0)))
-                    self.unprobed &= ~probe
-                    resolved &= ~probe
-                    np.copyto(x, self.bound, where=probe)
-                stop |= resolved
+                stop |= midpoint & ((x == inside) | (x == outside))
             far = np.isnan(outside)
             if np.count_nonzero(far):
                 reach = self.seed + 2.0 * (inside - self.seed)
                 np.copyto(reach, step, where=_between(step, inside, reach))
                 np.copyto(x, reach, where=far)
             expand_failed = far & (self.evals >= _MAX_EXPAND)
-            if self.evals >= _MAX_STEPS:
-                stop |= ~probe
-            ended = done | stop | below_bound | expand_failed
+            ended = done | stop | expand_failed | (self.evals >= _MAX_STEPS)
             if errors:
                 done[list(errors)] = False
                 ended[list(errors)] = True
-            self.solved_at, self.lam, self.dlam, self.x, self.probe = solved_at, lam, dlam, x, probe
+            self.x = x
             if np.count_nonzero(ended):
-                self._retire(ended, done, errors, below_bound, expand_failed)
+                self._retire(ended, done, errors, expand_failed)
             self.lam0 = _warm_start(self.lam, self.dlam, 0.0, self.x - self.solved_at)
 
-    def _retire(self, ended, done, errors: dict, below_bound, expand_failed) -> None:
+    def _retire(self, ended, done, errors: dict, expand_failed) -> None:
         """Record the results of the searches that ``ended`` and drop them,
         with the upper search of each failed lower one."""
         key = self.key
@@ -885,9 +863,6 @@ class _Searches:
             k = int(key[j])
             if j in errors:
                 exc = errors[j]
-            elif below_bound[j]:
-                exc = ConvergenceError("ratio stays below the threshold out to the hull bound "
-                                       f"{self._unscaled(j, self.bound[j]):.6g}")
             elif expand_failed[j]:
                 exc = ConvergenceError("adjusted ratio appears bounded below the threshold; "
                                        "the interval does not close on this side")

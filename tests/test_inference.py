@@ -764,18 +764,43 @@ def test_a_centered_search_that_never_crosses_gives_up_at_the_expansion_budget(n
     assert solves == [2] * inference._MAX_EXPAND
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_a_probe_below_the_threshold_at_the_hull_bound_ends_the_search(seed, solves):
+@pytest.mark.parametrize("seed, rounds", [(0, 26), (1, 26), (2, 23)])
+def test_a_ratio_below_the_threshold_out_to_the_hull_bound_stalls(seed, rounds, solves):
+    # the lower search bisects toward its unevaluated hull bound, where the
+    # ratio diverges, until the bracket closes below the threshold
     x = sample(DistSpec("exponential", 1.0), 3, make_rng(seed))
     pv = jackknife_pseudo_values(x, 1).values
     bound = pv.min() + inference._HULL_SHRINK * np.ptp(pv)
     with pytest.raises(ConvergenceError) as raised:
         confidence_interval(x, 1, 1.0 - 1e-15, "JEL")
-    assert str(raised.value) == ("ratio stays below the threshold out to the hull bound "
-                                 f"{bound:.6g}")
-    # the lower search's probe fails in the second round, which retires the
-    # upper search before it has finished
-    assert solves == [2, 2]
+    message = str(raised.value)
+    assert message.startswith("interval endpoint stalled with ratio residual ")
+    assert float(message.rsplit(" ", 1)[1]) > inference._RESIDUAL_TOL
+    assert bound < raised.value.best < _unscaled(_problem(x, "JEL"), "estimate")[0]
+    # the lower search's failure retires the upper search with it
+    assert solves == [2] * rounds
+
+
+@pytest.mark.parametrize("level", [0.999999, 1.0 - 1e-15])
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_no_bounded_search_evaluates_its_hull_bound(n, level, monkeypatch):
+    # a plain row's ratio diverges at its hull (Owen 1988), so the shrunk
+    # hull bound closes a bracket without an evaluation there
+    evaluated = []
+    call = _StackedRatio.__call__
+
+    def recording(self, rows, beta, lam0):
+        shrink = inference._HULL_SHRINK * (self.hi[rows] - self.lo[rows])
+        evaluated.append((beta, self.lo[rows] + shrink, self.hi[rows] - shrink))
+        return call(self, rows, beta, lam0)
+
+    monkeypatch.setattr(_StackedRatio, "__call__", recording)
+    xs = [sample(DistSpec("exponential", 1.0), n, make_rng([n, k])) for k in range(10)]
+    confidence_intervals(xs, 1, level, ("JEL", "DNEL", "VXL"))
+    confidence_intervals(xs, 1, level, ("AJEL",), "literal")
+    assert len(evaluated) > 2
+    for beta, lower, upper in evaluated:
+        assert not np.any((beta == lower) | (beta == upper))
 
 
 @pytest.mark.parametrize("method", ["DNEL", "VXL"])
@@ -792,8 +817,8 @@ def test_a_search_out_of_float_resolution_stalls(method, search_errors):
 
 
 @pytest.mark.parametrize("method, level, sizes, seen", [
-    # probes at the hull bound, some below the threshold
-    ("JEL", 1.0 - 1e-15, (3, 4, 5), "probe"),
+    # searches bisecting toward the hull bound, some stalling below the threshold
+    ("JEL", 1.0 - 1e-15, (3, 4, 5), "stall"),
     # centered searches with no outside end reach out for it; at n = 8 they cross
     ("AJEL", 0.95, (3, 4, 5, 8), "reach"),
 ])
@@ -804,15 +829,16 @@ def test_the_search_state_stays_aligned_as_searches_end(method, level, sizes, se
         [sample(DistSpec("exponential", 1.0), n, make_rng([n, k])) for k in range(10)],
         1, (method,), "centered", None)) for n in sizes]
     searches = inference._Searches(stacks, chi2_1_quantile(level))
-    running, probes, reaching = [], 0, 0
+    running, reaching = [], 0
     while searches.key.size:
-        probes += np.count_nonzero(searches.probe)
         reaching += np.count_nonzero(np.isnan(searches.outside))
         searches.advance()
         running.append(searches.key.size)
         for name in searches._STATE + ("lam0",):
             assert getattr(searches, name).shape == (searches.key.size,), name
-    assert {"probe": probes, "reach": reaching}[seen] > 0
+    stalls = sum(str(exc).startswith("interval endpoint stalled")
+                 for exc in searches.failure.values())
+    assert {"stall": stalls, "reach": reaching}[seen] > 0
     # some searches ran on after others had ended
     assert len(set(running)) > 2
 

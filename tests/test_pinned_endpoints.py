@@ -11,6 +11,13 @@ point.  The file ``data/pinned_endpoints.json`` was written by an earlier
 implementation of the search, so a rewrite of the search that changes a
 single bit or evaluation fails here.
 
+It was last rewritten when the searches stopped evaluating their shrunk
+hull bounds, where a plain ratio diverges: a search that had probed its
+bound took the same midpoint one round earlier, so 757 entries report 1
+or 2 fewer evaluations, and the 36 that failed with "ratio stays below
+the threshold out to the hull bound" now fail with a stalled search's
+error and best point.  No lower, upper or estimate bit moved.
+
 Rewrite the file (only for a deliberate change of results) with
 ``PYTHONPATH=src python tests/test_pinned_endpoints.py``.
 """
