@@ -285,6 +285,17 @@ def test_simulate_bad_config_exits_2(capsys, tmp_path):
     assert code == 2 and "'param' needs a real number, got 'abc'" in err
 
 
+def test_simulate_moment_beyond_the_float_range_exits_3(capsys, tmp_path):
+    # the true beta_1 of lognormal(80) is about e^3200
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kind = size\nfamily = lognormal\nparam = 80\nr = 1\nn_list = 25\nreps = 1\n")
+    code, _, err = run_main(
+        capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "o"),
+    )
+    assert code == 3
+    assert err.startswith("error: ") and "exceeds the float range" in err
+
+
 @pytest.mark.parametrize("threads", ["0", "-1"])
 def test_simulate_thread_count_below_one_exits_2(capsys, tmp_path, monkeypatch, threads):
     cfg = tmp_path / "run.cfg"

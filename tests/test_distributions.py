@@ -61,6 +61,38 @@ def test_true_beta_normal_and_lognormal_goldens():
     )
 
 
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 3.0, 4.0, 5.0, 6.0, 8.0, 20.0])
+def test_true_beta_lognormal_closed_forms(sigma):
+    # beta_0 = E[X] = e^{sigma^2/2}; beta_1 = e^{sigma^2/2} E[Phi(Y + sigma)]
+    # = e^{sigma^2/2} Phi(sigma / sqrt 2), and Phi(sigma / sqrt 2) is
+    # erfc(-sigma / 2) / 2
+    d = DistSpec("lognormal", sigma)
+    mean = math.exp(0.5 * sigma * sigma)
+    assert true_beta(d, 0) == pytest.approx(mean, rel=1e-13, abs=0)
+    assert true_beta(d, 1) == pytest.approx(0.5 * mean * math.erfc(-0.5 * sigma), rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0, 3.7])
+def test_true_beta_normal_first_two_orders_share_a_closed_form(sigma):
+    # E[Z Phi(Z)] = E[Z Phi(Z)^2] = 1 / (2 sqrt(pi)) for standard normal Z
+    want = sigma / (2.0 * math.sqrt(math.pi))
+    for r in (1, 2):
+        assert true_beta(DistSpec("normal", sigma), r) == pytest.approx(want, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("sigma", [37.7, 80.0, 1e200])
+def test_lognormal_moment_beyond_the_float_range_is_typed(sigma):
+    # e^{sigma^2/2} passes the largest float from sigma = 37.677
+    with pytest.raises(NumericError, match="float range"):
+        true_beta(DistSpec("lognormal", sigma), 1)
+
+
+def test_lognormal_moment_just_inside_the_float_range_is_finite():
+    for r in (0, 1, 2):
+        value = true_beta(DistSpec("lognormal", 37.6), r)
+        assert math.isfinite(value) and value > 1e306
+
+
 def test_true_beta_quadrature_agrees_with_closed_form():
     # dual route: direct integral vs the analytic exponential expression
     for theta in (0.8, 1.0, 2.5):
@@ -109,6 +141,32 @@ def test_import_leaves_quadrature_unloaded(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "import []", "ci []", "test []", "coverage_length []",
+    ]
+
+
+# Runs in a fresh interpreter: true_beta on normal(2) and lognormal(1.5),
+# then a one-rep lognormal size run, and prints after each whether
+# scipy.integrate is loaded.
+_INTEGRATE_PROBE = """
+import sys
+from pwmjel import DistSpec, ExperimentConfig, simulate, true_beta
+for dist in (DistSpec('normal', 2.0), DistSpec('lognormal', 1.5)):
+    true_beta(dist, 1)
+    print(dist.label, 'scipy.integrate' in sys.modules)
+config = ExperimentConfig('size', DistSpec('lognormal', 1.0), (1,), (25,), 1)
+simulate.run_experiment(config)
+print('size', 'scipy.integrate' in sys.modules)
+"""
+
+
+def test_normal_and_lognormal_moments_leave_quadrature_unloaded():
+    # true_beta is a trapezoid rule in math alone
+    proc = subprocess.run(
+        [sys.executable, "-c", _INTEGRATE_PROBE], capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "normal(2) False", "lognormal(1.5) False", "size False",
     ]
 
 
@@ -280,12 +338,10 @@ def test_sigma_sq_matches_pseudo_value_spread():
 
 
 def test_quadrature_failure_is_reported():
-    # the quadrature guard trips rather than silently returning garbage
+    # Phi(y + 1)**(10**5) climbs from 0 to 1 within a few steps of the rule,
+    # which then differs from its every-other-node half by about 3e-11
+    # relative; at r = 50 the two agree to rounding
     d = DistSpec("lognormal", 1.0)
-    try:
-        true_beta(d, 50)
-    except (NumericError, OverflowError):
-        pass
-    else:
-        # high order may still integrate fine; value must at least be finite
-        assert math.isfinite(true_beta(d, 50))
+    with pytest.raises(NumericError, match="trapezoid rule and its half differ"):
+        true_beta(d, 10**5)
+    assert math.isfinite(true_beta(d, 50))
