@@ -30,7 +30,7 @@ class ColumnDataset:
 def _block_cells(text: str, n: int, index: int, limit: int):
     """Field ``index`` of the lines of ``text[:n]``, which ends at a line end
     or at the end of the file, found by array passes over its character
-    codes.
+    codes; the first quote and NUL are found by ``str.find``.
 
     Returns ``(cells, blank, stop)``: the non-empty cells, the number of
     non-blank lines with an empty or missing field, and the offset of the
@@ -41,33 +41,39 @@ def _block_cells(text: str, n: int, index: int, limit: int):
         codes = np.frombuffer(text.encode("ascii"), np.uint8, n)
     else:
         codes = np.frombuffer(text.encode("utf-32-le"), np.uint32, n)
-    # the characters that matter here, all at or below ",": NUL, "\n",
-    # "\r", '"' and ",", with a few others that are dropped at once
-    marks = np.flatnonzero(codes <= 44)
-    kind = codes[marks]
-    commas = np.append(marks[kind == 44], n)  # n: the field end past the last comma
-    # every "\n" and "\r" ends a line, so "\r\n" makes a blank line more
-    ends = marks[(kind == 10) | (kind == 13)]
+    # the commas, and n as the field end past the last comma
+    mask = np.empty(n + 1, dtype=bool)
+    np.equal(codes, 44, out=mask[:n])
+    mask[n] = True
+    commas = np.flatnonzero(mask)
+    # every "\n" and "\r" ends a line, so "\r\n" makes a blank line more;
+    # both are among the few codes below 14, which are found first
+    low = np.flatnonzero(np.less(codes, 14, out=mask[:n]))
+    kind = codes[low]
+    ends = low[(kind == 10) | (kind == 13)]
     starts = np.concatenate(([0], ends + 1))
     stops = np.append(ends, n)  # a last line without a line end runs to n
-    special = marks[(kind == 34) | (kind == 0)]
-    handed = np.searchsorted(stops, special[:1]).tolist()  # the first one's line
+    first = np.searchsorted(commas, starts)
+    # no comma sits on a line end, so a line's commas end where the next
+    # line's begin, and the n after the last comma closes the last line
+    count = np.append(first[1:], commas.size - 1) - first
+    special = [at for at in (text.find('"', 0, n), text.find("\0", 0, n)) if at >= 0]
+    handed = np.searchsorted(stops, special).tolist()  # the first quote's and NUL's lines
     handed += np.flatnonzero(stops - starts >= limit)[:1].tolist()
     stop = None
     if handed:
         line = min(handed)
         stop = int(starts[line])
-        starts, stops = starts[:line], stops[:line]
-    first = np.searchsorted(commas, starts)
-    found = np.searchsorted(commas, stops) - first >= index
+        starts, stops, first, count = starts[:line], stops[:line], first[:line], count[:line]
     rows = stops > starts  # not blank
-    short = np.count_nonzero(rows & ~found)
-    k = first[rows & found] + index
-    lo = commas[k - 1] + 1 if index else starts[rows & found]
-    hi = np.minimum(commas[k], stops[rows & found])
+    take = rows & (count >= index)
+    short = np.count_nonzero(rows) - np.count_nonzero(take)
+    k = first[take] + index
+    lo = commas[k - 1] + 1 if index else starts[take]
+    hi = np.minimum(commas[k], stops[take])
     full = hi > lo
     cells = [text[a:b] for a, b in zip(lo[full].tolist(), hi[full].tolist())]
-    return cells, int(short) + full.size - len(cells), stop
+    return cells, short + full.size - len(cells), stop
 
 
 def _blocks(fh, index: int):

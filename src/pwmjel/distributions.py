@@ -136,7 +136,13 @@ def _harmonic(m: int) -> float:
 def _check_r(r: int) -> int:
     if not isinstance(r, (int, np.integer)) or isinstance(r, bool) or r < 0:
         raise PwmInputError(f"moment order must be a non-negative integer, got {r!r}")
-    return int(r)
+    r = int(r)
+    try:
+        float(r)  # every family's moment takes r as a float
+    except OverflowError:
+        raise PwmInputError(f"moment order must be below 2**1024, got one of "
+                            f"{r.bit_length()} bits") from None
+    return r
 
 
 def _trapezoid(terms: list) -> float:

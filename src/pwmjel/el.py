@@ -242,90 +242,89 @@ def solve_rows(z: np.ndarray, mu: np.ndarray, lam0: np.ndarray) -> RowSolutions:
         rows, errors = zip(*(_solve_row(z[i], mu[i], lam0[i]) for i in range(k)))
         return RowSolutions(*(np.array(field) for field in zip(*rows)),
                             {i: exc for i, exc in enumerate(errors) if exc is not None})
-    lam_out = lam0.copy()
-    log_ratio = np.full(k, -math.inf)
-    iterations = np.zeros(k, dtype=int)
-    last_weight = np.full(k, math.nan)
-    score_out = np.full(k, math.nan)
-    slope_out = np.full(k, math.nan)
+    # every row's fields are set below, by _solve_row or by the loop
+    lam_out, log_ratio, last_weight, score_out, slope_out = np.empty((5, k))
+    iterations = np.empty(k, dtype=int)
     errors = {}
-
-    with np.errstate(invalid="ignore"):
-        d_all = z - mu[:, None]
-    dmin, dmax = d_all.min(axis=1), d_all.max(axis=1)
-    # a non-finite point or mu makes an extreme non-finite (nan propagates),
-    # so such a row is not inside; the tolerance is solve_lambda's
-    inside = (-math.inf < dmin) & (dmin < 0.0) & (0.0 < dmax) & (dmax < math.inf)
-    gtol = _SCORE_TOL * np.maximum(np.maximum(np.abs(mu), -dmin), dmax)
-    for i in np.flatnonzero(~inside).tolist():
-        row, exc = _solve_row(z[i], mu[i], lam0[i])
-        (lam_out[i], log_ratio[i], iterations[i], last_weight[i], score_out[i],
-         slope_out[i]) = row
-        if exc is not None:
-            errors[i] = exc
-
-    solved = np.flatnonzero(inside)
-    if solved.size == k:
-        d_solved, start = d_all, lam0
-    else:
-        d_solved, start = d_all[solved], lam0[solved]
-        dmin, dmax, gtol = dmin[solved], dmax[solved], gtol[solved]
-    rows, d = solved, d_solved
-    with np.errstate(over="ignore"):  # subnormal spreads, as in float arithmetic
+    # one scope for the whole loop: a zero slope's step is infinite or nan
+    # and takes the midpoint, a subnormal spread's bound overflows, and a
+    # non-finite row gives nan offsets that leave it outside
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = z - mu[:, None]
+        dmin, dmax = d.min(axis=1), d.max(axis=1)
+        # solve_lambda's tolerance; a non-finite point or mu makes it
+        # infinite or nan (nan propagates), so such a row is not inside
+        gtol = _SCORE_TOL * np.maximum(np.maximum(np.abs(mu), -dmin), dmax)
+        inside = (dmin < 0.0) & (0.0 < dmax) & (gtol < math.inf)
+        solved, start = slice(None), lam0
+        if np.count_nonzero(inside) < k:
+            for i in np.flatnonzero(~inside).tolist():
+                row, exc = _solve_row(z[i], mu[i], lam0[i])
+                (lam_out[i], log_ratio[i], iterations[i], last_weight[i], score_out[i],
+                 slope_out[i]) = row
+                if exc is not None:
+                    errors[i] = exc
+            solved = np.flatnonzero(inside)
+            d, start = d[solved], lam0[solved]
+            dmin, dmax, gtol = dmin[solved], dmax[solved], gtol[solved]
+        d_solved, rows = d, np.arange(k)[solved]
         a = (-1.0 / dmax) * (1.0 - _EDGE_MARGIN)
         b = (-1.0 / dmin) * (1.0 - _EDGE_MARGIN)
-    lam = np.where((a < start) & (start < b), start, 0.0)
-    buf = np.empty_like(d)
+        lam = np.where((a < start) & (start < b), start, 0.0)
+        buf = np.empty_like(d)
 
-    def score_and_slope(d, lam):
-        # the steps of solve_lambda's score_and_slope, one row each
-        u = buf[:d.shape[0]]
-        np.multiply(d, lam[:, None], out=u)
-        np.add(u, 1.0, out=u)
-        np.divide(d, u, out=u)
-        g = np.add.reduce(u, axis=1) / m
-        np.multiply(u, u, out=u)
-        return g, -np.add.reduce(u, axis=1) / m
+        def score_and_slope(d, lam):
+            # the steps of solve_lambda's score_and_slope, one row each;
+            # -s / m and s / -m are the same float
+            u = buf[:d.shape[0]]
+            np.multiply(d, lam[:, None], out=u)
+            np.add(u, 1.0, out=u)
+            np.divide(d, u, out=u)
+            g = np.add.reduce(u, axis=1) / m
+            np.multiply(u, u, out=u)
+            return g, np.add.reduce(u, axis=1) / -m
 
-    g, gp = score_and_slope(d, lam)
-    step_count = 0
-    stalled = []  # (row, score, tolerance) of the rows that ran out of budget
-    while rows.size:
-        converged = np.abs(g) <= gtol
-        if step_count == _MAX_ITER:
-            lam_out[rows] = lam
-            iterations[rows] = step_count
-            score_out[rows], slope_out[rows] = g, gp
-            stalled = zip(*(v[~converged].tolist() for v in (rows, g, gtol)))
-            break
-        if converged.any():
-            done = rows[converged]
-            lam_out[done] = lam[converged]
-            iterations[done] = step_count
-            score_out[done], slope_out[done] = g[converged], gp[converged]
-            keep = ~converged
-            rows, d, gtol, lam, a, b, g, gp = (
-                v[keep] for v in (rows, d, gtol, lam, a, b, g, gp))
-            if not rows.size:
-                break
-        positive = g > 0.0
-        a = np.where(positive, lam, a)
-        b = np.where(positive, b, lam)
-        # a zero slope (either sign) leaves a nan step, which takes the
-        # midpoint, as solve_lambda's does
-        step = lam - np.divide(g, gp, out=np.full_like(g, math.nan), where=gp != 0.0)
-        lam = np.where((a < step) & (step < b), step, 0.5 * (a + b))
         g, gp = score_and_slope(d, lam)
-        step_count += 1
+        step_count = 0
+        while True:
+            converged = np.abs(g) <= gtol
+            count = np.count_nonzero(converged)
+            if count == rows.size or step_count == _MAX_ITER:
+                lam_out[rows] = lam
+                iterations[rows] = step_count
+                score_out[rows], slope_out[rows] = g, gp
+                # (row, score, tolerance) of the rows that ran out of budget
+                stalled = (zip(*(v[~converged].tolist() for v in (rows, g, gtol)))
+                           if count < rows.size else ())
+                break
+            if count:
+                done = rows[converged]
+                lam_out[done] = lam[converged]
+                iterations[done] = step_count
+                score_out[done], slope_out[done] = g[converged], gp[converged]
+                keep = ~converged
+                rows, d, gtol, lam, a, b, g, gp = (
+                    v[keep] for v in (rows, d, gtol, lam, a, b, g, gp))
+            # the bracket moves to lam on the side of the score's sign (a
+            # nan score moves b)
+            positive = g > 0.0
+            np.copyto(a, lam, where=positive)
+            np.copyto(b, lam, where=~positive)
+            step = lam - g / gp
+            # the step inside the bracket, else the midpoint, formed in place
+            lam = np.add(a, b)
+            lam *= 0.5
+            np.copyto(lam, step, where=(a < step) & (step < b))
+            g, gp = score_and_slope(d, lam)
+            step_count += 1
 
-    lam = lam_out[solved]
-    last_weight[solved] = 1.0 / (m * (1.0 + lam * d_solved[:, -1]))
-    np.multiply(d_solved, lam[:, None], out=buf)
+    np.multiply(d_solved, lam_out[solved][:, None], out=buf)
+    last_weight[solved] = 1.0 / (m * (1.0 + buf[:, -1]))
     s = -np.add.reduce(np.log1p(buf, out=buf), axis=1)
     # rounding can push the ratio epsilon-positive at lam ~ 0
     log_ratio[solved] = np.where(s < 0.0, s, 0.0)
     for i, g_i, gtol_i in stalled:
-        best = ELSolution(float(lam_out[i]), 1.0 / (m * (1.0 + lam_out[i] * d_all[i])),
+        best = ELSolution(float(lam_out[i]), 1.0 / (m * (1.0 + lam_out[i] * (z[i] - mu[i]))),
                           float(log_ratio[i]), _MAX_ITER, False, g_i, float(slope_out[i]))
         errors[i] = _not_converged(g_i, gtol_i, best)
     return RowSolutions(lam_out, log_ratio, iterations, last_weight, score_out, slope_out,

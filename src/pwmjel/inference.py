@@ -286,7 +286,8 @@ class _StackedRatio:
 
     def __init__(self, sets: list[_RowSet]):
         self.points, self.exponent, self.estimate, self.seed, self.lo, self.hi = (
-            np.concatenate([getattr(s, name) for s in sets]) for name in _ROW_FIELDS)
+            getattr(sets[0], name) if len(sets) == 1
+            else np.concatenate([getattr(s, name) for s in sets]) for name in _ROW_FIELDS)
         self.adjust = (None if sets[0].adjust is None
                        else np.repeat([s.adjust for s in sets], [len(s.rows) for s in sets]))
 
@@ -314,12 +315,13 @@ class _StackedRatio:
         if self.adjust is None:
             return points, beta, None
         a = self.adjust[rows]
-        c = points - beta[:, None]
-        n = c.shape[1]
-        z = np.empty((c.shape[0], n + 1))
-        z[:, :n] = c
+        k, n = points.shape
+        z = np.empty((k, n + 1))
+        # the centered points in place; each row's sum is over its n
+        # contiguous values, bit for bit a one-dimensional sum
+        c = np.subtract(points, beta[:, None], out=z[:, :n])
         z[:, n] = -(a / n) * np.add.reduce(c, axis=1)
-        return z, np.zeros(beta.size), a
+        return z, np.zeros(k), a
 
     def _ratios(self, sol):
         """The ratios of a solve and ``{j: error}`` for its failed rows; a
@@ -546,11 +548,14 @@ def confidence_intervals(samples, r: int, level: float, methods,
     """
     check_probability(level, "confidence level")
     methods = check_options(methods, rule, a_n)
+
+    def intervals(rows):
+        estimates = np.ldexp(rows.estimate, rows.exponent).tolist()
+        return lambda j, ends: ConfidenceInterval(ends[0], ends[1], level, rows.method,
+                                                  estimates[j], ends[2])
+
     return _by_stack(_method_problems(samples, r, methods, rule, a_n),
-                     lambda stacks: _lockstep_intervals(stacks, level),
-                     lambda rows, j, ends: ConfidenceInterval(
-                         ends[0], ends[1], level, rows.method,
-                         math.ldexp(rows.estimate[j], int(rows.exponent[j])), ends[2]))
+                     lambda stacks: _lockstep_intervals(stacks, level), intervals)
 
 
 def ratio_tests(samples, r: int, beta0: float, alpha: float, methods,
@@ -565,8 +570,8 @@ def ratio_tests(samples, r: int, beta0: float, alpha: float, methods,
     threshold = chi2_1_quantile(1.0 - alpha)
     return _by_stack(_method_problems(samples, r, methods, rule, a_n),
                      lambda stacks: [_StackedRatio(sets).statistics(beta0) for sets in stacks],
-                     lambda rows, j, s: TestResult(s, threshold, bool(s > threshold),
-                                                   rows.method, beta0, alpha))
+                     lambda rows: lambda j, s: TestResult(s, threshold, s > threshold,
+                                                          rows.method, beta0, alpha))
 
 
 def _method_problems(samples, r: int, methods, rule: str, a_n) -> list[_RowSet]:
@@ -616,20 +621,21 @@ def _method_problems(samples, r: int, methods, rule: str, a_n) -> list[_RowSet]:
 _STACK_POINTS = 1 << 15
 
 
-def _by_stack(sets: list[_RowSet], engine, result) -> list[tuple]:
+def _by_stack(sets: list[_RowSet], engine, results) -> list[tuple]:
     """``engine`` run on the stacks of the row sets ``sets``, one per
     method, as one tuple per sample holding each method's result or error.
 
     ``engine`` maps a list of stacks, each a list of row sets, to one list
     per stack of its rows' values or PwmErrors, in the order of its sets'
-    rows; ``result(rows, j, value)`` makes the result of row j of the set
-    ``rows`` from its value.  Sets whose rows have one point width and kind
-    (plain, or centered) go to one call, so their rows share one stack: JEL,
-    DNEL and VXL, which all have n plain points, share one, and AJEL has its
-    own under either rule.  A stack takes the next set of its kind while it
-    holds at most ``_STACK_POINTS`` points; past that it splits between
-    sets, never within one, so a set alone is one stack at any size.  A
-    row's value does not depend on its stack.
+    rows; ``results(rows)`` gives the function of ``(j, value)`` that makes
+    the result of row j of the set ``rows`` from its value.  Sets whose rows
+    have one point width and kind (plain, or centered) go to one call, so
+    their rows share one stack: JEL, DNEL and VXL, which all have n plain
+    points, share one, and AJEL has its own under either rule.  A stack
+    takes the next set of its kind while it holds at most ``_STACK_POINTS``
+    points; past that it splits between sets, never within one, so a set
+    alone is one stack at any size.  A row's value does not depend on its
+    stack.
     """
     stacks = {}  # (width, bounded) -> [set indices of each stack], the last one open
     for c, rows in enumerate(sets):
@@ -648,9 +654,10 @@ def _by_stack(sets: list[_RowSet], engine, result) -> list[tuple]:
         for c in stack:
             rows = sets[c]
             columns[c] = column = list(rows.status)
+            result = results(rows)
             # zip takes one value per row, and no more
             for j, (i, value) in enumerate(zip(rows.rows, values)):
-                column[i] = value if isinstance(value, PwmError) else result(rows, j, value)
+                column[i] = value if isinstance(value, PwmError) else result(j, value)
     return list(zip(*columns))
 
 
@@ -836,9 +843,8 @@ class _Searches:
             stride = (lo < step) & (step < hi)
             stop = hi - lo <= beta_tol
             np.copyto(x, step, where=stride)
-            midpoint = ~stride
-            if np.count_nonzero(midpoint):
-                stop |= midpoint & ((x == inside) | (x == outside))
+            if np.count_nonzero(stride) < stride.size:  # a midpoint
+                stop |= ~stride & ((x == inside) | (x == outside))
             far = np.isnan(outside)
             if np.count_nonzero(far):
                 reach = self.seed + 2.0 * (inside - self.seed)

@@ -131,6 +131,18 @@ def test_random_files_match_csv_reader(tmp_path, seed):
     # a quote inside an unquoted field, and a quote left open to the end
     ("x,y\n1,2\n3,4\"5\n6,7\n", ["x", "y"]),
     ("x,y\n1,2\n3,\"4\n5,6\n", ["x", "y"]),
+    # lines that end in a comma, whose last field is empty
+    ("x,y\n1,\n2,3,\n,\n4,5\n", ["x", "y"]),
+    # CR-only and CRLF endings alone, and blank lines between rows
+    ("x,y\r1,2\r3,4\r", ["x", "y"]),
+    ("x,y\r\n1,2\r\n3,4\r\n", ["x", "y"]),
+    ("x,y\n1,2\n\n\n3,4\n\r\n5,6\n", ["x", "y"]),
+    # the asked field past a short line's last comma
+    ("x,y,z\n1,\n2,3\n4,5,6\n7,8,\n", ["x", "y", "z"]),
+    # a last line with no line end, after LF, CRLF and CR lines
+    ("x,y\n1,2\n3,4", ["x", "y"]),
+    ("x,y\r\n1,2\r\n3,", ["x", "y"]),
+    ("x,y\r1,2\r3", ["x", "y"]),
 ])
 def test_cases_match_csv_reader(tmp_path, body, columns):
     path = tmp_path / "case.csv"

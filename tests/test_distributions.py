@@ -201,6 +201,16 @@ def test_true_beta_constant_family():
         assert true_beta(d, r) == pytest.approx(3.0 / (r + 1), rel=1e-12)
 
 
+@pytest.mark.parametrize("family", ["exponential", "normal", "lognormal", "constant"])
+def test_true_beta_rejects_an_order_beyond_the_float_range(family):
+    # 10**400 would overflow float() (and the exponential would sum its
+    # harmonic number term by term), so every family refuses it up front
+    with pytest.raises(PwmInputError, match="must be below 2\\*\\*1024"):
+        true_beta(DistSpec(family, 1.0), 10**400)
+    with pytest.raises(PwmInputError, match="must be below 2\\*\\*1024"):
+        true_beta(DistSpec(family, 1.0), 2**1024)
+
+
 def test_chi2_cdf_known_points():
     assert chi2_1_cdf(0.0) == 0.0
     assert chi2_1_cdf(2.3) == pytest.approx(0.8706260011637019, rel=1e-12)

@@ -730,7 +730,7 @@ def test_methods_share_a_stack_up_to_the_point_cap(k, n, stacks):
             return [[(rows.method, j) for rows in call for j in range(len(rows.rows))]
                     for call in groups]
 
-        out = inference._by_stack(sets, engine, lambda rows, j, value: (value, j))
+        out = inference._by_stack(sets, engine, lambda rows: lambda j, value: (value, j))
         assert sorted([rows.method for rows in call] for call in calls) == sorted(stacks)
         assert all(len(rows.rows) == k for call in calls for rows in call)
         assert all(len({rows.values.shape[1] for rows in call}) == 1 for call in calls)
