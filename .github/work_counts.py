@@ -1,8 +1,10 @@
 """Print the deterministic work counts of the inference engine: ratio
 evaluations, EL rows solved and Newton iterations per interval, and the
 el.solve_rows calls and lockstep rounds (_Searches.advance calls) of a few
-batched and one-sample calls, one of them at n = 8 and level 1 - 1e-15,
-where searches bisect toward their hull bounds.
+batched and one-sample calls.  Two are blocks of small samples where every
+centered AJEL interval is the whole line and takes no search: at n = 8 and
+level 1 - 1e-15, where the plain searches bisect toward their hull bounds,
+and at n = 6 and level 0.95.
 
 Run from the repository root with the package to count on the path:
 ``PYTHONPATH=src python .github/work_counts.py``.
@@ -51,9 +53,10 @@ for n in (25, 300, 3000):
     ratio_tests(xs, 1, 1.6, 0.05, ("JEL", "AJEL", "DNEL", "VXL"))
     print(f"four-method test block of 50 samples, n = {n}: {work['calls']} solve_rows "
           f"calls, {work['rows']} EL rows solved, {work['iterations']} Newton iterations")
-xs = [sample(DistSpec("exponential", 1.0), 8, make_rng([8, seed])) for seed in range(64)]
-work.update(calls=0, rows=0, iterations=0, rounds=0)
-confidence_intervals(xs, 1, 1.0 - 1e-15, ("JEL", "AJEL", "DNEL", "VXL"))
-print(f"four-method block of 64 samples, n = 8, level 1 - 1e-15: {work['rounds']} lockstep "
-      f"rounds, {work['calls']} solve_rows calls, {work['rows']} EL rows solved, "
-      f"{work['iterations']} Newton iterations")
+for n, level, name in ((8, 1.0 - 1e-15, "1 - 1e-15"), (6, 0.95, "0.95")):
+    xs = [sample(DistSpec("exponential", 1.0), n, make_rng([n, seed])) for seed in range(64)]
+    work.update(calls=0, rows=0, iterations=0, rounds=0)
+    confidence_intervals(xs, 1, level, ("JEL", "AJEL", "DNEL", "VXL"))
+    print(f"four-method block of 64 samples, n = {n}, level {name}: {work['rounds']} lockstep "
+          f"rounds, {work['calls']} solve_rows calls, {work['rows']} EL rows solved, "
+          f"{work['iterations']} Newton iterations")

@@ -77,14 +77,12 @@ __all__ = [
 # The augmentation rules of AJEL, as the module docstring describes them.
 ADJUSTMENT_RULES = ("centered", "literal")
 
-# Endpoint search controls: residual tolerance on the ratio at the returned
-# endpoint, relative beta tolerance, hull shrink, and evaluation budgets
-# per endpoint (overall, and before the finite-ratio side must cross).
+# Endpoint search controls: ratio residual tolerance at the returned endpoint,
+# relative beta tolerance, hull shrink, and evaluation budget per endpoint.
 _RESIDUAL_TOL = 1e-6
 _BETA_TOL = 1e-8
 _HULL_SHRINK = 1e-12
 _MAX_STEPS = 200
-_MAX_EXPAND = 100
 
 
 @dataclass(frozen=True)
@@ -288,8 +286,7 @@ class _StackedRatio:
         self.points, self.exponent, self.estimate, self.seed, self.lo, self.hi = (
             getattr(sets[0], name) if len(sets) == 1
             else np.concatenate([getattr(s, name) for s in sets]) for name in _ROW_FIELDS)
-        self.adjust = (None if sets[0].adjust is None
-                       else np.repeat([s.adjust for s in sets], [len(s.rows) for s in sets]))
+        self.adjust = sets[0].adjust  # a centered stack holds one call's AJEL rows
 
     def scaled(self, beta) -> np.ndarray:
         """``beta``, one value or one per row, in the rows' frames, held
@@ -307,14 +304,14 @@ class _StackedRatio:
 
     def _el_rows(self, rows, beta):
         """The EL point sets and hypothesized means of stacked row ``rows[j]``
-        at ``beta[j]``, with the rows' adjustment constants: the row at
+        at ``beta[j]``, with the stack's adjustment constant: the row at
         beta, or under the centered adjustment (``a`` not None) the row
         centered at beta and augmented, at mean zero."""
         beta = np.asarray(beta, dtype=float)
         points = self.points[rows]
         if self.adjust is None:
             return points, beta, None
-        a = self.adjust[rows]
+        a = self.adjust
         k, n = points.shape
         z = np.empty((k, n + 1))
         # the centered points in place; each row's sum is over its n
@@ -363,6 +360,14 @@ class _StackedRatio:
         if len(errors) < len(sol.errors):
             slope[[j for j in sol.errors if j not in errors]] = math.nan
         return ratio, slope, sol.lam, dlam, curvature, errors
+
+    def plateau(self) -> float:
+        """Every row's ratio's limit as beta goes to +-inf: inf for plain rows, else
+        that of mean 0 on m points at -1 and one at ``a``, which the centered
+        ratio rises toward on both sides (Emerson and Owen 2009)."""
+        a, m = self.adjust, self.points.shape[1]
+        return math.inf if a is None else 2.0 * (
+            m * math.log(m * (1.0 + a) / ((m + 1) * a)) + math.log((1.0 + a) / (m + 1)))
 
     def at_seeds(self):
         """The multiplier's derivative in beta of every row at its seed,
@@ -517,11 +522,12 @@ def confidence_interval(sample, r: int, level: float, method: str,
     ``beta_scale`` is the larger of the estimate's magnitude and the EL
     points' spread around it.  ``endpoint_iterations`` counts the ratio
     evaluations of both searches, which are then all the EL solves the
-    interval takes.  Each row is built and searched in a power-of-two
-    frame, so the endpoints and the estimate scale exactly with the data
-    over the float range.  It is the one-sample
-    case of :func:`confidence_intervals`, whose searches step together as
-    arrays (:class:`_Searches`).
+    interval takes: none where the centered AJEL ratio's limit far out is at
+    most the threshold, and the interval is ``(-inf, inf)``.  Each row is
+    built and searched in a power-of-two frame, so the endpoints and the
+    estimate scale exactly with the data over the float range.  It is the
+    one-sample case of :func:`confidence_intervals`, whose searches step
+    together as arrays (:class:`_Searches`).
     """
     return _raised(confidence_intervals([sample], r, level, (method,), rule, a_n)[0][0])
 
@@ -677,9 +683,9 @@ class _Searches:
     """The lower and upper endpoint searches of the rows of one or more
     stacks, as arrays over the searches still running, in the rows' frames:
     built from the stacks, one lockstep round per :meth:`advance`, read by
-    :meth:`results`.  Search ``key`` is the lower (even) or upper search of
-    stacked row ``row``; stack t's rows have keys from ``first[t]``, two per
-    row, in row order.
+    :meth:`results` after the rounds left.  Search ``key`` is the lower
+    (even) or upper search of stacked row ``row``; stack t's rows have keys
+    from ``first[t]``, two per row, in row order.
 
     Start.  The seed is the mean of the row's m points, strictly inside
     them (the build drops every other row), where the ratio and the
@@ -707,14 +713,14 @@ class _Searches:
     first) to ``outside``.  On a bounded row ``outside`` starts at the hull
     bound on the search's side, where the ratio diverges, so the bound
     closes the bracket unevaluated.  Where the ratio stays finite the bound
-    is nan, and so is ``outside`` until the search crosses; until then it
-    doubles its distance from the seed.  Steps that leave the bracket become
-    midpoints.  A search stops at a point whose ratio residual is at most
-    ``_RESIDUAL_TOL`` and whose next Newton step is at most ``beta_tol``.
-    When the bracket closes to ``beta_tol`` or to float resolution, or after
-    ``_MAX_STEPS`` evaluations, it returns its best point ``best``, the
-    first with the least residual ``best_size``, if that is within
-    tolerance.
+    is nan, and so is ``outside`` until the search crosses, as it does above
+    its plateau; until then it doubles its distance from the seed.  Steps
+    that leave the bracket become midpoints.  A search stops at a point whose
+    ratio residual is at most ``_RESIDUAL_TOL`` and whose next Newton step
+    is at most ``beta_tol``.  When the bracket closes to ``beta_tol`` or to
+    float resolution, or after ``_MAX_STEPS`` evaluations, it returns its
+    best point ``best``, the first with the least residual ``best_size``, if
+    that is within tolerance.
 
     Every search evaluates once per round, so ``evals`` is the evaluation
     count of each search still running.  The solve at ``x`` starts from
@@ -745,12 +751,9 @@ class _Searches:
         rows, m, m2, m3, vmin, vmax, lower, upper, estimate, seed, dlam = columns
         scale = np.maximum(np.maximum(np.abs(estimate), vmax - estimate), estimate - vmin)
         delta = np.sqrt(threshold * m2 / m)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            kappa = np.minimum(np.maximum(delta * m3 / (3.0 * m2 * m2), -0.5), 0.5)
-            bend = dlam * dlam * m3 / m2
-        flat = m2 == 0.0  # no spread: no skew
-        if np.count_nonzero(flat):
-            kappa[flat] = bend[flat] = 0.0
+        # m2 > 0: each seed is strictly inside points whose largest magnitude is in [1/2, 1)
+        kappa = np.minimum(np.maximum(delta * m3 / (3.0 * m2 * m2), -0.5), 0.5)
+        bend = dlam * dlam * m3 / m2
 
         def by_key(lower, upper=None):  # each row's value for its two searches
             if upper is None:
@@ -789,6 +792,8 @@ class _Searches:
     def results(self) -> list:
         """Per stack, its rows' ``(lower, upper, evaluations)`` in the data's
         coordinates, or the error of the lower, else the upper search."""
+        while self.key.size:
+            self.advance()
         out, first = [], self.first.tolist()
         for ratio, a, b in zip(self.stacks, first, first[1:]):
             # a failed search's endpoint is never read and may lie far out
@@ -850,17 +855,16 @@ class _Searches:
                 reach = self.seed + 2.0 * (inside - self.seed)
                 np.copyto(reach, step, where=_between(step, inside, reach))
                 np.copyto(x, reach, where=far)
-            expand_failed = far & (self.evals >= _MAX_EXPAND)
-            ended = done | stop | expand_failed | (self.evals >= _MAX_STEPS)
+            ended = done | stop | (self.evals >= _MAX_STEPS)
             if errors:
                 done[list(errors)] = False
                 ended[list(errors)] = True
             self.x = x
             if np.count_nonzero(ended):
-                self._retire(ended, done, errors, expand_failed)
+                self._retire(ended, done, errors)
             self.lam0 = _warm_start(self.lam, self.dlam, 0.0, self.x - self.solved_at)
 
-    def _retire(self, ended, done, errors: dict, expand_failed) -> None:
+    def _retire(self, ended, done, errors: dict) -> None:
         """Record the results of the searches that ``ended`` and drop them,
         with the upper search of each failed lower one."""
         key = self.key
@@ -869,9 +873,6 @@ class _Searches:
             k = int(key[j])
             if j in errors:
                 exc = errors[j]
-            elif expand_failed[j]:
-                exc = ConvergenceError("adjusted ratio appears bounded below the threshold; "
-                                       "the interval does not close on this side")
             elif self.best_size[j] <= _RESIDUAL_TOL:
                 self.endpoint[k] = self.best[j]
                 continue
@@ -888,13 +889,15 @@ class _Searches:
 
 
 def _lockstep_intervals(stacks: list, level: float) -> list:
-    """The interval ends of every row of each of ``stacks`` (each a list of
-    row sets), as :meth:`_Searches.results` gives them.  A failure ends its
-    own row only, so a row's result does not depend on the batch."""
-    searches = _Searches([_StackedRatio(sets) for sets in stacks], chi2_1_quantile(level))
-    while searches.key.size:
-        searches.advance()
-    return searches.results()
+    """The interval ends of each of ``stacks``' rows (a stack is a list of row
+    sets) as :meth:`_Searches.results` gives them, or ``(-inf, inf, 0)`` where
+    the stack's plateau is at most the threshold; a failure ends its own row."""
+    threshold = chi2_1_quantile(level)
+    ratios = [_StackedRatio(sets) for sets in stacks]
+    closing = [ratio for ratio in ratios if ratio.plateau() > threshold]
+    ends = iter(_Searches(closing, threshold).results() if closing else ())
+    return [next(ends) if ratio in closing else [(-math.inf, math.inf, 0)] * len(ratio.points)
+            for ratio in ratios]
 
 
 def jel_neg2_ratio(sample, r: int, beta0: float) -> float:
@@ -930,10 +933,10 @@ def ajel_confidence_interval(sample, r: int, level: float = 0.95,
                              rule: str = "centered", a_n=None) -> ConfidenceInterval:
     """Adjusted-ratio confidence interval.
 
-    With the centered rule the ratio is finite everywhere, so the search may
-    leave the pseudo-value hull, doubling its reach until the threshold is
-    crossed; the result always contains the unadjusted interval.  With the
-    literal rule the search stays inside the hull of the augmented point set.
+    With the centered rule the ratio is finite and bounded, so the interval
+    may leave the pseudo-value hull, or be the whole line; it always contains
+    the unadjusted interval.  With the literal rule the search stays inside
+    the hull of the augmented point set.
     """
     return confidence_interval(sample, r, level, "AJEL", rule, a_n)
 

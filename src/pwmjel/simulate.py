@@ -304,9 +304,11 @@ def _coverage_rows(cell: _Cell, records: np.ndarray) -> list[ReportRow]:
         n_fail = _failures(cell, method, failed)
         p = float(covered.mean())
         ok = lengths[failed == 0.0]
-        se_len = float(np.std(ok, ddof=1) / math.sqrt(ok.size)) if ok.size > 1 else 0.0
+        length = float(ok.mean())  # inf where an interval is the whole line, with stderr nan
+        se_len = (math.nan if length == math.inf else
+                  float(np.std(ok, ddof=1) / math.sqrt(ok.size)) if ok.size > 1 else 0.0)
         rows += [cell.row(method, "coverage", p, _proportion_stderr(p, reps)),
-                 cell.row(method, "length", float(ok.mean()), se_len),
+                 cell.row(method, "length", length, se_len),
                  cell.row(method, "failures", float(n_fail))]
     return rows
 

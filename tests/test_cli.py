@@ -95,6 +95,19 @@ def test_ci_inline_error_keeps_exit_zero(capsys, const_csv):
     assert rows["DNEL"]["error"] == "" and rows["JEL"]["error"] != ""
 
 
+def test_ci_prints_a_whole_line_interval_with_exit_zero(capsys, tmp_path):
+    # six values put the centered AJEL ratio's plateau below the 95% threshold
+    p = tmp_path / "six.csv"
+    p.write_text("flow\n" + "\n".join(str(v) for v in VALS[:6]) + "\n")
+    code, out, _ = run_main(capsys, "ci", "--input", str(p), "--column", "flow", "--r", "1",
+                            "--methods", "JEL,AJEL", "--format", "csv")
+    assert code == 0
+    rows = {row["method"]: row for row in csv.DictReader(io.StringIO(out))}
+    assert (rows["AJEL"]["lower"], rows["AJEL"]["upper"], rows["AJEL"]["length"]) == (
+        "-inf", "inf", "inf")
+    assert rows["AJEL"]["error"] == "" and float(rows["JEL"]["length"]) < float("inf")
+
+
 def test_ci_all_methods_fail_exits_3(capsys, const_csv):
     code, _, _ = run_main(
         capsys, "ci", "--input", const_csv, "--column", "c",

@@ -120,24 +120,27 @@ def test_centered_slope_is_the_envelope_derivative():
     x = sample(DistSpec("exponential", 1.0), 50, make_rng(45))
     pv = jackknife_pseudo_values(x, 1)
     lo, hi = pv.values.min(), pv.values.max()
-    # inside and beyond the pseudo-value hull, with the default and a set a_n
-    cases = ((0.6, None), (0.9, None), (lo - 0.5, None), (hi + 2.0, 3.0))
-    ratio = _StackedRatio([_problem(x, "AJEL", "centered", a_n) for _, a_n in cases])
-    # the stack runs in its rows' coordinates, beta * 2**-exponent
-    beta = ratio.scaled(np.array([b for b, _ in cases]))
-    stacked = ratio(np.arange(len(cases)), beta, np.zeros(len(cases)))
-    assert stacked[-1] == {}
-    h = 1e-6
-    for j, (b, a_n) in enumerate(cases):
-        # a row alone is solved by solve_lambda, the stack by the vectorised loop
-        (value,), (slope,), (lam,), (dlam,), (curvature,), errors = ratio([j], [beta[j]], [0.0])
-        assert (value, slope, lam, dlam, curvature) == tuple(c[j] for c in stacked[:5])
-        assert errors == {}
-        fd = (ajel_neg2_ratio(x, 1, b + h, a_n=a_n)
-              - ajel_neg2_ratio(x, 1, b - h, a_n=a_n)) / (2.0 * h)
-        assert value == ajel_neg2_ratio(x, 1, b, a_n=a_n)
-        # the slope scales as beta's inverse, as the stack maps beta in
-        assert ratio.scaled(slope)[j] == pytest.approx(fd, rel=1e-5)
+    # inside and beyond the pseudo-value hull, with the default and a set
+    # a_n, one stack each, as one call stacks its centered rows
+    cases = (0.6, 0.9, lo - 0.5, hi + 2.0)
+    for a_n in (None, 3.0):
+        ratio = _StackedRatio([_problem(x, "AJEL", "centered", a_n)] * len(cases))
+        # the stack runs in its rows' coordinates, beta * 2**-exponent
+        beta = ratio.scaled(np.array(cases))
+        stacked = ratio(np.arange(len(cases)), beta, np.zeros(len(cases)))
+        assert stacked[-1] == {}
+        h = 1e-6
+        for j, b in enumerate(cases):
+            # a row alone is solved by solve_lambda, the stack by the vectorised loop
+            (value,), (slope,), (lam,), (dlam,), (curvature,), errors = ratio([j], [beta[j]],
+                                                                              [0.0])
+            assert (value, slope, lam, dlam, curvature) == tuple(c[j] for c in stacked[:5])
+            assert errors == {}
+            fd = (ajel_neg2_ratio(x, 1, b + h, a_n=a_n)
+                  - ajel_neg2_ratio(x, 1, b - h, a_n=a_n)) / (2.0 * h)
+            assert value == ajel_neg2_ratio(x, 1, b, a_n=a_n)
+            # the slope scales as beta's inverse, as the stack maps beta in
+            assert ratio.scaled(slope)[j] == pytest.approx(fd, rel=1e-5)
 
 
 @pytest.mark.parametrize("method, rule, a_n", [
@@ -371,14 +374,59 @@ def test_ajel_ci_contains_jel_ci():
             )
 
 
-def test_ajel_ci_tiny_n_cannot_close_at_95():
+def test_ajel_ci_tiny_n_is_the_whole_line_at_95():
     # with four pseudo-values the adjusted ratio plateaus below the 95%
-    # threshold, so no finite endpoint exists; the solver must say so
-    with pytest.raises(ConvergenceError):
-        ajel_confidence_interval(X4, 1, 0.95)
+    # threshold, so the test rejects no beta and the interval is the line
+    ci = ajel_confidence_interval(X4, 1, 0.95)
+    assert (ci.lower, ci.upper, ci.endpoint_iterations) == (-math.inf, math.inf, 0)
+    assert ci.point_estimate == ustat_estimate(X4, 1)
     # a looser level closes fine on the same sample
     ci = ajel_confidence_interval(X4, 1, 0.50)
-    assert ci.lower < ci.upper
+    assert -math.inf < ci.lower < ci.upper < math.inf
+
+
+def _plateau(n, a_n=None) -> float:
+    """L(n, a): the centered ratio's limit far from the data, in closed form."""
+    a = adjustment_constant(n) if a_n is None else a_n
+    return 2.0 * (n * math.log(n * (1.0 + a) / ((n + 1) * a)) + math.log((1.0 + a) / (n + 1)))
+
+
+@pytest.mark.parametrize("a_n", [None, 3.0])
+def test_the_centered_ratio_tends_to_its_plateau_far_from_the_data(a_n):
+    for n in range(3, 51):
+        xs = [sample(DistSpec(family, 1.0), n, make_rng([n, k]))
+              for k, family in enumerate(("exponential", "lognormal", "normal"))]
+        plateau = _StackedRatio([_problem(xs[0], "AJEL", "centered", a_n)]).plateau()
+        assert plateau == _plateau(n, a_n)
+        for beta0 in (-1e6, 1e6):
+            for (test,) in ratio_tests(xs, 1, beta0, 0.05, ("AJEL",), "centered", a_n):
+                assert test.statistic == pytest.approx(plateau, abs=1e-9)
+
+
+def test_centered_ajel_is_the_whole_line_up_to_n_7_at_95():
+    # L(7, a_7) = 3.81 and L(8, a_8) = 4.15 around the threshold 3.84
+    assert _plateau(7) < Q95 < _plateau(8)
+    x = sample(DistSpec("exponential", 1.0), 8, make_rng(8))
+    ci = ajel_confidence_interval(x[:7], 1, 0.95)
+    assert (ci.lower, ci.upper, ci.endpoint_iterations) == (-math.inf, math.inf, 0)
+    assert ci.contains(1e300) and ci.contains(-1e300) and ci.length == math.inf
+    assert not ratio_test(x[:7], 1, 1e300, 0.05, "AJEL").reject
+    ci = ajel_confidence_interval(x, 1, 0.95)
+    assert -math.inf < ci.lower < ci.point_estimate < ci.upper < math.inf
+    for b in (ci.lower, ci.upper):
+        assert ajel_neg2_ratio(x, 1, b) == pytest.approx(Q95, abs=1e-6)
+
+
+def test_centered_ajel_closes_just_below_its_plateau():
+    # a threshold 1e-3 under L(8, a_8): the crossing is far out, but finite
+    threshold = _plateau(8) - 1e-3
+    level = chi2_1_cdf(threshold)
+    assert chi2_1_quantile(level) < _plateau(8)
+    x = sample(DistSpec("exponential", 1.0), 8, make_rng(8))
+    ci = ajel_confidence_interval(x, 1, level)
+    assert -math.inf < ci.lower < ci.point_estimate < ci.upper < math.inf
+    for b in (ci.lower, ci.upper):
+        assert ajel_neg2_ratio(x, 1, b) == pytest.approx(chi2_1_quantile(level), abs=1e-6)
 
 
 def test_degenerate_sample_errors():
@@ -752,16 +800,21 @@ def search_errors(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_a_centered_search_that_never_crosses_gives_up_at_the_expansion_budget(n, solves):
+def test_a_centered_stack_below_its_plateau_takes_no_search(n, solves):
     # three to five points put the centered ratio's plateau below the 95%
-    # threshold: both searches double their reach and the lower one gives up
-    x = sample(DistSpec("exponential", 1.0), n, make_rng(n))
-    with pytest.raises(ConvergenceError) as raised:
-        ajel_confidence_interval(x, 1, 0.95)
-    assert str(raised.value) == ("adjusted ratio appears bounded below the threshold; "
-                                 "the interval does not close on this side")
-    # both searches ran every round, and the upper one stopped with the lower
-    assert solves == [2] * inference._MAX_EXPAND
+    # threshold: every beta is accepted, which takes no solve
+    xs = [sample(DistSpec("exponential", 1.0), n, make_rng([n, k])) for k in range(3)]
+    for (ci,) in confidence_intervals(xs, 1, 0.95, ("AJEL",)):
+        assert (ci.lower, ci.upper, ci.endpoint_iterations) == (-math.inf, math.inf, 0)
+    assert solves == []
+    # beside it, the plain stack of the call searches as it does alone
+    rows = confidence_intervals(xs, 1, 0.95, CI_METHODS)
+    plain = [m for m in CI_METHODS if m != "AJEL"]
+    alone = confidence_intervals(xs, 1, 0.95, plain)
+    for row, plain_row in zip(rows, alone):
+        assert ([_exact(row[CI_METHODS.index(m)]) for m in plain]
+                == [_exact(ci) for ci in plain_row])
+        assert _exact(row[CI_METHODS.index("AJEL")])["upper"] == "inf"
 
 
 @pytest.mark.parametrize("seed, rounds", [(0, 26), (1, 26), (2, 23)])
@@ -819,8 +872,8 @@ def test_a_search_out_of_float_resolution_stalls(method, search_errors):
 @pytest.mark.parametrize("method, level, sizes, seen", [
     # searches bisecting toward the hull bound, some stalling below the threshold
     ("JEL", 1.0 - 1e-15, (3, 4, 5), "stall"),
-    # centered searches with no outside end reach out for it; at n = 8 they cross
-    ("AJEL", 0.95, (3, 4, 5, 8), "reach"),
+    # centered searches with no outside end reach out for it until they cross
+    ("AJEL", 0.95, (8, 10, 15), "reach"),
 ])
 def test_the_search_state_stays_aligned_as_searches_end(method, level, sizes, seen):
     # every per-search array of _Searches leaves together when a search ends;

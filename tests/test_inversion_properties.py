@@ -15,7 +15,10 @@ number of ratio evaluations per interval on 200 fixed samples must stay
 within a bound for each kind; and on a few seeded samples every kind's
 ratio must not decrease anywhere along the way from its minimum out to the
 hull edge (past the pseudo-values for centered AJEL), the shape the
-one-crossing endpoint search relies on.
+one-crossing endpoint search relies on.  The centered AJEL ratio must also
+rise toward its closed-form limit far from the data, and never exceed it,
+on each side of the estimate: the interval is the whole line exactly where
+that limit is at most the threshold.
 
 Equivariance: scaling the data by a in [1e-12, 1e12] scales every
 interval kind's endpoints by a and keeps its test statistic at a scaled
@@ -38,7 +41,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pwmjel import (
-    ConvergenceError,
     DistSpec,
     adjustment_constant,
     ajel_confidence_interval,
@@ -53,6 +55,7 @@ from pwmjel import (
     neg2_log_ratio,
     plugin_el_ci,
     ratio_test,
+    ratio_tests,
     sample,
     vxl_summands,
 )
@@ -146,16 +149,14 @@ def _reference(ratio, seed, hull, threshold, direction, beta_scale):
 def test_endpoints_solve_the_threshold_and_match_bisection(kind, case):
     x, r, level = case
     threshold = chi2_1_quantile(level)
-    try:
-        ci, ratio, seed, hull, beta_scale = _setup(kind, x, r, level)
-    except ConvergenceError:
-        # only the centered rule may fail to close: its ratio is finite
+    ci, ratio, seed, hull, beta_scale = _setup(kind, x, r, level)
+    if ci.length == math.inf:
+        # only the centered rule may stay open: its ratio is finite
         # everywhere and plateaus below high thresholds at small n
         assert kind == "AJEL-centered"
-        pv = jackknife_pseudo_values(x, r)
-        far = 1e8 * max(1.0, float(np.ptp(pv.values)))
-        assert min(ajel_neg2_ratio(x, r, pv.ustat_estimate + d * far)
-                   for d in (-1.0, 1.0)) < threshold
+        assert (ci.lower, ci.upper, ci.endpoint_iterations) == (-math.inf, math.inf, 0)
+        far = 1e8 * max(1.0, float(np.ptp(jackknife_pseudo_values(x, r).values)))
+        assert max(ratio(seed + d * far) for d in (-1.0, 1.0)) <= threshold
         return
     assert type(ci.lower) is float and type(ci.upper) is float
     assert ci.lower < seed < ci.upper
@@ -171,10 +172,7 @@ def test_endpoints_solve_the_threshold_and_match_bisection(kind, case):
 def test_centered_ajel_contains_jel(case):
     x, r, level = case
     jel = jel_confidence_interval(x, r, level)
-    try:
-        ajel = ajel_confidence_interval(x, r, level)
-    except ConvergenceError:
-        return  # no finite adjusted interval; checked in the test above
+    ajel = ajel_confidence_interval(x, r, level)  # the whole line where it stays open
     pv = jackknife_pseudo_values(x, r)
     slack = MATCH_TOL * max(1.0, abs(jel.point_estimate),
                             float(np.max(np.abs(pv.values - jel.point_estimate))))
@@ -241,6 +239,38 @@ def test_ratio_is_monotone_on_each_side_of_its_minimum(kind, family, n, r, seed)
         assert values[0] < values[-1] and math.isfinite(values[-1])
         for nearer, farther in zip(values, values[1:]):
             assert farther >= nearer * (1.0 - 1e-12)
+
+
+def _plateau(n, a):
+    """The centered AJEL ratio's limit far from the data (Emerson and Owen 2009)."""
+    return 2.0 * (n * math.log(n * (1.0 + a) / ((n + 1) * a)) + math.log((1.0 + a) / (n + 1)))
+
+
+# distances from the estimate, in units of the pseudo-values' spread
+_OUTWARD = np.geomspace(1e-3, 1e8, 40).tolist()
+
+
+@pytest.mark.parametrize("a_n", [None, 3.0])
+@pytest.mark.parametrize("n", [3, 5, 8, 20, 50])
+def test_centered_ratio_rises_toward_its_plateau_on_each_side(n, a_n):
+    # each sample is shifted to estimate 0 (beta_1 moves by half the shift)
+    # and scaled to pseudo-value spread 1, so one grid serves the block
+    xs = []
+    for k, family in enumerate(("exponential", "lognormal", "normal")):
+        for j in range(4):
+            x = sample(DistSpec(family, 1.0), n, make_rng([7, n, k, j]))
+            pv = jackknife_pseudo_values(x, 1)
+            xs.append((x - 2.0 * pv.ustat_estimate) / np.ptp(pv.values))
+    plateau = _plateau(n, adjustment_constant(n) if a_n is None else a_n)
+    for side in (-1.0, 1.0):
+        nearer = [0.0] * len(xs)
+        for t in _OUTWARD:
+            farther = [test.statistic for (test,) in ratio_tests(
+                xs, 1, side * t, 0.5, ("AJEL",), "centered", a_n)]
+            for a, b in zip(nearer, farther):
+                assert a * (1.0 - 1e-12) <= b <= plateau * (1.0 + 1e-12)
+            nearer = farther
+        assert max(abs(b - plateau) for b in nearer) < 1e-9
 
 
 @st.composite

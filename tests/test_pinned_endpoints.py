@@ -11,12 +11,19 @@ point.  The file ``data/pinned_endpoints.json`` was written by an earlier
 implementation of the search, so a rewrite of the search that changes a
 single bit or evaluation fails here.
 
-It was last rewritten when the searches stopped evaluating their shrunk
-hull bounds, where a plain ratio diverges: a search that had probed its
-bound took the same midpoint one round earlier, so 757 entries report 1
-or 2 fewer evaluations, and the 36 that failed with "ratio stays below
-the threshold out to the hull bound" now fail with a stalled search's
-error and best point.  No lower, upper or estimate bit moved.
+It was rewritten when the searches stopped evaluating their shrunk hull
+bounds, where a plain ratio diverges: a search that had probed its bound
+took the same midpoint one round earlier, so 757 entries report 1 or 2
+fewer evaluations, and the 36 that failed with "ratio stays below the
+threshold out to the hull bound" now fail with a stalled search's error
+and best point.  No lower, upper or estimate bit moved.
+
+It was last rewritten when centered AJEL's unbounded sides were decided in
+closed form, from the ratio's limit far from the data: the 828 entries
+that failed with "adjusted ratio appears bounded below the threshold; the
+interval does not close on this side" (centered AJEL, n = 3 to 50) are now
+lower ``-inf``, upper ``inf``, the point estimate and 0 evaluations.  The
+other 4 356 entries kept every bit.
 
 Rewrite the file (only for a deliberate change of results) with
 ``PYTHONPATH=src python tests/test_pinned_endpoints.py``.

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -135,6 +136,21 @@ def test_coverage_rows_shape():
             assert 0.0 <= row.value <= 1.0 and row.stderr > 0
         if row.metric == "length":
             assert row.value > 0
+
+
+def test_a_coverage_cell_of_open_intervals_reports_infinite_length():
+    # at n = 5 and level 0.95 every centered AJEL interval is the whole line;
+    # its spread takes no inf - inf, which would warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = run_experiment(small_config(n_values=(5,), replications=40,
+                                          methods=("JEL", "AJEL")))
+    got = {(row.method, row.metric): (row.value, row.stderr) for row in rep.rows}
+    assert got["AJEL", "coverage"] == (1.0, 0.0)
+    value, stderr = got["AJEL", "length"]
+    assert value == math.inf and math.isnan(stderr)
+    assert got["AJEL", "failures"] == (0.0, None)
+    assert math.isfinite(got["JEL", "length"][0])
 
 
 def test_runs_are_reproducible_and_thread_invariant():
