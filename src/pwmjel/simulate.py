@@ -124,6 +124,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise PwmInputError(f"unknown experiment kind {self.kind!r}; expected {KINDS}")
+        if not isinstance(self.dist, DistSpec):
+            raise PwmInputError(f"dist must be a DistSpec, got {self.dist!r}")
+        if not isinstance(self.null_dist, (DistSpec, type(None))):
+            raise PwmInputError(f"null_dist must be a DistSpec or None, got {self.null_dist!r}")
         if not _ints_at_least(self.r_values, 1):
             raise PwmInputError("r_values must be integers >= 1")
         if not _ints_at_least(self.n_values, max(self.r_values) + 2):
@@ -371,14 +375,17 @@ def _cells_records(cells: list[_Cell], threads: int) -> Iterator[list[tuple]]:
     waits at a cell boundary, and a chunk is ``min(_BLOCK, ceil(reps /
     threads))`` replications: as tall as the cell allows while each cell
     still spreads over every worker.  Otherwise the chunks run inline and
-    are ``_BLOCK`` tall.  Closing the generator early cancels the chunks
-    not yet started.
+    are ``_BLOCK`` tall.  A warm-up draw, on a generator of its own, comes
+    before the pool, whose forked workers then inherit what sampling imports.
+    Closing the generator early cancels the chunks not yet started.
     """
     reps = cells[0].config.replications
     workers = threads if reps >= 8 else 1
     size = min(_BLOCK, math.ceil(reps / workers))
     spans = [(lo, min(lo + size, reps)) for lo in range(0, reps, size)]
     chunks = [replace(cell, rep_lo=lo, rep_hi=hi) for cell in cells for lo, hi in spans]
+    if workers > 1:
+        sample(cells[0].config.dist, 1, make_rng(0))  # the warm-up draw
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         parts = (pool.map if pool else map)(_run_chunk, chunks)

@@ -1,6 +1,8 @@
 import math
 import subprocess
 import sys
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,6 +37,23 @@ def test_dist_spec_validation():
     assert DistSpec("constant", 0.0).label == "constant(0)"
     assert EXP1.label == "exponential(1)"
     assert DistSpec("normal", 2.5).label == "normal(2.5)"
+
+
+@pytest.mark.parametrize("bad", ["1", None, True, np.True_, 1j])
+def test_dist_spec_takes_a_real_param1_only(bad):
+    # not a raw TypeError from a finiteness check, and a bool is no parameter
+    with pytest.raises(PwmInputError, match="^param1 must be a real number"):
+        DistSpec("exponential", bad)
+
+
+def test_dist_spec_stores_param1_as_a_float():
+    # any real number, checked against the float range before it is converted
+    for value in (2, np.int64(2), np.float32(2.0), Fraction(2)):
+        d = DistSpec("exponential", value)
+        assert type(d.param1) is float and d.param1 == 2.0 and d.label == "exponential(2)"
+    for bad in (10**400, -(10**400), math.inf, math.nan):
+        with pytest.raises(PwmInputError, match="^param1 must be finite$"):
+            DistSpec("normal", bad)
 
 
 def test_true_beta_exponential_closed_form():
@@ -109,7 +128,9 @@ def test_true_beta_quadrature_agrees_with_closed_form():
 
 # Runs in a fresh interpreter: imports pwmjel, then one `pwm ci` and one
 # `pwm test` call on an exponential CSV column, then a one-rep exponential
-# coverage_length run, and prints which scipy modules are loaded after each.
+# coverage_length run, then normal and lognormal specs, a config on them and
+# their true_beta, then a one-rep lognormal run, and prints which scipy
+# modules are loaded after each.
 _SCIPY_PROBE = """
 import contextlib, io, sys
 def loaded():
@@ -128,19 +149,25 @@ for argv in (['ci', '--input', path, '--column', 'x', '--r', '1'],
 config = ExperimentConfig('coverage_length', DistSpec('exponential', 1.0), (1,), (40,), 1)
 simulate.run_experiment(config)
 print('coverage_length', loaded())
+normal, lognormal = DistSpec('normal', 2.0), DistSpec('lognormal', 1.0)
+config = ExperimentConfig('size', lognormal, (1,), (25,), 1, null_dist=normal)
+print('true_beta', pwmjel.true_beta(normal, 1) > 0 < pwmjel.true_beta(lognormal, 1), loaded())
+simulate.run_experiment(config)
+print('lognormal size', loaded())
 """
 
 
 def test_import_leaves_quadrature_unloaded(tmp_path):
-    # scipy loads only for normal and lognormal draws and their quadrature;
-    # exponential and CSV work never imports it
+    # scipy loads only for normal and lognormal draws, not for their specs,
+    # configs or moments; exponential and CSV work never imports it
     proc = subprocess.run(
         [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path / "x.csv")],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "import []", "ci []", "test []", "coverage_length []",
+        "import []", "ci []", "test []", "coverage_length []", "true_beta True []",
+        "lognormal size ['scipy.special']",
     ]
 
 
@@ -180,7 +207,11 @@ class Pool(simulate.ProcessPoolExecutor):
         print('scipy.special' in sys.modules)
         super().__init__(*args, **kwargs)
 simulate.ProcessPoolExecutor = Pool
-config = ExperimentConfig('variance', DistSpec(sys.argv[1], 1.0), (1,), (20,), 8)
+if sys.argv[1] == 'power':  # exponential draws, a normal null
+    config = ExperimentConfig('power', DistSpec('exponential', 1.0), (1,), (20,), 8,
+                              null_dist=DistSpec('normal', 1.0))
+else:
+    config = ExperimentConfig('variance', DistSpec(sys.argv[1], 1.0), (1,), (20,), 8)
 simulate.run_experiment(config, threads=2)
 """
 
@@ -195,20 +226,62 @@ def test_normal_draws_load_scipy_before_the_pool_forks(family):
     assert proc.stdout.strip() == "True"
 
 
+def test_exponential_draws_fork_without_scipy_under_a_normal_null():
+    # the null's moment is a trapezoid rule in math, and the warm-up draw
+    # before the pool is exponential, so neither loads scipy.special
+    proc = subprocess.run(
+        [sys.executable, "-c", _FORK_PROBE, "power"], capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_true_beta_constant_family():
     d = DistSpec("constant", 3.0)
     for r in range(4):
         assert true_beta(d, r) == pytest.approx(3.0 / (r + 1), rel=1e-12)
 
 
+def test_harmonic_numbers_keep_the_bits_of_the_sum_up_to_the_cutoff():
+    # the exponential moment of every order r < cutoff is H_{r+1} / (r+1),
+    # H summed left to right; the running sum is that sum, bit for bit
+    cutoff = distributions._HARMONIC_SUM_MAX
+    total = 0.0
+    for m in range(1, cutoff + 1):
+        total += 1.0 / m
+        assert distributions._harmonic(m) == total
+    assert true_beta(EXP1, 1) == (1.0 + 0.5) / 2 and true_beta(EXP1, 2) == (1.5 + 1 / 3) / 3
+    assert distributions._harmonic(cutoff + 1) == distributions._harmonic_series(cutoff + 1)
+
+
+def test_sum_and_series_agree_at_the_harmonic_cutoff():
+    cutoff = distributions._HARMONIC_SUM_MAX
+    for m in (cutoff - 1, cutoff, cutoff + 1):
+        ref = math.fsum(1.0 / j for j in range(1, m + 1))
+        for form in (sum(1.0 / j for j in range(1, m + 1)), distributions._harmonic_series(m)):
+            assert abs(form - ref) <= 1e-15 * ref
+
+
+def test_exponential_moments_of_huge_order_take_bounded_time():
+    start = time.perf_counter()
+    beta = true_beta(EXP1, 10**300)
+    assert time.perf_counter() - start < 0.5
+    # H_m = ln m + gamma + O(1/m), and ln(1e300) + gamma = 691.35...
+    assert beta == pytest.approx((300 * math.log(10) + 0.5772156649015329) / 1e300, rel=1e-15)
+    assert true_beta(DistSpec("exponential", 2.0), 10**6) == pytest.approx(
+        2.0 * math.fsum(1.0 / j for j in range(1, 10**6 + 2)) / (10**6 + 1), rel=1e-15)
+
+
 @pytest.mark.parametrize("family", ["exponential", "normal", "lognormal", "constant"])
 def test_true_beta_rejects_an_order_beyond_the_float_range(family):
-    # 10**400 would overflow float() (and the exponential would sum its
-    # harmonic number term by term), so every family refuses it up front
+    # 10**400 would overflow float(), so every family refuses it up front,
+    # and so does the largest order whose r + 1 overflows
     with pytest.raises(PwmInputError, match="must be below 2\\*\\*1024"):
         true_beta(DistSpec(family, 1.0), 10**400)
     with pytest.raises(PwmInputError, match="must be below 2\\*\\*1024"):
         true_beta(DistSpec(family, 1.0), 2**1024)
+    with pytest.raises(PwmInputError, match="must be below 2\\*\\*1024"):
+        true_beta(DistSpec(family, 1.0), 2**1024 - 2**970 - 1)
 
 
 def test_chi2_cdf_known_points():

@@ -113,6 +113,14 @@ def test_config_rejects_a_level_or_size_that_is_not_a_number():
             small_config(kind="size", alpha=bad)
 
 
+@pytest.mark.parametrize("field, bad", [("dist", "exponential"), ("dist", None),
+                                        ("null_dist", "normal"), ("null_dist", 1.0)])
+def test_config_rejects_a_distribution_that_is_not_a_dist_spec(field, bad):
+    # checked at construction, not met first as an AttributeError in run_experiment
+    with pytest.raises(PwmInputError, match=f"^{field} must be a DistSpec"):
+        small_config(kind="size", **{field: bad})
+
+
 def test_config_rejects_sample_sizes_that_share_seed_streams():
     # the packed cell id collides once n reaches a million
     assert _cell_id(1, 1_000_005) == _cell_id(2, 5)
