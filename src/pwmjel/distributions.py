@@ -25,6 +25,7 @@ import numbers
 import statistics
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -103,8 +104,9 @@ class DistSpec:
         if self.family != CONSTANT and self.param1 <= 0:
             raise PwmInputError(f"{self.family} requires param1 > 0")
 
-    @property
+    @cached_property
     def label(self) -> str:
+        """Formatted once, so that every report row of the spec shares it."""
         return f"{self.family}({self.param1:g})"
 
 

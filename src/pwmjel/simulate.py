@@ -145,7 +145,8 @@ class ExperimentConfig:
             raise PwmInputError("power experiments need a null distribution")
 
 
-@dataclass(frozen=True)
+# Slotted, so that the rows of a kept report hold no per-row dict.
+@dataclass(frozen=True, slots=True)
 class ReportRow:
     dist: str
     r: int
@@ -156,7 +157,7 @@ class ReportRow:
     stderr: float | None
 
 
-@dataclass
+@dataclass(slots=True)
 class ExperimentReport:
     rows: list[ReportRow]
     config: ExperimentConfig

@@ -146,6 +146,14 @@ def test_coverage_rows_shape():
             assert row.value > 0
 
 
+def test_report_rows_hold_no_dict_and_share_the_label():
+    # a caller that keeps many reports holds only slots and one label string
+    rep = run_experiment(small_config())
+    assert not hasattr(rep, "__dict__")
+    assert all(not hasattr(row, "__dict__") for row in rep.rows)
+    assert all(row.dist is rep.config.dist.label for row in rep.rows)
+
+
 def test_a_coverage_cell_of_open_intervals_reports_infinite_length():
     # at n = 5 and level 0.95 every centered AJEL interval is the whole line;
     # its spread takes no inf - inf, which would warn
