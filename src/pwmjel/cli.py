@@ -28,8 +28,10 @@ from .estimators import (
 from .inference import ADJUSTMENT_RULES, CI_METHODS, confidence_intervals, ratio_tests
 from .simulate import (
     check_threads,
+    comma_list,
     parse_config_file,
     run_experiment,
+    table_lines,
     write_report_csv,
     write_report_markdown,
 )
@@ -37,29 +39,6 @@ from .simulate import (
 _EXIT_OK = 0
 _EXIT_INPUT = 2
 _EXIT_NUMERIC = 3
-
-
-def _fmt(value, fmt: str) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return repr(value) if fmt == "csv" else f"{value:.4f}"
-    return str(value)
-
-
-def _emit_table(header, rows, fmt: str) -> None:
-    if fmt == "csv":
-        print(",".join(header))
-        for row in rows:
-            print(",".join(_fmt(v, fmt) for v in row))
-        return
-    cells = [[_fmt(v, fmt) for v in row] for row in rows]
-    print("| " + " | ".join(header) + " |")
-    print("| " + " | ".join("---" for _ in header) + " |")
-    for row in cells:
-        print("| " + " | ".join(row) + " |")
 
 
 def _note(message: str, quiet: bool) -> None:
@@ -75,10 +54,6 @@ def _load(args):
     return data
 
 
-def _methods_arg(text: str) -> list[str]:
-    return [tok.strip().upper() for tok in text.split(",") if tok.strip()]
-
-
 # The point estimates of ``pwm estimate``, by --method; jackknife is the mean
 # of the leave-one-out pseudo-values.
 _ESTIMATES = {
@@ -92,8 +67,8 @@ _ESTIMATES = {
 def _cmd_estimate(args) -> int:
     data = _load(args)
     value = _ESTIMATES[args.method](SortedSample.from_data(data.values), args.r)
-    _emit_table(["column", "method", "r", "estimate"],
-                [[data.name, args.method, args.r, value]], args.format)
+    print("\n".join(table_lines(["column", "method", "r", "estimate"],
+                                 [[data.name, args.method, args.r, value]], args.format)))
     return _EXIT_OK
 
 
@@ -115,38 +90,33 @@ def _exit_code(results) -> int:
 
 def _cmd_ci(args) -> int:
     data = _load(args)
-    methods = _methods_arg(args.methods)
+    methods = comma_list(args.methods, str.upper)
     (results,) = confidence_intervals([data.values], args.r, args.level, methods,
                                       args.ajel_rule, args.an)
     if args.format == "csv":
-        _emit_table(
-            ["column", "method", "r", "estimate", "lower", "upper", "length", "error"],
-            [[data.name, method, args.r,
-              *_cells(ci, "point_estimate", "lower", "upper", "length")]
-             for method, ci in zip(methods, results)],
-            args.format,
-        )
+        header = ["column", "method", "r", "estimate", "lower", "upper", "length", "error"]
+        rows = [[data.name, method, args.r,
+                 *_cells(ci, "point_estimate", "lower", "upper", "length")]
+                for method, ci in zip(methods, results)]
     else:
-        line = [data.name] + [
+        header, rows = ["column", *methods], [[data.name] + [
             f"error: {ci}" if isinstance(ci, PwmError)
             else f"({ci.lower:.4f}, {ci.upper:.4f}) length {ci.length:.4f}"
-            for ci in results]
-        _emit_table(["column", *methods], [line], "md")
+            for ci in results]]
+    print("\n".join(table_lines(header, rows, args.format)))
     return _exit_code(results)
 
 
 def _cmd_test(args) -> int:
     data = _load(args)
-    methods = _methods_arg(args.methods)
+    methods = comma_list(args.methods, str.upper)
     (results,) = ratio_tests([data.values], args.r, args.null, args.alpha, methods,
                              args.ajel_rule, args.an)
-    _emit_table(
+    print("\n".join(table_lines(
         ["column", "method", "r", "statistic", "threshold", "p_value", "reject", "error"],
-        [[data.name, method, args.r,
-          *_cells(res, "statistic", "threshold", "p_value", "reject")]
+        [[data.name, method, args.r, *_cells(res, "statistic", "threshold", "p_value", "reject")]
          for method, res in zip(methods, results)],
-        args.format,
-    )
+        args.format)))
     return _exit_code(results)
 
 

@@ -59,6 +59,8 @@ __all__ = [
     "seed_for_rep",
     "run_experiment",
     "parse_config_file",
+    "comma_list",
+    "table_lines",
     "write_report_csv",
     "write_report_markdown",
 ]
@@ -217,8 +219,9 @@ class _Cell:
 
 def _estimates_records(cell: _Cell, samples: list[np.ndarray]) -> list[tuple]:
     errors, blocks = sorted_rows(samples)
-    for error in filter(None, errors):
-        raise error
+    for error in filter(None, errors):  # a non-finite draw overflowed
+        raise NumericError(f"{cell.config.kind} cell dist={cell.config.dist.label} r={cell.r} "
+                           f"n={cell.n}: a draw exceeds the float range ({error})") from error
     ((_, x),) = blocks.values()
     r, n = cell.r, cell.n
     jack = np.add.reduce(pseudo_value_rows(x, r)[0], axis=1) / n
@@ -429,9 +432,14 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentRepo
 # config files
 
 
+def comma_list(text: str, convert: Callable[[str], object] = str) -> list:
+    """``convert`` of each stripped, non-empty token of a comma-separated list."""
+    return [convert(tok.strip()) for tok in text.split(",") if tok.strip()]
+
+
 def _parse_int_list(text: str, key: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok.strip()) for tok in text.split(",") if tok.strip())
+        return tuple(comma_list(text, int))
     except ValueError:
         raise PwmInputError(f"config key {key!r} needs comma-separated integers, got {text!r}")
 
@@ -494,7 +502,7 @@ def parse_config_file(path) -> ExperimentConfig:
 
     methods = CI_METHODS
     if "methods" in entries:
-        methods = tuple(tok.strip().upper() for tok in entries["methods"].split(",") if tok.strip())
+        methods = tuple(comma_list(entries["methods"], str.upper))
 
     return ExperimentConfig(
         kind=need("kind"),
@@ -515,32 +523,43 @@ def parse_config_file(path) -> ExperimentConfig:
 # report writers
 
 
-def _fmt_value(v: float) -> str:
-    return repr(float(v))
+def table_lines(header, rows, fmt: str) -> list[str]:
+    """The lines of a table: csv when ``fmt`` is ``"csv"``, else markdown.
+
+    A cell of None prints empty, a bool lower-case, a float its ``repr``
+    in csv and 4 places in markdown, and anything else as ``str``.
+    """
+    def text(value) -> str:
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return str(value).lower()
+        if isinstance(value, float):
+            return repr(float(value)) if fmt == "csv" else f"{value:.4f}"
+        return str(value)
+
+    if fmt == "csv":
+        return [",".join(header)] + [",".join(map(text, row)) for row in rows]
+    return ["| " + " | ".join(header) + " |", "| " + " | ".join("---" for _ in header) + " |",
+            *("| " + " | ".join(map(text, row)) + " |" for row in rows)]
 
 
 def write_report_csv(report: ExperimentReport, path) -> None:
     """Write rows under the fixed header; full float precision."""
-    lines = [CSV_HEADER]
-    for row in report.rows:
-        stderr = "" if row.stderr is None else _fmt_value(row.stderr)
-        lines.append(
-            f"{row.dist},{row.r},{row.n},{row.method},{row.metric},"
-            f"{_fmt_value(row.value)},{stderr}"
-        )
+    lines = table_lines(CSV_HEADER.split(","), (
+        (row.dist, row.r, row.n, row.method, row.metric, float(row.value),
+         None if row.stderr is None else float(row.stderr)) for row in report.rows), "csv")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _md_table(header: list[str], body: list[list[str]]) -> list[str]:
-    out = ["| " + " | ".join(header) + " |",
-           "| " + " | ".join("---" for _ in header) + " |"]
-    out.extend("| " + " | ".join(cells) + " |" for cells in body)
-    return out
-
-
 def write_report_markdown(report: ExperimentReport, path) -> None:
-    """Companion human-readable tables, one per metric, values to 4 places."""
+    """Companion human-readable tables, one per metric, values to 4 places.
+
+    One pass groups the rows by metric, then by (dist, r, n, method).  A
+    metric with several rows for one of those is summarized per cell and
+    method; any other is a cells-by-methods table (see the README).
+    """
     cfg = report.config
     lines = [
         f"# {cfg.kind} report",
@@ -554,46 +573,31 @@ def write_report_markdown(report: ExperimentReport, path) -> None:
         # the other kinds ignore null_dist
         lines.insert(3, f"- null distribution: {cfg.null_dist.label}")
 
-    for metric in dict.fromkeys(row.metric for row in report.rows):
-        rows = [r for r in report.rows if r.metric == metric]
-        lines.extend(["", f"## {metric}", ""])
-        methods = list(dict.fromkeys(r.method for r in rows))
-        multi = len(rows) > len({(r.dist, r.r, r.n, r.method) for r in rows})
-        if multi:
+    tables: dict[str, dict[tuple, list[ReportRow]]] = {}
+    for row in report.rows:
+        key = (row.dist, row.r, row.n, row.method)
+        tables.setdefault(row.metric, {}).setdefault(key, []).append(row)
+    for metric, groups in tables.items():
+        cells = dict.fromkeys(key[:3] for key in groups)  # first-seen order
+        methods = dict.fromkeys(key[3] for key in groups)
+        if any(len(rows) > 1 for rows in groups.values()):
             # per-replication metric: summarize instead of dumping every row
             header = ["dist", "r", "n", "method", "count", "mean", "sd", "min", "median", "max"]
             body = []
-            for (d, rr, nn) in sorted({(r.dist, r.r, r.n) for r in rows}):
-                for method in methods:
-                    vals = np.array([r.value for r in rows
-                                     if (r.dist, r.r, r.n, r.method) == (d, rr, nn, method)])
-                    if vals.size == 0:
-                        continue
-                    body.append([
-                        d, str(rr), str(nn), method, str(vals.size),
-                        f"{vals.mean():.4f}",
-                        f"{vals.std(ddof=1):.4f}" if vals.size > 1 else "0.0000",
-                        f"{vals.min():.4f}",
-                        f"{float(np.median(vals)):.4f}",
-                        f"{vals.max():.4f}",
-                    ])
-            lines.extend(_md_table(header, body))
+            for key in [(*cell, m) for cell in sorted(cells) for m in methods]:
+                if key in groups:
+                    vals = np.array([row.value for row in groups[key]])
+                    # float() so that a NumPy scalar of any dtype prints to 4 places
+                    sd = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
+                    body.append([*map(str, key), vals.size, float(vals.mean()), sd,
+                                 float(vals.min()), float(np.median(vals)), float(vals.max())])
         else:
-            header = ["dist", "r", "n"] + list(methods)
-            body = []
-            cell = {(r.dist, r.r, r.n, r.method): r for r in rows}
-            for (d, rr, nn) in dict.fromkeys((r.dist, r.r, r.n) for r in rows):
-                line = [d, str(rr), str(nn)]
-                for method in methods:
-                    row = cell.get((d, rr, nn, method))
-                    if row is None:
-                        line.append("")
-                    elif row.stderr is None:
-                        line.append(f"{row.value:.4f}")
-                    else:
-                        line.append(f"{row.value:.4f} ({row.stderr:.4f})")
-                body.append(line)
-            lines.extend(_md_table(header, body))
-
+            header, body = ["dist", "r", "n", *methods], []
+            for cell in cells:
+                found = [groups.get((*cell, method), (None,))[0] for method in methods]
+                body.append([*map(str, cell)] + [
+                    None if row is None else f"{row.value:.4f}" if row.stderr is None
+                    else f"{row.value:.4f} ({row.stderr:.4f})" for row in found])
+        lines.extend(["", f"## {metric}", "", *table_lines(header, body, "md")])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

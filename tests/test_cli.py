@@ -9,8 +9,12 @@ import pytest
 from pwmjel import (
     ADJUSTMENT_RULES,
     CI_METHODS,
+    PwmError,
+    confidence_intervals,
     jel_confidence_interval,
     jel_test,
+    load_csv_column,
+    ratio_tests,
     ustat_estimate,
 )
 from pwmjel.cli import build_parser, main
@@ -153,6 +157,31 @@ def test_test_csv_matches_library(capsys, data_csv):
     ref = jel_test(VALS, 1, 0.9)
     assert float(row["statistic"]) == ref.statistic
     assert row["reject"] == str(ref.reject).lower()
+
+
+@pytest.mark.parametrize("source, column", [("data_csv", "flow"), ("const_csv", "c")])
+def test_ci_and_test_print_markdown_by_default(capsys, request, source, column):
+    # on the constant column the JEL methods fail and print their error
+    path = request.getfixturevalue(source)
+    values = load_csv_column(path, column).values
+    (intervals,) = confidence_intervals([values], 1, 0.95, CI_METHODS)
+    (tests,) = ratio_tests([values], 1, 1.2, 0.05, CI_METHODS)
+    assert any(isinstance(ci, PwmError) for ci in intervals) == (column == "c")
+    code, out, _ = run_main(capsys, "ci", "--input", path, "--column", column, "--r", "1")
+    assert code == 0
+    assert out == (f"| column | {' | '.join(CI_METHODS)} |\n| --- | --- | --- | --- | --- |\n"
+                   f"| {column} | " + " | ".join(
+                       f"error: {ci}" if isinstance(ci, PwmError)
+                       else f"({ci.lower:.4f}, {ci.upper:.4f}) length {ci.length:.4f}"
+                       for ci in intervals) + " |\n")
+    code, out, _ = run_main(capsys, "test", "--input", path, "--column", column, "--r", "1",
+                            "--null", "1.2")
+    assert code == 0
+    assert out.splitlines()[2:] == [
+        f"| {column} | {method} | 1 |  |  |  |  | {res} |" if isinstance(res, PwmError)
+        else (f"| {column} | {method} | 1 | {res.statistic:.4f} | {res.threshold:.4f} | "
+              f"{res.p_value:.4f} | {str(res.reject).lower()} |  |")
+        for method, res in zip(CI_METHODS, tests)]
 
 
 def test_missing_file_exits_2(capsys):
@@ -307,6 +336,18 @@ def test_simulate_moment_beyond_the_float_range_exits_3(capsys, tmp_path):
     )
     assert code == 3
     assert err.startswith("error: ") and "exceeds the float range" in err
+
+
+def test_simulate_variance_draws_beyond_the_float_range_exit_3(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kind = variance\nfamily = lognormal\nparam = 1000\nr = 1\nn_list = 25\nreps = 2\n")
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code, _, err = run_main(
+            capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "o"),
+        )
+    assert code == 3
+    assert err == ("error: variance cell dist=lognormal(1000) r=1 n=25: a draw exceeds the "
+                   "float range (sample contains non-finite values)\n")
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])

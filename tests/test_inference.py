@@ -504,10 +504,11 @@ def test_a_block_builds_each_sample_as_it_builds_alone(r, rule, a_n):
     assert {failed[(m, 4)][0] for m in ("JEL", "AJEL")} == {DegenerateSampleError}
 
 
-@pytest.mark.parametrize("r, n", [(0, 10), (-1, 10), (1.5, 10), (True, 10), (2, 3), (1, 2), (5, 6)])
+@pytest.mark.parametrize("r, n", [(0, 10), (-1, 10), (1.5, 10), (True, 10), (2, 3), (1, 2), (5, 6),
+                                  (1, 1)])
 def test_block_wide_errors_are_each_samples_own(r, n):
     # a bad order or a sample too small for it fails every row of a method
-    # with the error a one-sample build gives
+    # with the error a one-sample build gives (at n = 1, DNEL and VXL too)
     block = [sample(DistSpec("exponential", 1.0), n, make_rng(80 + k)) for k in range(3)]
     got = [[_built(rows, i) for i in range(len(block))]
            for rows in _method_problems(block, r, CI_METHODS, "centered", None)]

@@ -12,9 +12,11 @@ from pwmjel import (
     KINDS,
     DistSpec,
     ExperimentConfig,
+    ExperimentReport,
     NumericError,
     PwmError,
     PwmInputError,
+    ReportRow,
     adjustment_constant,
     confidence_interval,
     dn_estimate,
@@ -401,6 +403,53 @@ def test_markdown_writer(tmp_path):
     assert "## coverage" in text and "## length" in text
     assert "exponential(1)" in text
     assert "seed: 5" in text
+
+
+def test_markdown_tables_of_a_hand_built_report(tmp_path):
+    rows = [ReportRow("d", 1, 20, "A", "coverage", 0.9, 0.03),
+            ReportRow("d", 1, 10, "B", "coverage", 0.25, None),
+            ReportRow("d", 1, 10, "A", "coverage", 0.95, 0.02),
+            ReportRow("d", 1, 20, "B", "estimate", 2.0, None),
+            ReportRow("d", 1, 10, "B", "estimate", 1.0, None),
+            ReportRow("d", 1, 10, "B", "estimate", 4.0, None),
+            ReportRow("d", 1, 10, "A", "estimate", 3.0, None)]
+    write_report_markdown(ExperimentReport(rows, small_config(), 0.0), tmp_path / "report.md")
+    tables = (tmp_path / "report.md").read_text().split("\n\n", 2)[2]
+    # a missing (cell, method) is a blank pivot entry; the per-replication
+    # metric sorts its cells and gives one value an sd of 0
+    assert tables == (
+        "## coverage\n\n"
+        "| dist | r | n | A | B |\n| --- | --- | --- | --- | --- |\n"
+        "| d | 1 | 20 | 0.9000 (0.0300) |  |\n"
+        "| d | 1 | 10 | 0.9500 (0.0200) | 0.2500 |\n\n"
+        "## estimate\n\n"
+        "| dist | r | n | method | count | mean | sd | min | median | max |\n"
+        "| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |\n"
+        "| d | 1 | 10 | B | 2 | 2.5000 | 2.1213 | 1.0000 | 2.5000 | 4.0000 |\n"
+        "| d | 1 | 10 | A | 1 | 3.0000 | 0.0000 | 3.0000 | 3.0000 | 3.0000 |\n"
+        "| d | 1 | 20 | B | 1 | 2.0000 | 0.0000 | 2.0000 | 2.0000 | 2.0000 |\n")
+
+
+def test_markdown_writer_reads_the_rows_once(tmp_path):
+    class Rows(list):
+        passes = 0
+
+        def __iter__(self):
+            Rows.passes += 1
+            return super().__iter__()
+
+    rep = run_experiment(small_config(kind="estimator_boxdata", replications=5, r_values=(1, 2)))
+    write_report_markdown(replace(rep, rows=Rows(rep.rows)), tmp_path / "report.md")
+    assert Rows.passes == 1
+
+
+def test_a_variance_run_whose_draws_overflow_names_the_cell():
+    config = small_config(kind="variance", dist=DistSpec("lognormal", 1000.0), replications=3)
+    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(NumericError) as info:
+        run_experiment(config)
+    assert str(info.value) == ("variance cell dist=lognormal(1000) r=1 n=25: a draw exceeds "
+                               "the float range (sample contains non-finite values)")
+    assert isinstance(info.value.__cause__, PwmInputError)
 
 
 def test_markdown_names_the_null_only_where_it_is_used(tmp_path):
